@@ -170,6 +170,16 @@ impl DeltaGraph {
     /// are persisted, and the root auxiliary snapshot (via `aux_diff`) is
     /// kept in memory.
     pub fn build_aux_index(&mut self, index: Box<dyn AuxIndex>) -> DgResult<()> {
+        // Auxiliary events are derived from plain events; a seed graph
+        // (`DeltaGraph::build_seeded`) has none to derive them from.
+        let first = *self.skeleton.leaves().first().ok_or(DgError::EmptyIndex)?;
+        if self.skeleton.node(first)?.element_count > 0 {
+            return Err(DgError::InvalidParameter(
+                "auxiliary indexes replay the history from the empty graph; \
+                 this index starts from a seeded state"
+                    .into(),
+            ));
+        }
         let intervals: Vec<(u64, usize)> = self
             .skeleton
             .intervals()

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use kvstore::KeyValueStore;
 use tgraph::fxhash::FxHashMap;
-use tgraph::{Delta, EventList, Snapshot, Timestamp};
+use tgraph::{Delta, Event, EventList, Snapshot, TgError, Timestamp};
 
 use crate::config::DeltaGraphConfig;
 use crate::error::{DgError, DgResult};
@@ -34,11 +34,40 @@ impl DeltaGraphBuilder {
         DeltaGraphBuilder { config, store }
     }
 
-    /// Builds the index over a complete historical event trace.
+    /// Builds the index over a complete historical event trace: the seeded
+    /// construction from the empty graph one tick before the first event.
     pub fn build(self, events: &EventList) -> DgResult<DeltaGraph> {
+        // An empty trace has no leaf-0 time; `build_seeded` rejects it.
+        let seed_time = initial_leaf_time(events).unwrap_or(Timestamp::MIN);
+        self.build_seeded(Snapshot::new(), seed_time, events.events())
+    }
+
+    /// Builds the index over a history that starts from `seed`, the graph
+    /// as of `seed_time`, rather than from the empty graph: leaf 0 is
+    /// `(seed_time, seed)` and `events` (chronological, none before
+    /// `seed_time`) are cut into leaves after it. The seed costs one leaf
+    /// graph — it is never replayed through leaf-eventlists — and a seed
+    /// without events yields a one-leaf index. Time points before
+    /// `seed_time` are outside the indexed history.
+    pub fn build_seeded(
+        self,
+        seed: Snapshot,
+        seed_time: Timestamp,
+        events: &[Event],
+    ) -> DgResult<DeltaGraph> {
         self.config.validate().map_err(DgError::InvalidParameter)?;
-        if events.is_empty() {
+        if events.is_empty() && seed.is_empty() {
             return Err(DgError::EmptyIndex);
+        }
+        let mut last = seed_time;
+        for ev in events {
+            if ev.time < last {
+                return Err(DgError::Model(TgError::InvalidEvent(format!(
+                    "event at {} appended after event at {last}",
+                    ev.time
+                ))));
+            }
+            last = ev.time;
         }
 
         let payloads = PayloadStore::new(
@@ -55,24 +84,23 @@ impl DeltaGraphBuilder {
         let diff_fn = self.config.diff_fn;
 
         // Leaf 0: the state before any event.
-        let first_time = events.start_time().expect("non-empty");
-        let mut current = Snapshot::new();
+        let mut current = seed;
         let leaf0 = skeleton.add_node(
             SkeletonNodeKind::Leaf,
             1,
-            Some(first_time.prev()),
+            Some(seed_time),
             current.element_count(),
         );
         pending[0].push((leaf0, current.clone()));
 
-        let chunks = events.split_into_chunks(self.config.leaf_size);
         let mut prev_leaf = leaf0;
-        let mut prev_leaf_time = first_time.prev();
-        for chunk in &chunks {
+        let mut prev_leaf_time = seed_time;
+        for chunk in events.chunks(self.config.leaf_size) {
+            let chunk = EventList::from_events(chunk.to_vec());
             // Persist the leaf-eventlist.
             let eventlist_id = next_id;
             next_id += 1;
-            let weights = payloads.write_eventlist(eventlist_id, chunk)?;
+            let weights = payloads.write_eventlist(eventlist_id, &chunk)?;
 
             // Advance the running graph and create the next leaf.
             chunk.apply_all_forward(&mut current)?;
@@ -166,7 +194,7 @@ fn combine_full_groups(
     while level < pending.len() {
         if pending[level].len() >= arity {
             let group: Vec<(NodeIdx, Snapshot)> = pending[level].drain(..arity).collect();
-            let parent = combine_group(skeleton, payloads, next_id, diff_fn, &group, level)?;
+            let parent = combine_group(skeleton, payloads, next_id, diff_fn, group, level)?;
             if pending.len() <= level + 1 {
                 pending.push(Vec::new());
             }
@@ -217,7 +245,7 @@ fn flush_pending(
             // Promote a lone node upward without creating a trivial parent.
             group.into_iter().next().expect("one element")
         } else {
-            combine_group(skeleton, payloads, next_id, diff_fn, &group, level)?
+            combine_group(skeleton, payloads, next_id, diff_fn, group, level)?
         };
         if pending.len() <= level + 1 {
             pending.push(Vec::new());
@@ -236,10 +264,10 @@ fn combine_group(
     payloads: &PayloadStore,
     next_id: &mut u64,
     diff_fn: crate::diff_fn::DifferentialFunction,
-    group: &[(NodeIdx, Snapshot)],
+    group: Vec<(NodeIdx, Snapshot)>,
     level: usize,
 ) -> DgResult<(NodeIdx, Snapshot)> {
-    let snapshots: Vec<Snapshot> = group.iter().map(|(_, s)| s.clone()).collect();
+    let (children, snapshots): (Vec<NodeIdx>, Vec<Snapshot>) = group.into_iter().unzip();
     let parent_graph = diff_fn.combine(&snapshots);
     let parent_idx = skeleton.add_node(
         SkeletonNodeKind::Interior,
@@ -247,14 +275,14 @@ fn combine_group(
         None,
         parent_graph.element_count(),
     );
-    for (child_idx, child_graph) in group {
+    for (child_idx, child_graph) in children.into_iter().zip(&snapshots) {
         let delta = Delta::between(&parent_graph, child_graph);
         let delta_id = *next_id;
         *next_id += 1;
         let weights = payloads.write_delta(delta_id, &delta)?;
         skeleton.add_edge(
             parent_idx,
-            *child_idx,
+            child_idx,
             EdgePayload::Delta { delta_id },
             weights,
         );
@@ -304,6 +332,112 @@ mod tests {
         let res = DeltaGraphBuilder::new(DeltaGraphConfig::default(), Arc::new(MemStore::new()))
             .build(&EventList::new());
         assert!(matches!(res, Err(DgError::EmptyIndex)));
+    }
+
+    fn build_seeded_at(cut: usize, leaf_size: usize) -> (datagen::Dataset, Timestamp, DeltaGraph) {
+        let ds = toy_trace(); // 10 events
+        let events = ds.events.events();
+        let seed_time = events[cut].time.prev();
+        let split = events.partition_point(|e| e.time <= seed_time);
+        let dg = DeltaGraphBuilder::new(
+            DeltaGraphConfig::new(leaf_size, 2),
+            Arc::new(MemStore::new()),
+        )
+        .build_seeded(ds.snapshot_at(seed_time), seed_time, &events[split..])
+        .unwrap();
+        (ds, seed_time, dg)
+    }
+
+    #[test]
+    fn seeded_build_indexes_only_the_events_after_the_seed() {
+        let (ds, seed_time, dg) = build_seeded_at(6, 3);
+        let after = ds.events.suffix_after(seed_time).len();
+        assert_eq!(dg.skeleton().leaves().len(), 1 + after.div_ceil(3));
+        assert_eq!(dg.history_range().unwrap().0, seed_time);
+        assert_eq!(dg.current_graph(), &ds.final_snapshot());
+        let opts = tgraph::AttrOptions::all();
+        assert_eq!(
+            dg.get_snapshot(seed_time, &opts).unwrap(),
+            ds.snapshot_at(seed_time)
+        );
+        // Before the seed is outside the indexed history.
+        assert!(dg.get_snapshot(seed_time.prev(), &opts).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_seed_without_events_is_a_one_leaf_index() {
+        let ds = toy_trace();
+        let end = ds.end_time();
+        let mut dg = DeltaGraphBuilder::new(DeltaGraphConfig::new(3, 2), Arc::new(MemStore::new()))
+            .build_seeded(ds.final_snapshot(), end, &[])
+            .unwrap();
+        assert_eq!(dg.skeleton().leaves().len(), 1);
+        assert!(dg.skeleton().intervals().is_empty());
+        assert_eq!(dg.history_range().unwrap(), (end, end));
+        let opts = tgraph::AttrOptions::all();
+        for t in [end, end.next(), Timestamp(end.raw() + 100)] {
+            assert_eq!(dg.get_snapshot(t, &opts).unwrap(), ds.final_snapshot());
+        }
+        assert_eq!(
+            dg.get_snapshots(&[end.prev(), end], &opts).unwrap(),
+            vec![Snapshot::new(), ds.final_snapshot()]
+        );
+        // It ingests like any other index, folding leaves as they fill.
+        for i in 1..=4 {
+            dg.append_event(Event::add_node(end.raw() + i, 9000 + i as u64))
+                .unwrap();
+        }
+        assert_eq!(dg.skeleton().leaves().len(), 2);
+        let mid = dg.get_snapshot(Timestamp(end.raw() + 2), &opts).unwrap();
+        assert_eq!(mid.node_count(), ds.final_snapshot().node_count() + 2);
+        let rebuilt = dg.rebuild(Arc::new(MemStore::new())).unwrap();
+        assert_eq!(
+            rebuilt.history_range().unwrap(),
+            dg.history_range().unwrap()
+        );
+        assert_eq!(
+            rebuilt.get_snapshot(end, &opts).unwrap(),
+            ds.final_snapshot()
+        );
+    }
+
+    #[test]
+    fn seeded_build_rejects_unordered_or_unseedable_input() {
+        let ds = toy_trace();
+        let events = ds.events.events();
+        let builder =
+            || DeltaGraphBuilder::new(DeltaGraphConfig::new(3, 2), Arc::new(MemStore::new()));
+        // An event before the seed time.
+        let res = builder().build_seeded(Snapshot::new(), events[0].time.next(), events);
+        assert!(matches!(res, Err(DgError::Model(_))));
+        // Events out of order among themselves.
+        let mut swapped = events.to_vec();
+        swapped.swap(0, events.len() - 1);
+        let res = builder().build_seeded(Snapshot::new(), Timestamp::MIN, &swapped);
+        assert!(matches!(res, Err(DgError::Model(_))));
+        // Nothing at all.
+        let res = builder().build_seeded(Snapshot::new(), Timestamp(0), &[]);
+        assert!(matches!(res, Err(DgError::EmptyIndex)));
+        // An event the seed graph cannot take (the node already exists).
+        let seed = ds.final_snapshot();
+        let (taken, _) = seed.nodes().next().expect("the toy graph has nodes");
+        let dup = Event::add_node(ds.end_time().raw() + 1, taken.0);
+        let res = builder().build_seeded(seed, ds.end_time(), &[dup]);
+        assert!(matches!(res, Err(DgError::Model(_))));
+        // Auxiliary indexes derive their state from events; a seed has none.
+        let (_, _, mut dg) = build_seeded_at(6, 3);
+        let res = dg.build_aux_index(Box::new(crate::aux::PathIndex::new("label")));
+        assert!(matches!(res, Err(DgError::InvalidParameter(_))));
+    }
+
+    #[test]
+    fn total_materialization_of_a_seeded_index_starts_from_the_seed() {
+        let (ds, seed_time, mut dg) = build_seeded_at(6, 2);
+        dg.materialize_all_leaves().unwrap();
+        let opts = tgraph::AttrOptions::all();
+        for t in [seed_time, seed_time.next(), ds.end_time()] {
+            assert_eq!(dg.get_snapshot(t, &opts).unwrap(), ds.snapshot_at(t));
+        }
     }
 
     #[test]

@@ -123,10 +123,7 @@ impl DifferentialFunction {
         }
         match *self {
             DifferentialFunction::Empty => Snapshot::new(),
-            DifferentialFunction::Intersection => children
-                .iter()
-                .skip(1)
-                .fold(children[0].clone(), |acc, c| acc.intersect(c)),
+            DifferentialFunction::Intersection => intersect_all(children),
             DifferentialFunction::Union => children
                 .iter()
                 .skip(1)
@@ -135,18 +132,12 @@ impl DifferentialFunction {
             DifferentialFunction::Mixed { r1, r2 } => mixed_combine(children, r1, r2),
             DifferentialFunction::Balanced => mixed_combine(children, 0.5, 0.5),
             DifferentialFunction::RightSkewed { r } => {
-                let base = children
-                    .iter()
-                    .skip(1)
-                    .fold(children[0].clone(), |acc, c| acc.intersect(c));
+                let base = intersect_all(children);
                 let newest = children.last().expect("non-empty");
                 skew_from_base(base, newest, r)
             }
             DifferentialFunction::LeftSkewed { r } => {
-                let base = children
-                    .iter()
-                    .skip(1)
-                    .fold(children[0].clone(), |acc, c| acc.intersect(c));
+                let base = intersect_all(children);
                 let oldest = &children[0];
                 skew_from_base(base, oldest, r)
             }
@@ -160,6 +151,16 @@ fn skew_from_base(mut base: Snapshot, target: &Snapshot, r: f64) -> Snapshot {
     let delta = Delta::between(&base, target);
     apply_sampled(&mut base, &delta, r, 0.0);
     base
+}
+
+/// The intersection of two or more graphs, oldest first. `intersect`
+/// builds its result from scratch, so no child is copied on the way.
+fn intersect_all(children: &[Snapshot]) -> Snapshot {
+    children[2..]
+        .iter()
+        .fold(children[0].intersect(&children[1]), |acc, c| {
+            acc.intersect(c)
+        })
 }
 
 /// `a + r1·(δab + δbc + …) − r2·(ρab + ρbc + …)` over consecutive children.

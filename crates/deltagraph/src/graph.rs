@@ -83,6 +83,19 @@ impl DeltaGraph {
         crate::build::DeltaGraphBuilder::new(config, store).build(events)
     }
 
+    /// Builds the index over a history that starts from `seed`, the graph
+    /// as of `seed_time`, followed by `events` (see
+    /// [`crate::build::DeltaGraphBuilder::build_seeded`]).
+    pub fn build_seeded(
+        seed: Snapshot,
+        seed_time: Timestamp,
+        events: &[Event],
+        config: DeltaGraphConfig,
+        store: std::sync::Arc<dyn kvstore::KeyValueStore>,
+    ) -> DgResult<Self> {
+        crate::build::DeltaGraphBuilder::new(config, store).build_seeded(seed, seed_time, events)
+    }
+
     /// The construction parameters.
     pub fn config(&self) -> &DeltaGraphConfig {
         &self.config
@@ -200,7 +213,7 @@ impl DeltaGraph {
         // leaf i+1 = leaf i + eventlist i.
         let leaves: Vec<NodeIdx> = self.skeleton.leaves().to_vec();
         let intervals: Vec<LeafInterval> = self.skeleton.intervals().to_vec();
-        let mut graph = Snapshot::new();
+        let mut graph = self.first_leaf_graph()?;
         for (i, leaf) in leaves.iter().enumerate() {
             if i > 0 {
                 let interval = &intervals[i - 1];
@@ -232,6 +245,13 @@ impl DeltaGraph {
         self.materialized.insert(last, graph);
         self.skeleton.set_materialized(last, true)?;
         Ok(last)
+    }
+
+    /// The graph of leaf 0 — the state the indexed history starts from: the
+    /// empty graph, or the seed of [`DeltaGraph::build_seeded`].
+    fn first_leaf_graph(&self) -> DgResult<Snapshot> {
+        let first = *self.skeleton.leaves().first().ok_or(DgError::EmptyIndex)?;
+        self.node_graph(first, &AttrOptions::all())
     }
 
     /// Approximate memory held by materialized graphs, in bytes.
@@ -391,6 +411,7 @@ impl DeltaGraph {
         &self,
         store: std::sync::Arc<dyn kvstore::KeyValueStore>,
     ) -> DgResult<DeltaGraph> {
+        let seed = self.first_leaf_graph()?;
         let mut all_events: Vec<Event> = Vec::new();
         for interval in self.skeleton.intervals() {
             let events =
@@ -399,8 +420,11 @@ impl DeltaGraph {
             all_events.extend(events.into_events());
         }
         all_events.extend(self.recent.events().iter().cloned());
-        crate::build::DeltaGraphBuilder::new(self.config.clone(), store)
-            .build(&EventList::from_events(all_events))
+        crate::build::DeltaGraphBuilder::new(self.config.clone(), store).build_seeded(
+            seed,
+            self.skeleton.history_start()?,
+            &all_events,
+        )
     }
 }
 

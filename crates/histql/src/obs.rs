@@ -279,9 +279,10 @@ fn push(out: &mut Vec<MetricEntry>, name: impl Into<String>, value: MetricValue)
 /// Assembles the complete metric catalog: the hub's push-model instruments
 /// plus everything pulled from the layers that keep their own counters —
 /// both cache tiers (aggregated), the single-flight table, the serving
-/// core's connection counters, and per-shard query/append/event counters
-/// (the skew view). This is the single source behind `STATS METRICS` and
-/// the HTTP `/metrics` endpoint, so the two can never disagree on names.
+/// core's connection counters, lazy shard hydrations, and per-shard
+/// query/append/event counters (the skew view). This is the single source
+/// behind `STATS METRICS` and the HTTP `/metrics` endpoint, so the two can
+/// never disagree on names.
 pub fn metrics_report(
     hub: Option<&MetricsHub>,
     router: &ShardedGraphManager,
@@ -487,6 +488,23 @@ pub fn metrics_report(
         &mut out,
         "hydration_failures_total",
         MetricValue::Counter(health.hydration_failures),
+    );
+    // Lazy shard hydrations (first touch of a recovered shard): how many
+    // index builds this process has paid for, and what each one cost.
+    let hydrations = Histogram::new();
+    for us in router.hydration_us() {
+        hydrations.record(us);
+    }
+    let hydrations = hydrations.snapshot();
+    push(
+        &mut out,
+        "shard_hydrations_total",
+        MetricValue::Counter(hydrations.count),
+    );
+    push(
+        &mut out,
+        "shard_hydrate_us",
+        MetricValue::Histogram(HistogramStats::of(&hydrations)),
     );
     // Per-shard skew counters, one triple per shard.
     for info in router.shard_infos() {

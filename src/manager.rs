@@ -121,6 +121,16 @@ impl GraphManagerConfig {
     }
 }
 
+/// The time leaf 0 of an index over a shard's `(seed, events)` sits at:
+/// the seed's time, or — with no seed — one tick before the first event
+/// (the state *entering* it). `None` when both are empty. Cold shards
+/// report this as their start without building the index.
+pub(crate) fn seeded_start(seed: &[Event], events: &[Event]) -> Option<Timestamp> {
+    seed.last()
+        .map(|e| e.time)
+        .or_else(|| events.first().map(|e| e.time.prev()))
+}
+
 /// The top-level handle to a historical graph database.
 pub struct GraphManager {
     index: DeltaGraph,
@@ -162,19 +172,39 @@ impl GraphManager {
         Self::build(events, config, Arc::new(store))
     }
 
-    /// Rebuilds the database from a sealed shard segment's contents: the
-    /// seed events collapse all state before the shard's range and the real
-    /// events complete it, so the result is indistinguishable from the
-    /// manager that originally produced the shard (key bindings excepted —
-    /// segments do not persist them).
-    pub fn build_from_segment(
-        segment: &kvstore::Segment,
+    /// Builds the database from a shard's stored contents: `seed` holds the
+    /// synthetic events that recreate the graph as of the shard's lower
+    /// bound (all at one time, empty for the first shard) and `events` the
+    /// real events after it. The seed is replayed once into a graph that
+    /// becomes leaf 0 of the index ([`GraphManager::build_seeded`]); only
+    /// `events` are indexed as history. Every shard — freshly planned or
+    /// recovered from disk — is built here, so a rebuilt deployment is
+    /// construction-identical to the one that wrote it (key bindings
+    /// excepted — segments do not persist them).
+    pub fn build_from_seed_events(
+        seed: &[Event],
+        events: &[Event],
         config: GraphManagerConfig,
         store: Arc<dyn KeyValueStore>,
     ) -> DgResult<Self> {
-        let mut list = segment.seed.clone();
-        list.extend_from_slice(&segment.events);
-        Self::build(&tgraph::EventList::from_events(list), config, store)
+        let seed_time = seeded_start(seed, events).ok_or(DgError::EmptyIndex)?;
+        let mut state = Snapshot::new();
+        state.apply_events_forward(seed)?;
+        Self::build_seeded(state, seed_time, events, config, store)
+    }
+
+    /// Builds the database over a history that starts from `seed`, the
+    /// graph as of `seed_time`, followed by `events` (see
+    /// [`DeltaGraph::build_seeded`]).
+    pub fn build_seeded(
+        seed: Snapshot,
+        seed_time: Timestamp,
+        events: &[Event],
+        config: GraphManagerConfig,
+        store: Arc<dyn KeyValueStore>,
+    ) -> DgResult<Self> {
+        let index = DeltaGraph::build_seeded(seed, seed_time, events, config.index.clone(), store)?;
+        Ok(Self::from_index(index, config))
     }
 
     /// Builds the database over a complete event trace on the given backing
@@ -185,6 +215,10 @@ impl GraphManager {
         store: Arc<dyn KeyValueStore>,
     ) -> DgResult<Self> {
         let index = DeltaGraph::build(events, config.index.clone(), store)?;
+        Ok(Self::from_index(index, config))
+    }
+
+    fn from_index(index: DeltaGraph, config: GraphManagerConfig) -> Self {
         let mut pool = GraphPool::new();
         pool.set_current(index.current_graph());
         let cache = SnapshotCache::new(config.snapshot_cache_capacity);
@@ -192,7 +226,7 @@ impl GraphManager {
             config.response_cache_capacity,
             config.response_cache_bytes,
         );
-        Ok(GraphManager {
+        GraphManager {
             index,
             pool,
             key_to_node: HashMap::new(),
@@ -202,7 +236,7 @@ impl GraphManager {
             cache,
             response_cache,
             append_epoch: 0,
-        })
+        }
     }
 
     // ------------------------------------------------------------------

@@ -17,12 +17,14 @@
 //!   from the old tail's current graph. Historical shards are therefore
 //!   immutable: their snapshot and response caches are never invalidated by
 //!   ingest, so hot historical points stay cached forever.
-//! * **Self-contained shards** — shard `i` over `[lower_i, upper_i)` is
-//!   built from the full graph state as of `lower_i` (collapsed into
-//!   synthetic *seed events* at `lower_i - 1`) plus the real events in its
-//!   range, so it answers any `t` in its range identically to a single
+//! * **Self-contained shards** — shard `i` over `[lower_i, upper_i)` is a
+//!   *seeded* index: leaf 0 is the full graph state entering `lower_i`
+//!   (time `lower_i - 1`) and only the real events in its range are indexed
+//!   after it, so it answers any `t` in its range identically to a single
 //!   manager replaying the whole stream (property-tested in
-//!   `tests/approach_equivalence.rs`).
+//!   `tests/approach_equivalence.rs`). On disk the seed travels as
+//!   synthetic *seed events*; a build replays them once into the leaf-0
+//!   graph and never indexes them.
 //!
 //! Queries whose time range spans shards and cannot be decomposed per point
 //! (`GET GRAPH BETWEEN`, `GET GRAPH MATCHING`, `DIFF`) execute on the single
@@ -41,13 +43,13 @@ use std::time::Instant;
 use deltagraph::{DgError, DgResult};
 use graphpool::GraphId;
 use kvstore::wal::WalSyncPolicy;
-use kvstore::{KeyValueStore, MemStore, Segment, SegmentMeta};
+use kvstore::{KeyValueStore, MemStore};
 use tgraph::codec::{Decode, Encode, Reader};
 use tgraph::{AttrOptions, Event, EventKind, EventList, Snapshot, TimeExpression, Timestamp};
 
 use crate::cache::{CacheEntryInfo, CacheStats};
 use crate::durable::{DurableState, ShardPlan};
-use crate::manager::{BatchOutcome, GraphManager, GraphManagerConfig};
+use crate::manager::{seeded_start, BatchOutcome, GraphManager, GraphManagerConfig};
 use crate::response_cache::ResponseCacheStats;
 use crate::shared::{CachedPoint, PoolSession, SharedGraphManager};
 
@@ -146,9 +148,8 @@ impl Shard {
 /// A shard's serving manager: built eagerly on every fresh-build path, or
 /// deferred to first touch on the recovery path
 /// ([`ShardedGraphManager::open`]) so restart-to-first-query pays for the
-/// one shard the query lands on, not for the whole history. Every shard —
-/// including the tail, whose seed grows with the graph and dominates an
-/// eager recovery — stays cold until a query or append touches it; the
+/// one shard the query lands on, not for the whole history. Every shard,
+/// the tail included, stays cold until a query or append touches it; the
 /// deferred build runs over the same checksum-verified plan an eager build
 /// would have used and produces an identical manager.
 struct ShardCell {
@@ -171,6 +172,9 @@ struct ShardCell {
     retry_at: AtomicU64,
     /// The error that caused the last failed hydration attempt.
     last_error: Mutex<String>,
+    /// Microseconds the successful deferred build took; `0` while cold and
+    /// for a shard that was built eagerly.
+    hydrate_us: AtomicU64,
 }
 
 /// Milliseconds on a process-local monotonic clock (first call = 0).
@@ -197,6 +201,7 @@ impl ShardCell {
             failures: AtomicU64::new(0),
             retry_at: AtomicU64::new(0),
             last_error: Mutex::new(String::new()),
+            hydrate_us: AtomicU64::new(0),
         }
     }
 
@@ -212,6 +217,7 @@ impl ShardCell {
             failures: AtomicU64::new(0),
             retry_at: AtomicU64::new(0),
             last_error: Mutex::new(String::new()),
+            hydrate_us: AtomicU64::new(0),
         }
     }
 
@@ -257,7 +263,8 @@ impl ShardCell {
         let mut p = pending
             .take()
             .expect("an unbuilt shard holds a pending plan");
-        let built = match Self::build_plan(&p, inner) {
+        let started = Instant::now();
+        let built = match build_shard(&p.plan, p.index, &inner.config, &inner.make_store) {
             Ok(shared) => Ok(shared),
             Err(first_err) if p.is_tail => {
                 // A crash between the WAL write-ahead and the rollback of a
@@ -275,7 +282,7 @@ impl ShardCell {
                             // whatever the rebuild does — keep the counter
                             // in step with both.
                             events.fetch_sub(1, Ordering::Relaxed);
-                            Self::build_plan(&p, inner)
+                            build_shard(&p.plan, p.index, &inner.config, &inner.make_store)
                         }),
                     _ => Err(first_err),
                 }
@@ -294,6 +301,10 @@ impl ShardCell {
                 }
                 let _ = self.built.set(shared.clone());
                 drop(keys);
+                self.hydrate_us.store(
+                    (started.elapsed().as_micros() as u64).max(1),
+                    Ordering::Relaxed,
+                );
                 Ok(shared)
             }
             Err(e) => {
@@ -322,22 +333,6 @@ impl ShardCell {
         }
     }
 
-    fn build_plan(p: &PendingShard, inner: &Inner) -> DgResult<SharedGraphManager> {
-        let segment = Segment {
-            meta: SegmentMeta {
-                shard_index: p.index as u64,
-                lower: p.plan.lower,
-            },
-            seed: p.plan.seed.clone(),
-            events: p.plan.events.clone(),
-        };
-        SharedGraphManager::from_segment(
-            &segment,
-            inner.config.manager.clone(),
-            (inner.make_store)(p.index),
-        )
-    }
-
     /// Earliest event time this shard holds, without hydrating.
     fn start_time(&self) -> Option<Timestamp> {
         if let Some(shared) = self.built.get() {
@@ -345,15 +340,9 @@ impl ShardCell {
         }
         let pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
         match pending.as_ref() {
-            // The index anchors its first leaf one tick before the first
-            // event (the state *entering* that event), so a deferred build
-            // will report exactly this start.
-            Some(p) => p
-                .plan
-                .seed
-                .first()
-                .or(p.plan.events.first())
-                .map(|e| e.time.prev()),
+            // Where the deferred build will anchor leaf 0, so the cold
+            // estimate and the hydrated value are the same.
+            Some(p) => seeded_start(&p.plan.seed, &p.plan.events),
             // Hydrated between the peek and the lock.
             None => self
                 .built
@@ -650,6 +639,25 @@ pub struct ShardedGraphManager {
     inner: Arc<Inner>,
 }
 
+/// Builds one shard's manager from its plan, fresh or recovered. The plan
+/// is only borrowed: a lazily recovered shard keeps it for the quarantine
+/// retry when the build fails.
+fn build_shard(
+    plan: &ShardPlan,
+    index: usize,
+    config: &ShardedConfig,
+    make_store: &StoreFactory,
+) -> DgResult<SharedGraphManager> {
+    Ok(SharedGraphManager::new(
+        GraphManager::build_from_seed_events(
+            &plan.seed,
+            &plan.events,
+            config.manager.clone(),
+            make_store(index),
+        )?,
+    ))
+}
+
 /// Collapses a graph state into the synthetic *seed events* that recreate it
 /// at time `at`: node adds, node attributes, edge adds, edge attributes, in
 /// deterministic id order. Replaying them yields exactly `state`.
@@ -807,11 +815,10 @@ impl ShardedGraphManager {
     }
 
     /// Walks the trace once, cutting at each boundary into per-shard
-    /// plans. A shard's event list is its seed (the running state
-    /// collapsed to `lower - 1`) plus the real events in
-    /// `[lower, next boundary)`; boundaries whose seed state is empty are
-    /// dropped so no shard ever builds over an empty list (the index
-    /// rejects those).
+    /// plans: a shard's seed (the running state collapsed to `lower - 1`)
+    /// and the real events in `[lower, next boundary)`. Boundaries that
+    /// would leave a shard with neither are dropped (the index rejects an
+    /// empty seed without events).
     fn plan_shards(events: &EventList, config: &ShardedConfig) -> DgResult<Vec<ShardPlan>> {
         if events.is_empty() {
             return Err(DgError::EmptyIndex);
@@ -868,10 +875,8 @@ impl ShardedGraphManager {
         Ok(plans)
     }
 
-    /// Builds one serving shard per plan, in order. Every shard — freshly
-    /// planned or recovered from disk — goes through the same
-    /// segment-shaped constructor, so a rebuilt deployment is
-    /// construction-identical to the one that wrote it.
+    /// Builds one serving shard per plan, in order, through the same
+    /// constructor a recovered shard hydrates with.
     fn build_shards(
         plans: &[ShardPlan],
         config: &ShardedConfig,
@@ -881,20 +886,8 @@ impl ShardedGraphManager {
             .iter()
             .enumerate()
             .map(|(index, plan)| {
-                let segment = Segment {
-                    meta: SegmentMeta {
-                        shard_index: index as u64,
-                        lower: plan.lower,
-                    },
-                    seed: plan.seed.clone(),
-                    events: plan.events.clone(),
-                };
                 Ok(Shard {
-                    cell: ShardCell::eager(SharedGraphManager::from_segment(
-                        &segment,
-                        config.manager.clone(),
-                        make_store(index),
-                    )?),
+                    cell: ShardCell::eager(build_shard(plan, index, config, make_store)?),
                     lower: plan.lower,
                     events: AtomicUsize::new(plan.events.len()),
                     queries: AtomicU64::new(0),
@@ -1369,13 +1362,17 @@ impl ShardedGraphManager {
         expanded: &[Event],
     ) -> DgResult<()> {
         let boundary = expanded.first().expect("non-empty sequence").time;
-        let seed = seed_events(gm.index().current_graph(), boundary.prev());
+        let seed_time = boundary.prev();
+        // The old tail's graph seeds the new index directly; only durable
+        // storage needs it spelled out as events (the tailseed file).
+        let state = gm.index().current_graph().clone();
+        let seed = self.is_durable().then(|| seed_events(&state, seed_time));
         let keys = gm.key_bindings();
         drop(gm);
-        let mut list = seed.clone();
-        list.extend(expanded.iter().cloned());
-        let mut next = GraphManager::build(
-            &EventList::from_events(list),
+        let mut next = GraphManager::build_seeded(
+            state,
+            seed_time,
+            expanded,
             self.inner.config.manager.clone(),
             (self.inner.make_store)(shards.len()),
         )?;
@@ -1387,7 +1384,7 @@ impl ShardedGraphManager {
         // triggering events, and commit with the manifest swap. An error
         // here leaves both disk (old manifest wins) and memory (no new
         // shard) on the old generation, the events unacknowledged.
-        if let Some(mut st) = self.storage_guard() {
+        if let (Some(mut st), Some(seed)) = (self.storage_guard(), seed) {
             st.roll(boundary, &seed, expanded)?;
         }
         shards.push(Shard {
@@ -1544,6 +1541,17 @@ impl ShardedGraphManager {
                     appends: s.appends.load(Ordering::Relaxed),
                 }
             })
+            .collect()
+    }
+
+    /// Microseconds each lazily recovered shard's successful hydration took
+    /// (shard order; cold and eagerly built shards contribute nothing) — the
+    /// samples behind `shard_hydrations_total` and `shard_hydrate_us`.
+    pub fn hydration_us(&self) -> Vec<u64> {
+        self.read_shards()
+            .iter()
+            .map(|s| s.cell.hydrate_us.load(Ordering::Relaxed))
+            .filter(|&us| us > 0)
             .collect()
     }
 
@@ -2398,6 +2406,18 @@ mod tests {
         dir
     }
 
+    /// The tail WAL file of a durable directory.
+    fn tail_wal(dir: &std::path::Path) -> std::path::PathBuf {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .find(|p| {
+                p.extension().is_some_and(|x| x == "log")
+                    && p.file_name().is_some_and(|f| f != "keys.log")
+            })
+            .expect("wal file")
+    }
+
     #[test]
     fn durable_build_and_open_match_the_in_memory_router() {
         let dir = durable_dir("roundtrip");
@@ -2487,14 +2507,7 @@ mod tests {
         sharded.append_event(Event::add_node(61, 9001)).unwrap();
         drop(sharded);
         // Simulate a crash mid-write: append half a record to the WAL.
-        let wal = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .find(|p| {
-                p.extension().is_some_and(|x| x == "log")
-                    && p.file_name().is_some_and(|f| f != "keys.log")
-            })
-            .expect("wal file");
+        let wal = tail_wal(&dir);
         use std::io::Write;
         std::fs::OpenOptions::new()
             .append(true)
@@ -2529,14 +2542,7 @@ mod tests {
         // Simulate a crash between the WAL write-ahead and the rollback of
         // a rejected apply: a well-framed, checksum-valid final record whose
         // event the rebuild must refuse (node 1001 already exists).
-        let wal_file = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .find(|p| {
-                p.extension().is_some_and(|x| x == "log")
-                    && p.file_name().is_some_and(|f| f != "keys.log")
-            })
-            .expect("wal file");
+        let wal_file = tail_wal(&dir);
         let bad = Event::add_node(61, 1001);
         let mut replay = kvstore::wal::Wal::open(&wal_file, WalSyncPolicy::Always).unwrap();
         assert_eq!(replay.torn_bytes, 0);
@@ -2650,6 +2656,161 @@ mod tests {
     }
 
     #[test]
+    fn cold_and_hydrated_shards_report_identical_bounds() {
+        let dir = durable_dir("bounds");
+        let ds = churn_trace(&ChurnConfig::tiny(83));
+        let config = ShardedConfig::default().with_shards(4);
+        drop(
+            ShardedGraphManager::build_durable(
+                &ds.events,
+                config.clone(),
+                &dir,
+                WalSyncPolicy::Off,
+            )
+            .unwrap(),
+        );
+        let opened = ShardedGraphManager::open(&dir, config, WalSyncPolicy::Off).unwrap();
+        let shards = opened.shard_count();
+        assert!(shards >= 3, "need seeded shards, got {shards}");
+        // `STATS SHARDS` rows and the per-shard time range, every shard cold.
+        let bounds = |router: &ShardedGraphManager| -> Vec<_> {
+            let cells = router.read_shards();
+            router
+                .shard_infos()
+                .into_iter()
+                .zip(cells.iter())
+                .map(|(info, s)| {
+                    let range = (s.cell.start_time(), s.cell.end_time());
+                    (info.lower, info.upper, info.events, range)
+                })
+                .collect()
+        };
+        let cold = bounds(&opened);
+        let cold_range = opened.history_range().unwrap();
+        for i in 0..shards {
+            assert!(!opened.is_hydrated(i), "shard {i} must start cold");
+        }
+        for (i, (lower, _, _, estimate)) in cold.iter().enumerate() {
+            let range = opened
+                .shard_at(i)
+                .unwrap()
+                .read()
+                .index()
+                .history_range()
+                .unwrap();
+            assert_eq!(*estimate, (Some(range.0), Some(range.1)), "shard {i}");
+            if let Some(lower) = lower {
+                // A seeded shard's history starts at its seed: the state
+                // one tick below the routing bound.
+                assert_eq!(range.0, lower.prev(), "shard {i}");
+            }
+        }
+        assert_eq!(bounds(&opened), cold, "first touch must not move a bound");
+        assert_eq!(opened.history_range().unwrap(), cold_range);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_tail_healed_down_to_its_seed_serves_and_ingests() {
+        let dir = durable_dir("seed-only");
+        let config = ShardedConfig::default().with_shards(2).with_shard_events(5);
+        let sharded = ShardedGraphManager::build_durable(
+            &linear_trace(),
+            config.clone(),
+            &dir,
+            WalSyncPolicy::Always,
+        )
+        .unwrap();
+        // The built tail is over budget: this append rolls a fresh tail whose
+        // WAL holds exactly the trigger record.
+        sharded.append_event(Event::add_node(100, 9000)).unwrap();
+        let shards = sharded.shard_count();
+        drop(sharded);
+        // Replace that record with one the rebuild must refuse (node 1001 is
+        // in the seed): the crash window between write-ahead and rollback.
+        let bad = Event::add_node(100, 1001);
+        let mut replay = kvstore::wal::Wal::open(tail_wal(&dir), WalSyncPolicy::Always).unwrap();
+        assert_eq!(replay.events.len(), 1);
+        replay.wal.truncate_to(0).unwrap();
+        replay.wal.append(&bad).unwrap();
+        drop(replay);
+
+        let opened =
+            ShardedGraphManager::open(&dir, config.clone(), WalSyncPolicy::Always).unwrap();
+        assert_eq!(opened.shard_count(), shards);
+        let tail = shards - 1;
+        let opts = AttrOptions::all();
+        // First touch: the build fails, the heal drops the only record, and
+        // the tail comes up as its seed alone — a one-leaf index.
+        assert_eq!(
+            opened
+                .snapshot_at(Timestamp(100), &opts)
+                .unwrap()
+                .node_count(),
+            60
+        );
+        assert_eq!(opened.shard_infos()[tail].events, 0);
+        assert_eq!(std::fs::metadata(tail_wal(&dir)).unwrap().len(), 0);
+        let tail_shard = opened.shard_at(tail).unwrap();
+        assert_eq!(tail_shard.read().index().skeleton().leaves().len(), 1);
+        assert_eq!(
+            opened.history_range().unwrap(),
+            (Timestamp(0), Timestamp(99))
+        );
+        // An append onto the seeded tail, read on both sides of it.
+        opened.append_event(Event::add_node(105, 9001)).unwrap();
+        for (t, nodes) in [(99, 60), (100, 60), (104, 60), (105, 61), (1000, 61)] {
+            let snap = opened.snapshot_at(Timestamp(t), &opts).unwrap();
+            assert_eq!(snap.node_count(), nodes, "t={t}");
+            assert_eq!(snap.has_node(tgraph::NodeId(9001)), t >= 105, "t={t}");
+        }
+        drop(tail_shard);
+        drop(opened);
+        // The heal and the append are both durable.
+        let reopened = ShardedGraphManager::open(&dir, config, WalSyncPolicy::Always).unwrap();
+        let snap = reopened.snapshot_at(Timestamp(105), &opts).unwrap();
+        assert_eq!(snap.node_count(), 61);
+        assert_eq!(reopened.shard_infos()[tail].events, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_roll_over_a_malformed_batch_leaves_the_old_tail_in_place() {
+        let dir = durable_dir("bad-roll");
+        let sharded = ShardedGraphManager::build_durable(
+            &linear_trace(),
+            ShardedConfig::default().with_shards(2).with_shard_events(5),
+            &dir,
+            WalSyncPolicy::Always,
+        )
+        .unwrap();
+        let shards_before = sharded.shard_count();
+        let segments_before = sharded.storage_info().segments;
+        {
+            // Past the append boundary's own validation: a sequence that
+            // re-adds a node the seed already holds fails the seeded build.
+            let mut shards = sharded.write_shards();
+            let shared = shards.last().unwrap().shared(&sharded.inner).unwrap();
+            let malformed = [Event::add_node(100, 9000), Event::add_node(101, 1001)];
+            let err = sharded
+                .roll_tail(&mut shards, shared.write(), &malformed)
+                .unwrap_err();
+            assert!(matches!(err, DgError::Model(_)), "{err}");
+            assert_eq!(shards.len(), shards_before);
+        }
+        assert_eq!(sharded.storage_info().segments, segments_before);
+        let opts = AttrOptions::all();
+        let snap = sharded.snapshot_at(Timestamp(101), &opts).unwrap();
+        assert_eq!(snap.node_count(), 60);
+        assert!(!snap.has_node(tgraph::NodeId(9000)));
+        // The old tail still ingests — and this well-formed append rolls.
+        sharded.append_event(Event::add_node(100, 9000)).unwrap();
+        assert_eq!(sharded.shard_count(), shards_before + 1);
+        assert_eq!(sharded.storage_info().segments, segments_before + 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn health_info_roundtrips_through_the_codec() {
         let info = HealthInfo {
             shards: vec![
@@ -2681,15 +2842,7 @@ mod tests {
     /// rejected records behind. One such record is healed by the tail's
     /// drop-last-record retry; two exceed it and quarantine the tail.
     fn poison_tail_wal(dir: &std::path::Path, n: usize) {
-        let wal_file = std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .find(|p| {
-                p.extension().is_some_and(|x| x == "log")
-                    && p.file_name().is_some_and(|f| f != "keys.log")
-            })
-            .expect("wal file");
-        let mut replay = kvstore::wal::Wal::open(&wal_file, WalSyncPolicy::Always).unwrap();
+        let mut replay = kvstore::wal::Wal::open(tail_wal(dir), WalSyncPolicy::Always).unwrap();
         for i in 0..n {
             // Node 1001 + i already exists in `linear_trace()`.
             replay

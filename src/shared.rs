@@ -52,19 +52,6 @@ impl SharedGraphManager {
         }
     }
 
-    /// Rebuilds a shared manager from a sealed shard segment (see
-    /// [`GraphManager::build_from_segment`]); the recovery path for both
-    /// historical shards and the tail after a restart.
-    pub fn from_segment(
-        segment: &kvstore::Segment,
-        config: crate::manager::GraphManagerConfig,
-        store: std::sync::Arc<dyn kvstore::KeyValueStore>,
-    ) -> DgResult<Self> {
-        Ok(Self::new(GraphManager::build_from_segment(
-            segment, config, store,
-        )?))
-    }
-
     /// Whether the manager was configured with a snapshot cache.
     pub fn cache_enabled(&self) -> bool {
         self.cache_capacity > 0

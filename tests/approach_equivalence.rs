@@ -335,6 +335,110 @@ proptest! {
     }
 }
 
+proptest! {
+    /// Seeded construction extends the invariant to indexes that start from
+    /// a graph instead of from nothing: for random traces, a random boundary
+    /// `b`, every differential function, leaf sizes from "every event is a
+    /// leaf" to "one leaf holds everything" and two arities, the index
+    /// built over (state entering `b`, events at or after `b`) answers every
+    /// `t >= b` — point, multipoint and interval — exactly like the unseeded
+    /// index over the whole trace, and like naive log replay. A boundary
+    /// past the end of the trace gives the seed-only, one-leaf index.
+    #[test]
+    fn prop_seeded_index_matches_unseeded_index_and_log_replay(
+        seed in 0u64..16,
+        cut_pct in 0i64..115,
+    ) {
+        let ds = churn_trace(&ChurnConfig::tiny(1100 + seed).scaled(0.1));
+        let events = ds.events.events();
+        let (start, end) = (ds.start_time().raw(), ds.end_time().raw());
+        let b = Timestamp(start + (end - start) * cut_pct / 100);
+        let split = events.partition_point(|e| e.time < b);
+        let state = ds.snapshot_at(b.prev());
+        if split == events.len() && state.is_empty() {
+            continue; // nothing to index on either side
+        }
+        let log = NaiveLog::new(ds.events.clone());
+
+        // The seam, the middle of the seeded range, and both ends of it;
+        // the replay oracle is computed once per projection.
+        let last = b.max(Timestamp(end));
+        let mid = Timestamp((b.raw() + last.raw()) / 2);
+        let times = [b, b.next(), mid, last, last.next()];
+        let windows = [(b, mid.next()), (b.next(), last.next().next())];
+        let all = AttrOptions::all();
+        let replayed: Vec<(AttrOptions, Vec<_>)> = [all.clone(), AttrOptions::structure_only()]
+            .into_iter()
+            .map(|opts| {
+                let want = times
+                    .iter()
+                    .map(|&t| log.snapshot_at(t, &opts).unwrap())
+                    .collect();
+                (opts, want)
+            })
+            .collect();
+
+        for diff_fn in [
+            DifferentialFunction::Intersection,
+            DifferentialFunction::Union,
+            DifferentialFunction::Skewed { r: 0.3 },
+            DifferentialFunction::RightSkewed { r: 0.7 },
+            DifferentialFunction::LeftSkewed { r: 0.7 },
+            DifferentialFunction::Mixed { r1: 0.9, r2: 0.1 },
+            DifferentialFunction::Balanced,
+            DifferentialFunction::Empty,
+        ] {
+            for leaf_size in [1usize, 7, 1000] {
+                for arity in [2usize, 4] {
+                    let config = DeltaGraphConfig::new(leaf_size, arity).with_diff_fn(diff_fn);
+                    let whole =
+                        DeltaGraph::build(&ds.events, config.clone(), Arc::new(MemStore::new()))
+                            .unwrap();
+                    let seeded = DeltaGraph::build_seeded(
+                        state.clone(),
+                        b.prev(),
+                        &events[split..],
+                        config,
+                        Arc::new(MemStore::new()),
+                    )
+                    .unwrap();
+                    let what = format!(
+                        "{} L={leaf_size} k={arity} b={} seed={seed}",
+                        diff_fn.name(),
+                        b.raw()
+                    );
+                    assert_eq!(seeded.history_range().unwrap().0, b.prev(), "{what}");
+                    assert_eq!(seeded.current_graph(), whole.current_graph(), "{what}");
+                    for (opts, want) in &replayed {
+                        for (&t, want) in times.iter().zip(want) {
+                            assert_eq!(&seeded.get_snapshot(t, opts).unwrap(), want, "{what} t={t}");
+                        }
+                    }
+                    for &t in &times {
+                        assert_eq!(
+                            seeded.get_snapshot(t, &all).unwrap(),
+                            whole.get_snapshot(t, &all).unwrap(),
+                            "{what} t={t}"
+                        );
+                    }
+                    assert_eq!(
+                        seeded.get_snapshots(&times, &all).unwrap(),
+                        whole.get_snapshots(&times, &all).unwrap(),
+                        "{what} multipoint"
+                    );
+                    for &(from, to) in &windows {
+                        assert_eq!(
+                            seeded.get_snapshot_interval(from, to, &all).unwrap(),
+                            whole.get_snapshot_interval(from, to, &all).unwrap(),
+                            "{what} interval [{from}, {to})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn storage_footprints_are_reported_and_ordered_sensibly() {
     let ds = churn_trace(&ChurnConfig::tiny(203));

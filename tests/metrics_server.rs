@@ -269,6 +269,62 @@ fn http_scrape_endpoint_serves_the_catalog_on_both_cores() {
     }
 }
 
+/// A recovered deployment hydrates shards on first touch; each hydration
+/// shows up as one `shard_hydrations_total` tick and one `shard_hydrate_us`
+/// sample, in-band and on the scrape endpoint. A freshly built router
+/// reports both at zero.
+#[test]
+fn shard_hydrations_are_counted_and_timed() {
+    use historygraph::WalSyncPolicy;
+    let fresh = start(false, 0, false);
+    let mut probe = Client::connect(fresh.addr()).unwrap();
+    let lines = probe.send_ok("STATS METRICS").unwrap();
+    assert_eq!(metric_field(&lines, "shard_hydrations_total", "value"), 0);
+    assert_eq!(metric_field(&lines, "shard_hydrate_us", "count"), 0);
+
+    let dir = std::env::temp_dir().join(format!("metrics-hydrate-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let config = ShardedConfig::default().with_shards(4);
+    drop(
+        ShardedGraphManager::build_durable(
+            &linear_trace(),
+            config.clone(),
+            &dir,
+            WalSyncPolicy::Off,
+        )
+        .unwrap(),
+    );
+    let router = ShardedGraphManager::open(&dir, config, WalSyncPolicy::Off).unwrap();
+    let server = serve_sharded(
+        router,
+        ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    // A scrape must not hydrate anything by itself.
+    let lines = c.send_ok("STATS METRICS").unwrap();
+    assert_eq!(metric_field(&lines, "shard_hydrations_total", "value"), 0);
+    c.send_ok("GET GRAPH AT 5").unwrap();
+    c.send_ok("GET GRAPH AT 6").unwrap(); // same shard: already hydrated
+    let lines = c.send_ok("STATS METRICS").unwrap();
+    assert_eq!(metric_field(&lines, "shard_hydrations_total", "value"), 1);
+    assert_eq!(metric_field(&lines, "shard_hydrate_us", "count"), 1);
+    assert!(metric_field(&lines, "shard_hydrate_us", "max") >= 1);
+    c.send_ok("GET GRAPH AT 50").unwrap();
+    let lines = c.send_ok("STATS METRICS").unwrap();
+    assert_eq!(metric_field(&lines, "shard_hydrations_total", "value"), 2);
+    assert_eq!(metric_field(&lines, "shard_hydrate_us", "count"), 2);
+    let body = scrape(&server, "/metrics");
+    assert!(body.contains("histql_shard_hydrations_total 2"), "{body}");
+    assert!(body.contains("histql_shard_hydrate_us_count 2"), "{body}");
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `STATS METRICS` over the binary protocol round-trips the same catalog
 /// as typed data (tag 15), with live per-verb histogram counts.
 #[test]
