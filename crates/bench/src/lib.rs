@@ -1,14 +1,13 @@
 //! Shared plumbing for the benchmark harness.
 //!
 //! Every figure and table of the paper's evaluation section has a binary in
-//! `src/bin/` that regenerates it (see `DESIGN.md` for the index); this
-//! library holds the pieces they share: scaled dataset construction, index
-//! builders over memory- or disk-backed stores, timing helpers, and a tiny
-//! table printer. Absolute numbers will differ from the paper's (different
+//! `src/bin/` that regenerates it, named after it (`fig1_…` through
+//! `fig11_…`, plus the auxiliary experiments); this library holds the
+//! pieces they share: scaled dataset construction, index builders over
+//! memory- or disk-backed stores, timing helpers, and a tiny table
+//! printer. Absolute numbers will differ from the paper's (different
 //! hardware, scaled datasets, a reimplemented storage engine); the harness is
 //! about reproducing the *shape* of each result.
-
-pub mod json;
 
 use std::sync::Arc;
 use std::time::Instant;

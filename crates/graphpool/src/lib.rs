@@ -195,4 +195,80 @@ mod tests {
         assert_eq!(pool.entry(CURRENT_GRAPH).unwrap().kind, GraphKind::Current);
         assert_eq!(pool.active_graphs().len(), 3);
     }
+
+    /// An edge id can come back between other endpoints (`APPEND` allows
+    /// reuse after a delete); every view must still report its own.
+    #[test]
+    fn reused_edge_ids_keep_each_views_endpoints() {
+        use tgraph::{AttrValue, Event};
+        let graph = |src: u64, dst: u64, w: Option<i64>| {
+            let mut s = Snapshot::new();
+            for n in 1..=4 {
+                s.ensure_node(NodeId(n));
+            }
+            s.add_edge(EdgeId(9), NodeId(src), NodeId(dst), false)
+                .unwrap();
+            s.set_edge_attr(EdgeId(9), "w", w.map(AttrValue::Int))
+                .unwrap();
+            s
+        };
+
+        // Two overlays sharing the id, as 1→2 and as 3→4.
+        let mut pool = GraphPool::new();
+        let (sa, sb) = (graph(1, 2, Some(1)), graph(3, 4, Some(2)));
+        let a = pool.add_historical(&sa, Timestamp(1));
+        let b = pool.add_historical(&sb, Timestamp(2));
+        assert_eq!(pool.view(a).to_snapshot(), sa);
+        assert_eq!(pool.view(b).to_snapshot(), sb);
+        assert_eq!(pool.view(b).neighbors(NodeId(1)), vec![]);
+        assert_eq!(
+            pool.view(b).neighbors(NodeId(3)),
+            vec![(NodeId(4), EdgeId(9))]
+        );
+        assert_eq!(pool.view(b).edge_count(), 1);
+        // Releasing one incarnation leaves the other intact.
+        pool.release(a);
+        assert_eq!(pool.cleanup(), 1);
+        assert_eq!(pool.view(b).to_snapshot(), sb);
+        assert_eq!(
+            pool.view(b).neighbors(NodeId(3)),
+            vec![(NodeId(4), EdgeId(9))]
+        );
+
+        // Both incarnations die in one cleanup pass.
+        let mut pool = GraphPool::new();
+        let a = pool.add_historical(&sa, Timestamp(1));
+        let b = pool.add_historical(&sb, Timestamp(2));
+        pool.release(a);
+        pool.release(b);
+        assert_eq!(pool.cleanup(), 4 + 2); // nodes 1..=4 and both incarnations
+        assert_eq!(pool.union_edge_count(), 0);
+        for n in 1..=4 {
+            assert!(pool.union_neighbors(NodeId(n)).is_empty());
+        }
+
+        // The current graph deletes the edge, then re-adds the id elsewhere,
+        // while an overlay still holds the old endpoints.
+        let mut pool = GraphPool::new();
+        pool.set_current(&sa);
+        let old = pool.add_historical(&sa, Timestamp(1));
+        pool.apply_event_to_current(&Event::set_edge_attr(
+            2,
+            9,
+            "w",
+            Some(AttrValue::Int(1)),
+            None,
+        ));
+        pool.apply_event_to_current(&Event::delete_edge(2, 9, 1, 2));
+        pool.apply_event_to_current(&Event::add_edge(3, 9, 3, 4));
+        let now = graph(3, 4, None);
+        assert_eq!(pool.view(CURRENT_GRAPH).to_snapshot(), now);
+        assert_eq!(pool.view(CURRENT_GRAPH).neighbors(NodeId(1)), vec![]);
+        assert_eq!(pool.view(old).to_snapshot(), sa);
+        // A dependent overlay of the old graph on the current one records
+        // its own incarnation rather than following the dependency's.
+        let dep = pool.add_historical_dependent(&sa, Timestamp(1), CURRENT_GRAPH);
+        assert_eq!(pool.view(dep).to_snapshot(), sa);
+        assert_eq!(pool.view(CURRENT_GRAPH).to_snapshot(), now);
+    }
 }

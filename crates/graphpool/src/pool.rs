@@ -15,10 +15,11 @@
 //! whose membership differs from the dependency need their bits touched;
 //! materialized graphs receive a single bit.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 use tgraph::fxhash::FxHashMap;
-use tgraph::{AttrValue, EdgeId, Event, EventKind, NodeId, Snapshot, Timestamp};
+use tgraph::{AttrMap, AttrValue, EdgeData, EdgeId, Event, EventKind, NodeId, Snapshot, Timestamp};
 
 use crate::bitmap::BitMap;
 use crate::view::GraphView;
@@ -84,19 +85,79 @@ struct PoolNode {
     attrs: BTreeMap<String, Vec<(AttrValue, BitMap)>>,
 }
 
-#[derive(Clone, Debug)]
-struct PoolEdge {
+/// Where an edge points.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Ends {
     src: NodeId,
     dst: NodeId,
     directed: bool,
+}
+
+impl Ends {
+    fn of(data: &EdgeData) -> Self {
+        Ends {
+            src: data.src,
+            dst: data.dst,
+            directed: data.directed,
+        }
+    }
+
+    /// Whether the edge puts `(to, _)` in `from`'s adjacency list.
+    fn links(self, from: NodeId, to: NodeId) -> bool {
+        (self.src == from && self.dst == to)
+            || (!self.directed && self.src == to && self.dst == from)
+    }
+
+    /// The adjacency entries `(from, to)` the edge puts in the union.
+    fn links_out(self) -> impl Iterator<Item = (NodeId, NodeId)> {
+        let back = (!self.directed && self.src != self.dst).then_some((self.dst, self.src));
+        std::iter::once((self.src, self.dst)).chain(back)
+    }
+}
+
+/// One incarnation of an edge id: its endpoints, the graphs holding it
+/// between them, and their attribute values.
+#[derive(Clone, Debug)]
+struct PoolEdge {
+    ends: Ends,
     bm: BitMap,
     attrs: BTreeMap<String, Vec<(AttrValue, BitMap)>>,
+}
+
+impl PoolEdge {
+    fn new(ends: Ends) -> Self {
+        PoolEdge {
+            ends,
+            bm: BitMap::new(),
+            attrs: BTreeMap::new(),
+        }
+    }
+}
+
+/// Every incarnation of one edge id. `APPEND` lets a deleted id come back
+/// between other endpoints, so graphs from different times can disagree
+/// on where an id points; each incarnation keeps its own membership bits
+/// and attribute values. `reused` is empty unless that happened.
+#[derive(Clone, Debug)]
+struct EdgeSlot {
+    first: PoolEdge,
+    reused: Vec<PoolEdge>,
+}
+
+impl EdgeSlot {
+    fn iter(&self) -> impl Iterator<Item = &PoolEdge> {
+        std::iter::once(&self.first).chain(&self.reused)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut PoolEdge> {
+        std::iter::once(&mut self.first).chain(&mut self.reused)
+    }
 }
 
 /// The in-memory pool of overlaid graphs.
 pub struct GraphPool {
     nodes: FxHashMap<NodeId, PoolNode>,
-    edges: FxHashMap<EdgeId, PoolEdge>,
+    edges: FxHashMap<EdgeId, EdgeSlot>,
     adj: FxHashMap<NodeId, Vec<(NodeId, EdgeId)>>,
     entries: Vec<Option<GraphEntry>>,
     next_bit: usize,
@@ -225,9 +286,15 @@ impl GraphPool {
 
     /// Whether `edge` belongs to graph `id`.
     pub fn contains_edge(&self, id: GraphId, edge: EdgeId) -> bool {
+        self.edge_in(id, edge).is_some()
+    }
+
+    /// The incarnation of `edge` that graph `id` holds, if any.
+    fn edge_in(&self, id: GraphId, edge: EdgeId) -> Option<&PoolEdge> {
         self.edges
-            .get(&edge)
-            .is_some_and(|e| self.member(&e.bm, id))
+            .get(&edge)?
+            .iter()
+            .find(|e| self.member(&e.bm, id))
     }
 
     /// The value of `node`'s attribute `key` in graph `id`, if any.
@@ -242,8 +309,8 @@ impl GraphPool {
 
     /// The value of `edge`'s attribute `key` in graph `id`, if any.
     pub fn edge_attr(&self, id: GraphId, edge: EdgeId, key: &str) -> Option<&AttrValue> {
-        let e = self.edges.get(&edge)?;
-        e.attrs
+        self.edge_in(id, edge)?
+            .attrs
             .get(key)?
             .iter()
             .find(|(_, bm)| self.member_attr(bm, id))
@@ -278,24 +345,42 @@ impl GraphPool {
         self.nodes.entry(node).or_default()
     }
 
-    fn ensure_edge(&mut self, edge: EdgeId, src: NodeId, dst: NodeId, directed: bool) {
-        if self.edges.contains_key(&edge) {
-            return;
+    /// The incarnation of `edge` between `ends`, added (with its adjacency
+    /// entries) if the union has none. An id seen before costs one
+    /// endpoint comparison unless it was reused.
+    fn ensure_edge(&mut self, edge: EdgeId, ends: Ends) -> &mut PoolEdge {
+        let slot = match self.edges.entry(edge) {
+            Entry::Vacant(vacant) => {
+                for (from, to) in ends.links_out() {
+                    self.adj.entry(from).or_default().push((to, edge));
+                }
+                return &mut vacant
+                    .insert(EdgeSlot {
+                        first: PoolEdge::new(ends),
+                        reused: Vec::new(),
+                    })
+                    .first;
+            }
+            Entry::Occupied(occupied) => occupied.into_mut(),
+        };
+        if slot.first.ends == ends {
+            return &mut slot.first;
         }
-        self.edges.insert(
-            edge,
-            PoolEdge {
-                src,
-                dst,
-                directed,
-                bm: BitMap::new(),
-                attrs: BTreeMap::new(),
-            },
-        );
-        self.adj.entry(src).or_default().push((dst, edge));
-        if !directed && src != dst {
-            self.adj.entry(dst).or_default().push((src, edge));
-        }
+        let i = match slot.reused.iter().position(|e| e.ends == ends) {
+            Some(i) => i,
+            None => {
+                // Another incarnation may already link the same pair.
+                for (from, to) in ends.links_out() {
+                    let list = self.adj.entry(from).or_default();
+                    if !list.contains(&(to, edge)) {
+                        list.push((to, edge));
+                    }
+                }
+                slot.reused.push(PoolEdge::new(ends));
+                slot.reused.len() - 1
+            }
+        };
+        &mut slot.reused[i]
     }
 
     fn set_attr_bit(
@@ -339,8 +424,7 @@ impl GraphPool {
             }
         }
         for (edge, data) in snapshot.edges() {
-            self.ensure_edge(edge, data.src, data.dst, data.directed);
-            let pool_edge = self.edges.get_mut(&edge).expect("just ensured");
+            let pool_edge = self.ensure_edge(edge, Ends::of(data));
             pool_edge.bm.set(member_bit, true);
             if let Some(e) = exception_bit {
                 pool_edge.bm.set(e, true);
@@ -369,7 +453,7 @@ impl GraphPool {
                 }
             }
         }
-        for edge in self.edges.values_mut() {
+        for edge in self.edges.values_mut().flat_map(EdgeSlot::iter_mut) {
             edge.bm.set(0, false);
             for values in edge.attrs.values_mut() {
                 for (_, bm) in values.iter_mut() {
@@ -394,17 +478,18 @@ impl GraphPool {
                     n.bm.set(1, true);
                 }
             }
-            EventKind::AddEdge {
+            &EventKind::AddEdge {
                 edge,
                 src,
                 dst,
                 directed,
             } => {
-                self.ensure_edge(*edge, *src, *dst, *directed);
-                self.edges.get_mut(edge).expect("ensured").bm.set(0, true);
+                self.ensure_edge(edge, Ends { src, dst, directed })
+                    .bm
+                    .set(0, true);
             }
             EventKind::DeleteEdge { edge, .. } => {
-                if let Some(e) = self.edges.get_mut(edge) {
+                if let Some(e) = self.current_edge_mut(*edge) {
                     e.bm.set(0, false);
                     e.bm.set(1, true);
                 }
@@ -422,7 +507,7 @@ impl GraphPool {
                 }
             }
             EventKind::SetEdgeAttr { edge, key, new, .. } => {
-                if let Some(e) = self.edges.get_mut(edge) {
+                if let Some(e) = self.current_edge_mut(*edge) {
                     if let Some(values) = e.attrs.get_mut(key) {
                         for (_, bm) in values.iter_mut() {
                             bm.set(0, false);
@@ -435,6 +520,11 @@ impl GraphPool {
             }
             EventKind::TransientEdge { .. } | EventKind::TransientNode { .. } => {}
         }
+    }
+
+    /// The incarnation of `edge` in the current graph (bit 0), if any.
+    fn current_edge_mut(&mut self, edge: EdgeId) -> Option<&mut PoolEdge> {
+        self.edges.get_mut(&edge)?.iter_mut().find(|e| e.bm.get(0))
     }
 
     /// Overlays a retrieved historical snapshot and returns its handle.
@@ -490,17 +580,16 @@ impl GraphPool {
             pool_node.bm.set(exception, true);
             pool_node.bm.set(member, true);
         }
-        let mut edge_additions: Vec<EdgeId> = Vec::new();
         for (edge, data) in snapshot.edges() {
-            if !self.contains_edge(dependency, edge) {
-                self.ensure_edge(edge, data.src, data.dst, data.directed);
-                edge_additions.push(edge);
+            let shared = self
+                .edge_in(dependency, edge)
+                .is_some_and(|e| e.ends == Ends::of(data));
+            if !shared {
+                let e = self.ensure_edge(edge, Ends::of(data));
+                e.bm.set(exception, true);
+                e.bm.set(member, true);
+                Self::record_attrs(&mut e.attrs, &data.attrs, member, exception);
             }
-        }
-        for edge in edge_additions {
-            let e = self.edges.get_mut(&edge).expect("ensured");
-            e.bm.set(exception, true);
-            e.bm.set(member, true);
         }
 
         // Elements of the dependency that are absent from the snapshot:
@@ -519,37 +608,47 @@ impl GraphPool {
                 }
             }
         }
-        let dep_edges: Vec<EdgeId> = self
+        // An edge the snapshot holds between other endpoints counts as
+        // absent here: its own incarnation was recorded above.
+        let dep_edges: Vec<(EdgeId, Ends)> = self
             .edges
             .iter()
-            .filter(|(_, e)| self.member(&e.bm, dependency))
-            .map(|(id, _)| *id)
+            .flat_map(|(&id, slot)| slot.iter().map(move |e| (id, e)))
+            .filter(|(id, e)| {
+                self.member(&e.bm, dependency) && snapshot.edge(*id).map(Ends::of) != Some(e.ends)
+            })
+            .map(|(id, e)| (id, e.ends))
             .collect();
-        for edge in dep_edges {
-            if !snapshot.has_edge(edge) {
-                if let Some(e) = self.edges.get_mut(&edge) {
-                    e.bm.set(exception, true);
-                    e.bm.set(member, false);
-                }
-            }
+        for (edge, ends) in dep_edges {
+            let e = self.ensure_edge(edge, ends);
+            e.bm.set(exception, true);
+            e.bm.set(member, false);
         }
 
-        // Attributes: record the snapshot's attribute values explicitly (the
-        // attribute fallback only applies to untouched keys).
+        // Node attributes: record the snapshot's values explicitly (the
+        // attribute fallback only applies to untouched keys). Edges the
+        // dependency does not share recorded theirs above.
         for (node, data) in snapshot.nodes() {
-            if data.attrs.is_empty() {
-                continue;
-            }
-            let pool_node = self.ensure_node(node);
-            for (key, value) in &data.attrs {
-                Self::set_attr_bit(&mut pool_node.attrs, key, value, member);
-                let values = pool_node.attrs.get_mut(key).expect("just inserted");
-                if let Some((_, bm)) = values.iter_mut().find(|(v, _)| v == value) {
-                    bm.set(exception, true);
-                }
+            if !data.attrs.is_empty() {
+                let pool_node = self.ensure_node(node);
+                Self::record_attrs(&mut pool_node.attrs, &data.attrs, member, exception);
             }
         }
         id
+    }
+
+    /// Records `values` as explicit (exception-marked) attribute values of
+    /// a dependent graph.
+    fn record_attrs(
+        attrs: &mut BTreeMap<String, Vec<(AttrValue, BitMap)>>,
+        values: &AttrMap,
+        member: usize,
+        exception: usize,
+    ) {
+        for (key, value) in values {
+            Self::set_attr_bit(attrs, key, value, member);
+            Self::set_attr_bit(attrs, key, value, exception);
+        }
     }
 
     /// Overlays a materialized DeltaGraph node graph (single bit).
@@ -678,7 +777,7 @@ impl GraphPool {
             }
             node.attrs.retain(|_, values| !values.is_empty());
         }
-        for edge in self.edges.values_mut() {
+        for edge in self.edges.values_mut().flat_map(EdgeSlot::iter_mut) {
             for &bit in &bits_to_clear {
                 edge.bm.set(bit, false);
             }
@@ -694,19 +793,39 @@ impl GraphPool {
         }
 
         // Remove elements that belong to nothing any more.
-        let dead_edges: Vec<EdgeId> = self
-            .edges
-            .iter()
-            .filter(|(_, e)| e.bm.is_empty())
-            .map(|(id, _)| *id)
-            .collect();
-        for edge in &dead_edges {
-            if let Some(data) = self.edges.remove(edge) {
-                if let Some(list) = self.adj.get_mut(&data.src) {
-                    list.retain(|(_, e)| e != edge);
+        let mut dead_edges: Vec<(EdgeId, Ends)> = Vec::new();
+        self.edges.retain(|&id, slot| {
+            slot.reused.retain(|e| {
+                let dead = e.bm.is_empty();
+                if dead {
+                    dead_edges.push((id, e.ends));
                 }
-                if let Some(list) = self.adj.get_mut(&data.dst) {
-                    list.retain(|(_, e)| e != edge);
+                !dead
+            });
+            if !slot.first.bm.is_empty() {
+                return true;
+            }
+            dead_edges.push((id, slot.first.ends));
+            match slot.reused.pop() {
+                Some(next) => {
+                    slot.first = next;
+                    true
+                }
+                None => false,
+            }
+        });
+        for &(id, ends) in &dead_edges {
+            for (from, to) in ends.links_out() {
+                // Keep an entry a surviving incarnation shares.
+                let shared = self
+                    .edges
+                    .get(&id)
+                    .is_some_and(|slot| slot.iter().any(|e| e.ends.links(from, to)));
+                if shared {
+                    continue;
+                }
+                if let Some(list) = self.adj.get_mut(&from) {
+                    list.retain(|entry| *entry != (to, id));
                 }
             }
         }
@@ -739,8 +858,27 @@ impl GraphPool {
         self.edges.keys().copied()
     }
 
-    pub(crate) fn edge_endpoints(&self, edge: EdgeId) -> Option<(NodeId, NodeId, bool)> {
-        self.edges.get(&edge).map(|e| (e.src, e.dst, e.directed))
+    /// Endpoints and direction of `edge` as graph `id` holds it.
+    pub(crate) fn edge_endpoints(
+        &self,
+        id: GraphId,
+        edge: EdgeId,
+    ) -> Option<(NodeId, NodeId, bool)> {
+        self.edge_in(id, edge)
+            .map(|e| (e.ends.src, e.ends.dst, e.ends.directed))
+    }
+
+    /// Whether graph `id` holds `edge` as the link `from`–`to` that a
+    /// [`GraphPool::union_neighbors`] entry of `from` names.
+    pub(crate) fn contains_link(
+        &self,
+        id: GraphId,
+        edge: EdgeId,
+        from: NodeId,
+        to: NodeId,
+    ) -> bool {
+        self.edge_in(id, edge)
+            .is_some_and(|e| e.ends.links(from, to))
     }
 
     pub(crate) fn node_attrs_for(&self, id: GraphId, node: NodeId) -> Vec<(String, AttrValue)> {
@@ -759,7 +897,7 @@ impl GraphPool {
     }
 
     pub(crate) fn edge_attrs_for(&self, id: GraphId, edge: EdgeId) -> Vec<(String, AttrValue)> {
-        let Some(e) = self.edges.get(&edge) else {
+        let Some(e) = self.edge_in(id, edge) else {
             return Vec::new();
         };
         e.attrs
@@ -778,9 +916,10 @@ impl GraphPool {
         self.nodes.len()
     }
 
-    /// Number of edges in the union graph.
+    /// Number of edges in the union graph (each incarnation of a reused
+    /// edge id counts once).
     pub fn union_edge_count(&self) -> usize {
-        self.edges.len()
+        self.edges.values().map(|slot| 1 + slot.reused.len()).sum()
     }
 
     /// Approximate memory footprint in bytes of the whole pool: union
@@ -797,7 +936,7 @@ impl GraphPool {
                 }
             }
         }
-        for edge in self.edges.values() {
+        for edge in self.edges.values().flat_map(EdgeSlot::iter) {
             total += 64 + edge.bm.approx_memory();
             for (key, values) in &edge.attrs {
                 total += key.len();

@@ -77,7 +77,9 @@ impl<'a> GraphView<'a> {
         self.pool
             .union_neighbors(node)
             .iter()
-            .filter(|(nbr, edge)| self.has_edge(*edge) && self.has_node(*nbr))
+            .filter(|(nbr, edge)| {
+                self.pool.contains_link(self.id, *edge, node, *nbr) && self.has_node(*nbr)
+            })
             .copied()
             .collect()
     }
@@ -97,9 +99,10 @@ impl<'a> GraphView<'a> {
         self.pool.edge_attr(self.id, edge, key)
     }
 
-    /// Endpoints and direction of an edge (independent of membership).
+    /// Endpoints and direction of an edge of the viewed graph (`None` if
+    /// the graph does not hold it).
     pub fn edge_endpoints(&self, edge: EdgeId) -> Option<(NodeId, NodeId, bool)> {
-        self.pool.edge_endpoints(edge)
+        self.pool.edge_endpoints(self.id, edge)
     }
 
     /// Extracts the viewed graph into a standalone [`Snapshot`].
@@ -113,10 +116,7 @@ impl<'a> GraphView<'a> {
             }
         }
         for edge in self.edge_ids() {
-            let (src, dst, directed) = self
-                .pool
-                .edge_endpoints(edge)
-                .expect("edge is in the union");
+            let (src, dst, directed) = self.edge_endpoints(edge).expect("edge is in the view");
             snap.ensure_node(src);
             snap.ensure_node(dst);
             snap.add_edge(edge, src, dst, directed)

@@ -165,19 +165,18 @@ impl VerbKind {
 pub struct MetricsHub {
     registry: Registry,
     verbs: [Arc<Histogram>; VERBS],
-    /// Time a parsed request spent queued for the worker pool (event core).
+    /// Time a parsed request spent queued for the worker pool.
     pub phase_queue_wait: Arc<Histogram>,
     /// Time spent executing the request (parse through framed reply).
     pub phase_service: Arc<Histogram>,
     /// Time a reply spent buffered in a connection outbox before the socket
-    /// drained it (event core; direct fast-path writes never enter it).
+    /// drained it (direct fast-path writes never enter it).
     pub phase_outbox_flush: Arc<Histogram>,
     /// Time from accepting a connection to parsing its first request.
     pub phase_accept_to_parse: Arc<Histogram>,
     /// Requests served inline on the reactor's cache-resident fast path.
     pub path_fast: Arc<Counter>,
-    /// Requests executed by the worker pool (or the threaded core's
-    /// connection thread).
+    /// Requests executed by the worker pool.
     pub path_worker: Arc<Counter>,
     /// Requests refused at admission because the worker queue was over
     /// `--max-queue-depth` (the `OVERLOADED` reply).

@@ -4,7 +4,7 @@
 //! cargo run --release -p server --bin histql_server -- \
 //!     [--addr 127.0.0.1:7171] [--toy | --churn] [--scale 1.0] \
 //!     [--max-conns 64] [--cache 128] [--resp-cache 128] \
-//!     [--resp-cache-bytes 0] [--workers 4] [--threaded] \
+//!     [--resp-cache-bytes 0] [--workers 4] \
 //!     [--shards 1] [--shard-events 0] [--no-metrics] \
 //!     [--metrics-addr 127.0.0.1:9191] [--slow-query-us 0] \
 //!     [--data-dir DIR] [--wal-sync always|interval[=ms]|off] \
@@ -21,11 +21,10 @@
 //! bytes per shard (0 = entry count only); the least recently used entries
 //! are evicted until the cache fits.
 //!
-//! The server runs on the event-driven core by default: one reactor thread
+//! The server runs on the event-driven core: one reactor thread
 //! multiplexes all connections, `--workers N` threads execute requests,
 //! and concurrent identical point queries are coalesced into single
-//! renders (`STATS SERVER` shows the counters). `--threaded` selects the
-//! original thread-per-connection core instead (the benchmark baseline).
+//! renders (`STATS SERVER` shows the counters).
 //!
 //! `--shards N` splits the serving layer into N time-range shards behind a
 //! router (equi-width over the built history): reads route to the shard
@@ -48,13 +47,16 @@
 //! dataset flags are ignored) and `STATS STORAGE` reports the recovery;
 //! otherwise it builds the dataset and persists it there.
 //!
-//! Overload protection (see `docs/RELIABILITY.md`; event core only):
+//! Overload protection (see `docs/RELIABILITY.md`):
 //! `--request-timeout-ms N` refuses requests whose queue wait exceeded the
 //! deadline with `ERR deadline exceeded` (service overruns are counted but
 //! complete), and `--max-queue-depth N` sheds requests arriving over a full
 //! worker queue with `ERR overloaded`. Both default to 0 (off) and surface
 //! in `STATS METRICS` / `GET /metrics` as `deadline_exceeded_total` and
 //! `requests_shed_total`.
+//!
+//! An unknown flag, a missing value or an unparsable one prints the usage
+//! line and exits with status 2.
 //!
 //! Prints the bound address on stdout, then serves until killed. Talk to it
 //! with any line client:
@@ -67,65 +69,81 @@
 //! END
 //! ```
 
+use std::process::exit;
+use std::str::FromStr;
+
 use historygraph::datagen::{churn_trace, toy_trace, ChurnConfig};
 use historygraph::{
     is_durable_dir, GraphManagerConfig, ShardedConfig, ShardedGraphManager, WalSyncPolicy,
 };
-use server::{serve_sharded, serve_sharded_threaded, ServerConfig};
+use server::{serve_sharded, ServerConfig};
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const USAGE: &str = "usage: histql_server [--addr A] [--toy | --churn] [--scale F] \
+[--max-conns N] [--cache N] [--resp-cache N] [--resp-cache-bytes B] [--workers N] \
+[--shards N] [--shard-events M] [--no-metrics] [--metrics-addr A] [--slow-query-us N] \
+[--data-dir DIR] [--wal-sync always|interval[=ms]|off] [--request-timeout-ms N] \
+[--max-queue-depth N]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("histql_server: {msg}\n{USAGE}");
+    exit(2)
+}
+
+/// The value given after `flag`, parsed as `T`.
+fn value<T: FromStr>(flag: &str, next: Option<String>) -> T {
+    let Some(v) = next else {
+        usage_error(&format!("{flag} needs a value"))
+    };
+    v.parse()
+        .unwrap_or_else(|_| usage_error(&format!("bad value {v:?} for {flag}")))
 }
 
 fn main() {
-    let addr = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:7171".into());
-    let max_connections = arg_value("--max-conns")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
-    let scale: f64 = arg_value("--scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0);
-    let cache: usize = arg_value("--cache")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128);
-    let resp_cache: usize = arg_value("--resp-cache")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(128);
-    let resp_cache_bytes: u64 = arg_value("--resp-cache-bytes")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let workers: usize = arg_value("--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let threaded = std::env::args().any(|a| a == "--threaded");
-    let shards: usize = arg_value("--shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    let shard_events: usize = arg_value("--shard-events")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let metrics_enabled = !std::env::args().any(|a| a == "--no-metrics");
-    let metrics_addr = arg_value("--metrics-addr");
-    let slow_query_us: u64 = arg_value("--slow-query-us")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let request_timeout_ms: u64 = arg_value("--request-timeout-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let max_queue_depth: usize = arg_value("--max-queue-depth")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let toy = std::env::args().any(|a| a == "--toy");
-    let data_dir = arg_value("--data-dir");
-    let wal_sync = arg_value("--wal-sync")
-        .map(|v| WalSyncPolicy::parse(&v).expect("--wal-sync"))
-        .unwrap_or(WalSyncPolicy::Always);
-
+    let mut addr = "127.0.0.1:7171".to_string();
+    let mut toy = false;
+    let mut scale: f64 = 1.0;
+    let mut max_connections: usize = 64;
+    let mut cache: usize = 128;
+    let mut resp_cache: usize = 128;
+    let mut resp_cache_bytes: u64 = 0;
+    let mut workers: usize = 4;
+    let mut shards: usize = 1;
+    let mut shard_events: usize = 0;
+    let mut metrics_enabled = true;
+    let mut metrics_addr: Option<String> = None;
+    let mut slow_query_us: u64 = 0;
+    let mut data_dir: Option<String> = None;
+    let mut wal_sync = WalSyncPolicy::Always;
+    let mut request_timeout_ms: u64 = 0;
+    let mut max_queue_depth: usize = 0;
+    let mut argv = std::env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
+            "--addr" => addr = value(&arg, argv.next()),
+            "--toy" => toy = true,
+            "--churn" => {} // the default dataset
+            "--scale" => scale = value(&arg, argv.next()),
+            "--max-conns" => max_connections = value(&arg, argv.next()),
+            "--cache" => cache = value(&arg, argv.next()),
+            "--resp-cache" => resp_cache = value(&arg, argv.next()),
+            "--resp-cache-bytes" => resp_cache_bytes = value(&arg, argv.next()),
+            "--workers" => workers = value(&arg, argv.next()),
+            "--shards" => shards = value::<usize>(&arg, argv.next()).max(1),
+            "--shard-events" => shard_events = value(&arg, argv.next()),
+            "--no-metrics" => metrics_enabled = false,
+            "--metrics-addr" => metrics_addr = Some(value(&arg, argv.next())),
+            "--slow-query-us" => slow_query_us = value(&arg, argv.next()),
+            "--data-dir" => data_dir = Some(value(&arg, argv.next())),
+            "--wal-sync" => {
+                let v: String = value(&arg, argv.next());
+                wal_sync = WalSyncPolicy::parse(&v)
+                    .unwrap_or_else(|e| usage_error(&format!("--wal-sync: {e}")));
+            }
+            "--request-timeout-ms" => request_timeout_ms = value(&arg, argv.next()),
+            "--max-queue-depth" => max_queue_depth = value(&arg, argv.next()),
+            _ => usage_error(&format!("unknown argument {arg:?}")),
+        }
+    }
     let sharded_config = ShardedConfig::default()
         .with_shards(shards)
         .with_shard_events(shard_events)
@@ -193,17 +211,11 @@ fn main() {
         max_queue_depth,
         ..Default::default()
     };
-    let server = if threaded {
-        serve_sharded_threaded(router, config)
-    } else {
-        serve_sharded(router, config)
-    }
-    .expect("bind");
+    let server = serve_sharded(router, config).expect("bind");
     println!(
-        "histql server on {} — history [{start}, {end}], {} shard(s), {} core{}",
+        "histql server on {} — history [{start}, {end}], {} shard(s){}",
         server.addr(),
         infos.len(),
-        if threaded { "threaded" } else { "event" },
         if data_dir.is_some() { ", durable" } else { "" }
     );
     if let Some(addr) = server.metrics_addr() {

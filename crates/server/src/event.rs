@@ -7,7 +7,7 @@
 //! 1. The **reactor** owns the listener and every connection's socket,
 //!    read buffer, and outbox. On read readiness it drains the socket into
 //!    the connection's buffer and splits off complete request lines
-//!    (bounded by [`MAX_LINE_BYTES`], exactly like the threaded core).
+//!    (bounded by [`MAX_LINE_BYTES`]).
 //! 2. A parsed line is pushed onto the **worker queue** together with the
 //!    connection's [`Executor`] — the executor is *checked out*, which is
 //!    what serializes a session: at most one request per connection is in
@@ -27,15 +27,14 @@
 //! out and whose buffer already holds [`MAX_LINE_BYTES`] stops being read
 //! until the executor returns, and a connection whose unwritten reply
 //! backlog exceeds [`OUTBOX_HIGH_WATER`] has its reads masked *and* its
-//! buffered lines left unparsed until the socket drains below the mark —
-//! the event-core replacement for the blocking writes that gave the
-//! threaded core its write-side backpressure. A client cannot grow server
-//! memory by pipelining faster than it executes or reads. Connections
-//! over the cap are refused with `ERR server busy`.
+//! buffered lines left unparsed until the socket drains below the mark.
+//! A client cannot grow server memory by pipelining faster than it
+//! executes or reads. Connections over the cap are refused with
+//! `ERR server busy`.
 //!
 //! ## Drain
 //!
-//! Shutdown mirrors the threaded core: idle connections (executor home,
+//! Shutdown drains with a deadline: idle connections (executor home,
 //! outbox empty) are closed immediately — the client observes EOF — while
 //! connections with a request in flight get their response written in
 //! full before closing. Whatever remains past the deadline is
@@ -72,8 +71,8 @@ const METRICS_LISTENER_TOKEN: usize = 1;
 /// First token handed to an accepted metrics scrape connection.
 const FIRST_HTTP_TOKEN: usize = 2;
 
-/// Idle connections are swept after this long without a request — the
-/// event-core replacement for the threaded core's per-socket read timeout.
+/// Idle connections are swept after this long without a request, so
+/// half-dead peers cannot pin a connection slot forever.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// How often the reactor wakes to run the idle sweep.
@@ -216,9 +215,8 @@ enum NextLine {
     NeedMore,
 }
 
-/// Splits the next `\n`-terminated line off `buf` (lossily decoded, like
-/// the threaded core's bounded reader). At EOF a non-empty unterminated
-/// tail still counts as a line.
+/// Splits the next `\n`-terminated line off `buf` (lossily decoded). At
+/// EOF a non-empty unterminated tail still counts as a line.
 fn take_line(buf: &mut Vec<u8>, eof: bool) -> NextLine {
     if let Some(i) = buf.iter().position(|&b| b == b'\n') {
         if i + 1 > MAX_LINE_BYTES {

@@ -1,6 +1,5 @@
-//! Minimal HTTP/1.0 plumbing for the `GET /metrics` scrape endpoint,
-//! shared by both serving cores so they answer scrapes identically. This
-//! is deliberately not a web server: one request per connection, the head
+//! Minimal HTTP/1.0 plumbing for the `GET /metrics` scrape endpoint the
+//! reactor serves beside histql connections. This is deliberately not a web server: one request per connection, the head
 //! is parsed for its request line only, and the response always closes the
 //! connection — exactly what a Prometheus-style scraper needs and nothing
 //! more.

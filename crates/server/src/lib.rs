@@ -1,14 +1,11 @@
 //! # server — a concurrent TCP snapshot server speaking `histql`
 //!
-//! Std-only. The default serving core ([`serve`] / [`serve_sharded`]) is
+//! Std-only. The serving core ([`serve`] / [`serve_sharded`]) is
 //! **event-driven**: one reactor thread multiplexes every connection over a
 //! readiness poller (`epoll` on linux, `poll` elsewhere — see the `epoll`
 //! shim crate) and a fixed worker pool executes parsed requests, so
 //! thousands of mostly-idle connections cost file descriptors, not OS
-//! threads. The original thread-per-connection core is still available
-//! ([`serve_threaded`] / [`serve_sharded_threaded`]) as the benchmark
-//! baseline. Framing, limits, refusal, and drain semantics are identical
-//! between the two.
+//! threads.
 //!
 //! All sessions share one [`ShardedGraphManager`] router (a single shard
 //! when started through [`serve`]): snapshot computation runs under the
@@ -28,7 +25,7 @@
 //! cache misses for the same `(t, opts, protocol)` are **coalesced**: a
 //! single-flight table makes one session render while the rest wait and
 //! share the framed bytes (see `histql::FlightTable`). `STATS SERVER`
-//! reports the event core's connection, queue, and coalescing counters.
+//! reports the connection, queue, and coalescing counters.
 //!
 //! Shutdown drains with a deadline ([`ServerHandle::shutdown_within`]):
 //! idle sessions are closed immediately, in-flight requests get to finish,
@@ -66,7 +63,6 @@ use historygraph::{ShardedGraphManager, SharedGraphManager};
 pub mod client;
 mod event;
 mod http;
-mod threaded;
 
 pub use client::Client;
 
@@ -85,9 +81,7 @@ pub struct ServerConfig {
     /// How long [`ServerHandle::shutdown`] waits for connections to finish
     /// on their own before force-closing the remaining (idle) sessions.
     pub drain_timeout: Duration,
-    /// Worker threads executing requests in the event-driven core (clamped
-    /// to at least 1; ignored by the threaded core, which spends a thread
-    /// per connection instead).
+    /// Worker threads executing parsed requests (clamped to at least 1).
     pub worker_threads: usize,
     /// Collect per-verb and per-phase latency histograms, path counters,
     /// and (when [`ServerConfig::slow_query_us`] is set) the slow-query
@@ -101,23 +95,21 @@ pub struct ServerConfig {
     /// SLOW`. `0` (the default) disables capture.
     pub slow_query_us: u64,
     /// Bind a plaintext HTTP scrape endpoint (`GET /metrics`, Prometheus
-    /// exposition format) on this address — served off the reactor in the
-    /// event core, a dedicated thread in the threaded core. `None` (the
-    /// default) binds nothing.
+    /// exposition format) on this address, served off the reactor. `None`
+    /// (the default) binds nothing.
     pub metrics_addr: Option<String>,
     /// Per-request deadline in milliseconds, covering queue wait plus
-    /// service (event core only). A request whose deadline expires while it
-    /// is still queued is refused with `ERR deadline exceeded` instead of
-    /// executing; a request that overruns during service still gets its
-    /// reply (aborting mid-execution could tear a session) but is counted.
-    /// Both show up as `deadline_exceeded_total`. `0` (the default)
-    /// disables the deadline.
+    /// service. A request whose deadline expires while it is still queued
+    /// is refused with `ERR deadline exceeded` instead of executing; a
+    /// request that overruns during service still gets its reply (aborting
+    /// mid-execution could tear a session) but is counted. Both show up as
+    /// `deadline_exceeded_total`. `0` (the default) disables the deadline.
     pub request_timeout_ms: u64,
-    /// Admission cap on the worker queue (event core only). A request that
-    /// arrives while this many requests are already queued is shed with
-    /// `ERR overloaded` without taking a queue slot — the connection
-    /// survives and may retry. Counted as `requests_shed_total`. `0` (the
-    /// default) leaves admission unbounded.
+    /// Admission cap on the worker queue. A request that arrives while this
+    /// many requests are already queued is shed with `ERR overloaded`
+    /// without taking a queue slot — the connection survives and may retry.
+    /// Counted as `requests_shed_total`. `0` (the default) leaves admission
+    /// unbounded.
     pub max_queue_depth: usize,
 }
 
@@ -137,17 +129,12 @@ impl Default for ServerConfig {
     }
 }
 
-enum HandleInner {
-    Event(event::Core),
-    Threaded(threaded::Core),
-}
-
 /// Handle to a running server; shuts it down (with a drain) on drop.
 pub struct ServerHandle {
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
     drain_timeout: Duration,
-    inner: HandleInner,
+    core: event::Core,
 }
 
 impl ServerHandle {
@@ -162,14 +149,11 @@ impl ServerHandle {
         self.metrics_addr
     }
 
-    /// Number of connections currently being served (including, in the
-    /// event core, closed connections whose in-flight request has not yet
-    /// returned from the worker pool — their overlays are still held).
+    /// Number of connections currently being served (including closed
+    /// connections whose in-flight request has not yet returned from the
+    /// worker pool — their overlays are still held).
     pub fn active_connections(&self) -> usize {
-        match &self.inner {
-            HandleInner::Event(core) => core.active(),
-            HandleInner::Threaded(core) => core.active(),
-        }
+        self.core.active()
     }
 
     /// Stops accepting connections and drains the existing ones with the
@@ -187,10 +171,7 @@ impl ServerHandle {
     /// by a second deadline of the same length, so a wedged request cannot
     /// hang the caller forever).
     pub fn shutdown_within(&mut self, deadline: Duration) {
-        match &mut self.inner {
-            HandleInner::Event(core) => core.shutdown_within(deadline),
-            HandleInner::Threaded(core) => core.shutdown_within(deadline),
-        }
+        self.core.shutdown_within(deadline)
     }
 }
 
@@ -221,31 +202,7 @@ pub fn serve_sharded(
         addr,
         metrics_addr,
         drain_timeout: config.drain_timeout,
-        inner: HandleInner::Event(core),
-    })
-}
-
-/// Starts serving on the original thread-per-connection core — the
-/// baseline the event-driven core is benchmarked against. Same protocol,
-/// limits, and drain semantics as [`serve`].
-pub fn serve_threaded(
-    shared: SharedGraphManager,
-    config: ServerConfig,
-) -> io::Result<ServerHandle> {
-    serve_sharded_threaded(ShardedGraphManager::single(shared), config)
-}
-
-/// Sharded variant of [`serve_threaded`].
-pub fn serve_sharded_threaded(
-    router: ShardedGraphManager,
-    config: ServerConfig,
-) -> io::Result<ServerHandle> {
-    let (addr, metrics_addr, core) = threaded::start(router, &config)?;
-    Ok(ServerHandle {
-        addr,
-        metrics_addr,
-        drain_timeout: config.drain_timeout,
-        inner: HandleInner::Threaded(core),
+        core,
     })
 }
 
@@ -390,6 +347,12 @@ mod tests {
         let mut c = Client::connect(server.addr()).unwrap();
         let lines = c.recv().unwrap();
         assert_eq!(lines, vec!["ERR server busy"]);
+        // The refusal shows in the connection counters.
+        let lines = a.send("STATS SERVER").unwrap();
+        assert!(
+            lines[0].starts_with("OK SERVER connections=2 accepted=2 rejected=1 "),
+            "{lines:?}"
+        );
     }
 
     #[test]
@@ -661,68 +624,5 @@ mod tests {
         });
         writer.join().unwrap();
         reader.join().unwrap();
-    }
-
-    // --- threaded-core parity ---------------------------------------------
-
-    fn start_threaded(max_connections: usize) -> (ServerHandle, SharedGraphManager) {
-        let gm = GraphManager::build_in_memory(
-            &datagen::toy_trace().events,
-            GraphManagerConfig::default(),
-        )
-        .unwrap();
-        let shared = SharedGraphManager::new(gm);
-        let handle = serve_threaded(
-            shared.clone(),
-            ServerConfig {
-                addr: "127.0.0.1:0".into(),
-                max_connections,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        (handle, shared)
-    }
-
-    #[test]
-    fn threaded_core_round_trips_and_refuses_at_cap() {
-        let (server, _shared) = start_threaded(2);
-        let mut a = Client::connect(server.addr()).unwrap();
-        let mut b = Client::connect(server.addr()).unwrap();
-        assert_eq!(a.send("PING").unwrap(), vec!["OK PONG"]);
-        assert!(b.send("GET GRAPH AT 6").unwrap()[0].starts_with("OK GRAPH"));
-        let mut c = Client::connect(server.addr()).unwrap();
-        assert_eq!(c.recv().unwrap(), vec!["ERR server busy"]);
-    }
-
-    #[test]
-    fn threaded_core_reports_real_server_stats() {
-        let (server, _shared) = start_threaded(2);
-        let mut a = Client::connect(server.addr()).unwrap();
-        let mut b = Client::connect(server.addr()).unwrap();
-        a.send("PING").unwrap();
-        b.send("PING").unwrap();
-        let mut c = Client::connect(server.addr()).unwrap();
-        assert_eq!(c.recv().unwrap(), vec!["ERR server busy"]);
-        // Satellite parity: the threaded core reports real connection
-        // counters; queue_depth and workers stay 0 (event-core-only — this
-        // core has no worker queue).
-        let lines = a.send("STATS SERVER").unwrap();
-        assert_eq!(
-            lines[0],
-            "OK SERVER connections=2 accepted=2 rejected=1 queue_depth=0 workers=0"
-        );
-    }
-
-    #[test]
-    fn threaded_core_drains_idle_sessions() {
-        let (mut server, shared) = start_threaded(8);
-        let mut a = Client::connect(server.addr()).unwrap();
-        a.send_ok("GET GRAPH AT 6").unwrap();
-        assert_eq!(shared.read().pool().active_overlay_count(), 1);
-        server.shutdown_within(Duration::from_secs(5));
-        assert_eq!(server.active_connections(), 0);
-        assert_eq!(shared.read().pool().active_overlay_count(), 0);
-        assert!(a.send("PING").is_err());
     }
 }

@@ -268,30 +268,6 @@ impl Drop for Poller {
     }
 }
 
-/// Raises the process `RLIMIT_NOFILE` soft limit toward `target` (clamped to
-/// the hard limit). Returns the resulting soft limit. Benches that open
-/// thousands of sockets call this; failure to raise is not an error as long
-/// as the current limit can be read.
-pub fn raise_nofile_limit(target: u64) -> io::Result<u64> {
-    let mut lim = Rlimit { cur: 0, max: 0 };
-    if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
-        return Err(io::Error::last_os_error());
-    }
-    if lim.cur >= target {
-        return Ok(lim.cur);
-    }
-    let want = target.min(lim.max);
-    let new = Rlimit {
-        cur: want,
-        max: lim.max,
-    };
-    if unsafe { setrlimit(RLIMIT_NOFILE, &new) } == 0 {
-        Ok(want)
-    } else {
-        Ok(lim.cur)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // libc declarations shared by both backends. `std` links libc on every
 // supported platform, so these resolve without adding a dependency.
@@ -309,7 +285,6 @@ mod os_consts {
     use super::c_int;
     pub const F_DUPFD_CLOEXEC: c_int = 1030;
     pub const O_NONBLOCK: c_int = 0o4000;
-    pub const RLIMIT_NOFILE: c_int = 7;
 }
 
 #[cfg(any(target_os = "macos", target_os = "ios"))]
@@ -317,7 +292,6 @@ mod os_consts {
     use super::c_int;
     pub const F_DUPFD_CLOEXEC: c_int = 67;
     pub const O_NONBLOCK: c_int = 0x4;
-    pub const RLIMIT_NOFILE: c_int = 8;
 }
 
 #[cfg(target_os = "freebsd")]
@@ -325,7 +299,6 @@ mod os_consts {
     use super::c_int;
     pub const F_DUPFD_CLOEXEC: c_int = 17;
     pub const O_NONBLOCK: c_int = 0x4;
-    pub const RLIMIT_NOFILE: c_int = 8;
 }
 
 #[cfg(not(any(
@@ -339,13 +312,7 @@ compile_error!(
      linux/macos/ios/freebsd; add an os_consts module for this target"
 );
 
-use os_consts::{F_DUPFD_CLOEXEC, O_NONBLOCK, RLIMIT_NOFILE};
-
-#[repr(C)]
-struct Rlimit {
-    cur: u64,
-    max: u64,
-}
+use os_consts::{F_DUPFD_CLOEXEC, O_NONBLOCK};
 
 extern "C" {
     fn close(fd: c_int) -> c_int;
@@ -354,8 +321,6 @@ extern "C" {
     fn pipe(fds: *mut c_int) -> c_int;
     #[link_name = "fcntl"]
     fn fcntl_int(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-    fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
-    fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
 }
 
 fn set_nonblocking_fd(fd: RawFd) -> io::Result<()> {
@@ -770,11 +735,5 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(20)))
             .unwrap();
         assert!(events.is_empty());
-    }
-
-    #[test]
-    fn nofile_limit_is_readable() {
-        let cur = raise_nofile_limit(1024).unwrap();
-        assert!(cur >= 256, "soft nofile limit unexpectedly tiny: {cur}");
     }
 }

@@ -786,8 +786,7 @@ impl ShardedGraphManager {
         // plan and hydrates on first touch (see [`ShardCell`]) — the tail
         // on the first append or tail-range query, carrying the torn-record
         // retry with it. Restart-to-first-query therefore pays for exactly
-        // one shard build, which is what makes a durable restart beat a
-        // full in-memory rebuild in `BENCH_durability.json`.
+        // one shard build (histbench traces it as `durable.first_answer_ms`).
         let last = plans.len() - 1;
         let shards: Vec<Shard> = plans
             .into_iter()

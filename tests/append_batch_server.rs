@@ -1,12 +1,11 @@
 //! End-to-end atomic-visibility tests for `APPEND BATCH` over the TCP
-//! servers: a writer streams multi-event batches while concurrent readers
+//! server: a writer streams multi-event batches while concurrent readers
 //! poll `GET GRAPH AT t` (text and binary protocol) and must never observe
 //! a partial batch — every reply reflects a whole number of batches.
 //!
-//! Covers both serving cores (the event-driven core via [`serve`] /
-//! [`serve_sharded`] and the thread-per-connection core via
-//! [`serve_threaded`]) plus the sharded router with a small shard budget so
-//! batches trigger tail rolls while readers are polling.
+//! Covers a single manager via [`serve`] plus the sharded router (via
+//! [`serve_sharded`]) with a small shard budget so batches trigger tail
+//! rolls while readers are polling.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -16,7 +15,7 @@ use historygraph::{
     GraphManager, GraphManagerConfig, ShardedConfig, ShardedGraphManager, SharedGraphManager,
 };
 use histql::{Frame, Response};
-use server::{serve, serve_sharded, serve_threaded, Client, ServerConfig, ServerHandle};
+use server::{serve, serve_sharded, Client, ServerConfig, ServerHandle};
 use tgraph::{Event, EventList};
 
 /// In-process servers bind real sockets; serialize the tests so they don't
@@ -180,15 +179,6 @@ fn config() -> ServerConfig {
 fn event_core_readers_never_observe_partial_batches() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let mut server = serve(in_memory_shared(), config()).unwrap();
-    hammer(&server);
-    server.shutdown();
-}
-
-/// Thread-per-connection core: same invariant.
-#[test]
-fn threaded_core_readers_never_observe_partial_batches() {
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut server = serve_threaded(in_memory_shared(), config()).unwrap();
     hammer(&server);
     server.shutdown();
 }

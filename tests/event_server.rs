@@ -1,11 +1,13 @@
 //! End-to-end tests of the event-driven serving core over the wire:
 //! single-flight coalescing proven through `STATS SERVER`, freshness of
-//! cached point bytes across an interleaved `APPEND`, and the serving
-//! counters themselves.
+//! cached point bytes across an interleaved `APPEND`, the serving
+//! counters themselves, and one reactor multiplexing hundreds of
+//! connections.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use historygraph::tgraph::{Event, EventList};
 use historygraph::{GraphManager, GraphManagerConfig, SharedGraphManager};
@@ -21,7 +23,12 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn start(events: &EventList, snap_cache: usize, resp_cache: usize) -> ServerHandle {
+fn start(
+    events: &EventList,
+    snap_cache: usize,
+    resp_cache: usize,
+    max_connections: usize,
+) -> ServerHandle {
     let gm = GraphManager::build_in_memory(
         events,
         GraphManagerConfig::default()
@@ -33,7 +40,7 @@ fn start(events: &EventList, snap_cache: usize, resp_cache: usize) -> ServerHand
         SharedGraphManager::new(gm),
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            max_connections: 32,
+            max_connections,
             ..Default::default()
         },
     )
@@ -52,6 +59,15 @@ fn read_reply(sock: &mut TcpStream) -> Vec<u8> {
             return buf;
         }
     }
+}
+
+/// Sixty nodes appearing at t = 1..=60.
+fn linear_trace() -> EventList {
+    EventList::from_events(
+        (1..=60)
+            .map(|i| Event::add_node(i, 1000 + i as u64))
+            .collect(),
+    )
 }
 
 /// Reads `leaders=` and `coalesced=` off the `SF` line of `STATS SERVER`.
@@ -91,7 +107,7 @@ fn concurrent_sessions_coalesce_renders_over_the_wire() {
             .map(|i| Event::add_node(i, 100_000 + i as u64))
             .collect(),
     );
-    let server = start(&events, 64, 64);
+    let server = start(&events, 64, 64, 32);
     let addr = server.addr();
     let mut probe = Client::connect(addr).unwrap();
 
@@ -155,12 +171,7 @@ fn concurrent_sessions_coalesce_renders_over_the_wire() {
 #[test]
 fn append_is_never_served_stale_bytes() {
     let _serial = serial();
-    let events = EventList::from_events(
-        (1..=60)
-            .map(|i| Event::add_node(i, 1000 + i as u64))
-            .collect(),
-    );
-    let server = start(&events, 32, 32);
+    let server = start(&linear_trace(), 32, 32, 32);
     let mut client = Client::connect(server.addr()).unwrap();
 
     // Render and cache the future point: the second request is served
@@ -200,14 +211,9 @@ fn append_is_never_served_stale_bytes() {
 fn pipelined_requests_without_reads_are_backpressured_not_dropped() {
     let _serial = serial();
     const REQUESTS: usize = 2000;
-    let events = EventList::from_events(
-        (1..=60)
-            .map(|i| Event::add_node(i, 1000 + i as u64))
-            .collect(),
-    );
-    let server = start(&events, 32, 32);
+    let server = start(&linear_trace(), 32, 32, 32);
     let mut sock = TcpStream::connect(server.addr()).unwrap();
-    sock.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
 
     // ~2000 replies of ~1.3 KiB each (61 attribute lines) ≈ 2.6 MiB —
@@ -245,4 +251,45 @@ fn pipelined_requests_without_reads_are_backpressured_not_dropped() {
     line.clear();
     std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
     assert_eq!(line, "END\n");
+}
+
+/// One reactor serves 256 concurrent connections: every one gets a correct
+/// hot point reply, `STATS SERVER` counts all of them at peak, and the
+/// count returns to zero once they close. Raw sockets keep the client and
+/// server sides together well under the default 1024 fd soft limit.
+#[test]
+fn reactor_multiplexes_256_concurrent_connections() {
+    let _serial = serial();
+    const CONNECTIONS: usize = 256;
+    let server = start(&linear_trace(), 32, 32, CONNECTIONS);
+    let mut socks: Vec<TcpStream> = (0..CONNECTIONS)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
+    // Every request is in flight before any reply is read.
+    for sock in &mut socks {
+        sock.write_all(b"GET GRAPH AT 70\n").unwrap();
+    }
+    let replies: Vec<Vec<u8>> = socks.iter_mut().map(read_reply).collect();
+    assert!(
+        replies[0].starts_with(b"OK GRAPH t=70 nodes=60 "),
+        "{:?}",
+        String::from_utf8_lossy(&replies[0])
+    );
+    for reply in &replies {
+        assert_eq!(reply, &replies[0], "every connection gets the same reply");
+    }
+
+    socks[0].write_all(b"STATS SERVER\n").unwrap();
+    let stats = String::from_utf8(read_reply(&mut socks[0])).unwrap();
+    assert!(
+        stats.starts_with(&format!("OK SERVER connections={CONNECTIONS} ")),
+        "{stats}"
+    );
+
+    drop(socks);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.active_connections() > 0 {
+        assert!(Instant::now() < deadline, "connections never drained");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }

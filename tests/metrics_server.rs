@@ -1,6 +1,6 @@
-//! End-to-end tests of the observability layer over the wire: both serving
-//! cores must expose the same metric catalog through `STATS METRICS`, the
-//! binary protocol, and the HTTP `GET /metrics` scrape endpoint; counters
+//! End-to-end tests of the observability layer over the wire: the server
+//! must expose one metric catalog through `STATS METRICS`, the binary
+//! protocol, and the HTTP `GET /metrics` scrape endpoint; counters
 //! must be monotonic across scrapes; and the slow-query ring must capture
 //! over-threshold requests only.
 
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use historygraph::tgraph::{Event, EventList};
 use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager};
 use histql::{Frame, MetricValue, Response};
-use server::{serve_sharded, serve_sharded_threaded, Client, ServerConfig, ServerHandle};
+use server::{serve_sharded, Client, ServerConfig, ServerHandle};
 
 /// 60 nodes appearing at t = 1..=60: deep enough that 4 equi-width shards
 /// each own a predictable time slice (shard 0 holds the earliest quarter).
@@ -23,9 +23,9 @@ fn linear_trace() -> EventList {
     )
 }
 
-/// Starts a 4-shard server on the requested core, with the slow-query
-/// threshold and (optionally) an HTTP scrape listener on an OS-picked port.
-fn start(threaded: bool, slow_query_us: u64, scrape: bool) -> ServerHandle {
+/// Starts a 4-shard server with the slow-query threshold and (optionally)
+/// an HTTP scrape listener on an OS-picked port.
+fn start(slow_query_us: u64, scrape: bool) -> ServerHandle {
     let router = ShardedGraphManager::build_in_memory(
         &linear_trace(),
         ShardedConfig::default().with_shards(4).with_manager(
@@ -42,12 +42,7 @@ fn start(threaded: bool, slow_query_us: u64, scrape: bool) -> ServerHandle {
         metrics_addr: scrape.then(|| "127.0.0.1:0".into()),
         ..Default::default()
     };
-    if threaded {
-        serve_sharded_threaded(router, config)
-    } else {
-        serve_sharded(router, config)
-    }
-    .unwrap()
+    serve_sharded(router, config).unwrap()
 }
 
 /// Issues a mixed workload touching every shard, with extra traffic on the
@@ -109,48 +104,40 @@ fn scrape(server: &ServerHandle, path: &str) -> String {
     String::from_utf8(reply).unwrap()
 }
 
-/// Both cores must expose the identical metric catalog — same names, same
-/// kinds — with non-zero per-verb counts after a mixed workload, including
-/// the per-shard skew counters.
+/// The metric catalog reports non-zero per-verb counts after a mixed
+/// workload, including the per-shard skew counters, under sorted, unique
+/// names.
 #[test]
-fn both_cores_report_the_same_metric_catalog_with_traffic() {
-    let mut catalogs: Vec<Vec<String>> = Vec::new();
-    for threaded in [false, true] {
-        let server = start(threaded, 0, false);
-        mixed_workload(&server);
-        let mut probe = Client::connect(server.addr()).unwrap();
-        let lines = probe.send_ok("STATS METRICS").unwrap();
-        assert!(
-            lines[0].starts_with("OK METRICS entries="),
-            "{:?}",
-            lines[0]
-        );
+fn metric_catalog_reports_traffic_per_verb_and_shard() {
+    let server = start(0, false);
+    mixed_workload(&server);
+    let mut probe = Client::connect(server.addr()).unwrap();
+    let lines = probe.send_ok("STATS METRICS").unwrap();
+    assert!(
+        lines[0].starts_with("OK METRICS entries="),
+        "{:?}",
+        lines[0]
+    );
 
-        // Per-verb latency saw the traffic.
-        assert!(metric_field(&lines, "verb_us_get_graph_at", "count") >= 12);
-        assert!(metric_field(&lines, "verb_us_append", "count") >= 1);
-        assert!(metric_field(&lines, "verb_us_diff", "count") >= 1);
+    // Per-verb latency saw the traffic.
+    assert!(metric_field(&lines, "verb_us_get_graph_at", "count") >= 12);
+    assert!(metric_field(&lines, "verb_us_append", "count") >= 1);
+    assert!(metric_field(&lines, "verb_us_diff", "count") >= 1);
 
-        // Per-shard skew: shard 0 (owning t=5) absorbed the hot-point
-        // burst, so its query counter dominates the later shards'.
-        let shard0 = metric_field(&lines, "shard0_queries_total", "value");
-        let shard3 = metric_field(&lines, "shard3_queries_total", "value");
-        assert!(
-            shard0 > shard3 && shard0 >= 9,
-            "shard0={shard0} shard3={shard3}"
-        );
-        assert!(metric_field(&lines, "shard3_appends_total", "value") >= 1);
+    // Per-shard skew: shard 0 (owning t=5) absorbed the hot-point
+    // burst, so its query counter dominates the later shards'.
+    let shard0 = metric_field(&lines, "shard0_queries_total", "value");
+    let shard3 = metric_field(&lines, "shard3_queries_total", "value");
+    assert!(
+        shard0 > shard3 && shard0 >= 9,
+        "shard0={shard0} shard3={shard3}"
+    );
+    assert!(metric_field(&lines, "shard3_appends_total", "value") >= 1);
 
-        let names = metric_names(&lines);
-        assert!(
-            names.windows(2).all(|w| w[0] < w[1]),
-            "names must be sorted and unique"
-        );
-        catalogs.push(names);
-    }
-    assert_eq!(
-        catalogs[0], catalogs[1],
-        "event and threaded cores must expose identical metric names"
+    let names = metric_names(&lines);
+    assert!(
+        names.windows(2).all(|w| w[0] < w[1]),
+        "names must be sorted and unique"
     );
 }
 
@@ -158,7 +145,7 @@ fn both_cores_report_the_same_metric_catalog_with_traffic() {
 /// same live server.
 #[test]
 fn metrics_are_monotonic_across_scrapes() {
-    let server = start(false, 0, false);
+    let server = start(0, false);
     mixed_workload(&server);
     let mut probe = Client::connect(server.addr()).unwrap();
     let before = probe.send_ok("STATS METRICS").unwrap();
@@ -199,7 +186,7 @@ fn metrics_are_monotonic_across_scrapes() {
 /// one (and the off default) catches nothing.
 #[test]
 fn slow_query_log_captures_only_over_threshold_requests() {
-    let server = start(false, 1, false);
+    let server = start(1, false);
     mixed_workload(&server);
     let mut probe = Client::connect(server.addr()).unwrap();
     let lines = probe.send_ok("STATS SLOW").unwrap();
@@ -215,58 +202,56 @@ fn slow_query_log_captures_only_over_threshold_requests() {
     }
 
     // Far-above-traffic threshold: nothing is slow enough to capture.
-    let server = start(false, u64::MAX, false);
+    let server = start(u64::MAX, false);
     mixed_workload(&server);
     let mut probe = Client::connect(server.addr()).unwrap();
     let lines = probe.send_ok("STATS SLOW").unwrap();
     assert_eq!(lines[0], "OK SLOW entries=0");
 
     // Default (0): capture is off entirely.
-    let server = start(false, 0, false);
+    let server = start(0, false);
     mixed_workload(&server);
     let mut probe = Client::connect(server.addr()).unwrap();
     let lines = probe.send_ok("STATS SLOW").unwrap();
     assert_eq!(lines[0], "OK SLOW entries=0");
 }
 
-/// The HTTP scrape endpoint speaks Prometheus plaintext on both cores:
-/// correct framing, every `STATS METRICS` name present under the `histql_`
-/// prefix, and a 404 (without rendering) for any other path.
+/// The HTTP scrape endpoint speaks Prometheus plaintext: correct framing,
+/// every `STATS METRICS` name present under the `histql_` prefix, and a 404
+/// (without rendering) for any other path.
 #[test]
-fn http_scrape_endpoint_serves_the_catalog_on_both_cores() {
-    for threaded in [false, true] {
-        let server = start(threaded, 0, true);
-        mixed_workload(&server);
+fn http_scrape_endpoint_serves_the_catalog() {
+    let server = start(0, true);
+    mixed_workload(&server);
 
-        let reply = scrape(&server, "/metrics");
-        let (head, body) = reply.split_once("\r\n\r\n").expect("header separator");
-        assert!(reply.starts_with("HTTP/1.0 200 OK\r\n"), "{head}");
-        let length: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .and_then(|v| v.parse().ok())
-            .expect("Content-Length header");
-        assert_eq!(length, body.len(), "advertised length matches the body");
+    let reply = scrape(&server, "/metrics");
+    let (head, body) = reply.split_once("\r\n\r\n").expect("header separator");
+    assert!(reply.starts_with("HTTP/1.0 200 OK\r\n"), "{head}");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.parse().ok())
+        .expect("Content-Length header");
+    assert_eq!(length, body.len(), "advertised length matches the body");
+    assert!(
+        body.contains("# TYPE histql_verb_us_get_graph_at summary"),
+        "missing verb summary"
+    );
+    assert!(body.contains("histql_verb_us_get_graph_at{quantile=\"0.99\"}"));
+    assert!(body.contains("histql_verb_us_get_graph_at_count"));
+
+    // Same catalog as the in-band verb, name for name.
+    let mut probe = Client::connect(server.addr()).unwrap();
+    let lines = probe.send_ok("STATS METRICS").unwrap();
+    for name in metric_names(&lines) {
         assert!(
-            body.contains("# TYPE histql_verb_us_get_graph_at summary"),
-            "missing verb summary (threaded={threaded})"
+            body.contains(&format!("histql_{name}")),
+            "scrape missing {name}"
         );
-        assert!(body.contains("histql_verb_us_get_graph_at{quantile=\"0.99\"}"));
-        assert!(body.contains("histql_verb_us_get_graph_at_count"));
-
-        // Same catalog as the in-band verb, name for name.
-        let mut probe = Client::connect(server.addr()).unwrap();
-        let lines = probe.send_ok("STATS METRICS").unwrap();
-        for name in metric_names(&lines) {
-            assert!(
-                body.contains(&format!("histql_{name}")),
-                "scrape missing {name} (threaded={threaded})"
-            );
-        }
-
-        let miss = scrape(&server, "/anything-else");
-        assert!(miss.starts_with("HTTP/1.0 404"), "{miss}");
     }
+
+    let miss = scrape(&server, "/anything-else");
+    assert!(miss.starts_with("HTTP/1.0 404"), "{miss}");
 }
 
 /// A recovered deployment hydrates shards on first touch; each hydration
@@ -276,7 +261,7 @@ fn http_scrape_endpoint_serves_the_catalog_on_both_cores() {
 #[test]
 fn shard_hydrations_are_counted_and_timed() {
     use historygraph::WalSyncPolicy;
-    let fresh = start(false, 0, false);
+    let fresh = start(0, false);
     let mut probe = Client::connect(fresh.addr()).unwrap();
     let lines = probe.send_ok("STATS METRICS").unwrap();
     assert_eq!(metric_field(&lines, "shard_hydrations_total", "value"), 0);
@@ -329,7 +314,7 @@ fn shard_hydrations_are_counted_and_timed() {
 /// as typed data (tag 15), with live per-verb histogram counts.
 #[test]
 fn binary_stats_metrics_roundtrips_typed_entries() {
-    let server = start(false, 0, false);
+    let server = start(0, false);
     mixed_workload(&server);
     let mut probe = Client::connect(server.addr()).unwrap();
     probe.binary().unwrap();
