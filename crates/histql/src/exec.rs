@@ -1,13 +1,12 @@
 //! Query execution over a [`ShardedGraphManager`] router.
 //!
-//! The executor targets the router: point, entity, and history queries are
-//! routed to the shard owning their time; multipoint queries fan out across
-//! shards in parallel and reassemble in request order; `APPEND` goes to the
-//! tail shard. A single-shard router (the [`Executor::new`] path) behaves
-//! exactly like the pre-sharding executor over one [`SharedGraphManager`]:
-//! snapshot computation runs under the owning shard's read lock, while
-//! overlays, appends, binds, and releases take that shard's write lock
-//! briefly. Every retrieved graph is overlaid through the executor's
+//! The executor targets the router — the only way into the serving stack,
+//! one shard or many: point, entity, and history queries are routed to the
+//! shard owning their time; multipoint queries fan out across shards in
+//! parallel and reassemble in request order; `APPEND` goes to the tail
+//! shard. Snapshot computation runs under the owning shard's read lock,
+//! while overlays, appends, binds, and releases take that shard's write
+//! lock briefly. Every retrieved graph is overlaid through the executor's
 //! [`ShardedSession`], so dropping the executor (a client disconnecting)
 //! releases everything it retrieved, on every shard it touched.
 //!
@@ -15,8 +14,6 @@
 //! verb) and, through [`Executor::execute_framed`], the rendered-response
 //! byte cache: hot `GET GRAPH AT` replies are served as pre-framed bytes
 //! with zero per-request rendering, from the owning shard's cache.
-//!
-//! [`SharedGraphManager`]: historygraph::SharedGraphManager
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -117,13 +114,8 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Creates an executor over a single shared manager (wrapped as a
-    /// one-shard router). Sessions start in [`WireFormat::Text`].
-    pub fn new(shared: SharedGraphManager) -> Self {
-        Self::for_router(ShardedGraphManager::single(shared))
-    }
-
-    /// Creates an executor over a sharded router (one per client session).
+    /// Creates an executor over a router (one per client session). Sessions
+    /// start in [`WireFormat::Text`].
     pub fn for_router(router: ShardedGraphManager) -> Self {
         let session = router.session();
         Executor {
@@ -267,7 +259,7 @@ impl Executor {
     /// byte cache is enabled — a cached-bytes hit is returned as-is, a
     /// byte miss is framed from the cached snapshot and inserted under the
     /// pre-acquire append epoch. Anything else — other verbs, parse
-    /// errors, snapshot-cache misses, a disabled byte cache — returns
+    /// errors, snapshot-cache misses, a disabled cache tier — returns
     /// `None` with **no** counters or refcounts touched, so the request
     /// can take [`Executor::execute_framed`] with identical accounting.
     pub fn try_execute_hot(&mut self, line: &str) -> Option<Reply> {
@@ -276,7 +268,10 @@ impl Executor {
             return None;
         };
         let opts = AttrOptions::parse(&attrs).ok()?;
-        if !self.router.response_cache_enabled() {
+        // With either tier disabled the answer is never resident: decline
+        // before rendering anything or taking a shard lock.
+        let caches = &self.router.config().manager;
+        if caches.snapshot_cache_capacity == 0 || caches.response_cache_capacity == 0 {
             return None;
         }
         let (shared, epoch, snapshot) = self.session.acquire_cached_point_routed(t, &opts)?;
@@ -307,43 +302,20 @@ impl Executor {
         let opts = AttrOptions::parse(attrs)?;
         match self.flights.clone() {
             Some(table) => self.execute_point_coalesced(&table, t, opts),
-            None => self.render_point(t, &opts),
+            None => Ok(Reply::Shared(self.render_point_shared(t, &opts)?.2)),
         }
     }
 
-    /// Plain point render: snapshot-cache retrieval on the owning shard
+    /// Point render: snapshot-cache retrieval on the owning shard
     /// (preserving overlay refcounts), then that *same* shard's
-    /// response-cache probe, then render + insert. The shard is resolved
-    /// exactly once — the get and the epoch-guarded put go through the
-    /// handle the snapshot came from, so a tail shard rolled between the
-    /// render and the insert can never be handed bytes computed from the
-    /// old tail (its fresh epoch could coincide with the old one).
-    fn render_point(&mut self, t: Timestamp, opts: &AttrOptions) -> QlResult<Reply> {
-        let (shared, point) = self.session.retrieve_cached_routed(t, opts)?;
-        if !shared.response_cache_enabled() {
-            let resp = Response::Graph {
-                t,
-                graph: point.snapshot,
-            };
-            return Ok(Reply::Owned(resp.to_frame(self.protocol)));
-        }
-        if let Some(bytes) = shared.response_cache_get(t, opts, self.protocol) {
-            return Ok(Reply::Shared(bytes));
-        }
-        let resp = Response::Graph {
-            t,
-            graph: point.snapshot,
-        };
-        let bytes: Arc<[u8]> = resp.to_frame(self.protocol).into();
-        // Declined (not cached) if an append raced the retrieval — the
-        // reply is still correct for this request, just not reusable.
-        shared.response_cache_put(t, opts, self.protocol, Arc::clone(&bytes), point.epoch);
-        Ok(Reply::Shared(bytes))
-    }
-
-    /// [`Executor::render_point`] in always-shareable form: the framed
-    /// bytes plus the shard and append epoch they were computed under, so a
+    /// response-cache probe, then render + insert. Returns the framed bytes
+    /// plus the shard and append epoch they were computed under, so a
     /// single-flight leader can publish them for validation by followers.
+    /// The shard is resolved exactly once — the get and the epoch-guarded
+    /// put go through the handle the snapshot came from, so a tail shard
+    /// rolled between the render and the insert can never be handed bytes
+    /// computed from the old tail (its fresh epoch could coincide with the
+    /// old one).
     fn render_point_shared(
         &mut self,
         t: Timestamp,
@@ -359,6 +331,8 @@ impl Executor {
             graph: point.snapshot,
         };
         let bytes: Arc<[u8]> = resp.to_frame(self.protocol).into();
+        // Declined (not cached) if an append raced the retrieval — the
+        // reply is still correct for this request, just not reusable.
         shared.response_cache_put(t, opts, self.protocol, Arc::clone(&bytes), epoch);
         Ok((shared, epoch, bytes))
     }
@@ -405,7 +379,7 @@ impl Executor {
                     }
                 }
                 table.note_stale();
-                self.render_point(t, &opts)
+                Ok(Reply::Shared(self.render_point_shared(t, &opts)?.2))
             }
         }
     }
@@ -581,19 +555,9 @@ impl Executor {
                     recent_events,
                 })
             }
-            Query::CacheStats => {
-                let overview = self.router.cache_overview();
-                Ok(Response::CacheStats {
-                    capacity: overview.capacity,
-                    stats: overview.stats,
-                    overlays: overview.overlays,
-                    entries: overview.entries,
-                    response_capacity: overview.response_capacity,
-                    response_byte_budget: overview.response_byte_budget,
-                    response_entries: overview.response_entries,
-                    response: overview.response,
-                })
-            }
+            Query::CacheStats => Ok(Response::CacheStats {
+                overview: self.router.cache_overview(),
+            }),
             Query::ShardStats => Ok(Response::Shards {
                 shards: self.router.shard_infos(),
             }),
@@ -730,27 +694,25 @@ pub use graphpool::GraphId;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use historygraph::{GraphManager, GraphManagerConfig, ShardedGraphManager};
+    use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager};
     use tgraph::Timestamp;
 
-    fn executor() -> (Executor, SharedGraphManager) {
-        let gm = GraphManager::build_in_memory(
+    /// An executor over a one-shard router on the toy trace, plus the router.
+    fn toy_executor(config: GraphManagerConfig) -> (Executor, ShardedGraphManager) {
+        let router = ShardedGraphManager::build_in_memory(
             &datagen::toy_trace().events,
-            GraphManagerConfig::default(),
+            ShardedConfig::default().with_manager(config),
         )
         .unwrap();
-        let shared = SharedGraphManager::new(gm);
-        (Executor::new(shared.clone()), shared)
+        (Executor::for_router(router.clone()), router)
     }
 
-    fn cached_executor(capacity: usize) -> (Executor, SharedGraphManager) {
-        let gm = GraphManager::build_in_memory(
-            &datagen::toy_trace().events,
-            GraphManagerConfig::default().with_snapshot_cache(capacity),
-        )
-        .unwrap();
-        let shared = SharedGraphManager::new(gm);
-        (Executor::new(shared.clone()), shared)
+    fn executor() -> (Executor, ShardedGraphManager) {
+        toy_executor(GraphManagerConfig::default())
+    }
+
+    fn cached_executor(capacity: usize) -> (Executor, ShardedGraphManager) {
+        toy_executor(GraphManagerConfig::default().with_snapshot_cache(capacity))
     }
 
     fn run(exec: &mut Executor, line: &str) -> String {
@@ -761,9 +723,9 @@ mod tests {
 
     #[test]
     fn point_query_matches_direct_retrieval() {
-        let (mut exec, shared) = executor();
+        let (mut exec, router) = executor();
         let text = run(&mut exec, "GET GRAPH AT 6 WITH +node:all+edge:all");
-        let direct = shared
+        let direct = router
             .snapshot_at(Timestamp(6), &AttrOptions::all())
             .unwrap();
         let expected = crate::wire::Response::Graph {
@@ -777,7 +739,7 @@ mod tests {
 
     #[test]
     fn diff_equals_matching_sugar() {
-        let (mut exec, _shared) = executor();
+        let (mut exec, _router) = executor();
         let diff = run(&mut exec, "DIFF 6 9");
         let matching = run(&mut exec, "GET GRAPH MATCHING 6 AND NOT 9");
         assert_eq!(diff, matching);
@@ -785,7 +747,7 @@ mod tests {
 
     #[test]
     fn node_and_history_use_the_key_table() {
-        let (mut exec, _shared) = executor();
+        let (mut exec, _router) = executor();
         let err = exec.execute_line("NODE alice AT 6").unwrap_err();
         assert!(err.to_string().contains("unknown key"), "{err}");
         run(&mut exec, "BIND alice 1");
@@ -801,7 +763,7 @@ mod tests {
 
     #[test]
     fn history_sample_cap_is_enforced() {
-        let (mut exec, _shared) = executor();
+        let (mut exec, _router) = executor();
         run(&mut exec, "BIND alice 1");
         let err = exec
             .execute_line("HISTORY NODE alice FROM 0 TO 1000000 STEP 1")
@@ -811,7 +773,7 @@ mod tests {
 
     #[test]
     fn appends_are_queryable_and_stats_move() {
-        let (mut exec, _shared) = executor();
+        let (mut exec, _router) = executor();
         let before = run(&mut exec, "STATS");
         run(&mut exec, "APPEND NODE 20 777");
         run(&mut exec, "APPEND EDGE 21 500 777 1 DIRECTED");
@@ -825,7 +787,8 @@ mod tests {
 
     #[test]
     fn append_batch_is_atomic_and_queryable() {
-        let (mut exec, shared) = executor();
+        let (mut exec, router) = executor();
+        let shared = router.shard_at(0).unwrap();
         let ack = run(
             &mut exec,
             "APPEND BATCH NODE 20 777 ; NODEATTR 21 777 name \"new\" ; EDGE 22 500 777 1 DIRECTED",
@@ -843,7 +806,7 @@ mod tests {
 
     #[test]
     fn ill_formed_batches_are_normalized_at_the_wire_boundary() {
-        let (mut exec, _shared) = executor();
+        let (mut exec, _router) = executor();
         run(
             &mut exec,
             "APPEND BATCH NODE 20 777 ; NODEATTR 21 777 name \"x\" ; \
@@ -867,7 +830,8 @@ mod tests {
 
     #[test]
     fn rejected_batches_leave_no_partial_state() {
-        let (mut exec, shared) = executor();
+        let (mut exec, router) = executor();
+        let shared = router.shard_at(0).unwrap();
         let before = run(&mut exec, "STATS");
         // The second spec predates the first — chronology is validated for
         // the batch as a unit, so nothing from the batch is applied.
@@ -886,7 +850,7 @@ mod tests {
         // Built directly (the parser cannot produce an empty expression).
         let expr = crate::ast::TimeExpr::At(Timestamp(3));
         assert!(expr.to_time_expression().is_ok());
-        let (mut exec, _shared) = executor();
+        let (mut exec, _router) = executor();
         let q = Query::GetGraphMatching {
             expr: crate::ast::TimeExpr::Not(Box::new(crate::ast::TimeExpr::At(Timestamp(3)))),
             attrs: String::new(),
@@ -897,7 +861,8 @@ mod tests {
 
     #[test]
     fn release_all_clears_overlays() {
-        let (mut exec, shared) = executor();
+        let (mut exec, router) = executor();
+        let shared = router.shard_at(0).unwrap();
         run(&mut exec, "GET GRAPH AT 3");
         run(&mut exec, "GET GRAPH AT 9");
         assert_eq!(shared.read().pool().active_overlay_count(), 2);
@@ -908,8 +873,9 @@ mod tests {
 
     #[test]
     fn release_all_is_scoped_to_the_issuing_session() {
-        let (mut exec, shared) = executor();
-        let mut other = Executor::new(shared.clone());
+        let (mut exec, router) = executor();
+        let shared = router.shard_at(0).unwrap();
+        let mut other = Executor::for_router(router.clone());
         run(&mut other, "GET GRAPH AT 6");
         run(&mut exec, "GET GRAPH AT 3");
         assert_eq!(shared.read().pool().active_overlay_count(), 2);
@@ -924,8 +890,9 @@ mod tests {
 
     #[test]
     fn cached_point_queries_share_one_overlay_between_executors() {
-        let (mut exec, shared) = cached_executor(8);
-        let mut other = Executor::new(shared.clone());
+        let (mut exec, router) = cached_executor(8);
+        let shared = router.shard_at(0).unwrap();
+        let mut other = Executor::for_router(router.clone());
         let a = run(&mut exec, "GET GRAPH AT 6 WITH +node:all+edge:all");
         let b = run(&mut other, "GET GRAPH AT 6 WITH +node:all+edge:all");
         assert_eq!(a, b);
@@ -955,7 +922,8 @@ mod tests {
 
     #[test]
     fn append_invalidates_cache_over_the_wire() {
-        let (mut exec, shared) = cached_executor(8);
+        let (mut exec, router) = cached_executor(8);
+        let shared = router.shard_at(0).unwrap();
         run(&mut exec, "GET GRAPH AT 6");
         run(&mut exec, "GET GRAPH AT 25");
         assert_eq!(shared.read().cache_len(), 2);
@@ -970,7 +938,8 @@ mod tests {
 
     #[test]
     fn node_queries_peek_the_cache_without_holding_references() {
-        let (mut exec, shared) = cached_executor(8);
+        let (mut exec, router) = cached_executor(8);
+        let shared = router.shard_at(0).unwrap();
         run(&mut exec, "BIND alice 1");
         // GET with full attributes caches (6, all); NODE peeks it
         run(&mut exec, "GET GRAPH AT 6 WITH +node:all+edge:all");
@@ -987,7 +956,7 @@ mod tests {
 
     #[test]
     fn stats_cache_reports_disabled_cache() {
-        let (mut exec, _shared) = executor();
+        let (mut exec, _router) = executor();
         run(&mut exec, "GET GRAPH AT 6");
         let cache = run(&mut exec, "STATS CACHE");
         assert_eq!(
@@ -999,21 +968,17 @@ mod tests {
         );
     }
 
-    fn full_executor(snap_cache: usize, resp_cache: usize) -> (Executor, SharedGraphManager) {
-        let gm = GraphManager::build_in_memory(
-            &datagen::toy_trace().events,
+    fn full_executor(snap_cache: usize, resp_cache: usize) -> (Executor, ShardedGraphManager) {
+        toy_executor(
             GraphManagerConfig::default()
                 .with_snapshot_cache(snap_cache)
                 .with_response_cache(resp_cache),
         )
-        .unwrap();
-        let shared = SharedGraphManager::new(gm);
-        (Executor::new(shared.clone()), shared)
     }
 
     #[test]
     fn protocol_verb_switches_the_session_encoding() {
-        let (mut exec, _shared) = executor();
+        let (mut exec, _router) = executor();
         assert_eq!(exec.protocol(), WireFormat::Text);
         let resp = exec.execute_line("PROTOCOL BINARY").unwrap();
         assert_eq!(resp.to_text(), "OK PROTOCOL BINARY");
@@ -1030,11 +995,12 @@ mod tests {
 
     #[test]
     fn framed_point_queries_are_served_from_the_response_cache() {
-        let (mut exec, shared) = full_executor(8, 8);
+        let (mut exec, router) = full_executor(8, 8);
+        let shared = router.shard_at(0).unwrap();
         let first = exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
         let second = exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
         assert_eq!(first.as_ref(), second.as_ref());
-        let rc = shared.response_cache_stats();
+        let rc = shared.read().response_cache_stats();
         assert_eq!((rc.hits, rc.misses, rc.insertions), (1, 1, 1));
         assert_eq!(rc.bytes, first.as_ref().len() as u64);
         // The second request still took a snapshot-cache overlay reference.
@@ -1059,7 +1025,7 @@ mod tests {
 
     #[test]
     fn framed_errors_render_in_the_current_protocol() {
-        let (mut exec, _shared) = full_executor(8, 8);
+        let (mut exec, _router) = full_executor(8, 8);
         let text_err = exec.execute_framed("FROB 12");
         assert!(text_err.as_ref().starts_with(b"ERR "), "text error frame");
         assert!(text_err.as_ref().ends_with(b"END\n"));
@@ -1074,7 +1040,8 @@ mod tests {
 
     #[test]
     fn append_invalidates_response_cache_entries() {
-        let (mut exec, shared) = full_executor(8, 8);
+        let (mut exec, router) = full_executor(8, 8);
+        let shared = router.shard_at(0).unwrap();
         let before = exec.execute_framed("GET GRAPH AT 25");
         assert_eq!(shared.read().response_cache_len(), 1);
         run(&mut exec, "APPEND NODE 20 777");
@@ -1088,13 +1055,14 @@ mod tests {
         assert!(std::str::from_utf8(after.as_ref())
             .unwrap()
             .contains("N 777"));
-        assert_eq!(shared.response_cache_stats().invalidations, 1);
+        assert_eq!(shared.read().response_cache_stats().invalidations, 1);
     }
 
     #[test]
     fn multipoint_queries_share_cached_overlays_without_polluting_the_cache() {
-        let (mut exec, shared) = cached_executor(8);
-        let mut other = Executor::new(shared.clone());
+        let (mut exec, router) = cached_executor(8);
+        let shared = router.shard_at(0).unwrap();
+        let mut other = Executor::for_router(router.clone());
         run(&mut exec, "GET GRAPH AT 6");
         // Multipoint over the same instant plus one more: the t=6 overlay is
         // reused (cache hit, shared across sessions), t=9 goes through the
@@ -1104,7 +1072,7 @@ mod tests {
         assert!(a.starts_with("OK GRAPHS count=2"), "{a}");
         assert_eq!(shared.read().pool().active_overlay_count(), 2);
         assert_eq!(shared.read().cache_len(), 1, "t=9 must not be cached");
-        let stats = shared.cache_stats();
+        let stats = shared.read().cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
         // Both sessions hold the same t=6 overlay.
         assert_eq!(exec.session_handles()[0], other.session_handles()[0]);
@@ -1261,21 +1229,21 @@ mod tests {
 
     #[test]
     fn stats_server_requires_a_serving_core() {
-        let (mut exec, _shared) = executor();
+        let (mut exec, _router) = executor();
         let err = exec.execute_line("STATS SERVER").unwrap_err();
         assert!(err.to_string().contains("server session"), "{err}");
     }
 
     #[test]
     fn stats_server_renders_core_and_flight_counters() {
-        let (_, shared) = executor();
+        let (_, router) = executor();
         let stats = Arc::new(ServerStats::new());
         stats.live_connections.store(3, Ordering::Relaxed);
         stats.accepted.store(10, Ordering::Relaxed);
         stats.workers.store(2, Ordering::Relaxed);
         let flights = Arc::new(FlightTable::new());
         flights.note_coalesced();
-        let mut exec = Executor::new(shared)
+        let mut exec = Executor::for_router(router)
             .with_server_stats(Arc::clone(&stats))
             .with_flights(flights);
         let text = run(&mut exec, "STATS SERVER");
@@ -1393,10 +1361,10 @@ mod tests {
 
     #[test]
     fn under_threshold_requests_are_not_captured() {
-        let (_, shared) = executor();
+        let (_, router) = executor();
         let hub = Arc::new(crate::obs::MetricsHub::new());
         hub.set_slow_threshold_us(u64::MAX); // nothing is slow
-        let mut exec = Executor::new(shared).with_metrics(Arc::clone(&hub));
+        let mut exec = Executor::for_router(router).with_metrics(Arc::clone(&hub));
         exec.execute_framed("GET GRAPH AT 6");
         exec.execute_framed("PING");
         assert!(hub.drain_slow().is_empty());
@@ -1411,9 +1379,9 @@ mod tests {
 
     #[test]
     fn hot_path_records_fast_path_metrics_only_on_hits() {
-        let (_, shared) = full_executor(8, 8);
+        let (_, router) = full_executor(8, 8);
         let hub = Arc::new(crate::obs::MetricsHub::new());
-        let mut exec = Executor::new(shared).with_metrics(Arc::clone(&hub));
+        let mut exec = Executor::for_router(router).with_metrics(Arc::clone(&hub));
         // Cold: the hot path declines and must record nothing.
         assert!(exec.try_execute_hot("GET GRAPH AT 6").is_none());
         assert_eq!(hub.path_fast.get(), 0);
@@ -1430,7 +1398,7 @@ mod tests {
         // Deterministic, no timing: the test leads the flight itself so
         // every session is forced into the follower path, and publishes
         // only once all of them have joined.
-        let (_, shared) = full_executor(8, 8);
+        let (_, router) = full_executor(8, 8);
         let flights = Arc::new(FlightTable::new());
         let opts = AttrOptions::parse("").unwrap();
         let crate::flight::Joined::Leader(guard) =
@@ -1442,10 +1410,10 @@ mod tests {
         let replies: Vec<Vec<u8>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..N)
                 .map(|_| {
-                    let shared = shared.clone();
+                    let router = router.clone();
                     let flights = Arc::clone(&flights);
                     scope.spawn(move || {
-                        let mut exec = Executor::new(shared).with_flights(flights);
+                        let mut exec = Executor::for_router(router).with_flights(flights);
                         exec.execute_framed("GET GRAPH AT 6").as_ref().to_vec()
                     })
                 })
@@ -1459,7 +1427,8 @@ mod tests {
                 );
                 std::thread::yield_now();
             }
-            let mut leader = Executor::new(shared.clone()).with_flights(Arc::clone(&flights));
+            let mut leader =
+                Executor::for_router(router.clone()).with_flights(Arc::clone(&flights));
             let (shard, epoch, bytes) = leader
                 .render_point_shared(Timestamp(6), &opts)
                 .expect("leader render");
@@ -1490,12 +1459,13 @@ mod tests {
     fn follower_never_accepts_bytes_across_an_append() {
         // Deterministic staleness check, no timing: a follower that joins a
         // flight whose result was computed before an APPEND must re-render.
-        let (_, shared) = full_executor(8, 8);
+        let (_, router) = full_executor(8, 8);
+        let shared = router.shard_at(0).unwrap();
         let flights = Arc::new(FlightTable::new());
         // Renders outside the flight table, so producing the stale bytes
         // does not join (and wait on) the very flight the test holds open.
-        let mut renderer = Executor::new(shared.clone());
-        let mut follower = Executor::new(shared.clone()).with_flights(Arc::clone(&flights));
+        let mut renderer = Executor::for_router(router.clone());
+        let mut follower = Executor::for_router(router.clone()).with_flights(Arc::clone(&flights));
 
         // Manufacture the race: lead a flight, publish a result captured at
         // the current epoch, then APPEND (bumping the epoch) before the
@@ -1538,7 +1508,7 @@ mod tests {
 
     #[test]
     fn history_span_overflow_is_an_error_not_a_panic() {
-        let (mut exec, _shared) = executor();
+        let (mut exec, _router) = executor();
         run(&mut exec, "BIND alice 1");
         let err = exec
             .execute_line(&format!(

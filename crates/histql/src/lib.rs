@@ -47,24 +47,24 @@
 //!
 //! * [`parse`] — text to [`Query`] (hand-written lexer + recursive descent),
 //! * [`Query`]'s `Display` — the canonical text form; parse∘display = id,
-//! * [`Executor`] — runs queries against a [`historygraph::SharedGraphManager`],
-//!   computing snapshots under the shared read lock and overlaying them
-//!   through a per-session pool handle set; point retrievals (`GET GRAPH
-//!   AT`) route through the shared snapshot cache, so concurrent sessions
-//!   asking for the same `(t, opts)` share one reference-counted overlay,
+//! * [`Executor`] — runs queries against a [`historygraph::ShardedGraphManager`]
+//!   router (one shard or many), computing snapshots under the owning
+//!   shard's read lock and overlaying them through a per-session pool
+//!   handle set; point retrievals (`GET GRAPH AT`) route through the owning
+//!   shard's snapshot cache, so concurrent sessions asking for the same
+//!   `(t, opts)` share one reference-counted overlay,
 //! * [`Response`] — deterministic serialization of results, as text lines
 //!   or binary codec frames ([`Frame`], after `PROTOCOL BINARY`); hot
 //!   point-query replies are served as pre-framed bytes from the
 //!   rendered-response cache via [`Executor::execute_framed`].
 //!
 //! ```
-//! use historygraph::{GraphManager, GraphManagerConfig, SharedGraphManager};
+//! use historygraph::{ShardedConfig, ShardedGraphManager};
 //! use histql::{parse, Executor};
 //!
 //! let trace = datagen::toy_trace();
-//! let gm = GraphManager::build_in_memory(&trace.events, GraphManagerConfig::default()).unwrap();
-//! let shared = SharedGraphManager::new(gm);
-//! let mut exec = Executor::new(shared);
+//! let router = ShardedGraphManager::build_in_memory(&trace.events, ShardedConfig::default()).unwrap();
+//! let mut exec = Executor::for_router(router);
 //! let response = exec.execute(&parse("GET GRAPH AT 6 WITH +node:name").unwrap()).unwrap();
 //! assert!(response.to_text().starts_with("OK GRAPH t=6"));
 //! ```

@@ -17,9 +17,7 @@
 
 use std::sync::Arc;
 
-use historygraph::{
-    CacheEntryInfo, CacheStats, HealthInfo, ResponseCacheStats, ShardInfo, StorageInfo, WireFormat,
-};
+use historygraph::{CacheOverview, HealthInfo, ShardInfo, StorageInfo, WireFormat};
 use tgraph::codec::{write_varint, Decode, Encode, Reader};
 use tgraph::{AttrValue, Event, EventKind, NodeId, Snapshot, TgError, Timestamp};
 
@@ -101,25 +99,12 @@ pub enum Response {
         recent_events: usize,
     },
     /// Snapshot- and response-cache statistics (`STATS CACHE`): behavior
-    /// counters for both tiers, pool overlay count, and one `C` line per
-    /// cached snapshot with its live overlay reference count.
+    /// counters for both tiers (the `OK CACHE` and `RC` lines), pool overlay
+    /// count, and one `C` line per cached snapshot with its live overlay
+    /// reference count.
     CacheStats {
-        /// Snapshot-cache capacity in entries (0 = disabled).
-        capacity: usize,
-        /// The snapshot cache's behavior counters.
-        stats: CacheStats,
-        /// Active historical overlays in the pool (cached or not).
-        overlays: usize,
-        /// The cached snapshot entries, sorted by `(t, opts)`.
-        entries: Vec<CacheEntryInfo>,
-        /// Response-cache capacity in entries (0 = disabled).
-        response_capacity: usize,
-        /// Response-cache byte budget (0 = uncapped).
-        response_byte_budget: u64,
-        /// Number of framed replies currently cached.
-        response_entries: usize,
-        /// The response cache's behavior counters (the `RC` line).
-        response: ResponseCacheStats,
+        /// Both tiers aggregated across shards.
+        overview: CacheOverview,
     },
     /// Per-shard serving statistics (`STATS SHARDS`): one `S` line per
     /// shard with its time bounds, event count, overlay count, and both
@@ -539,16 +524,17 @@ impl Response {
                      materialized_bytes={materialized_bytes} recent_events={recent_events}"
                 ));
             }
-            Response::CacheStats {
-                capacity,
-                stats,
-                overlays,
-                entries,
-                response_capacity,
-                response_byte_budget,
-                response_entries,
-                response,
-            } => {
+            Response::CacheStats { overview } => {
+                let CacheOverview {
+                    capacity,
+                    stats,
+                    overlays,
+                    entries,
+                    response_capacity,
+                    response_byte_budget,
+                    response_entries,
+                    response,
+                } = overview;
                 out.push(format!(
                     "OK CACHE entries={} capacity={capacity} hits={} misses={} \
                      insertions={} invalidations={} evictions={} overlays={overlays}",
@@ -987,25 +973,9 @@ impl Encode for Response {
                 materialized_bytes.encode(buf);
                 recent_events.encode(buf);
             }
-            Response::CacheStats {
-                capacity,
-                stats,
-                overlays,
-                entries,
-                response_capacity,
-                response_byte_budget,
-                response_entries,
-                response,
-            } => {
+            Response::CacheStats { overview } => {
                 buf.push(6);
-                capacity.encode(buf);
-                stats.encode(buf);
-                overlays.encode(buf);
-                entries.encode(buf);
-                response_capacity.encode(buf);
-                response_byte_budget.encode(buf);
-                response_entries.encode(buf);
-                response.encode(buf);
+                overview.encode(buf);
             }
             Response::Appended { t } => {
                 buf.push(7);
@@ -1117,14 +1087,7 @@ impl Decode for Response {
                 recent_events: usize::decode(r)?,
             },
             6 => Response::CacheStats {
-                capacity: usize::decode(r)?,
-                stats: CacheStats::decode(r)?,
-                overlays: usize::decode(r)?,
-                entries: Vec::<CacheEntryInfo>::decode(r)?,
-                response_capacity: usize::decode(r)?,
-                response_byte_budget: u64::decode(r)?,
-                response_entries: usize::decode(r)?,
-                response: ResponseCacheStats::decode(r)?,
+                overview: CacheOverview::decode(r)?,
             },
             7 => Response::Appended {
                 t: Timestamp::decode(r)?,
@@ -1276,7 +1239,39 @@ fn fmt_event(ev: &Event) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use historygraph::{CacheEntryInfo, CacheStats, ResponseCacheStats};
     use tgraph::EdgeId;
+
+    fn sample_overview() -> CacheOverview {
+        CacheOverview {
+            capacity: 8,
+            stats: CacheStats {
+                hits: 5,
+                misses: 2,
+                insertions: 2,
+                invalidations: 1,
+                evictions: 300,
+            },
+            overlays: 3,
+            entries: vec![CacheEntryInfo {
+                t: Timestamp(-6),
+                opts: "+node:all".into(),
+                overlay: graphpool::GraphId(7),
+                refs: 2,
+            }],
+            response_capacity: 16,
+            response_byte_budget: 65536,
+            response_entries: 1,
+            response: ResponseCacheStats {
+                hits: 9,
+                misses: 1,
+                insertions: 1,
+                invalidations: 0,
+                evictions: 0,
+                bytes: 512,
+            },
+        }
+    }
 
     #[test]
     fn graph_serialization_is_sorted_and_typed() {
@@ -1422,32 +1417,7 @@ mod tests {
                 recent_events: 7,
             },
             Response::CacheStats {
-                capacity: 8,
-                stats: CacheStats {
-                    hits: 5,
-                    misses: 2,
-                    insertions: 2,
-                    invalidations: 1,
-                    evictions: 0,
-                },
-                overlays: 3,
-                entries: vec![CacheEntryInfo {
-                    t: Timestamp(6),
-                    opts: "+node:all".into(),
-                    overlay: graphpool::GraphId(7),
-                    refs: 2,
-                }],
-                response_capacity: 16,
-                response_byte_budget: 65536,
-                response_entries: 1,
-                response: ResponseCacheStats {
-                    hits: 9,
-                    misses: 1,
-                    insertions: 1,
-                    invalidations: 0,
-                    evictions: 0,
-                    bytes: 512,
-                },
+                overview: sample_overview(),
             },
             Response::Shards {
                 shards: vec![
@@ -1605,6 +1575,28 @@ mod tests {
         for resp in &cases {
             assert_binary_roundtrip(resp);
         }
+    }
+
+    #[test]
+    fn cache_stats_frames_are_pinned() {
+        // Tag 6 encodes the overview's fields in declaration order; these
+        // bytes (and the text lines) are the wire contract in PROTOCOL.md.
+        let resp = Response::CacheStats {
+            overview: sample_overview(),
+        };
+        let binary: Vec<u8> = vec![
+            37, 0, 0, 0, 1, 0, 6, 8, 5, 2, 2, 1, 172, 2, 3, 1, 11, 9, 43, 110, 111, 100, 101, 58,
+            97, 108, 108, 7, 2, 16, 128, 128, 4, 1, 9, 1, 1, 0, 0, 128, 4,
+        ];
+        assert_eq!(resp.to_frame(WireFormat::Binary), binary);
+        assert_eq!(
+            String::from_utf8(resp.to_frame(WireFormat::Text)).unwrap(),
+            "OK CACHE entries=1 capacity=8 hits=5 misses=2 insertions=2 invalidations=1 \
+             evictions=300 overlays=3\n\
+             RC entries=1 capacity=16 byte_budget=65536 hits=9 misses=1 insertions=1 \
+             invalidations=0 evictions=0 bytes=512\n\
+             C t=-6 opts=\"+node:all\" overlay=7 refs=2\nEND\n"
+        );
     }
 
     #[test]

@@ -109,15 +109,18 @@ fn decode_events(bytes: &[u8], what: &str) -> StoreResult<Vec<Event>> {
 }
 
 impl Segment {
-    /// Writes the segment to `path`: temp file, fsync, atomic rename, then
-    /// an fsync of the containing directory so the name itself is durable.
-    pub fn write(&self, path: impl AsRef<Path>) -> StoreResult<()> {
+    /// Writes a segment of the given parts to `path` — borrowed, so a writer
+    /// never copies a shard's events just to seal them: temp file, fsync,
+    /// atomic rename, then an fsync of the containing directory so the name
+    /// itself is durable. [`Segment::read`] returns the same parts.
+    pub fn write(
+        path: impl AsRef<Path>,
+        meta: &SegmentMeta,
+        seed: &[Event],
+        events: &[Event],
+    ) -> StoreResult<()> {
         let path = path.as_ref();
-        let blocks = [
-            self.meta.to_bytes(),
-            encode_events(&self.seed),
-            encode_events(&self.events),
-        ];
+        let blocks = [meta.to_bytes(), encode_events(seed), encode_events(events)];
         let mut file_bytes = Vec::new();
         file_bytes.extend_from_slice(SEGMENT_MAGIC);
         let mut footer = Vec::with_capacity(FOOTER_LEN);
@@ -234,6 +237,10 @@ mod tests {
         dir
     }
 
+    fn write(seg: &Segment, path: &Path) {
+        Segment::write(path, &seg.meta, &seg.seed, &seg.events).unwrap();
+    }
+
     fn sample_segment() -> Segment {
         Segment {
             meta: SegmentMeta {
@@ -258,7 +265,7 @@ mod tests {
     fn round_trip() {
         let path = tmpdir("roundtrip").join("segment-00003.seg");
         let seg = sample_segment();
-        seg.write(&path).unwrap();
+        write(&seg, &path);
         assert_eq!(Segment::read(&path).unwrap(), seg);
         std::fs::remove_file(&path).ok();
     }
@@ -275,7 +282,7 @@ mod tests {
             events: vec![],
         };
         let path = dir.join("empty.seg");
-        empty.write(&path).unwrap();
+        write(&empty, &path);
         assert_eq!(Segment::read(&path).unwrap(), empty);
 
         let single = Segment {
@@ -287,7 +294,7 @@ mod tests {
             events: vec![Event::add_node(1, 1)],
         };
         let path = dir.join("single.seg");
-        single.write(&path).unwrap();
+        write(&single, &path);
         assert_eq!(Segment::read(&path).unwrap(), single);
     }
 
@@ -298,7 +305,7 @@ mod tests {
         // clear error, never a silently different segment.
         let path = tmpdir("flips").join("seg.seg");
         let seg = sample_segment();
-        seg.write(&path).unwrap();
+        write(&seg, &path);
         let original = std::fs::read(&path).unwrap();
         for i in 0..original.len() {
             let mut mutated = original.clone();
@@ -320,7 +327,7 @@ mod tests {
     fn truncated_file_is_rejected() {
         let path = tmpdir("trunc").join("seg.seg");
         let seg = sample_segment();
-        seg.write(&path).unwrap();
+        write(&seg, &path);
         let original = std::fs::read(&path).unwrap();
         for cut in [0, 1, SEGMENT_MAGIC.len(), original.len() - 1] {
             std::fs::write(&path, &original[..cut]).unwrap();

@@ -1,23 +1,21 @@
 //! # server — a concurrent TCP snapshot server speaking `histql`
 //!
-//! Std-only. The serving core ([`serve`] / [`serve_sharded`]) is
-//! **event-driven**: one reactor thread multiplexes every connection over a
+//! Std-only. The serving core ([`serve_sharded`]) is **event-driven**: one reactor thread multiplexes every connection over a
 //! readiness poller (`epoll` on linux, `poll` elsewhere — see the `epoll`
 //! shim crate) and a fixed worker pool executes parsed requests, so
 //! thousands of mostly-idle connections cost file descriptors, not OS
 //! threads.
 //!
-//! All sessions share one [`ShardedGraphManager`] router (a single shard
-//! when started through [`serve`]): snapshot computation runs under the
-//! owning shard's read lock so retrievals proceed concurrently, while
+//! All sessions share one [`ShardedGraphManager`] router (one shard or
+//! many): snapshot computation runs under the owning shard's read lock so retrievals proceed concurrently, while
 //! `APPEND` takes only the tail shard's write lock — live events flow in
 //! without contending with historical reads on other shards. Each
 //! connection owns a [`histql::Executor`], whose sharded session releases
 //! every overlay the connection created (on every shard it touched) when
 //! it disconnects, so a dropped client can never leak GraphPool bits.
 //!
-//! Point retrievals are served through the shared snapshot cache (when the
-//! [`SharedGraphManager`]'s manager was configured with one): sessions
+//! Point retrievals are served through the owning shard's snapshot cache
+//! (when the router's shards were configured with one): sessions
 //! asking for the same `(t, opts)` share one reference-counted pool
 //! overlay, and `RELEASE ALL` / disconnect drop only the session's own
 //! references. Hot `GET GRAPH AT` replies are additionally served through
@@ -58,7 +56,7 @@ use std::io::{self, BufRead};
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use historygraph::{ShardedGraphManager, SharedGraphManager};
+use historygraph::ShardedGraphManager;
 
 pub mod client;
 mod event;
@@ -181,18 +179,12 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Starts serving `shared` according to `config` on the event-driven core;
+/// Starts serving `router` according to `config` on the event-driven core;
 /// returns once the listener is bound, with the reactor and worker pool
-/// running in background threads.
-pub fn serve(shared: SharedGraphManager, config: ServerConfig) -> io::Result<ServerHandle> {
-    serve_sharded(ShardedGraphManager::single(shared), config)
-}
-
-/// Starts serving a time-range-sharded store on the event-driven core:
-/// every session's executor targets the router, so point queries land on
-/// the shard owning their time, multipoint queries fan out across shards
-/// in parallel, and `APPEND`s go to the tail shard without contending with
-/// historical reads. A single-shard router behaves exactly like [`serve`].
+/// running in background threads. Every session's executor targets the
+/// router, so point queries land on the shard owning their time,
+/// multipoint queries fan out across shards in parallel, and `APPEND`s go
+/// to the tail shard without contending with historical reads.
 pub fn serve_sharded(
     router: ShardedGraphManager,
     config: ServerConfig,
@@ -251,21 +243,21 @@ pub(crate) fn read_bounded_line(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use historygraph::{GraphManager, GraphManagerConfig};
+    use historygraph::{ShardedConfig, SharedGraphManager};
     use std::io::{BufReader, Write};
     use std::thread;
     use std::time::Instant;
     use tgraph::{AttrOptions, Timestamp};
 
+    /// A server over a one-shard router on the toy trace, plus that shard.
     fn start(max_connections: usize) -> (ServerHandle, SharedGraphManager) {
-        let gm = GraphManager::build_in_memory(
+        let router = ShardedGraphManager::build_in_memory(
             &datagen::toy_trace().events,
-            GraphManagerConfig::default(),
+            ShardedConfig::default(),
         )
         .unwrap();
-        let shared = SharedGraphManager::new(gm);
-        let handle = serve(
-            shared.clone(),
+        let handle = serve_sharded(
+            router.clone(),
             ServerConfig {
                 addr: "127.0.0.1:0".into(),
                 max_connections,
@@ -273,7 +265,7 @@ mod tests {
             },
         )
         .unwrap();
-        (handle, shared)
+        (handle, router.shard_at(0).unwrap())
     }
 
     #[test]
@@ -284,7 +276,9 @@ mod tests {
             .send("GET GRAPH AT 6 WITH +node:all+edge:all")
             .unwrap();
         let direct = shared
-            .snapshot_at(Timestamp(6), &AttrOptions::all())
+            .read()
+            .index()
+            .get_snapshot(Timestamp(6), &AttrOptions::all())
             .unwrap();
         let expected = histql::Response::Graph {
             t: Timestamp(6),
@@ -306,7 +300,9 @@ mod tests {
             panic!("expected a response frame")
         };
         let direct = shared
-            .snapshot_at(Timestamp(6), &AttrOptions::all())
+            .read()
+            .index()
+            .get_snapshot(Timestamp(6), &AttrOptions::all())
             .unwrap();
         let expected = histql::Response::Graph {
             t: Timestamp(6),

@@ -11,7 +11,7 @@
 
 use std::io::{self, BufRead, Write};
 
-use historygraph::{GraphManager, GraphManagerConfig, SharedGraphManager};
+use historygraph::{ShardedConfig, ShardedGraphManager};
 use histql::Executor;
 
 fn main() {
@@ -22,11 +22,10 @@ fn main() {
     } else {
         (historygraph::datagen::toy_trace().events, "toy trace")
     };
-    let gm = GraphManager::build_in_memory(&events, GraphManagerConfig::default())
+    let router = ShardedGraphManager::build_in_memory(&events, ShardedConfig::default())
         .expect("index construction");
-    let (start, end) = gm.index().history_range().expect("non-empty history");
-    let shared = SharedGraphManager::new(gm);
-    let mut executor = Executor::new(shared);
+    let (start, end) = router.history_range().expect("non-empty history");
+    let mut executor = Executor::for_router(router);
 
     println!("histql shell over a {label}: history [{start}, {end}]");
     println!("try: GET GRAPH AT {end} WITH +node:all+edge:all   (HELP for more, QUIT to exit)");

@@ -372,27 +372,28 @@ impl DurableState {
         let mut segment_bytes = 0u64;
         for (i, plan) in sealed.iter().enumerate() {
             let path = segment_path(dir, i as u64);
-            let seg = Segment {
-                meta: SegmentMeta {
-                    shard_index: i as u64,
-                    lower: plan.lower,
-                },
-                seed: plan.seed.clone(),
-                events: plan.events.clone(),
+            let meta = SegmentMeta {
+                shard_index: i as u64,
+                lower: plan.lower,
             };
-            retried(&mut retries, || Ok(seg.write(&path)?))?;
+            retried(&mut retries, || {
+                Ok(Segment::write(&path, &meta, &plan.seed, &plan.events)?)
+            })?;
             segment_bytes += std::fs::metadata(&path).map_err(io_err)?.len();
         }
-        let tailseed = Segment {
-            meta: SegmentMeta {
-                shard_index: tail_gen,
-                lower: tail.lower,
-            },
-            seed: tail.seed.clone(),
-            events: Vec::new(),
+        let tailseed_meta = SegmentMeta {
+            shard_index: tail_gen,
+            lower: tail.lower,
         };
         let tailseed_file = tailseed_path(dir, tail_gen);
-        retried(&mut retries, || Ok(tailseed.write(&tailseed_file)?))?;
+        retried(&mut retries, || {
+            Ok(Segment::write(
+                &tailseed_file,
+                &tailseed_meta,
+                &tail.seed,
+                &[],
+            )?)
+        })?;
         let mut wal = Wal::create(wal_path(dir, tail_gen), policy)?;
         for ev in &tail.events {
             wal.append(ev)?;
@@ -512,59 +513,18 @@ impl DurableState {
         }
     }
 
-    /// Appends one event record ahead of the in-memory apply. Returns the
-    /// rollback offset for [`DurableState::rollback`].
-    ///
-    /// Transient IO errors are retried (truncating any partial record back
-    /// first so the retry lands on a clean boundary). A fatal error rolls
-    /// the record back best-effort and flips the tail to read-only degraded
-    /// mode: this and every later append returns [`StoreError::Degraded`],
-    /// reads keep serving, and the process stays up.
-    pub fn append(&mut self, event: &Event) -> DgResult<u64> {
-        if let Some(reason) = &self.degraded {
-            return Err(DgError::Store(StoreError::Degraded(format!(
-                "tail shard is read-only: {reason}"
-            ))));
-        }
-        let before = self.wal.len();
-        let mut attempt = 0u32;
-        let err = loop {
-            match self.wal.append(event) {
-                Ok(off) => return Ok(off),
-                Err(e) => {
-                    let e = DgError::from(e);
-                    if attempt < MAX_IO_RETRIES && is_transient(&e) {
-                        attempt += 1;
-                        self.retries += 1;
-                        // A failed write may have left partial bytes; cut
-                        // back to the record boundary before retrying.
-                        if self.wal.truncate_to(before).is_err() {
-                            break e;
-                        }
-                        backoff(attempt);
-                    } else {
-                        break e;
-                    }
-                }
-            }
-        };
-        // Fatal: undo the partial record (best-effort — recovery repairs a
-        // torn tail anyway) and degrade instead of crashing.
-        self.wal.truncate_to(before).ok();
-        self.degraded = Some(err.to_string());
-        Err(DgError::Store(StoreError::Degraded(format!(
-            "tail append failed, shard now read-only: {err}"
-        ))))
-    }
-
-    /// Appends a whole batch write-ahead, as one unit: every record lands or
-    /// none do. Returns the batch's start offset — [`DurableState::rollback`]
-    /// with it removes the entire batch, never leaving a prefix on disk.
+    /// Appends events write-ahead of the in-memory apply, as one unit: every
+    /// record lands or none do. A single event is a one-record batch.
+    /// Returns the start offset — [`DurableState::rollback`] with it removes
+    /// the entire batch, never leaving a prefix on disk.
     ///
     /// Retry and degradation accounting is per *batch*, not per event: a
-    /// transient fault truncates back to the batch start, counts one retry,
-    /// and rewrites the whole batch; a fatal fault counts one degraded-mode
-    /// transition, exactly as a failed single append would.
+    /// transient fault truncates back to the batch start (dropping any
+    /// partial record), counts one retry, and rewrites the whole batch. A
+    /// fatal fault rolls the batch back best-effort and flips the tail to
+    /// read-only degraded mode: this and every later append returns
+    /// [`StoreError::Degraded`], reads keep serving, and the process stays
+    /// up.
     pub fn append_batch(&mut self, events: &[Event]) -> DgResult<u64> {
         if let Some(reason) = &self.degraded {
             return Err(DgError::Store(StoreError::Degraded(format!(
@@ -595,10 +555,15 @@ impl DurableState {
                 }
             }
         };
+        // Fatal: undo the partial batch (best-effort — recovery repairs a
+        // torn tail anyway) and degrade instead of crashing.
         self.wal.truncate_to(start).ok();
         self.degraded = Some(err.to_string());
+        // The error reaches clients verbatim; it names a batch only when
+        // there is one.
+        let what = if events.len() == 1 { "" } else { " batch" };
         Err(DgError::Store(StoreError::Degraded(format!(
-            "tail batch append failed, shard now read-only: {err}"
+            "tail{what} append failed, shard now read-only: {err}"
         ))))
     }
 
@@ -639,24 +604,29 @@ impl DurableState {
         let old_seed = Segment::read(tailseed_path(&self.dir, old_gen))?;
         let wal_events = read_wal_events(self.wal.path())?;
         let sealed_path = segment_path(&self.dir, old_gen);
-        let sealed = Segment {
-            meta: old_seed.meta,
-            seed: old_seed.seed,
-            events: wal_events,
-        };
-        retried(&mut retries, || Ok(sealed.write(&sealed_path)?))?;
+        retried(&mut retries, || {
+            Ok(Segment::write(
+                &sealed_path,
+                &old_seed.meta,
+                &old_seed.seed,
+                &wal_events,
+            )?)
+        })?;
         // 2–3. The new generation's tailseed and WAL (trigger event synced
         //      before the commit point so an acked roll survives a crash).
-        let new_tailseed = Segment {
-            meta: SegmentMeta {
-                shard_index: new_gen,
-                lower: Some(boundary),
-            },
-            seed: new_seed.to_vec(),
-            events: Vec::new(),
+        let new_meta = SegmentMeta {
+            shard_index: new_gen,
+            lower: Some(boundary),
         };
         let new_tailseed_path = tailseed_path(&self.dir, new_gen);
-        retried(&mut retries, || Ok(new_tailseed.write(&new_tailseed_path)?))?;
+        retried(&mut retries, || {
+            Ok(Segment::write(
+                &new_tailseed_path,
+                &new_meta,
+                new_seed,
+                &[],
+            )?)
+        })?;
         let new_wal_path = wal_path(&self.dir, new_gen);
         let policy = self.wal.policy();
         let mut new_wal = retried(&mut retries, || Ok(Wal::create(&new_wal_path, policy)?))?;
@@ -835,7 +805,7 @@ mod tests {
         let dir = tmpdir("roll");
         let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
         let mut st = DurableState::initialize(&dir, WalSyncPolicy::Always, &plans).unwrap();
-        st.append(&Event::add_node(2, 2)).unwrap();
+        st.append_batch(&[Event::add_node(2, 2)]).unwrap();
         let trigger = Event::add_node(5, 3);
         st.roll(
             Timestamp(5),
@@ -869,25 +839,25 @@ mod tests {
         // Simulate a crash after roll steps 1–3 but before the manifest
         // swap: the sealed segment and new generation exist on disk, but
         // the manifest still points at generation 0.
-        Segment {
-            meta: SegmentMeta {
+        Segment::write(
+            segment_path(&dir, 0),
+            &SegmentMeta {
                 shard_index: 0,
                 lower: None,
             },
-            seed: vec![],
-            events: vec![Event::add_node(1, 1)],
-        }
-        .write(segment_path(&dir, 0))
+            &[],
+            &[Event::add_node(1, 1)],
+        )
         .unwrap();
-        Segment {
-            meta: SegmentMeta {
+        Segment::write(
+            tailseed_path(&dir, 1),
+            &SegmentMeta {
                 shard_index: 1,
                 lower: Some(Timestamp(5)),
             },
-            seed: vec![Event::add_node(4, 1)],
-            events: vec![],
-        }
-        .write(tailseed_path(&dir, 1))
+            &[Event::add_node(4, 1)],
+            &[],
+        )
         .unwrap();
         Wal::create(wal_path(&dir, 1), WalSyncPolicy::Off)
             .unwrap()
@@ -925,12 +895,12 @@ mod tests {
             Some(1),
             Some(&scope),
         );
-        let err = st.append(&Event::add_node(2, 2)).unwrap_err();
+        let err = st.append_batch(&[Event::add_node(2, 2)]).unwrap_err();
         assert!(err.to_string().contains("DEGRADED"), "got: {err}");
         faults::clear("wal.append");
         // Degraded is sticky: even with the device healthy again, appends
         // are refused until a restart re-opens the directory.
-        let err = st.append(&Event::add_node(3, 3)).unwrap_err();
+        let err = st.append_batch(&[Event::add_node(3, 3)]).unwrap_err();
         assert!(err.to_string().contains("DEGRADED"), "got: {err}");
         assert!(st.is_degraded());
         assert!(st.sync().is_ok(), "shutdown sync is a no-op when degraded");
@@ -957,7 +927,7 @@ mod tests {
             Some(2),
             Some(&scope),
         );
-        st.append(&Event::add_node(2, 2))
+        st.append_batch(&[Event::add_node(2, 2)])
             .expect("transient faults retry through");
         assert!(st.retries() >= 2);
         assert!(!st.is_degraded());

@@ -25,12 +25,14 @@
 //! planning and I/O), and the query-manager duties of translating external
 //! keys to internal ids and attribute-option strings into typed options.
 //! On top of the facade sit [`SharedGraphManager`] (the concurrent
-//! read/write split used by the TCP server), the [`cache`] module's
-//! shared snapshot cache, which serves hot point retrievals from one
-//! reference-counted pool overlay shared across sessions, and the
-//! [`sharded`] module's [`ShardedGraphManager`]: a router over N
-//! time-range shards (each a complete `SharedGraphManager` with its own
-//! caches) so appends stop serializing against historical reads.
+//! read/write split of one shard), the [`cache`] module's shared snapshot
+//! cache, which serves hot point retrievals from one reference-counted
+//! pool overlay shared across sessions, and the [`sharded`] module's
+//! [`ShardedGraphManager`]: a router over N time-range shards (each a
+//! complete `SharedGraphManager` with its own caches) so appends stop
+//! serializing against historical reads. The router is the serving
+//! stack's only handle — the query executor and the TCP server take one,
+//! with a single shard or many.
 //!
 //! ```
 //! use historygraph::{GraphManager, GraphManagerConfig};

@@ -595,6 +595,34 @@ pub struct CacheOverview {
     pub response: ResponseCacheStats,
 }
 
+impl Encode for CacheOverview {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.capacity.encode(buf);
+        self.stats.encode(buf);
+        self.overlays.encode(buf);
+        self.entries.encode(buf);
+        self.response_capacity.encode(buf);
+        self.response_byte_budget.encode(buf);
+        self.response_entries.encode(buf);
+        self.response.encode(buf);
+    }
+}
+
+impl Decode for CacheOverview {
+    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
+        Ok(CacheOverview {
+            capacity: usize::decode(r)?,
+            stats: CacheStats::decode(r)?,
+            overlays: usize::decode(r)?,
+            entries: Vec::decode(r)?,
+            response_capacity: usize::decode(r)?,
+            response_byte_budget: u64::decode(r)?,
+            response_entries: usize::decode(r)?,
+            response: ResponseCacheStats::decode(r)?,
+        })
+    }
+}
+
 fn sum_cache_stats(into: &mut CacheStats, s: CacheStats) {
     into.hits += s.hits;
     into.misses += s.misses;
@@ -959,28 +987,10 @@ impl ShardedGraphManager {
         Ok(bounds)
     }
 
-    /// Wraps one existing shared manager as a single-shard router (no
-    /// boundaries, no rolling) — the compatibility path for callers built
-    /// around [`SharedGraphManager`]. The router cannot see how many
-    /// events the wrapped manager was built over, so `STATS SHARDS`
-    /// counts only events appended *through* the router.
-    pub fn single(shared: SharedGraphManager) -> Self {
-        ShardedGraphManager {
-            inner: Arc::new(Inner {
-                shards: RwLock::new(vec![Shard {
-                    cell: ShardCell::eager(shared),
-                    lower: None,
-                    events: AtomicUsize::new(0),
-                    queries: AtomicU64::new(0),
-                    appends: AtomicU64::new(0),
-                }]),
-                config: ShardedConfig::default(),
-                // Unreachable while shard_events is 0 (rolling disabled).
-                make_store: Box::new(|_| Arc::new(MemStore::new())),
-                storage: None,
-                keys: Mutex::new(Vec::new()),
-            }),
-        }
+    /// The configuration every shard is built with (for a recovered router,
+    /// the one passed to [`ShardedGraphManager::open`]).
+    pub fn config(&self) -> &ShardedConfig {
+        &self.inner.config
     }
 
     fn storage_guard(&self) -> Option<MutexGuard<'_, DurableState>> {
@@ -1115,22 +1125,6 @@ impl ShardedGraphManager {
         Ok((lo, shards[lo].shared(&self.inner)?))
     }
 
-    /// Whether the per-shard managers were configured with a snapshot cache.
-    pub fn cache_enabled(&self) -> bool {
-        match self.read_shards()[0].cell.peek() {
-            Some(shared) => shared.cache_enabled(),
-            None => self.inner.config.manager.snapshot_cache_capacity > 0,
-        }
-    }
-
-    /// Whether the per-shard managers were configured with a response cache.
-    pub fn response_cache_enabled(&self) -> bool {
-        match self.read_shards()[0].cell.peek() {
-            Some(shared) => shared.response_cache_enabled(),
-            None => self.inner.config.manager.response_cache_capacity > 0,
-        }
-    }
-
     // Note: there are deliberately no router-level response-cache get/put —
     // rendered bytes must be looked up and inserted on the *same* shard the
     // snapshot was retrieved from (see `ShardedSession::retrieve_cached_routed`).
@@ -1162,7 +1156,7 @@ impl ShardedGraphManager {
 
     /// Computes the snapshot as of `t` on the owning shard (no overlay).
     pub fn snapshot_at(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<Snapshot> {
-        self.shard_for(t)?.snapshot_at(t, opts)
+        self.shard_for(t)?.read().index().get_snapshot(t, opts)
     }
 
     /// Computes several snapshots, each on its owning shard, in request
@@ -1170,69 +1164,86 @@ impl ShardedGraphManager {
     /// multipoint planner together; distinct shards compute in parallel.
     /// No overlays are created.
     pub fn snapshots_at(&self, times: &[Timestamp], opts: &AttrOptions) -> DgResult<Vec<Snapshot>> {
-        let groups = self.group_by_shard(times);
-        for (shard, points) in &groups {
-            self.note_queries(*shard, points.len() as u64);
-        }
-        let mut slots: Vec<Option<Snapshot>> = times.iter().map(|_| None).collect();
-        if groups.len() <= 1 {
-            for (shard, points) in groups {
-                let ts: Vec<Timestamp> = points.iter().map(|&(_, t)| t).collect();
-                let snaps = self.shard_at(shard)?.snapshots_at(&ts, opts)?;
-                for ((pos, _), snap) in points.into_iter().zip(snaps) {
-                    slots[pos] = Some(snap);
+        // Sessions only carry each group's shard here: nothing is overlaid,
+        // so they hold no handles and release nothing when they drop.
+        self.fan_out(&mut HashMap::new(), times, |session, ts| {
+            session.shared().read().index().get_snapshots(ts, opts)
+        })
+    }
+
+    /// The multipoint fan-out. Groups `times` by owning shard (each point
+    /// counts as one query there) and makes sure `sessions` holds a session
+    /// on every group's shard — hydrating cold ones — before any is moved,
+    /// so a shard that fails to resolve costs nothing elsewhere. Then runs
+    /// `work` once per group with that group's times in request order (on
+    /// scoped threads when there is more than one group), puts every
+    /// session back whatever `work` returned — overlays acquired on a shard
+    /// that succeeded stay held even if another failed — and reassembles
+    /// the results by request position, regardless of completion order.
+    fn fan_out<T: Send>(
+        &self,
+        sessions: &mut HashMap<usize, PoolSession>,
+        times: &[Timestamp],
+        work: impl Fn(&mut PoolSession, &[Timestamp]) -> DgResult<Vec<T>> + Sync,
+    ) -> DgResult<Vec<T>> {
+        // Request positions grouped by owning shard, in order within each.
+        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        {
+            let shards = self.read_shards();
+            for (pos, &t) in times.iter().enumerate() {
+                let shard = shard_index_in(&shards, t);
+                match groups.iter_mut().find(|(s, _)| *s == shard) {
+                    Some((_, positions)) => positions.push(pos),
+                    None => groups.push((shard, vec![pos])),
                 }
             }
-        } else {
-            let mut tasks: Vec<(SharedGraphManager, Vec<(usize, Timestamp)>)> = Vec::new();
-            for (shard, points) in groups {
-                tasks.push((self.shard_at(shard)?, points));
+        }
+        for (shard, positions) in &groups {
+            self.note_queries(*shard, positions.len() as u64);
+        }
+        for (shard, _) in &groups {
+            if !sessions.contains_key(shard) {
+                sessions.insert(*shard, self.shard_at(*shard)?.session());
             }
-            let results: Vec<DgResult<Vec<(usize, Snapshot)>>> = thread::scope(|scope| {
+        }
+        let mut tasks: Vec<(PoolSession, Vec<Timestamp>)> = groups
+            .iter()
+            .map(|(shard, positions)| {
+                let session = sessions.remove(shard).expect("resolved above");
+                (session, positions.iter().map(|&pos| times[pos]).collect())
+            })
+            .collect();
+        let results: Vec<DgResult<Vec<T>>> = if tasks.len() <= 1 {
+            tasks
+                .iter_mut()
+                .map(|(session, ts)| work(session, ts))
+                .collect()
+        } else {
+            let work = &work;
+            thread::scope(|scope| {
                 let handles: Vec<_> = tasks
-                    .iter()
-                    .map(|(shared, points)| {
-                        scope.spawn(move || {
-                            let ts: Vec<Timestamp> = points.iter().map(|&(_, t)| t).collect();
-                            let snaps = shared.snapshots_at(&ts, opts)?;
-                            Ok(points
-                                .iter()
-                                .map(|&(pos, _)| pos)
-                                .zip(snaps)
-                                .collect::<Vec<_>>())
-                        })
-                    })
+                    .iter_mut()
+                    .map(|(session, ts)| scope.spawn(move || work(session, ts)))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("shard worker panicked"))
                     .collect()
-            });
-            for result in results {
-                for (pos, snap) in result? {
-                    slots[pos] = Some(snap);
-                }
+            })
+        };
+        for ((shard, _), (session, _)) in groups.iter().zip(tasks) {
+            sessions.insert(*shard, session);
+        }
+        let mut slots: Vec<Option<T>> = times.iter().map(|_| None).collect();
+        for ((_, positions), result) in groups.iter().zip(results) {
+            for (&pos, item) in positions.iter().zip(result?) {
+                slots[pos] = Some(item);
             }
         }
         Ok(slots
             .into_iter()
-            .map(|s| s.expect("every requested point computed"))
+            .map(|s| s.expect("every requested point resolved"))
             .collect())
-    }
-
-    /// Groups request positions by owning shard, preserving request order
-    /// within each group.
-    fn group_by_shard(&self, times: &[Timestamp]) -> Vec<(usize, Vec<(usize, Timestamp)>)> {
-        let shards = self.read_shards();
-        let mut groups: Vec<(usize, Vec<(usize, Timestamp)>)> = Vec::new();
-        for (pos, &t) in times.iter().enumerate() {
-            let shard = shard_index_in(&shards, t);
-            match groups.iter_mut().find(|(s, _)| *s == shard) {
-                Some((_, points)) => points.push((pos, t)),
-                None => groups.push((shard, vec![(pos, t)])),
-            }
-        }
-        groups
     }
 
     /// Appends one live event to the tail shard; `build` constructs the
@@ -1240,42 +1251,11 @@ impl ShardedGraphManager {
     /// apply it (attribute appends read the *old* value from it). Rolls a
     /// new tail shard first when the event budget is exceeded and the event
     /// is strictly later than everything the tail holds.
-    pub fn append_with(&self, build: impl Fn(&Snapshot) -> Event) -> DgResult<Event> {
-        // Fast path under the router's shared lock: rolls are excluded, and
-        // concurrent appenders serialize only on the tail's own write lock.
-        {
-            let shards = self.read_shards();
-            let tail = shards.last().expect("at least one shard");
-            let shared = tail.shared(&self.inner)?; // first post-recovery append hydrates
-            let mut gm = shared.write();
-            let event = build(gm.index().current_graph());
-            check_tail_range(tail, &event)?;
-            if !self.wants_roll(tail, &gm, &event) {
-                let (expanded, normalized) = gm.expand_event(event.clone())?;
-                let outcome = self.apply_tail_prepared(&mut gm, &expanded, normalized)?;
-                note_tail_appends(tail, outcome.applied);
-                return Ok(event);
-            }
-        }
-        // Roll path under the exclusive router lock; the decision is re-run
-        // because another appender may have rolled in between.
-        let mut shards = self.write_shards();
-        let tail = shards.last().expect("at least one shard");
-        let shared = tail.shared(&self.inner)?;
-        let mut gm = shared.write();
-        let event = build(gm.index().current_graph());
-        check_tail_range(tail, &event)?;
-        if !self.wants_roll(tail, &gm, &event) {
-            let (expanded, normalized) = gm.expand_event(event.clone())?;
-            let outcome = self.apply_tail_prepared(&mut gm, &expanded, normalized)?;
-            note_tail_appends(tail, outcome.applied);
-            return Ok(event);
-        }
-        // The §3.1 boundary runs before the roll so the new shard (and its
-        // durable WAL) records the normalized, well-formed sequence.
-        let (expanded, _normalized) = gm.expand_event(event.clone())?;
-        self.roll_tail(&mut shards, gm, &expanded)?;
-        Ok(event)
+    pub fn append_with(&self, build: impl Fn(&Snapshot) -> Event) -> DgResult<BatchOutcome> {
+        self.append_prepared(
+            |current| vec![build(current)],
+            |gm, mut events| gm.expand_event(events.pop().expect("one event built")),
+        )
     }
 
     /// Appends a ready-made event (no old-value lookup needed).
@@ -1295,56 +1275,71 @@ impl ShardedGraphManager {
         &self,
         build: impl Fn(&Snapshot) -> Vec<Event>,
     ) -> DgResult<BatchOutcome> {
-        // Fast path under the router's shared lock, mirroring `append_with`.
-        {
-            let shards = self.read_shards();
-            let tail = shards.last().expect("at least one shard");
-            let shared = tail.shared(&self.inner)?;
-            let mut gm = shared.write();
-            let events = build(gm.index().current_graph());
-            let first = first_of_batch(&events)?;
-            for ev in &events {
-                check_tail_range(tail, ev)?;
-            }
-            if !self.wants_roll(tail, &gm, &first) {
-                let (expanded, normalized) = gm.prepare_batch(events)?;
-                let outcome = self.apply_tail_prepared(&mut gm, &expanded, normalized)?;
-                note_tail_appends(tail, outcome.applied);
-                return Ok(outcome);
-            }
-        }
-        // Roll path under the exclusive router lock.
-        let mut shards = self.write_shards();
-        let tail = shards.last().expect("at least one shard");
-        let shared = tail.shared(&self.inner)?;
-        let mut gm = shared.write();
-        let events = build(gm.index().current_graph());
-        let first = first_of_batch(&events)?;
-        for ev in &events {
-            check_tail_range(tail, ev)?;
-        }
-        if !self.wants_roll(tail, &gm, &first) {
-            let (expanded, normalized) = gm.prepare_batch(events)?;
-            let outcome = self.apply_tail_prepared(&mut gm, &expanded, normalized)?;
-            note_tail_appends(tail, outcome.applied);
-            return Ok(outcome);
-        }
-        // One roll for the whole batch: every event (normalization included)
-        // lands in the fresh tail shard.
-        let (expanded, normalized) = gm.prepare_batch(events)?;
-        self.roll_tail(&mut shards, gm, &expanded)?;
-        Ok(BatchOutcome {
-            applied: expanded.len(),
-            normalized,
-            t_min: expanded.first().expect("non-empty batch").time,
-            t_max: expanded.last().expect("non-empty batch").time,
-        })
+        self.append_prepared(build, |gm, events| gm.prepare_batch(events))
     }
 
     /// Appends a ready-made batch atomically (see
     /// [`ShardedGraphManager::append_batch_with`]).
     pub fn append_batch(&self, events: Vec<Event>) -> DgResult<BatchOutcome> {
         self.append_batch_with(|_| events.clone())
+    }
+
+    /// The one append body behind both verbs, which differ only in
+    /// `prepare` — the §3.1 boundary that turns the built events into the
+    /// sequence to apply (one event expanded, or a batch validated as a
+    /// unit). Under the tail's write lock: build the events against its
+    /// current graph, check them against its range, decide on a roll from
+    /// the first event, prepare, then apply — or roll a new tail whose first
+    /// contents are the prepared sequence, so the new shard (and its
+    /// durable WAL) records the normalized, well-formed stream. The whole
+    /// sequence lands in one shard.
+    ///
+    /// The first pass runs under the router's shared lock, where rolls are
+    /// excluded and concurrent appenders serialize only on the tail's own
+    /// write lock. A roll needs the exclusive lock; the pass is then re-run
+    /// under it, because another appender may have rolled in between.
+    fn append_prepared(
+        &self,
+        build: impl Fn(&Snapshot) -> Vec<Event>,
+        prepare: impl Fn(&GraphManager, Vec<Event>) -> DgResult<(Vec<Event>, usize)>,
+    ) -> DgResult<BatchOutcome> {
+        let mut exclusive = None;
+        loop {
+            let shared_lock = exclusive.is_none().then(|| self.read_shards());
+            let shards = shared_lock
+                .as_deref()
+                .or(exclusive.as_deref())
+                .expect("one router lock is held");
+            let tail = shards.last().expect("at least one shard");
+            let shared = tail.shared(&self.inner)?; // first post-recovery append hydrates
+            let mut gm = shared.write();
+            let events = build(gm.index().current_graph());
+            for ev in &events {
+                check_tail_range(tail, ev)?;
+            }
+            // An empty batch never rolls; `prepare` refuses it.
+            let roll = events
+                .first()
+                .is_some_and(|first| self.wants_roll(tail, &gm, first));
+            if roll && exclusive.is_none() {
+                drop(gm);
+                drop(shared_lock);
+                exclusive = Some(self.write_shards());
+                continue;
+            }
+            let (expanded, normalized) = prepare(&gm, events)?;
+            if !roll {
+                return self.apply_tail_prepared(tail, &mut gm, &expanded, normalized);
+            }
+            let mut shards = exclusive.expect("a roll holds the exclusive lock");
+            self.roll_tail(&mut shards, gm, &expanded)?;
+            return Ok(BatchOutcome {
+                applied: expanded.len(),
+                normalized,
+                t_min: expanded.first().expect("non-empty sequence").time,
+                t_max: expanded.last().expect("non-empty sequence").time,
+            });
+        }
     }
 
     /// Rolls a new tail shard whose first contents are `expanded` (an
@@ -1398,37 +1393,40 @@ impl ShardedGraphManager {
     }
 
     /// Applies an already-expanded event sequence to the tail manager,
-    /// writing it ahead to the WAL first when the router is durable — the
-    /// WAL therefore always records the normalized, well-formed stream that
-    /// recovery rebuilds from. If the in-memory apply rejects the sequence,
-    /// the WAL records are rolled back to the sequence's start offset so
-    /// recovery never replays a refused event or a batch prefix (a crash
-    /// inside this window is healed by [`ShardedGraphManager::open`]'s
-    /// drop-last-record retry).
+    /// writing it ahead to the WAL first (as one unit) when the router is
+    /// durable — the WAL therefore always records the normalized,
+    /// well-formed stream that recovery rebuilds from. If the in-memory
+    /// apply rejects the sequence, the WAL records are rolled back to the
+    /// sequence's start offset so recovery never replays a refused event or
+    /// a batch prefix (a crash inside this window is healed by
+    /// [`ShardedGraphManager::open`]'s drop-last-record retry). The applied
+    /// events count against the tail's roll budget and `appends` counter —
+    /// events, not requests; the request-level view lives in the per-verb
+    /// histograms.
     fn apply_tail_prepared(
         &self,
+        tail: &Shard,
         gm: &mut GraphManager,
         expanded: &[Event],
         normalized: usize,
     ) -> DgResult<BatchOutcome> {
-        match self.storage_guard() {
+        let outcome = match self.storage_guard() {
             Some(mut st) => {
-                // Single events keep the per-record write (and its
-                // accounting); batches go write-ahead as one unit.
-                let offset = match expanded {
-                    [single] => st.append(single)?,
-                    many => st.append_batch(many)?,
-                };
+                let offset = st.append_batch(expanded)?;
                 match gm.apply_prepared(expanded, normalized) {
-                    Ok(outcome) => Ok(outcome),
+                    Ok(outcome) => outcome,
                     Err(e) => {
                         st.rollback(offset)?;
-                        Err(e)
+                        return Err(e);
                     }
                 }
             }
-            None => gm.apply_prepared(expanded, normalized),
-        }
+            None => gm.apply_prepared(expanded, normalized)?,
+        };
+        tail.events.fetch_add(outcome.applied, Ordering::Relaxed);
+        tail.appends
+            .fetch_add(outcome.applied as u64, Ordering::Relaxed);
+        Ok(outcome)
     }
 
     fn wants_roll(&self, tail: &Shard, gm: &GraphManager, event: &Event) -> bool {
@@ -1474,26 +1472,19 @@ impl ShardedGraphManager {
         }
     }
 
-    /// Resolves an application key (the table is identical on every shard).
+    /// Resolves an application key from the router's registry (the table
+    /// every shard replays).
     pub fn resolve_key(&self, key: &str) -> Option<tgraph::NodeId> {
-        let shards = self.read_shards();
-        {
-            let keys = self
-                .inner
-                .keys
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            // Latest registration wins, matching the managers' table.
-            if let Some(&(_, node)) = keys.iter().rev().find(|(k, _)| k == key) {
-                return Some(node);
-            }
-        }
-        // Keys registered on a wrapped manager before `single()` took it
-        // are only in the manager's own table.
-        shards[0]
-            .cell
-            .peek()
-            .and_then(|shared| shared.read().resolve_key(key))
+        let keys = self
+            .inner
+            .keys
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Latest registration wins, matching the managers' table.
+        keys.iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|&(_, node)| node)
     }
 
     /// Per-shard serving statistics, in time order (tail last). Never
@@ -1604,33 +1595,16 @@ impl ShardedGraphManager {
     /// `(t, opts)`; capacities are per shard.
     pub fn cache_overview(&self) -> CacheOverview {
         let shards = self.read_shards();
-        // Capacities from the built first shard when there is one (the
-        // `single()` wrapper may carry a config the router never saw),
-        // otherwise from the router config the cold shards will build with.
-        let mut overview = match shards[0].cell.peek() {
-            Some(shared) => {
-                let gm = shared.read();
-                CacheOverview {
-                    capacity: gm.cache_capacity(),
-                    stats: CacheStats::default(),
-                    overlays: 0,
-                    entries: Vec::new(),
-                    response_capacity: gm.response_cache_capacity(),
-                    response_byte_budget: gm.response_cache_byte_budget(),
-                    response_entries: 0,
-                    response: ResponseCacheStats::default(),
-                }
-            }
-            None => CacheOverview {
-                capacity: self.inner.config.manager.snapshot_cache_capacity,
-                stats: CacheStats::default(),
-                overlays: 0,
-                entries: Vec::new(),
-                response_capacity: self.inner.config.manager.response_cache_capacity,
-                response_byte_budget: self.inner.config.manager.response_cache_bytes,
-                response_entries: 0,
-                response: ResponseCacheStats::default(),
-            },
+        let config = &self.inner.config.manager;
+        let mut overview = CacheOverview {
+            capacity: config.snapshot_cache_capacity,
+            stats: CacheStats::default(),
+            overlays: 0,
+            entries: Vec::new(),
+            response_capacity: config.response_cache_capacity,
+            response_byte_budget: config.response_cache_bytes,
+            response_entries: 0,
+            response: ResponseCacheStats::default(),
         };
         for shard in shards.iter() {
             // A cold shard has empty caches and no overlays: contributes
@@ -1684,23 +1658,6 @@ fn check_tail_range(tail: &Shard, event: &Event) -> DgResult<()> {
     Ok(())
 }
 
-/// The first event of a batch, which anchors the roll decision; rejects the
-/// empty batch with the same error the manager boundary would.
-fn first_of_batch(events: &[Event]) -> DgResult<Event> {
-    events.first().cloned().ok_or_else(|| {
-        DgError::InvalidParameter("an APPEND BATCH must contain at least one event".into())
-    })
-}
-
-/// Records `applied` events (normalization included) against the tail's
-/// roll budget and its `appends` skew counter — the counters deliberately
-/// track events applied, not requests served; the request-level view lives
-/// in the per-verb histograms.
-fn note_tail_appends(tail: &Shard, applied: usize) {
-    tail.events.fetch_add(applied, Ordering::Relaxed);
-    tail.appends.fetch_add(applied as u64, Ordering::Relaxed);
-}
-
 /// A session over the router: one lazily created [`PoolSession`] per shard
 /// the session touches. Dropping it releases every overlay on every shard.
 pub struct ShardedSession {
@@ -1715,27 +1672,27 @@ pub struct ShardedSession {
 /// cannot evict the hot set.
 fn shard_multipoint(
     session: &mut PoolSession,
-    points: &[(usize, Timestamp)],
+    times: &[Timestamp],
     opts: &AttrOptions,
-) -> DgResult<Vec<(usize, Arc<Snapshot>)>> {
-    let mut out: Vec<(usize, Option<Arc<Snapshot>>)> = points
+) -> DgResult<Vec<Arc<Snapshot>>> {
+    let mut out: Vec<Option<Arc<Snapshot>>> = times
         .iter()
-        .map(|&(pos, t)| (pos, session.acquire_cached(t, opts)))
+        .map(|&t| session.acquire_cached(t, opts))
         .collect();
     let missing: Vec<Timestamp> = out
         .iter()
-        .zip(points)
-        .filter(|((_, snap), _)| snap.is_none())
-        .map(|(_, &(_, t))| t)
+        .zip(times)
+        .filter(|(snap, _)| snap.is_none())
+        .map(|(_, &t)| t)
         .collect();
     if !missing.is_empty() {
-        let snaps = session.shared().snapshots_at(&missing, opts)?;
+        let snaps = session
+            .shared()
+            .read()
+            .index()
+            .get_snapshots(&missing, opts)?;
         let mut computed = snaps.into_iter();
-        for ((_, slot), &(_, t)) in out
-            .iter_mut()
-            .zip(points)
-            .filter(|((_, snap), _)| snap.is_none())
-        {
+        for (slot, &t) in out.iter_mut().zip(times).filter(|(snap, _)| snap.is_none()) {
             let snapshot = Arc::new(computed.next().expect("one snapshot per miss"));
             session.overlay(&snapshot, t);
             *slot = Some(snapshot);
@@ -1743,7 +1700,7 @@ fn shard_multipoint(
     }
     Ok(out
         .into_iter()
-        .map(|(pos, snap)| (pos, snap.expect("every slot filled")))
+        .map(|snap| snap.expect("every slot filled"))
         .collect())
 }
 
@@ -1851,65 +1808,10 @@ impl ShardedSession {
         times: &[Timestamp],
         opts: &AttrOptions,
     ) -> DgResult<Vec<Arc<Snapshot>>> {
-        let groups = self.router.group_by_shard(times);
-        for (shard, points) in &groups {
-            self.router.note_queries(*shard, points.len() as u64);
-        }
-        let mut slots: Vec<Option<Arc<Snapshot>>> = times.iter().map(|_| None).collect();
-        if groups.len() <= 1 {
-            for (shard, points) in groups {
-                for (pos, snap) in shard_multipoint(self.session_for(shard)?, &points, opts)? {
-                    slots[pos] = Some(snap);
-                }
-            }
-        } else {
-            // Fan out: move each shard's PoolSession into a scoped worker,
-            // then put them back — overlays acquired by a shard that
-            // succeeded are retained (and released with the session) even
-            // if another shard failed.
-            type ShardTask = (usize, PoolSession, Vec<(usize, Timestamp)>);
-            let mut tasks: Vec<ShardTask> = Vec::new();
-            for (shard, points) in groups {
-                self.session_for(shard)?; // ensure it exists
-                let session = self.sessions.remove(&shard).expect("just created");
-                tasks.push((shard, session, points));
-            }
-            type ShardResult = DgResult<Vec<(usize, Arc<Snapshot>)>>;
-            let results: Vec<ShardResult> = thread::scope(|scope| {
-                let handles: Vec<_> = tasks
-                    .iter_mut()
-                    .map(|(_, session, points)| {
-                        let points = &*points;
-                        scope.spawn(move || shard_multipoint(session, points, opts))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-            for (shard, session, _) in tasks {
-                self.sessions.insert(shard, session);
-            }
-            let mut first_err = None;
-            for result in results {
-                match result {
-                    Ok(items) => {
-                        for (pos, snap) in items {
-                            slots[pos] = Some(snap);
-                        }
-                    }
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-            }
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every requested point resolved"))
-            .collect())
+        self.router
+            .fan_out(&mut self.sessions, times, |session, ts| {
+                shard_multipoint(session, ts, opts)
+            })
     }
 
     /// Interval retrieval on the single shard covering `[start, end)`; the
@@ -1923,7 +1825,10 @@ impl ShardedSession {
         let max = if end > start { end.prev() } else { start };
         let (shard, shared) = self.router.covering_shard(start.min(max), start.max(max))?;
         self.router.note_queries(shard, 1);
-        let (graph, transients) = shared.snapshot_interval(start, end, opts)?;
+        let (graph, transients) = shared
+            .read()
+            .index()
+            .get_snapshot_interval(start, end, opts)?;
         self.session_for(shard)?.overlay(&graph, start);
         Ok((graph, transients))
     }
@@ -1940,7 +1845,7 @@ impl ShardedSession {
         let max = tex.times.iter().copied().max().unwrap_or(anchor);
         let (shard, shared) = self.router.covering_shard(min, max)?;
         self.router.note_queries(shard, 1);
-        let graph = shared.snapshot_expr(tex, opts)?;
+        let graph = shared.read().index().get_time_expression(tex, opts)?;
         self.session_for(shard)?.overlay(&graph, anchor);
         Ok(graph)
     }
@@ -1967,7 +1872,7 @@ impl ShardedSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datagen::{churn_trace, toy_trace, ChurnConfig};
+    use datagen::{churn_trace, ChurnConfig};
 
     /// 60 nodes appearing at t = 1..=60, so shard contents are predictable.
     fn linear_trace() -> EventList {
@@ -1992,13 +1897,12 @@ mod tests {
     fn sharded_snapshots_match_single_manager() {
         let events = linear_trace();
         let single = GraphManager::build_in_memory(&events, GraphManagerConfig::default()).unwrap();
-        let single = SharedGraphManager::new(single);
         for shards in [1, 2, 3, 5] {
             let sharded = router(shards);
             assert!(sharded.shard_count() >= 1 && sharded.shard_count() <= shards);
             for t in [0i64, 1, 15, 20, 21, 40, 41, 59, 60, 99] {
                 let opts = AttrOptions::all();
-                let want = single.snapshot_at(Timestamp(t), &opts).unwrap();
+                let want = single.index().get_snapshot(Timestamp(t), &opts).unwrap();
                 let got = sharded.snapshot_at(Timestamp(t), &opts).unwrap();
                 assert_eq!(got, want, "shards={shards} t={t}");
             }
@@ -2293,9 +2197,8 @@ mod tests {
     #[test]
     fn churn_trace_equivalence_with_appends() {
         let ds = churn_trace(&ChurnConfig::tiny(424));
-        let single =
+        let mut single =
             GraphManager::build_in_memory(&ds.events, GraphManagerConfig::default()).unwrap();
-        let single = SharedGraphManager::new(single);
         let sharded = ShardedGraphManager::build_in_memory(
             &ds.events,
             ShardedConfig::default().with_shards(4).with_shard_events(8),
@@ -2317,30 +2220,10 @@ mod tests {
         ] {
             assert_eq!(
                 sharded.snapshot_at(Timestamp(t), &opts).unwrap(),
-                single.snapshot_at(Timestamp(t), &opts).unwrap(),
+                single.index().get_snapshot(Timestamp(t), &opts).unwrap(),
                 "t={t}"
             );
         }
-    }
-
-    #[test]
-    fn single_wrapping_preserves_shared_manager_behavior() {
-        let gm = GraphManager::build_in_memory(
-            &toy_trace().events,
-            GraphManagerConfig::default().with_snapshot_cache(8),
-        )
-        .unwrap();
-        let shared = SharedGraphManager::new(gm);
-        let sharded = ShardedGraphManager::single(shared.clone());
-        assert_eq!(sharded.shard_count(), 1);
-        assert!(sharded.cache_enabled());
-        let mut session = sharded.session();
-        let point = session
-            .retrieve_cached(Timestamp(6), &AttrOptions::all())
-            .unwrap();
-        assert!(!point.cache_hit);
-        // The wrapped handle and the router see the same manager.
-        assert_eq!(shared.read().cache_len(), 1);
     }
 
     #[test]
@@ -2849,6 +2732,71 @@ mod tests {
                 .append(&Event::add_node(61 + i as i64, 1001 + i as u64))
                 .unwrap();
         }
+    }
+
+    #[test]
+    fn a_failed_fan_out_keeps_the_sessions_overlays_on_other_shards() {
+        let dir = durable_dir("fanout-keep");
+        let config = ShardedConfig::default()
+            .with_shards(2)
+            .with_manager(GraphManagerConfig::default().with_snapshot_cache(8));
+        drop(
+            ShardedGraphManager::build_durable(
+                &linear_trace(),
+                config.clone(),
+                &dir,
+                WalSyncPolicy::Always,
+            )
+            .unwrap(),
+        );
+        // Two refused records quarantine the tail on its first touch.
+        poison_tail_wal(&dir, 2);
+        let opened = ShardedGraphManager::open(&dir, config, WalSyncPolicy::Always).unwrap();
+        let opts = AttrOptions::all();
+        let mut session = opened.session();
+        session.retrieve_cached(Timestamp(10), &opts).unwrap();
+        let held = session.handles();
+        let refs = || opened.shard_at(0).unwrap().read().pool().refcount(held[0]);
+        let before = refs();
+        assert_eq!(before, Some(2), "the cache's reference plus the session's");
+        // Shard 0 resolves, the quarantined tail does not: the query fails
+        // and the overlay the session already held on shard 0 must survive.
+        let err = session
+            .get_graphs_at(&[Timestamp(10), Timestamp(61)], &opts)
+            .unwrap_err();
+        assert!(matches!(err, DgError::ShardQuarantined { .. }), "{err}");
+        assert_eq!(session.handles(), held);
+        assert_eq!(refs(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_one_event_batch_writes_ahead_exactly_like_an_append() {
+        let run = |name: &str, batch: bool| {
+            let dir = durable_dir(name);
+            let router = ShardedGraphManager::build_durable(
+                &linear_trace(),
+                ShardedConfig::default().with_shards(2),
+                &dir,
+                WalSyncPolicy::Always,
+            )
+            .unwrap();
+            let before = router.storage_info();
+            let event = Event::add_node(61, 9001);
+            if batch {
+                router.append_batch_with(|_| vec![event.clone()]).unwrap();
+            } else {
+                router.append_with(|_| event.clone()).unwrap();
+            }
+            let info = router.storage_info();
+            assert_eq!(info.wal_appends, before.wal_appends + 1);
+            assert_eq!(info.wal_fsyncs, before.wal_fsyncs + 1);
+            let wal = std::fs::read(tail_wal(&dir)).unwrap();
+            drop(router);
+            std::fs::remove_dir_all(&dir).ok();
+            (wal, info)
+        };
+        assert_eq!(run("wal-append", false), run("wal-batch", true));
     }
 
     #[test]

@@ -16,21 +16,15 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use deltagraph::DgResult;
 use graphpool::GraphId;
-use tgraph::{AttrOptions, Event, Snapshot, TimeExpression, Timestamp};
+use tgraph::{AttrOptions, Snapshot, Timestamp};
 
-use crate::cache::CacheStats;
 use crate::manager::GraphManager;
-use crate::response_cache::{ResponseCacheStats, WireFormat};
+use crate::response_cache::WireFormat;
 
 /// A cloneable, thread-safe handle to one [`GraphManager`].
 #[derive(Clone)]
 pub struct SharedGraphManager {
     inner: Arc<RwLock<GraphManager>>,
-    /// Snapshot-cache capacity, copied out at wrap time (it is immutable
-    /// config) so the disabled-cache fast path never touches the lock.
-    cache_capacity: usize,
-    /// Response-cache capacity, copied out for the same reason.
-    response_cache_capacity: usize,
 }
 
 // GraphManager must stay usable across threads for the server; assert it here
@@ -43,18 +37,9 @@ const _: fn() = || {
 impl SharedGraphManager {
     /// Wraps a manager for shared use.
     pub fn new(manager: GraphManager) -> Self {
-        let cache_capacity = manager.cache_capacity();
-        let response_cache_capacity = manager.response_cache_capacity();
         SharedGraphManager {
             inner: Arc::new(RwLock::new(manager)),
-            cache_capacity,
-            response_cache_capacity,
         }
-    }
-
-    /// Whether the manager was configured with a snapshot cache.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache_capacity > 0
     }
 
     /// Whether two handles wrap the *same* underlying manager. Epoch values
@@ -65,30 +50,19 @@ impl SharedGraphManager {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Whether the manager was configured with a rendered-response cache.
-    pub fn response_cache_enabled(&self) -> bool {
-        self.response_cache_capacity > 0
-    }
-
     /// Pre-framed reply lookup (see
-    /// [`GraphManager::response_cache_get`]). Takes the write lock briefly
-    /// on an enabled cache; with it disabled this returns `None` without
-    /// locking at all.
+    /// [`GraphManager::response_cache_get`]) under a brief write lock.
     pub fn response_cache_get(
         &self,
         t: Timestamp,
         opts: &AttrOptions,
         format: WireFormat,
     ) -> Option<Arc<[u8]>> {
-        if !self.response_cache_enabled() {
-            return None;
-        }
         self.write().response_cache_get(t, opts, format)
     }
 
     /// Caches a freshly framed reply under the append-epoch guard (see
-    /// [`GraphManager::response_cache_put`]). A no-op with the cache
-    /// disabled.
+    /// [`GraphManager::response_cache_put`]).
     pub fn response_cache_put(
         &self,
         t: Timestamp,
@@ -97,16 +71,8 @@ impl SharedGraphManager {
         bytes: Arc<[u8]>,
         computed_at_epoch: u64,
     ) -> bool {
-        if !self.response_cache_enabled() {
-            return false;
-        }
         self.write()
             .response_cache_put(t, opts, format, bytes, computed_at_epoch)
-    }
-
-    /// The response cache's behavior counters.
-    pub fn response_cache_stats(&self) -> ResponseCacheStats {
-        self.read().response_cache_stats()
     }
 
     /// Shared read access. Snapshot computation through
@@ -120,54 +86,12 @@ impl SharedGraphManager {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Computes the snapshot as of `t` under the read lock (no overlay).
-    pub fn snapshot_at(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<Snapshot> {
-        self.read().index().get_snapshot(t, opts)
-    }
-
-    /// Computes several snapshots through the Steiner-tree planner under the
-    /// read lock (no overlays).
-    pub fn snapshots_at(&self, times: &[Timestamp], opts: &AttrOptions) -> DgResult<Vec<Snapshot>> {
-        self.read().index().get_snapshots(times, opts)
-    }
-
-    /// Computes the interval graph over `[start, end)` plus its transient
-    /// events under the read lock.
-    pub fn snapshot_interval(
-        &self,
-        start: Timestamp,
-        end: Timestamp,
-        opts: &AttrOptions,
-    ) -> DgResult<(Snapshot, Vec<Event>)> {
-        self.read().index().get_snapshot_interval(start, end, opts)
-    }
-
-    /// Evaluates a Boolean time expression under the read lock.
-    pub fn snapshot_expr(&self, expr: &TimeExpression, opts: &AttrOptions) -> DgResult<Snapshot> {
-        self.read().index().get_time_expression(expr, opts)
-    }
-
-    /// Appends a live event under the write lock. Cached snapshots at or
-    /// after the event's time are invalidated as part of the append.
-    pub fn append_event(&self, event: Event) -> DgResult<()> {
-        self.write().append_event(event)
-    }
-
-    /// The snapshot cache's behavior counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.read().cache_stats()
-    }
-
     /// Read-only probe of the shared snapshot cache: the cached snapshot for
     /// `(t, opts)` if present, without touching overlay references. `None`
     /// on a miss — the caller computes the snapshot itself (and decides
     /// whether that result is worth caching). Takes the write lock briefly
-    /// (LRU and hit counters move on a hit); with the cache disabled it
-    /// returns `None` without locking at all.
+    /// (LRU and hit counters move on a hit).
     pub fn peek_cached(&self, t: Timestamp, opts: &AttrOptions) -> Option<Arc<Snapshot>> {
-        if !self.cache_enabled() {
-            return None;
-        }
         self.write().cache_peek(t, opts)
     }
 
@@ -221,25 +145,10 @@ impl PoolSession {
     /// re-probe in between so two sessions racing on the same `(t, opts)`
     /// still end up sharing one overlay. Either way the handle is recorded
     /// against this session and released (one reference) when the session
-    /// drops. With the cache disabled (capacity 0) this is exactly the old
-    /// compute-then-overlay path.
+    /// drops. With the cache disabled (capacity 0) both probes miss without
+    /// counting and the insert declines, leaving a plain session-owned
+    /// overlay.
     pub fn retrieve_cached(&mut self, t: Timestamp, opts: &AttrOptions) -> DgResult<CachedPoint> {
-        if !self.shared.cache_enabled() {
-            // Plain path, exactly as before the cache existed: compute under
-            // the read lock, overlay under the write lock, no extra probes.
-            let (snapshot, epoch) = {
-                let gm = self.shared.read();
-                let snapshot = Arc::new(gm.index().get_snapshot(t, opts)?);
-                (snapshot, gm.append_epoch())
-            };
-            let id = self.shared.write().overlay_snapshot(&snapshot, t);
-            self.handles.push(id);
-            return Ok(CachedPoint {
-                snapshot,
-                cache_hit: false,
-                epoch,
-            });
-        }
         // Fast path: a hit is a refcount bump under a brief write lock. The
         // epoch is read under the same guard — a cached entry is always
         // consistent with the epoch observed while holding the lock,
@@ -296,17 +205,13 @@ impl PoolSession {
     /// overlay (its reference count goes up) and the materialized snapshot
     /// is returned; on a miss nothing is computed or inserted — the caller
     /// retrieves however it prefers (e.g. the Steiner multipoint planner).
-    /// Hits and misses both count toward the cache statistics. `None`
-    /// without locking when the cache is disabled.
+    /// Hits and misses both count toward the cache statistics.
     ///
     /// This is the probe half of [`PoolSession::retrieve_cached`], used by
     /// queries that want overlay sharing for hot points without letting a
     /// wide cold scan (multipoint over many distinct times) evict the hot
     /// set by force-inserting every point.
     pub fn acquire_cached(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<Arc<Snapshot>> {
-        if !self.shared.cache_enabled() {
-            return None;
-        }
         let (snapshot, id) = self.shared.write().cache_acquire(t, opts, true)?;
         self.handles.push(id);
         Some(snapshot)
@@ -350,6 +255,7 @@ mod tests {
     use crate::GraphManagerConfig;
     use datagen::toy_trace;
     use std::thread;
+    use tgraph::Event;
 
     fn shared() -> SharedGraphManager {
         let gm = GraphManager::build_in_memory(&toy_trace().events, GraphManagerConfig::default())
@@ -368,7 +274,11 @@ mod tests {
                 let expected = ds.snapshot_at(Timestamp(t));
                 thread::spawn(move || {
                     for _ in 0..20 {
-                        let snap = sm.snapshot_at(Timestamp(t), &AttrOptions::all()).unwrap();
+                        let snap = sm
+                            .read()
+                            .index()
+                            .get_snapshot(Timestamp(t), &AttrOptions::all())
+                            .unwrap();
                         assert_eq!(snap, expected);
                     }
                 })
@@ -384,7 +294,11 @@ mod tests {
         let sm = shared();
         {
             let mut session = sm.session();
-            let snap = sm.snapshot_at(Timestamp(6), &AttrOptions::all()).unwrap();
+            let snap = sm
+                .read()
+                .index()
+                .get_snapshot(Timestamp(6), &AttrOptions::all())
+                .unwrap();
             let id = session.overlay(&snap, Timestamp(6));
             assert_eq!(session.handles(), &[id]);
             assert_eq!(sm.read().pool().active_overlay_count(), 1);
@@ -424,7 +338,7 @@ mod tests {
         // both sessions gone: the cache keeps the overlay warm
         assert_eq!(sm.read().pool().refcount(id), Some(1));
         assert_eq!(sm.read().pool().active_overlay_count(), 1);
-        let stats = sm.cache_stats();
+        let stats = sm.read().cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
@@ -436,7 +350,7 @@ mod tests {
         session.retrieve_cached(Timestamp(6), &opts).unwrap();
         session.retrieve_cached(Timestamp(25), &opts).unwrap();
         assert_eq!(sm.read().cache_len(), 2);
-        sm.append_event(Event::add_node(20, 777)).unwrap();
+        sm.write().append_event(Event::add_node(20, 777)).unwrap();
         // t=25 (>= 20) invalidated, t=6 (< 20) still cached
         assert_eq!(sm.read().cache_len(), 1);
         let hit = session.retrieve_cached(Timestamp(6), &opts).unwrap();
@@ -447,7 +361,7 @@ mod tests {
         assert!(!point.cache_hit);
         assert_eq!(point.epoch, 1);
         assert!(point.snapshot.has_node(tgraph::NodeId(777)));
-        assert_eq!(sm.cache_stats().invalidations, 1);
+        assert_eq!(sm.read().cache_stats().invalidations, 1);
     }
 
     #[test]
@@ -472,7 +386,7 @@ mod tests {
             .unwrap()
             .snapshot;
         let id = session.handles()[0];
-        sm.append_event(Event::add_node(20, 777)).unwrap();
+        sm.write().append_event(Event::add_node(20, 777)).unwrap();
         // The t=10 entry survives the append (10 < 20) and its pool view
         // must still equal the snapshot it was built from — no phantom 777.
         {
@@ -500,7 +414,7 @@ mod tests {
             let snap = Arc::new(gm.index().get_snapshot(Timestamp(25), &opts).unwrap());
             (snap, gm.append_epoch())
         };
-        sm.append_event(Event::add_node(20, 777)).unwrap();
+        sm.write().append_event(Event::add_node(20, 777)).unwrap();
         let id = sm
             .write()
             .cache_insert_overlay(&stale, Timestamp(25), &opts, epoch);
@@ -533,7 +447,7 @@ mod tests {
         drop(s1);
         drop(s2);
         assert_eq!(sm.read().pool().active_overlay_count(), 0);
-        assert_eq!(sm.cache_stats(), crate::CacheStats::default());
+        assert_eq!(sm.read().cache_stats(), crate::CacheStats::default());
     }
 
     #[test]
@@ -554,8 +468,12 @@ mod tests {
     #[test]
     fn appends_are_visible_to_subsequent_reads() {
         let sm = shared();
-        sm.append_event(Event::add_node(20, 777)).unwrap();
-        let snap = sm.snapshot_at(Timestamp(20), &AttrOptions::all()).unwrap();
+        sm.write().append_event(Event::add_node(20, 777)).unwrap();
+        let snap = sm
+            .read()
+            .index()
+            .get_snapshot(Timestamp(20), &AttrOptions::all())
+            .unwrap();
         assert!(snap.has_node(tgraph::NodeId(777)));
     }
 }

@@ -3,19 +3,16 @@
 //! poll `GET GRAPH AT t` (text and binary protocol) and must never observe
 //! a partial batch — every reply reflects a whole number of batches.
 //!
-//! Covers a single manager via [`serve`] plus the sharded router (via
-//! [`serve_sharded`]) with a small shard budget so batches trigger tail
-//! rolls while readers are polling.
+//! Covers a one-shard router plus a sharded one with a small shard budget,
+//! so batches trigger tail rolls while readers are polling.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use historygraph::{
-    GraphManager, GraphManagerConfig, ShardedConfig, ShardedGraphManager, SharedGraphManager,
-};
+use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager};
 use histql::{Frame, Response};
-use server::{serve, serve_sharded, Client, ServerConfig, ServerHandle};
+use server::{serve_sharded, Client, ServerConfig, ServerHandle};
 use tgraph::{Event, EventList};
 
 /// In-process servers bind real sockets; serialize the tests so they don't
@@ -161,9 +158,12 @@ fn hammer(server: &ServerHandle) {
     }
 }
 
-fn in_memory_shared() -> SharedGraphManager {
-    let gm = GraphManager::build_in_memory(&base_events(), manager_config()).unwrap();
-    SharedGraphManager::new(gm)
+fn one_shard_router() -> ShardedGraphManager {
+    ShardedGraphManager::build_in_memory(
+        &base_events(),
+        ShardedConfig::default().with_manager(manager_config()),
+    )
+    .unwrap()
 }
 
 fn config() -> ServerConfig {
@@ -178,7 +178,7 @@ fn config() -> ServerConfig {
 #[test]
 fn event_core_readers_never_observe_partial_batches() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut server = serve(in_memory_shared(), config()).unwrap();
+    let mut server = serve_sharded(one_shard_router(), config()).unwrap();
     hammer(&server);
     server.shutdown();
 }
@@ -218,7 +218,7 @@ fn sharded_router_rolls_tails_without_tearing_batches() {
 #[test]
 fn ill_formed_batch_over_the_wire_is_normalized() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let mut server = serve(in_memory_shared(), config()).unwrap();
+    let mut server = serve_sharded(one_shard_router(), config()).unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
 
     client

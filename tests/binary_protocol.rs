@@ -8,21 +8,23 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use historygraph::datagen::toy_trace;
-use historygraph::{GraphManager, GraphManagerConfig, SharedGraphManager};
+use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager, SharedGraphManager};
 use histql::{Frame, Response};
-use server::{serve, Client, ServerConfig, ServerHandle};
+use server::{serve_sharded, Client, ServerConfig, ServerHandle};
 
+/// A server over a one-shard router, plus that shard.
 fn start(snap_cache: usize, resp_cache: usize) -> (ServerHandle, SharedGraphManager) {
-    let gm = GraphManager::build_in_memory(
+    let router = ShardedGraphManager::build_in_memory(
         &toy_trace().events,
-        GraphManagerConfig::default()
-            .with_snapshot_cache(snap_cache)
-            .with_response_cache(resp_cache),
+        ShardedConfig::default().with_manager(
+            GraphManagerConfig::default()
+                .with_snapshot_cache(snap_cache)
+                .with_response_cache(resp_cache),
+        ),
     )
     .unwrap();
-    let shared = SharedGraphManager::new(gm);
-    let server = serve(shared.clone(), ServerConfig::default()).unwrap();
-    (server, shared)
+    let server = serve_sharded(router.clone(), ServerConfig::default()).unwrap();
+    (server, router.shard_at(0).unwrap())
 }
 
 /// Parses `name=value` integers out of a `STATS CACHE` line.
@@ -149,7 +151,7 @@ fn append_invalidates_response_cache_bytes_over_the_wire() {
         binary.send_binary_raw("GET GRAPH AT 25").unwrap(),
         before_bin
     );
-    assert_eq!(shared.response_cache_stats().hits, 2);
+    assert_eq!(shared.read().response_cache_stats().hits, 2);
 
     // The append lands before t=25: every cached reply at/after t=20 goes.
     text.send_ok("APPEND NODE 20 777").unwrap();
@@ -172,7 +174,7 @@ fn append_invalidates_response_cache_bytes_over_the_wire() {
     // append invalidated exactly 2 entries — one per protocol. The
     // re-requests above re-cached them, which counts as insertions, not
     // invalidations.
-    assert_eq!(shared.response_cache_stats().invalidations, 2);
+    assert_eq!(shared.read().response_cache_stats().invalidations, 2);
     assert_eq!(shared.read().response_cache_len(), 2);
 }
 
@@ -205,7 +207,7 @@ fn binary_sessions_release_overlays_and_work_without_response_cache() {
         assert!(std::time::Instant::now() < deadline, "refs not released");
         thread::sleep(std::time::Duration::from_millis(10));
     }
-    assert_eq!(shared.response_cache_stats(), Default::default());
+    assert_eq!(shared.read().response_cache_stats(), Default::default());
 }
 
 /// The determinism guarantee across protocols, including quoting-sensitive

@@ -10,8 +10,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use historygraph::tgraph::{Event, EventList};
-use historygraph::{GraphManager, GraphManagerConfig, SharedGraphManager};
-use server::{serve, Client, ServerConfig, ServerHandle};
+use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager};
+use server::{serve_sharded, Client, ServerConfig, ServerHandle};
 
 /// Serializes the tests in this binary. Each starts its own server inside
 /// this process, and the coalescing proof is timing-sensitive: a sibling
@@ -29,15 +29,17 @@ fn start(
     resp_cache: usize,
     max_connections: usize,
 ) -> ServerHandle {
-    let gm = GraphManager::build_in_memory(
+    let router = ShardedGraphManager::build_in_memory(
         events,
-        GraphManagerConfig::default()
-            .with_snapshot_cache(snap_cache)
-            .with_response_cache(resp_cache),
+        ShardedConfig::default().with_manager(
+            GraphManagerConfig::default()
+                .with_snapshot_cache(snap_cache)
+                .with_response_cache(resp_cache),
+        ),
     )
     .unwrap();
-    serve(
-        SharedGraphManager::new(gm),
+    serve_sharded(
+        router,
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             max_connections,

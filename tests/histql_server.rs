@@ -1,7 +1,8 @@
 //! End-to-end test of the `histql` + `server` subsystem: a server over a
 //! churn trace, driven by concurrent client sessions issuing every query
 //! verb, with each deterministic response verified against the same query
-//! executed directly against a `GraphManager`.
+//! executed in-process by a local `Executor`, and the point query also
+//! against a directly built `GraphManager`.
 
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -9,9 +10,9 @@ use std::time::{Duration, Instant};
 
 use historygraph::datagen::{churn_trace, uniform_timepoints, ChurnConfig};
 use historygraph::tgraph::Timestamp;
-use historygraph::{GraphManager, GraphManagerConfig, SharedGraphManager};
+use historygraph::{GraphManager, GraphManagerConfig, ShardedConfig, ShardedGraphManager};
 use histql::{Executor, Response};
-use server::{serve, Client, ServerConfig};
+use server::{serve_sharded, Client, ServerConfig};
 
 const SESSIONS: usize = 8;
 
@@ -42,8 +43,8 @@ fn setup() -> Setup {
     }
 }
 
-fn build_manager(events: &historygraph::tgraph::EventList) -> GraphManager {
-    GraphManager::build_in_memory(events, GraphManagerConfig::default()).unwrap()
+fn build_router(events: &historygraph::tgraph::EventList) -> ShardedGraphManager {
+    ShardedGraphManager::build_in_memory(events, ShardedConfig::default()).unwrap()
 }
 
 /// The deterministic workload of one session: every retrieval verb.
@@ -72,10 +73,8 @@ fn workload(s: &Setup, i: usize) -> Vec<String> {
 #[test]
 fn concurrent_sessions_match_direct_execution() {
     let s = Arc::new(setup());
-    let gm = build_manager(&s.events);
-    let shared = SharedGraphManager::new(gm);
-    let server = serve(
-        shared.clone(),
+    let server = serve_sharded(
+        build_router(&s.events),
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             max_connections: SESSIONS + 4,
@@ -118,20 +117,19 @@ fn concurrent_sessions_match_direct_execution() {
     let recorded: Vec<Vec<(String, Vec<String>)>> =
         sessions.into_iter().map(|t| t.join().unwrap()).collect();
 
-    // Phase 2: the reference. A direct GraphManager over the same trace,
-    // with the same appends applied, executed through a local Executor
-    // (no server, no sockets).
-    let mut direct_gm = build_manager(&s.events);
+    // Phase 2: the reference. A router over the same trace, with the same
+    // appends applied, executed through a local Executor (no server, no
+    // sockets).
+    let direct = build_router(&s.events);
     for i in 0..SESSIONS {
-        direct_gm
+        direct
             .append_event(historygraph::tgraph::Event::add_node(
                 s.append_t,
                 5000 + i as u64,
             ))
             .unwrap();
     }
-    let direct = SharedGraphManager::new(direct_gm);
-    let mut reference = Executor::new(direct.clone());
+    let mut reference = Executor::for_router(direct);
     for (i, session) in recorded.iter().enumerate() {
         for (request, lines) in session {
             let expected = reference
@@ -145,11 +143,9 @@ fn concurrent_sessions_match_direct_execution() {
     // The point query must also match the raw GraphManager API (not just
     // the executor): overlay through get_hist_graph and serialize the view.
     let t1 = s.times[1];
-    let handle = direct
-        .write()
-        .get_hist_graph(t1, "+node:all+edge:all")
-        .unwrap();
-    let raw_snapshot = direct.read().graph(handle).to_snapshot();
+    let mut raw = GraphManager::build_in_memory(&s.events, GraphManagerConfig::default()).unwrap();
+    let handle = raw.get_hist_graph(t1, "+node:all+edge:all").unwrap();
+    let raw_snapshot = raw.graph(handle).to_snapshot();
     let raw_lines = Response::Graph {
         t: t1,
         graph: std::sync::Arc::new(raw_snapshot),
@@ -182,8 +178,9 @@ fn concurrent_sessions_match_direct_execution() {
 #[test]
 fn server_pool_returns_to_baseline_after_disconnects() {
     let s = setup();
-    let shared = SharedGraphManager::new(build_manager(&s.events));
-    let server = serve(shared.clone(), ServerConfig::default()).unwrap();
+    let router = build_router(&s.events);
+    let shared = router.shard_at(0).unwrap();
+    let server = serve_sharded(router, ServerConfig::default()).unwrap();
     let t = s.times[2].raw();
     {
         let mut a = Client::connect(server.addr()).unwrap();

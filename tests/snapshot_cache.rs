@@ -8,18 +8,19 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use historygraph::datagen::toy_trace;
-use historygraph::{GraphManager, GraphManagerConfig, SharedGraphManager};
-use server::{serve, Client, ServerConfig, ServerHandle};
+use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager, SharedGraphManager};
+use server::{serve_sharded, Client, ServerConfig, ServerHandle};
 
+/// A server over a one-shard router, plus that shard.
 fn start(cache: usize) -> (ServerHandle, SharedGraphManager) {
-    let gm = GraphManager::build_in_memory(
+    let router = ShardedGraphManager::build_in_memory(
         &toy_trace().events,
-        GraphManagerConfig::default().with_snapshot_cache(cache),
+        ShardedConfig::default()
+            .with_manager(GraphManagerConfig::default().with_snapshot_cache(cache)),
     )
     .unwrap();
-    let shared = SharedGraphManager::new(gm);
-    let server = serve(shared.clone(), ServerConfig::default()).unwrap();
-    (server, shared)
+    let server = serve_sharded(router.clone(), ServerConfig::default()).unwrap();
+    (server, router.shard_at(0).unwrap())
 }
 
 /// Parses `name=value` integers out of a `STATS CACHE` line.
@@ -154,7 +155,7 @@ fn append_invalidates_entries_at_or_after_the_event_time() {
     assert!(graph.iter().any(|l| l == "N 777"), "{graph:?}");
     let cache = client.send_ok("STATS CACHE").unwrap();
     assert_eq!(field(&cache[0], "entries"), 2);
-    assert_eq!(shared.cache_stats().invalidations, 1);
+    assert_eq!(shared.read().cache_stats().invalidations, 1);
 }
 
 #[test]
