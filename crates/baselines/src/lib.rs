@@ -13,8 +13,8 @@
 //!   intervals of every node, edge, and attribute value; a query is a
 //!   stabbing query that assembles the snapshot from the matching intervals.
 //!
-//! All implement the common [`SnapshotSource`] trait so the benchmark harness
-//! can swap them freely.
+//! All implement the common [`SnapshotSource`] trait so tests can swap them
+//! freely.
 
 pub mod copylog;
 pub mod interval_tree;

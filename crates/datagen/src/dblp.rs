@@ -63,8 +63,9 @@ impl DblpConfig {
         }
     }
 
-    /// Scales the number of edge events by `factor` (used by the benchmark
-    /// harness `--scale` flags).
+    /// Scales the number of edge events by `factor` (the paper-claims tests
+    /// run at 0.1, the server binary's `--scale` sets it for the churn
+    /// trace).
     pub fn scaled(mut self, factor: f64) -> Self {
         self.total_edges = ((self.total_edges as f64) * factor).max(10.0) as usize;
         self

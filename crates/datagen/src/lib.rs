@@ -4,15 +4,14 @@
 //! (growing-only, ~2M edge additions over seven decades, 10 random attributes
 //! per node), a churn trace built on top of it (1M additions + 1M deletions),
 //! and a large patent-citation-seeded trace used for the distributed
-//! experiment. The raw DBLP/patent extracts are not redistributable, so this
-//! crate generates seeded synthetic traces with the same *shape*:
+//! experiment. The raw DBLP extract is not redistributable, so this crate
+//! generates seeded synthetic traces with the same *shape* as the first two
+//! (the distributed experiment's claims are checked on Dataset 2):
 //!
 //! * [`dblp_like`] — growing-only preferential-attachment co-authorship-style
 //!   trace with super-linear event density over time (Dataset 1),
 //! * [`churn_trace`] — a growing base followed by an equal mix of edge
 //!   additions and deletions (Dataset 2),
-//! * [`patent_like`] — a large initial snapshot followed by a long
-//!   add/delete event stream (Dataset 3, scaled),
 //! * [`queries`] — query-workload helpers (uniformly spaced time points,
 //!   multipoint batches),
 //! * [`labels`] — random node labels for the subgraph-pattern-matching
@@ -24,13 +23,11 @@
 pub mod churn;
 pub mod dblp;
 pub mod labels;
-pub mod patent;
 pub mod queries;
 
 pub use churn::{churn_trace, ChurnConfig};
 pub use dblp::{dblp_like, DblpConfig};
 pub use labels::{assign_labels, DEFAULT_LABELS};
-pub use patent::{patent_like, PatentConfig};
 pub use queries::{multipoint_batches, uniform_timepoints};
 
 use tgraph::{EventList, Snapshot, Timestamp};

@@ -28,6 +28,7 @@ use tgraph::{Event, EventKind, EventList, NodeId, Snapshot, Timestamp};
 
 use crate::error::{DgError, DgResult};
 use crate::graph::DeltaGraph;
+use crate::storage::PayloadStore;
 
 /// An auxiliary snapshot: a set of `(key, value)` pairs.
 pub type AuxSnapshot = BTreeSet<(String, String)>;
@@ -79,7 +80,9 @@ pub trait AuxIndex: Send + Sync {
     /// The auxiliary differential function (the paper's `AuxDF`): combines
     /// the children's auxiliary snapshots into the parent's. The default is
     /// intersection, which is what the path index uses (a pair associated
-    /// with the root was present throughout the history).
+    /// with the root was present throughout the history). The root is
+    /// folded in one leaf at a time, `aux_diff(&[root, leaf])`, so the
+    /// function must be associative, as intersection and union are.
     fn aux_diff(&self, children: &[AuxSnapshot]) -> AuxSnapshot {
         let mut iter = children.iter();
         let Some(first) = iter.next() else {
@@ -100,9 +103,40 @@ pub struct AuxState {
     /// auxiliary snapshot to leaf `i`'s (`leaf_delta_ids[0]` is the full
     /// content of the first leaf's snapshot, which is usually empty).
     pub(crate) leaf_delta_ids: Vec<u64>,
+    /// The last leaf's auxiliary snapshot, which the next chain delta is
+    /// taken against.
+    latest: AuxSnapshot,
     /// The auxiliary snapshot associated with the root (combination over all
     /// leaves via `aux_diff`).
     pub(crate) root: AuxSnapshot,
+}
+
+impl AuxState {
+    /// Chains one more leaf: derives the auxiliary events of the leaf's
+    /// `events` while replaying them on `graph` (the graph before them),
+    /// persists the delta to the new leaf snapshot under `id`, and folds
+    /// that snapshot into the root.
+    fn push_leaf(
+        &mut self,
+        payloads: &PayloadStore,
+        id: u64,
+        graph: &mut Snapshot,
+        events: &EventList,
+    ) -> DgResult<()> {
+        let mut aux_events = Vec::new();
+        for ev in events.events() {
+            aux_events.extend(self.index.create_aux_events(ev, graph, &self.latest));
+            graph.apply_forward(ev)?;
+        }
+        let next = self.index.create_aux_snapshot(&self.latest, &aux_events);
+        payloads.write_aux(id, &AuxDelta::between(&self.latest, &next).to_bytes())?;
+        self.leaf_delta_ids.push(id);
+        self.root = self
+            .index
+            .aux_diff(&[std::mem::take(&mut self.root), next.clone()]);
+        self.latest = next;
+        Ok(())
+    }
 }
 
 /// Chain-encoded difference between consecutive auxiliary snapshots.
@@ -168,7 +202,8 @@ impl DeltaGraph {
     /// auxiliary events, auxiliary snapshots are formed at every leaf
     /// boundary, chain deltas between consecutive leaf auxiliary snapshots
     /// are persisted, and the root auxiliary snapshot (via `aux_diff`) is
-    /// kept in memory.
+    /// kept in memory. Leaves folded in later by appends extend the index
+    /// the same way.
     pub fn build_aux_index(&mut self, index: Box<dyn AuxIndex>) -> DgResult<()> {
         // Auxiliary events are derived from plain events; a seed graph
         // (`DeltaGraph::build_seeded`) has none to derive them from.
@@ -180,51 +215,45 @@ impl DeltaGraph {
                     .into(),
             ));
         }
-        let intervals: Vec<(u64, usize)> = self
-            .skeleton
-            .intervals()
-            .iter()
-            .map(|iv| (iv.eventlist_id, iv.event_count))
-            .collect();
-
-        let mut graph = Snapshot::new();
-        let mut aux = AuxSnapshot::new();
-        let mut leaf_snapshots: Vec<AuxSnapshot> = vec![aux.clone()];
-        let mut leaf_delta_ids: Vec<u64> = Vec::new();
-
+        let mut state = AuxState {
+            index,
+            leaf_delta_ids: Vec::new(),
+            latest: AuxSnapshot::new(),
+            root: AuxSnapshot::new(),
+        };
         // Leaf 0 (empty) chain start.
         let first_id = self.next_id;
         self.next_id += 1;
-        let first_delta = AuxDelta::between(&AuxSnapshot::new(), &aux);
-        self.payloads.write_aux(first_id, &first_delta.to_bytes())?;
-        leaf_delta_ids.push(first_id);
+        self.payloads
+            .write_aux(first_id, &AuxDelta::default().to_bytes())?;
+        state.leaf_delta_ids.push(first_id);
 
-        for (eventlist_id, _) in &intervals {
-            let events: EventList =
-                self.payloads
-                    .read_eventlist(*eventlist_id, &tgraph::AttrOptions::all(), true)?;
-            let mut aux_events = Vec::new();
-            for ev in events.events() {
-                aux_events.extend(index.create_aux_events(ev, &graph, &aux));
-                // keep the replayed graph in sync
-                graph.apply_forward(ev)?;
-            }
-            let prev = aux.clone();
-            aux = index.create_aux_snapshot(&prev, &aux_events);
-            let delta = AuxDelta::between(&prev, &aux);
+        let mut graph = Snapshot::new();
+        for interval in self.skeleton.intervals() {
+            let events = self.payloads.read_eventlist(
+                interval.eventlist_id,
+                &tgraph::AttrOptions::all(),
+                true,
+            )?;
             let id = self.next_id;
             self.next_id += 1;
-            self.payloads.write_aux(id, &delta.to_bytes())?;
-            leaf_delta_ids.push(id);
-            leaf_snapshots.push(aux.clone());
+            state.push_leaf(&self.payloads, id, &mut graph, &events)?;
         }
+        self.aux.push(state);
+        Ok(())
+    }
 
-        let root = index.aux_diff(&leaf_snapshots);
-        self.aux.push(AuxState {
-            index,
-            leaf_delta_ids,
-            root,
-        });
+    /// Extends every registered auxiliary index by the leaf that `events`,
+    /// the eventlist just folded in and already applied to the current
+    /// graph, closes.
+    pub(crate) fn fold_aux_leaf(&mut self, events: &EventList) -> DgResult<()> {
+        for state in &mut self.aux {
+            let mut graph = self.current.clone();
+            graph.apply_events_backward(events.events())?;
+            let id = self.next_id;
+            self.next_id += 1;
+            state.push_leaf(&self.payloads, id, &mut graph, events)?;
+        }
         Ok(())
     }
 
@@ -536,6 +565,55 @@ mod tests {
         // No 4-node path exists in the very first (empty) leaf, so the root
         // auxiliary snapshot (intersection over leaves) is empty.
         assert!(dg.aux_root("path-index").unwrap().is_empty());
+    }
+
+    #[test]
+    fn leaf_folds_keep_the_aux_index_equal_to_a_fresh_build() {
+        // The line 1-2-3-4-5 is indexed at L = 2; four appends then fold two
+        // more leaves: edge 2-3 goes and node 6 is attached to node 5.
+        let mut history = labelled_line_graph().into_events();
+        history.extend([
+            Event::add_node(31, 6),
+            Event::set_node_attr(31, 6, "label", None, Some(AttrValue::from("f"))),
+            Event::add_edge(32, 105, 5, 6),
+        ]);
+        let (built, appended) = history.split_at(14);
+        let mut dg = build_with_path_index(&EventList::from_events(built.to_vec()), 2);
+        dg.append_events(appended.iter().cloned()).unwrap();
+        assert!(dg.recent_events().is_empty());
+        let fresh = build_with_path_index(&EventList::from_events(history), 2);
+
+        let leaf_times = |dg: &DeltaGraph| -> Vec<Timestamp> {
+            let skeleton = dg.skeleton();
+            skeleton
+                .leaves()
+                .iter()
+                .map(|leaf| skeleton.node(*leaf).unwrap().time.unwrap())
+                .collect()
+        };
+        assert_eq!(leaf_times(&dg), leaf_times(&fresh));
+        let mut keys = BTreeSet::new();
+        for t in leaf_times(&fresh) {
+            let expected = fresh.get_aux_snapshot("path-index", t).unwrap();
+            assert_eq!(
+                dg.get_aux_snapshot("path-index", t).unwrap(),
+                expected,
+                "at {t}"
+            );
+            keys.extend(expected.into_iter().map(|(key, _)| key));
+        }
+        assert!(keys.contains("c/d/e/f"), "{keys:?}");
+        for key in &keys {
+            assert_eq!(
+                dg.aux_history_values("path-index", key).unwrap(),
+                fresh.aux_history_values("path-index", key).unwrap(),
+                "{key}"
+            );
+        }
+        assert_eq!(
+            dg.aux_root("path-index").unwrap(),
+            fresh.aux_root("path-index").unwrap()
+        );
     }
 
     #[test]

@@ -341,7 +341,8 @@ impl DeltaGraph {
     ///
     /// The new leaf is connected to the previous last leaf through the usual
     /// bidirectional eventlist edges and, additionally, receives a direct
-    /// delta from the super-root. Re-balancing the interior hierarchy is
+    /// delta from the super-root; every registered auxiliary index gains the
+    /// leaf's auxiliary snapshot. Re-balancing the interior hierarchy is
     /// deferred to a full rebuild (the paper likewise treats incremental
     /// hierarchy maintenance as out of scope).
     fn integrate_recent(&mut self) -> DgResult<()> {
@@ -401,7 +402,7 @@ impl DeltaGraph {
             EdgePayload::Delta { delta_id },
             weights,
         );
-        Ok(())
+        self.fold_aux_leaf(&recent)
     }
 
     /// Rebuilds the whole index from scratch over the full recorded history

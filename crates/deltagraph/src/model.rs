@@ -4,8 +4,8 @@
 //! root size, and query weights of the Balanced and Intersection differential
 //! functions under a constant-rate model of graph dynamics: a `δ*` fraction
 //! of events are inserts and a `ρ*` fraction are deletes. These functions
-//! implement those formulas; the `model_validation` benchmark and the tests
-//! below compare them against sizes measured on generated traces.
+//! implement those formulas; the tests below compare them against sizes
+//! measured on generated traces.
 
 /// Constant-rate model of graph dynamics.
 #[derive(Clone, Copy, Debug, PartialEq)]

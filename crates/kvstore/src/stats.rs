@@ -1,9 +1,9 @@
 //! Operation and byte counters.
 //!
-//! The benchmark harness reports index sizes (Figures 7b, 9, 10b) and the
-//! amount of data fetched per query; every store keeps a [`StoreStats`] so
-//! those numbers come from the storage layer itself rather than from
-//! estimates.
+//! The paper-claims tests assert on index sizes (Figures 6, 9) and the
+//! amount of data fetched per query (Figures 6–11), and histbench reports
+//! both; every store keeps a [`StoreStats`] so those numbers come from the
+//! storage layer itself rather than from estimates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

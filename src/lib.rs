@@ -18,7 +18,7 @@
 //! | [`graphpool`] | the GraphPool overlaid in-memory multi-snapshot store |
 //! | [`baselines`] | Copy+Log, Log, and interval-tree comparators |
 //! | [`analytics`] | Pregel-like framework, PageRank, components, triangles |
-//! | [`datagen`] | seeded synthetic datasets standing in for DBLP / patents |
+//! | [`datagen`] | seeded synthetic datasets standing in for DBLP |
 //!
 //! This crate adds the system-level facade of Figure 2: [`GraphManager`]
 //! (GraphPool maintenance), the embedded history manager (DeltaGraph
