@@ -12,13 +12,26 @@
 //!   are fetched and applied exactly once.
 //! * **Interval and TimeExpression queries** (Section 3.2.1) are built on top
 //!   of the same machinery.
+//!
+//! A singlepoint query is split in two: [`DeltaGraph::plan_retrieval`] reads
+//! the skeleton and returns an owned [`Retrieval`], and
+//! [`Retrieval::execute`] does the fetch → decode → apply without touching
+//! the index again. A caller that guards the index with a lock holds it
+//! only for the plan.
+
+use std::collections::hash_map::Entry;
 
 use tgraph::fxhash::{FxHashMap, FxHashSet};
 use tgraph::{AttrOptions, Event, EventKind, EventList, Snapshot, TimeExpression, Timestamp};
 
 use crate::error::{DgError, DgResult};
 use crate::graph::DeltaGraph;
-use crate::skeleton::{EdgePayload, Location, NodeIdx, SkeletonEdge};
+use crate::skeleton::{EdgePayload, Location, NodeIdx};
+use crate::storage::PayloadStore;
+
+/// Leaf-eventlists fetched during one retrieval, by payload id, so an
+/// eventlist on several plan edges is fetched and decoded once.
+type EventLists = FxHashMap<u64, EventList>;
 
 /// How the final snapshot is derived from the target leaf's graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,6 +65,54 @@ pub struct PointPlan {
     pub estimated_cost: usize,
 }
 
+/// A planned singlepoint retrieval that owns everything its execution
+/// needs: the start graph, the payload ids along the path, how to finish
+/// at the query time, and a handle on the payload store.
+///
+/// It borrows nothing from the [`DeltaGraph`] that planned it, so it can
+/// run after the caller has let go of the index. That is sound because
+/// payload ids are write-once (see [`PayloadStore`]): later appends fold new
+/// leaves under new ids and never touch the payloads a plan names.
+pub struct Retrieval {
+    payloads: PayloadStore,
+    opts: AttrOptions,
+    source: Snapshot,
+    path: Vec<EdgePayload>,
+    finish: Finish,
+}
+
+/// How a retrieval turns the graph its path builds into the answer.
+enum Finish {
+    /// The path's graph is the answer.
+    Done,
+    /// Apply the events of leaf-eventlist `eventlist_id` with `time <= t`.
+    Forward { eventlist_id: u64, t: Timestamp },
+    /// Undo the events of leaf-eventlist `eventlist_id` with `time > t`.
+    Backward { eventlist_id: u64, t: Timestamp },
+    /// Apply events not yet folded into a leaf, copied at plan time.
+    Recent(Vec<Event>),
+}
+
+impl Retrieval {
+    /// Fetches, decodes and applies the planned payloads: the snapshot the
+    /// plan describes.
+    pub fn execute(self) -> DgResult<Snapshot> {
+        let Retrieval {
+            payloads,
+            opts,
+            mut source,
+            path,
+            finish,
+        } = self;
+        let mut lists = EventLists::default();
+        for payload in path {
+            apply_payload(&payloads, &mut source, payload, &opts, &mut lists)?;
+        }
+        apply_finish(&payloads, &mut source, &finish, &opts, &mut lists)?;
+        Ok(source)
+    }
+}
+
 impl DeltaGraph {
     // ------------------------------------------------------------------
     // Public retrieval API
@@ -63,21 +124,32 @@ impl DeltaGraph {
     /// points after the last indexed leaf are served from the last leaf plus
     /// the recent (not yet indexed) eventlist.
     pub fn get_snapshot(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<Snapshot> {
-        let mut cache = FxHashMap::default();
+        self.plan_retrieval(t, opts)?.execute()
+    }
+
+    /// Plans the retrieval of the snapshot as of `t` (see
+    /// [`DeltaGraph::get_snapshot`]) without fetching anything. The result
+    /// is independent of `self`: executing it after further appends still
+    /// yields the snapshot as of `t` that the index described at plan time.
+    pub fn plan_retrieval(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<Retrieval> {
         match self.skeleton.locate(t)? {
-            Location::BeforeHistory => Ok(Snapshot::new()),
-            Location::AfterLastLeaf => {
-                let last = self.skeleton.last_leaf()?;
-                let mut graph = self.node_graph_cached(last, opts, &mut cache)?;
-                apply_events_filtered(&mut graph, self.recent.prefix_at(t), true, opts)?;
-                Ok(graph)
+            // The super-root's graph is the empty graph.
+            Location::BeforeHistory => {
+                self.retrieval_along(self.skeleton.super_root(), &[], opts, Finish::Done)
             }
+            Location::AfterLastLeaf => self.plan_node(
+                self.skeleton.last_leaf()?,
+                opts,
+                Finish::Recent(self.recent.prefix_at(t).to_vec()),
+            ),
             Location::Interval(interval) => {
                 let plan = self.plan_point(interval, t, opts)?;
-                let mut graph =
-                    self.execute_path(plan.target_leaf, &plan.path, opts, &mut cache)?;
-                self.apply_anchor(&mut graph, &plan, opts, &mut cache)?;
-                Ok(graph)
+                self.retrieval_along(
+                    plan.target_leaf,
+                    &plan.path,
+                    opts,
+                    self.finish_of(plan.anchor, t),
+                )
             }
         }
     }
@@ -190,8 +262,7 @@ impl DeltaGraph {
     /// materialization and by auxiliary indexes). Interior-node graphs are
     /// generally not valid snapshots of any time point.
     pub fn node_graph(&self, node: NodeIdx, opts: &AttrOptions) -> DgResult<Snapshot> {
-        let mut cache = FxHashMap::default();
-        self.node_graph_cached(node, opts, &mut cache)
+        self.plan_node(node, opts, Finish::Done)?.execute()
     }
 
     /// Plans (but does not execute) a singlepoint retrieval; exposed for plan
@@ -274,40 +345,29 @@ impl DeltaGraph {
         })
     }
 
-    fn apply_anchor(
-        &self,
-        graph: &mut Snapshot,
-        plan: &PointPlan,
-        opts: &AttrOptions,
-        cache: &mut FxHashMap<u64, EventList>,
-    ) -> DgResult<()> {
-        match plan.anchor {
-            Anchor::AtLeaf => Ok(()),
-            Anchor::Forward { interval } => {
-                let iv = &self.skeleton.intervals()[interval];
-                let events = self.cached_eventlist(cache, iv.eventlist_id, opts)?;
-                apply_events_filtered(graph, events.prefix_at(plan.time), true, opts)
-            }
-            Anchor::Backward { interval } => {
-                let iv = &self.skeleton.intervals()[interval];
-                let events = self.cached_eventlist(cache, iv.eventlist_id, opts)?;
-                apply_events_filtered(graph, events.suffix_after(plan.time), false, opts)
-            }
+    /// The [`Finish`] a planned anchor asks for, resolved to its eventlist's
+    /// payload id.
+    fn finish_of(&self, anchor: Anchor, t: Timestamp) -> Finish {
+        let eventlist = |interval: usize| self.skeleton.intervals()[interval].eventlist_id;
+        match anchor {
+            Anchor::AtLeaf => Finish::Done,
+            Anchor::Forward { interval } => Finish::Forward {
+                eventlist_id: eventlist(interval),
+                t,
+            },
+            Anchor::Backward { interval } => Finish::Backward {
+                eventlist_id: eventlist(interval),
+                t,
+            },
         }
     }
 
-    fn node_graph_cached(
-        &self,
-        node: NodeIdx,
-        opts: &AttrOptions,
-        cache: &mut FxHashMap<u64, EventList>,
-    ) -> DgResult<Snapshot> {
-        if let Some(graph) = self.source_graph(node, opts) {
-            return Ok(graph);
-        }
+    /// Plans the graph of skeleton node `node` along its cheapest path from
+    /// a plan source (empty when `node` is one), finished by `finish`.
+    fn plan_node(&self, node: NodeIdx, opts: &AttrOptions, finish: Finish) -> DgResult<Retrieval> {
         let best = self.skeleton.dijkstra(&self.skeleton.plan_sources(), opts);
         let path = self.skeleton.path_to(&best, node)?;
-        self.execute_path(node, &path, opts, cache)
+        self.retrieval_along(node, &path, opts, finish)
     }
 
     /// The graph of a plan source (the super-root or a materialized node),
@@ -320,71 +380,35 @@ impl DeltaGraph {
         self.materialized.get(&node).map(|m| m.project_attrs(opts))
     }
 
-    fn execute_path(
+    /// The retrieval that builds `target` by applying the payloads of
+    /// `path` (skeleton edge indices) to the graph of the plan source the
+    /// path starts from, then finishes per `finish`.
+    fn retrieval_along(
         &self,
         target: NodeIdx,
         path: &[usize],
         opts: &AttrOptions,
-        cache: &mut FxHashMap<u64, EventList>,
-    ) -> DgResult<Snapshot> {
+        finish: Finish,
+    ) -> DgResult<Retrieval> {
         let start_node = match path.first() {
             Some(&edge_idx) => self.skeleton.edge(edge_idx).from,
             None => target,
         };
-        let mut graph = self.source_graph(start_node, opts).ok_or_else(|| {
+        let source = self.source_graph(start_node, opts).ok_or_else(|| {
             DgError::NoPlan(format!(
                 "plan starts at node {start_node}, which is neither the super-root nor materialized"
             ))
         })?;
-        for &edge_idx in path {
-            let edge = self.skeleton.edge(edge_idx).clone();
-            self.apply_edge_payload(&mut graph, &edge, opts, cache)?;
-        }
-        Ok(graph)
-    }
-
-    fn apply_edge_payload(
-        &self,
-        graph: &mut Snapshot,
-        edge: &SkeletonEdge,
-        opts: &AttrOptions,
-        cache: &mut FxHashMap<u64, EventList>,
-    ) -> DgResult<()> {
-        match edge.payload {
-            EdgePayload::Delta { delta_id } => {
-                let mut delta = self.payloads.read_delta(delta_id, opts)?;
-                if !opts.node.is_all() {
-                    delta.node_attrs.retain(|a| opts.wants_node_attr(&a.key));
-                }
-                if !opts.edge.is_all() {
-                    delta.edge_attrs.retain(|a| opts.wants_edge_attr(&a.key));
-                }
-                delta.apply_to(graph)?;
-                Ok(())
-            }
-            EdgePayload::EventsForward { eventlist_id } => {
-                let events = self.cached_eventlist(cache, eventlist_id, opts)?;
-                apply_events_filtered(graph, events.events(), true, opts)
-            }
-            EdgePayload::EventsBackward { eventlist_id } => {
-                let events = self.cached_eventlist(cache, eventlist_id, opts)?;
-                apply_events_filtered(graph, events.events(), false, opts)
-            }
-        }
-    }
-
-    fn cached_eventlist(
-        &self,
-        cache: &mut FxHashMap<u64, EventList>,
-        eventlist_id: u64,
-        opts: &AttrOptions,
-    ) -> DgResult<EventList> {
-        if let Some(hit) = cache.get(&eventlist_id) {
-            return Ok(hit.clone());
-        }
-        let events = self.payloads.read_eventlist(eventlist_id, opts, false)?;
-        cache.insert(eventlist_id, events.clone());
-        Ok(events)
+        Ok(Retrieval {
+            payloads: self.payloads.clone(),
+            opts: opts.clone(),
+            source,
+            path: path
+                .iter()
+                .map(|&e| self.skeleton.edge(e).payload)
+                .collect(),
+            finish,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -405,9 +429,8 @@ impl DeltaGraph {
         let mut tree_children: FxHashMap<NodeIdx, Vec<usize>> = FxHashMap::default();
         let mut tree_nodes: FxHashSet<NodeIdx> = FxHashSet::default();
         let mut has_incoming: FxHashSet<NodeIdx> = FxHashSet::default();
-        // leaf -> [(query index, anchor, time)]
-        let mut anchored: FxHashMap<NodeIdx, Vec<(usize, Anchor, Timestamp)>> =
-            FxHashMap::default();
+        // leaf -> [(query index, how to finish at its time)]
+        let mut anchored: FxHashMap<NodeIdx, Vec<(usize, Finish)>> = FxHashMap::default();
 
         for (qi, interval_idx, t) in terminals {
             let mut sources = self.skeleton.plan_sources();
@@ -472,7 +495,10 @@ impl DeltaGraph {
                 tree_nodes.insert(edge.to);
             }
             tree_nodes.insert(leaf);
-            anchored.entry(leaf).or_default().push((qi, anchor, t));
+            anchored
+                .entry(leaf)
+                .or_default()
+                .push((qi, self.finish_of(anchor, t)));
         }
 
         // Roots of the tree: nodes involved in the tree with no incoming tree
@@ -484,7 +510,7 @@ impl DeltaGraph {
             .collect();
         roots.sort_unstable();
 
-        let mut cache: FxHashMap<u64, EventList> = FxHashMap::default();
+        let mut lists = EventLists::default();
         for root in roots {
             let graph = self.source_graph(root, opts).ok_or_else(|| {
                 DgError::NoPlan(format!(
@@ -497,7 +523,7 @@ impl DeltaGraph {
                 &tree_children,
                 &anchored,
                 opts,
-                &mut cache,
+                &mut lists,
                 results,
             )?;
         }
@@ -510,23 +536,16 @@ impl DeltaGraph {
         node: NodeIdx,
         graph: Snapshot,
         tree_children: &FxHashMap<NodeIdx, Vec<usize>>,
-        anchored: &FxHashMap<NodeIdx, Vec<(usize, Anchor, Timestamp)>>,
+        anchored: &FxHashMap<NodeIdx, Vec<(usize, Finish)>>,
         opts: &AttrOptions,
-        cache: &mut FxHashMap<u64, EventList>,
+        lists: &mut EventLists,
         results: &mut [Option<Snapshot>],
     ) -> DgResult<()> {
         if let Some(queries) = anchored.get(&node) {
-            for &(qi, anchor, t) in queries {
+            for (qi, finish) in queries {
                 let mut out = graph.clone();
-                let plan = PointPlan {
-                    time: t,
-                    target_leaf: node,
-                    path: Vec::new(),
-                    anchor,
-                    estimated_cost: 0,
-                };
-                self.apply_anchor(&mut out, &plan, opts, cache)?;
-                results[qi] = Some(out);
+                apply_finish(&self.payloads, &mut out, finish, opts, lists)?;
+                results[*qi] = Some(out);
             }
         }
         let Some(children) = tree_children.get(&node) else {
@@ -534,7 +553,7 @@ impl DeltaGraph {
         };
         let mut graph = Some(graph);
         for (i, &edge_idx) in children.iter().enumerate() {
-            let edge = self.skeleton.edge(edge_idx).clone();
+            let edge = self.skeleton.edge(edge_idx);
             // The last child consumes the parent graph; earlier children
             // work on clones.
             let mut child_graph = if i + 1 == children.len() {
@@ -542,14 +561,14 @@ impl DeltaGraph {
             } else {
                 graph.as_ref().expect("parent graph consumed early").clone()
             };
-            self.apply_edge_payload(&mut child_graph, &edge, opts, cache)?;
+            apply_payload(&self.payloads, &mut child_graph, edge.payload, opts, lists)?;
             self.walk_tree(
                 edge.to,
                 child_graph,
                 tree_children,
                 anchored,
                 opts,
-                cache,
+                lists,
                 results,
             )?;
         }
@@ -557,9 +576,77 @@ impl DeltaGraph {
     }
 }
 
+/// Applies one skeleton edge's payload to `graph`: a delta, or a whole
+/// leaf-eventlist forward or backward.
+fn apply_payload(
+    payloads: &PayloadStore,
+    graph: &mut Snapshot,
+    payload: EdgePayload,
+    opts: &AttrOptions,
+    lists: &mut EventLists,
+) -> DgResult<()> {
+    match payload {
+        EdgePayload::Delta { delta_id } => {
+            let mut delta = payloads.read_delta(delta_id, opts)?;
+            if !opts.node.is_all() {
+                delta.node_attrs.retain(|a| opts.wants_node_attr(&a.key));
+            }
+            if !opts.edge.is_all() {
+                delta.edge_attrs.retain(|a| opts.wants_edge_attr(&a.key));
+            }
+            delta.apply_to(graph)?;
+            Ok(())
+        }
+        EdgePayload::EventsForward { eventlist_id } => {
+            let events = fetch_eventlist(payloads, lists, eventlist_id, opts)?;
+            apply_events_filtered(graph, events.events(), true, opts)
+        }
+        EdgePayload::EventsBackward { eventlist_id } => {
+            let events = fetch_eventlist(payloads, lists, eventlist_id, opts)?;
+            apply_events_filtered(graph, events.events(), false, opts)
+        }
+    }
+}
+
+/// Carries the graph of a plan's target leaf to the query time.
+fn apply_finish(
+    payloads: &PayloadStore,
+    graph: &mut Snapshot,
+    finish: &Finish,
+    opts: &AttrOptions,
+    lists: &mut EventLists,
+) -> DgResult<()> {
+    match finish {
+        Finish::Done => Ok(()),
+        Finish::Forward { eventlist_id, t } => {
+            let events = fetch_eventlist(payloads, lists, *eventlist_id, opts)?;
+            apply_events_filtered(graph, events.prefix_at(*t), true, opts)
+        }
+        Finish::Backward { eventlist_id, t } => {
+            let events = fetch_eventlist(payloads, lists, *eventlist_id, opts)?;
+            apply_events_filtered(graph, events.suffix_after(*t), false, opts)
+        }
+        Finish::Recent(events) => apply_events_filtered(graph, events, true, opts),
+    }
+}
+
+/// The leaf-eventlist stored under `eventlist_id`, fetched on first use and
+/// borrowed from `lists` after that.
+fn fetch_eventlist<'a>(
+    payloads: &PayloadStore,
+    lists: &'a mut EventLists,
+    eventlist_id: u64,
+    opts: &AttrOptions,
+) -> DgResult<&'a EventList> {
+    Ok(match lists.entry(eventlist_id) {
+        Entry::Occupied(hit) => hit.into_mut(),
+        Entry::Vacant(slot) => slot.insert(payloads.read_eventlist(eventlist_id, opts, false)?),
+    })
+}
+
 /// Applies `events` to `graph`, forward or backward, skipping transient
 /// events and attribute events whose attribute is not selected by `opts`.
-pub(crate) fn apply_events_filtered(
+fn apply_events_filtered(
     graph: &mut Snapshot,
     events: &[Event],
     forward: bool,
@@ -876,6 +963,31 @@ mod tests {
             .plan_snapshot(Timestamp(end.raw() + 10), &AttrOptions::all())
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn a_planned_retrieval_survives_appends_that_fold_a_leaf() {
+        let mut ds = toy_trace();
+        let mut dg = build(&ds.events, 4, 2, DifferentialFunction::Intersection);
+        for ev in [Event::add_node(20, 500), Event::add_edge(21, 900, 500, 1)] {
+            ds.events.push(ev.clone()).unwrap();
+            dg.append_event(ev).unwrap();
+        }
+        let opts = AttrOptions::all();
+        // t=6 lies in an indexed interval; t=20 after the last leaf, where
+        // the plan carries a copy of the recent eventlist's prefix.
+        assert!(dg.plan_snapshot(Timestamp(6), &opts).unwrap().is_some());
+        assert!(dg.plan_snapshot(Timestamp(20), &opts).unwrap().is_none());
+        let inside = dg.plan_retrieval(Timestamp(6), &opts).unwrap();
+        let after = dg.plan_retrieval(Timestamp(20), &opts).unwrap();
+        let leaves = dg.skeleton().leaves().len();
+        for i in 0..4 {
+            dg.append_event(Event::add_node(30 + i, 600 + i as u64))
+                .unwrap();
+        }
+        assert!(dg.skeleton().leaves().len() > leaves, "no leaf was folded");
+        assert_eq!(inside.execute().unwrap(), ds.snapshot_at(Timestamp(6)));
+        assert_eq!(after.execute().unwrap(), ds.snapshot_at(Timestamp(20)));
     }
 
     #[test]

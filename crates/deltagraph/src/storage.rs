@@ -18,6 +18,13 @@ use crate::error::DgResult;
 use crate::skeleton::ComponentWeights;
 
 /// Writes and reads deltas / eventlists for one DeltaGraph instance.
+///
+/// Payload ids are write-once: an index takes each id from a counter that
+/// only grows, writes its payload once, and never rewrites or deletes it.
+/// A plan that names ids therefore stays valid while the index keeps
+/// changing, which is what lets a [`crate::query::Retrieval`] execute with
+/// no lock on the index. Cloning shares the backing store.
+#[derive(Clone)]
 pub struct PayloadStore {
     store: Arc<dyn KeyValueStore>,
     partitioner: NodePartitioner,

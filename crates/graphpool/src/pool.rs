@@ -389,13 +389,21 @@ impl GraphPool {
         value: &AttrValue,
         bit: usize,
     ) {
-        let values = attrs.entry(key.to_owned()).or_default();
-        if let Some((_, bm)) = values.iter_mut().find(|(v, _)| v == value) {
-            bm.set(bit, true);
-        } else {
+        let fresh = || {
             let mut bm = BitMap::new();
             bm.set(bit, true);
-            values.push((value.clone(), bm));
+            (value.clone(), bm)
+        };
+        // Look up by `&str` first: the key is allocated only when it is new
+        // to this element, not on every overlay.
+        match attrs.get_mut(key) {
+            Some(values) => match values.iter_mut().find(|(v, _)| v == value) {
+                Some((_, bm)) => bm.set(bit, true),
+                None => values.push(fresh()),
+            },
+            None => {
+                attrs.insert(key.to_owned(), vec![fresh()]);
+            }
         }
     }
 

@@ -4,11 +4,13 @@
 //! one shard or many: point, entity, and history queries are routed to the
 //! shard owning their time; multipoint queries fan out across shards in
 //! parallel and reassemble in request order; `APPEND` goes to the tail
-//! shard. Snapshot computation runs under the owning shard's read lock,
-//! while overlays, appends, binds, and releases take that shard's write
-//! lock briefly. Every retrieved graph is overlaid through the executor's
-//! [`ShardedSession`], so dropping the executor (a client disconnecting)
-//! releases everything it retrieved, on every shard it touched.
+//! shard. A point retrieval is planned under the owning shard's read lock
+//! and executed with none; other snapshot computation runs under the read
+//! lock, while overlays, appends, binds, and releases take that shard's
+//! write lock briefly. Every retrieved graph is overlaid through the
+//! executor's [`ShardedSession`], so dropping the executor (a client
+//! disconnecting) releases everything it retrieved, on every shard it
+//! touched.
 //!
 //! The executor also owns the session's response encoding (the `PROTOCOL`
 //! verb) and, through [`Executor::execute_framed`], the rendered-response
@@ -257,11 +259,12 @@ impl Executor {
     /// shard's snapshot cache holds `(t, opts)` (the session takes its
     /// overlay reference, exactly like the full path) and the response
     /// byte cache is enabled — a cached-bytes hit is returned as-is, a
-    /// byte miss is framed from the cached snapshot and inserted under the
-    /// pre-acquire append epoch. Anything else — other verbs, parse
-    /// errors, snapshot-cache misses, a disabled cache tier — returns
-    /// `None` with **no** counters or refcounts touched, so the request
-    /// can take [`Executor::execute_framed`] with identical accounting.
+    /// byte miss is framed from a snapshot materialized off the cached
+    /// overlay and inserted under the pre-acquire append epoch. Anything
+    /// else — other verbs, parse errors, snapshot-cache misses, a disabled
+    /// cache tier — returns `None` with **no** counters or refcounts
+    /// touched, so the request can take [`Executor::execute_framed`] with
+    /// identical accounting.
     pub fn try_execute_hot(&mut self, line: &str) -> Option<Reply> {
         let started = self.hub.as_ref().map(|_| Instant::now());
         let Ok(Query::GetGraphAt { t, attrs }) = parse(line) else {
@@ -274,11 +277,14 @@ impl Executor {
         if caches.snapshot_cache_capacity == 0 || caches.response_cache_capacity == 0 {
             return None;
         }
-        let (shared, epoch, snapshot) = self.session.acquire_cached_point_routed(t, &opts)?;
+        let (shared, epoch, overlay) = self.session.acquire_cached_point_routed(t, &opts)?;
         let reply = match shared.response_cache_get(t, &opts, self.protocol) {
             Some(bytes) => Reply::Shared(bytes),
             None => {
-                let resp = Response::Graph { t, graph: snapshot };
+                let resp = Response::Graph {
+                    t,
+                    graph: shared.snapshot_of(overlay),
+                };
                 let bytes: Arc<[u8]> = resp.to_frame(self.protocol).into();
                 shared.response_cache_put(t, &opts, self.protocol, Arc::clone(&bytes), epoch);
                 Reply::Shared(bytes)
@@ -328,7 +334,7 @@ impl Executor {
         }
         let resp = Response::Graph {
             t,
-            graph: point.snapshot,
+            graph: point.into_snapshot(&shared),
         };
         let bytes: Arc<[u8]> = resp.to_frame(self.protocol).into();
         // Declined (not cached) if an append raced the retrieval — the
@@ -392,10 +398,10 @@ impl Executor {
                 // a hot `t` is computed once and its pool overlay is shared
                 // (reference-counted) by every session that asks for it.
                 let opts = AttrOptions::parse(attrs)?;
-                let point = self.session.retrieve_cached(*t, &opts)?;
+                let (shared, point) = self.session.retrieve_cached_routed(*t, &opts)?;
                 Ok(Response::Graph {
                     t: *t,
-                    graph: point.snapshot,
+                    graph: point.into_snapshot(&shared),
                 })
             }
             Query::GetGraphsAt { times, attrs } => {

@@ -278,10 +278,10 @@ fn push(out: &mut Vec<MetricEntry>, name: impl Into<String>, value: MetricValue)
 /// Assembles the complete metric catalog: the hub's push-model instruments
 /// plus everything pulled from the layers that keep their own counters —
 /// both cache tiers (aggregated), the single-flight table, the serving
-/// core's connection counters, lazy shard hydrations, and per-shard
-/// query/append/event counters (the skew view). This is the single source
-/// behind `STATS METRICS` and the HTTP `/metrics` endpoint, so the two can
-/// never disagree on names.
+/// core's connection counters, lazy shard hydrations, shard lock waits,
+/// and per-shard query/append/event counters (the skew view). This is the
+/// single source behind `STATS METRICS` and the HTTP `/metrics` endpoint,
+/// so the two can never disagree on names.
 pub fn metrics_report(
     hub: Option<&MetricsHub>,
     router: &ShardedGraphManager,
@@ -504,6 +504,19 @@ pub fn metrics_report(
         &mut out,
         "shard_hydrate_us",
         MetricValue::Histogram(HistogramStats::of(&hydrations)),
+    );
+    // Time spent blocked on the shard locks, all shards: where two requests
+    // on one shard queue behind each other.
+    let (read_wait_us, write_wait_us) = router.lock_wait_us();
+    push(
+        &mut out,
+        "shard_read_lock_wait_us_total",
+        MetricValue::Counter(read_wait_us),
+    );
+    push(
+        &mut out,
+        "shard_write_lock_wait_us_total",
+        MetricValue::Counter(write_wait_us),
     );
     // Per-shard skew counters, one triple per shard.
     for info in router.shard_infos() {

@@ -30,8 +30,8 @@ pub enum Response {
     Graph {
         /// The query's time point (the anchor, for expression queries).
         t: Timestamp,
-        /// The retrieved snapshot. Shared (`Arc`) so cache hits serve the
-        /// materialized snapshot without copying it per response.
+        /// The retrieved snapshot. Shared (`Arc`) so one retrieval can be
+        /// rendered into several responses without copying it.
         graph: Arc<Snapshot>,
     },
     /// Several graphs from one multipoint query.

@@ -252,10 +252,13 @@ fn a_poisoned_tail_is_quarantined_while_other_shards_serve() {
 
 #[test]
 fn overload_sheds_and_deadlines_fire_under_a_full_queue() {
-    // 4000 nodes make a full render slow enough that a one-worker queue
-    // backs up under eight concurrent clients.
+    // 40,000 nodes make every request's service — retrieval plus a
+    // 40,000-line render — far longer than the 1 ms deadline in debug and
+    // release builds alike, so a one-worker queue backs up under eight
+    // concurrent clients however fast retrieval gets.
+    const NODES: i64 = 40_000;
     let events = EventList::from_events(
-        (1..=4000)
+        (1..=NODES)
             .map(|i| Event::add_node(i, 1000 + i as u64))
             .collect(),
     );
@@ -285,7 +288,7 @@ fn overload_sheds_and_deadlines_fire_under_a_full_queue() {
                     let mut c = Client::connect(addr).unwrap();
                     // Distinct timestamps defeat the response cache and the
                     // reactor's fast path: every request takes the queue.
-                    let t = 3990 - i;
+                    let t = NODES - 10 - i;
                     c.send(&format!("GET GRAPH AT {t} WITH +node:all"))
                         .map(|lines| lines[0].clone())
                 })

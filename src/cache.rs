@@ -5,14 +5,16 @@
 //! without a cache every `GET GRAPH AT t` re-traverses the index, and two
 //! sessions asking for the same instant build two separate pool overlays,
 //! defeating the pool's sharing design (Section 6). The [`SnapshotCache`]
-//! closes both gaps:
+//! closes both gaps: it is an LRU map from `(t, `[`AttrOptions`]`)` to one
+//! reference-counted pool overlay, shared by every session that retrieves
+//! that point — the GraphPool's overlay sharing kicks in *across*
+//! connections, not just within one.
 //!
-//! * an LRU of recently materialized snapshots keyed by
-//!   `(t, `[`AttrOptions`]`)`, so a hot point is computed once and then
-//!   served from memory, and
-//! * one reference-counted pool overlay per cached snapshot, shared by every
-//!   session that retrieves that `(t, opts)` — the GraphPool's overlay
-//!   sharing finally kicks in *across* connections, not just within one.
+//! An entry is the overlay and nothing else: the pool is the retrieved
+//! graph's resident form (Section 6), so the cache pins no private copy of
+//! the snapshot. A caller that must render a hit materializes it from the
+//! overlay (`GraphView::to_snapshot`), and dropping an entry frees nothing
+//! but a pool reference.
 //!
 //! Consistency is kept by the append path: an `APPEND` at time `ta`
 //! invalidates every cached entry with `t >= ta` (those snapshots could now
@@ -25,11 +27,11 @@
 //! `docs/ARCHITECTURE.md` for where the cache sits in a request's life.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use graphpool::GraphId;
 use tgraph::codec::{write_varint, Decode, Encode, Reader};
-use tgraph::{AttrOptions, Snapshot, Timestamp};
+use tgraph::{AttrOptions, Timestamp};
 
 /// Monotonically increasing counters describing cache behavior, reported
 /// over the wire by `STATS CACHE`.
@@ -42,7 +44,7 @@ pub struct CacheStats {
     /// computation. Both count, so the reported hit rate reflects every
     /// query that consulted the cache.
     pub misses: u64,
-    /// Snapshots inserted after a miss.
+    /// Overlays inserted after a miss.
     pub insertions: u64,
     /// Entries dropped because an `APPEND` landed at or before their time.
     pub invalidations: u64,
@@ -125,12 +127,14 @@ impl Decode for CacheEntryInfo {
 }
 
 struct CacheEntry {
-    snapshot: Arc<Snapshot>,
     overlay: GraphId,
-    last_used: u64,
+    /// LRU stamp. Atomic, like the tick and the hit/miss counters, so a
+    /// lookup needs only `&self` — a read-only probe runs under a shared
+    /// lock.
+    last_used: AtomicU64,
 }
 
-/// An LRU cache of materialized snapshots keyed by `(t, AttrOptions)`.
+/// An LRU cache of pool overlays keyed by `(t, AttrOptions)`.
 ///
 /// Capacity 0 disables the cache entirely: lookups always miss without
 /// touching the counters, and nothing is retained. Entries own one pool
@@ -139,7 +143,11 @@ struct CacheEntry {
 pub struct SnapshotCache {
     capacity: usize,
     entries: HashMap<(Timestamp, AttrOptions), CacheEntry>,
-    tick: u64,
+    tick: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    /// Insertions, invalidations and evictions (the hit and miss fields
+    /// stay zero; those counts live in the atomics above).
     stats: CacheStats,
 }
 
@@ -149,7 +157,9 @@ impl SnapshotCache {
         SnapshotCache {
             capacity,
             entries: HashMap::new(),
-            tick: 0,
+            tick: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             stats: CacheStats::default(),
         }
     }
@@ -171,64 +181,42 @@ impl SnapshotCache {
 
     /// The behavior counters so far.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        CacheStats {
+            hits: self.hits.load(Relaxed),
+            misses: self.misses.load(Relaxed),
+            ..self.stats
+        }
     }
 
-    /// Looks up `(t, opts)`, refreshing its LRU position. `count` controls
-    /// whether the hit/miss counters move (the double-checked re-probe after
-    /// a miss passes `false` so one logical lookup is counted once).
-    pub(crate) fn lookup(
-        &mut self,
-        t: Timestamp,
-        opts: &AttrOptions,
-        count: bool,
-    ) -> Option<(Arc<Snapshot>, GraphId)> {
+    /// Looks up `(t, opts)`, refreshing its LRU position, and returns the
+    /// cached overlay. Nothing is inserted after a miss. `count` controls
+    /// whether the hit/miss counters move: a probe that fails sends its
+    /// caller into a snapshot computation, which is exactly the work the
+    /// hit rate describes, so it counts; the double-checked re-probe after
+    /// a miss passes `false` so one logical lookup is counted once.
+    pub(crate) fn lookup(&self, t: Timestamp, opts: &AttrOptions, count: bool) -> Option<GraphId> {
         if self.capacity == 0 {
             return None;
         }
-        self.tick += 1;
+        let tick = self.tick.fetch_add(1, Relaxed) + 1;
         // Borrow-friendly: probe with a borrowed tuple key is not possible
         // with a (Timestamp, AttrOptions) key, so clone the small key parts.
-        match self.entries.get_mut(&(t, opts.clone())) {
-            Some(entry) => {
-                entry.last_used = self.tick;
-                if count {
-                    self.stats.hits += 1;
-                }
-                Some((Arc::clone(&entry.snapshot), entry.overlay))
-            }
-            None => {
-                if count {
-                    self.stats.misses += 1;
-                }
-                None
-            }
+        let found = self.entries.get(&(t, opts.clone()));
+        if count {
+            let counter = if found.is_some() {
+                &self.hits
+            } else {
+                &self.misses
+            };
+            counter.fetch_add(1, Relaxed);
         }
+        let entry = found?;
+        entry.last_used.store(tick, Relaxed);
+        Some(entry.overlay)
     }
 
-    /// Read-only probe: the cached snapshot for `(t, opts)` if present,
-    /// refreshing its LRU position. Hits and misses both count — a failed
-    /// peek forces the caller into a direct snapshot computation, which is
-    /// exactly the work the hit rate is supposed to describe. (PR 3 counted
-    /// only peek hits, which inflated the reported rate.) The probe still
-    /// differs from [`SnapshotCache::lookup`] in that nothing is inserted
-    /// after a miss.
-    pub(crate) fn peek(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<Arc<Snapshot>> {
-        if self.capacity == 0 {
-            return None;
-        }
-        self.tick += 1;
-        let Some(entry) = self.entries.get_mut(&(t, opts.clone())) else {
-            self.stats.misses += 1;
-            return None;
-        };
-        entry.last_used = self.tick;
-        self.stats.hits += 1;
-        Some(Arc::clone(&entry.snapshot))
-    }
-
-    /// Inserts a freshly materialized snapshot. Returns the overlays this
-    /// displaced — a previous entry under the same key (replaced) and/or the
+    /// Inserts a freshly built overlay. Returns the overlays this displaced
+    /// — a previous entry under the same key (replaced) and/or the
     /// least-recently-used entry (evicted to make room) — whose cache
     /// references the caller must release. Must not be called when the
     /// cache is disabled.
@@ -236,7 +224,6 @@ impl SnapshotCache {
         &mut self,
         t: Timestamp,
         opts: AttrOptions,
-        snapshot: Arc<Snapshot>,
         overlay: GraphId,
     ) -> Vec<GraphId> {
         debug_assert!(self.capacity > 0, "insert into a disabled cache");
@@ -250,7 +237,7 @@ impl SnapshotCache {
             if let Some(key) = self
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
+                .min_by_key(|(_, e)| e.last_used.load(Relaxed))
                 .map(|(k, _)| k.clone())
             {
                 let old = self.entries.remove(&key).expect("key just found");
@@ -258,14 +245,13 @@ impl SnapshotCache {
                 displaced.push(old.overlay);
             }
         }
-        self.tick += 1;
+        let tick = self.tick.fetch_add(1, Relaxed) + 1;
         self.stats.insertions += 1;
         self.entries.insert(
             (t, opts),
             CacheEntry {
-                snapshot,
                 overlay,
-                last_used: self.tick,
+                last_used: AtomicU64::new(tick),
             },
         );
         displaced
@@ -315,13 +301,9 @@ impl SnapshotCache {
 mod tests {
     use super::*;
 
-    fn snap() -> Arc<Snapshot> {
-        Arc::new(Snapshot::new())
-    }
-
     #[test]
     fn disabled_cache_never_hits_or_counts() {
-        let mut c = SnapshotCache::new(0);
+        let c = SnapshotCache::new(0);
         assert!(c.lookup(Timestamp(1), &AttrOptions::all(), true).is_none());
         assert_eq!(c.stats(), CacheStats::default());
     }
@@ -330,15 +312,11 @@ mod tests {
     fn lru_eviction_prefers_stale_entries() {
         let mut c = SnapshotCache::new(2);
         let o = AttrOptions::all();
-        assert!(c
-            .insert(Timestamp(1), o.clone(), snap(), GraphId(10))
-            .is_empty());
-        assert!(c
-            .insert(Timestamp(2), o.clone(), snap(), GraphId(11))
-            .is_empty());
+        assert!(c.insert(Timestamp(1), o.clone(), GraphId(10)).is_empty());
+        assert!(c.insert(Timestamp(2), o.clone(), GraphId(11)).is_empty());
         // touch t=1 so t=2 is the LRU victim
         assert!(c.lookup(Timestamp(1), &o, true).is_some());
-        let evicted = c.insert(Timestamp(3), o.clone(), snap(), GraphId(12));
+        let evicted = c.insert(Timestamp(3), o.clone(), GraphId(12));
         assert_eq!(evicted, vec![GraphId(11)]);
         assert!(c.lookup(Timestamp(1), &o, true).is_some());
         assert!(c.lookup(Timestamp(2), &o, true).is_none());
@@ -350,7 +328,7 @@ mod tests {
     #[test]
     fn uncounted_lookup_leaves_stats_alone() {
         let mut c = SnapshotCache::new(4);
-        c.insert(Timestamp(1), AttrOptions::all(), snap(), GraphId(9));
+        c.insert(Timestamp(1), AttrOptions::all(), GraphId(9));
         assert!(c.lookup(Timestamp(1), &AttrOptions::all(), false).is_some());
         assert!(c.lookup(Timestamp(2), &AttrOptions::all(), false).is_none());
         assert_eq!((c.stats().hits, c.stats().misses), (0, 0));
@@ -360,29 +338,31 @@ mod tests {
     fn reinserting_a_key_returns_the_replaced_overlay() {
         let mut c = SnapshotCache::new(2);
         let o = AttrOptions::all();
-        c.insert(Timestamp(1), o.clone(), snap(), GraphId(10));
-        c.insert(Timestamp(2), o.clone(), snap(), GraphId(11));
+        c.insert(Timestamp(1), o.clone(), GraphId(10));
+        c.insert(Timestamp(2), o.clone(), GraphId(11));
         // Re-inserting t=1 at full capacity replaces in place: the old
         // overlay comes back, and no innocent LRU victim is evicted.
-        let displaced = c.insert(Timestamp(1), o.clone(), snap(), GraphId(12));
+        let displaced = c.insert(Timestamp(1), o.clone(), GraphId(12));
         assert_eq!(displaced, vec![GraphId(10)]);
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 0);
-        assert_eq!(c.lookup(Timestamp(1), &o, true).unwrap().1, GraphId(12));
-        assert_eq!(c.lookup(Timestamp(2), &o, true).unwrap().1, GraphId(11));
+        assert_eq!(c.lookup(Timestamp(1), &o, true).unwrap(), GraphId(12));
+        assert_eq!(c.lookup(Timestamp(2), &o, true).unwrap(), GraphId(11));
     }
 
     #[test]
     fn peek_counts_both_hits_and_misses() {
+        // A read-only peek is a counted lookup through `&self`.
         let mut c = SnapshotCache::new(4);
-        assert!(c.peek(Timestamp(1), &AttrOptions::all()).is_none());
+        let peek = |c: &SnapshotCache| c.lookup(Timestamp(1), &AttrOptions::all(), true);
+        assert!(peek(&c).is_none());
         assert_eq!((c.stats().hits, c.stats().misses), (0, 1));
-        c.insert(Timestamp(1), AttrOptions::all(), snap(), GraphId(9));
-        assert!(c.peek(Timestamp(1), &AttrOptions::all()).is_some());
+        c.insert(Timestamp(1), AttrOptions::all(), GraphId(9));
+        assert_eq!(peek(&c), Some(GraphId(9)));
         assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
         // A disabled cache's peek stays silent: nothing was consulted.
-        let mut off = SnapshotCache::new(0);
-        assert!(off.peek(Timestamp(1), &AttrOptions::all()).is_none());
+        let off = SnapshotCache::new(0);
+        assert!(peek(&off).is_none());
         assert_eq!(off.stats(), CacheStats::default());
     }
 
@@ -391,7 +371,7 @@ mod tests {
         let mut c = SnapshotCache::new(8);
         let o = AttrOptions::all();
         for t in [1i64, 5, 9] {
-            c.insert(Timestamp(t), o.clone(), snap(), GraphId(100 + t as u32));
+            c.insert(Timestamp(t), o.clone(), GraphId(100 + t as u32));
         }
         let dropped = c.invalidate_from(Timestamp(5));
         let mut ids: Vec<u32> = dropped.iter().map(|g| g.0).collect();
@@ -429,10 +409,10 @@ mod tests {
         let mut c = SnapshotCache::new(8);
         let all = AttrOptions::all();
         let bare = AttrOptions::structure_only();
-        c.insert(Timestamp(1), all.clone(), snap(), GraphId(1));
-        c.insert(Timestamp(1), bare.clone(), snap(), GraphId(2));
+        c.insert(Timestamp(1), all.clone(), GraphId(1));
+        c.insert(Timestamp(1), bare.clone(), GraphId(2));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup(Timestamp(1), &all, true).unwrap().1, GraphId(1));
-        assert_eq!(c.lookup(Timestamp(1), &bare, true).unwrap().1, GraphId(2));
+        assert_eq!(c.lookup(Timestamp(1), &all, true).unwrap(), GraphId(1));
+        assert_eq!(c.lookup(Timestamp(1), &bare, true).unwrap(), GraphId(2));
     }
 }

@@ -65,11 +65,12 @@ pub struct GraphManagerConfig {
     /// relative to the graph size (the query-time decision of Section 6).
     pub dependent_overlays: bool,
     /// Capacity of the shared snapshot cache used by point retrievals routed
-    /// through [`crate::PoolSession::retrieve_cached`]: an LRU of
-    /// materialized snapshots keyed by `(t, AttrOptions)`, whose pool
-    /// overlays are shared (reference-counted) across sessions. `0` (the
-    /// default) disables caching; the paper-API methods on [`GraphManager`]
-    /// itself never consult the cache.
+    /// through [`crate::PoolSession::retrieve_cached`]: an LRU keyed by
+    /// `(t, AttrOptions)` whose entries are pool overlays, shared
+    /// (reference-counted) across sessions. An entry is the overlay, not a
+    /// private copy of the snapshot. `0` (the default) disables caching;
+    /// the paper-API methods on [`GraphManager`] itself never consult the
+    /// cache.
     pub snapshot_cache_capacity: usize,
     /// Capacity of the rendered-response byte cache (entries; 0 — the
     /// default — disables it): fully framed replies for hot point queries,
@@ -336,20 +337,17 @@ impl GraphManager {
         t: Timestamp,
         opts: &AttrOptions,
         count: bool,
-    ) -> Option<(Arc<Snapshot>, GraphId)> {
-        let (snapshot, overlay) = self.cache.lookup(t, opts, count)?;
-        if !self.pool.retain(overlay) {
-            // Defensive: the cache's own reference should keep the overlay
-            // active, but never hand out a dead handle.
-            return None;
-        }
-        Some((snapshot, overlay))
+    ) -> Option<GraphId> {
+        let overlay = self.cache.lookup(t, opts, count)?;
+        // Defensive: the cache's own reference should keep the overlay
+        // active, but never hand out a dead handle.
+        self.pool.retain(overlay).then_some(overlay)
     }
 
     /// Overlays a freshly computed snapshot and, when the cache is enabled,
-    /// caches it. The returned handle carries one reference for the calling
-    /// session; the cache holds its own (the registration reference), so
-    /// the overlay outlives the session for future sharers.
+    /// caches the overlay. The returned handle carries one reference for
+    /// the calling session; the cache holds its own (the registration
+    /// reference), so the overlay outlives the session for future sharers.
     ///
     /// `computed_at_epoch` is the [`GraphManager::append_epoch`] observed
     /// while the snapshot was computed (under the read lock). If an append
@@ -358,34 +356,36 @@ impl GraphManager {
     /// a racing insert must never resurrect an invalidated time range.
     pub(crate) fn cache_insert_overlay(
         &mut self,
-        snapshot: &Arc<Snapshot>,
+        snapshot: &Snapshot,
         t: Timestamp,
         opts: &AttrOptions,
         computed_at_epoch: u64,
     ) -> GraphId {
         if self.cache.capacity() == 0 || self.append_epoch != computed_at_epoch {
             // Plain session-owned overlay, nothing cached.
-            return self.overlay(snapshot.as_ref(), t);
+            return self.overlay(snapshot, t);
         }
         // Cached overlays are always self-contained (never dependent on the
         // current graph): a dependent overlay's view silently changes when
         // appends mutate its dependency, which would corrupt cache entries
         // at t < event-time — exactly the entries invalidation keeps.
-        let id = self.pool.add_historical(snapshot.as_ref(), t);
+        let id = self.pool.add_historical(snapshot, t);
         self.pool.retain(id); // the session's reference (registration = cache's)
-        for displaced in self.cache.insert(t, opts.clone(), Arc::clone(snapshot), id) {
+        for displaced in self.cache.insert(t, opts.clone(), id) {
             self.pool.release(displaced);
         }
         id
     }
 
-    /// Read-only cache probe: returns the cached snapshot for `(t, opts)`
-    /// without touching overlay references. Used by queries that only need
-    /// the snapshot's data (e.g. `NODE ... AT`), not a pool handle. Hits
-    /// and misses both count (a failed probe forces the caller into a
-    /// direct computation).
-    pub(crate) fn cache_peek(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<Arc<Snapshot>> {
-        self.cache.peek(t, opts)
+    /// Read-only cache probe: the snapshot for `(t, opts)`, materialized
+    /// from its cached overlay, without touching overlay references. Used
+    /// by queries that only need the snapshot's data (e.g. `NODE ... AT`),
+    /// not a pool handle. Needs only `&self`, so it runs under a shared
+    /// lock. Hits and misses both count (a failed probe forces the caller
+    /// into a direct computation).
+    pub(crate) fn cache_peek(&self, t: Timestamp, opts: &AttrOptions) -> Option<Arc<Snapshot>> {
+        let overlay = self.cache.lookup(t, opts, true)?;
+        Some(Arc::new(self.pool.view(overlay).to_snapshot()))
     }
 
     /// Number of successful appends so far. Snapshot computations record

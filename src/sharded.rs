@@ -1154,9 +1154,11 @@ impl ShardedGraphManager {
             .and_then(|s| s.cell.peek().and_then(|shared| shared.peek_cached(t, opts)))
     }
 
-    /// Computes the snapshot as of `t` on the owning shard (no overlay).
+    /// Computes the snapshot as of `t` on the owning shard (no overlay):
+    /// planned under the shard's read lock, executed with no lock held.
     pub fn snapshot_at(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<Snapshot> {
-        self.shard_for(t)?.read().index().get_snapshot(t, opts)
+        let retrieval = self.shard_for(t)?.read().index().plan_retrieval(t, opts)?;
+        retrieval.execute()
     }
 
     /// Computes several snapshots, each on its owning shard, in request
@@ -1545,6 +1547,18 @@ impl ShardedGraphManager {
             .collect()
     }
 
+    /// Microseconds spent blocked acquiring shard locks, summed over the
+    /// built shards, as `(read, write)` — the totals behind
+    /// `shard_read_lock_wait_us_total` and `shard_write_lock_wait_us_total`
+    /// (see [`SharedGraphManager::lock_wait_us`]). Never hydrates.
+    pub fn lock_wait_us(&self) -> (u64, u64) {
+        self.read_shards()
+            .iter()
+            .filter_map(|s| s.cell.peek())
+            .map(SharedGraphManager::lock_wait_us)
+            .fold((0, 0), |(r, w), (sr, sw)| (r + sr, w + sw))
+    }
+
     /// Router-wide health (the `STATS HEALTH` payload). Never hydrates: a
     /// health probe must stay cheap precisely when the deployment is in
     /// trouble. Per-shard state is `"quarantined"` when the last hydration
@@ -1675,10 +1689,18 @@ fn shard_multipoint(
     times: &[Timestamp],
     opts: &AttrOptions,
 ) -> DgResult<Vec<Arc<Snapshot>>> {
-    let mut out: Vec<Option<Arc<Snapshot>>> = times
+    let hits: Vec<Option<GraphId>> = times
         .iter()
         .map(|&t| session.acquire_cached(t, opts))
         .collect();
+    // The session holds a reference to every hit, so each overlay stays
+    // put while it is materialized.
+    let mut out: Vec<Option<Arc<Snapshot>>> = {
+        let gm = session.shared().read();
+        hits.iter()
+            .map(|hit| hit.map(|id| Arc::new(gm.graph(id).to_snapshot())))
+            .collect()
+    };
     let missing: Vec<Timestamp> = out
         .iter()
         .zip(times)
@@ -1749,11 +1771,7 @@ impl ShardedSession {
     /// computes nothing and acquires nothing. Single-flight followers use
     /// this to take their overlay reference before accepting a leader's
     /// shared bytes; a `None` sends them down the full retrieval path.
-    pub fn acquire_cached_routed(
-        &mut self,
-        t: Timestamp,
-        opts: &AttrOptions,
-    ) -> Option<Arc<Snapshot>> {
+    pub fn acquire_cached_routed(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<GraphId> {
         let shard = self.router.shard_index_for(t);
         // A probe on a cold shard is a guaranteed miss and must compute
         // nothing — including the shard's own deferred index build.
@@ -1779,7 +1797,7 @@ impl ShardedSession {
         &mut self,
         t: Timestamp,
         opts: &AttrOptions,
-    ) -> Option<(SharedGraphManager, u64, Arc<Snapshot>)> {
+    ) -> Option<(SharedGraphManager, u64, GraphId)> {
         let shard = self.router.shard_index_for(t);
         // A probe on a cold shard is a guaranteed miss and must compute
         // nothing — including the shard's own deferred index build.
@@ -1789,14 +1807,14 @@ impl ShardedSession {
         // A miss acquires nothing and must leave every counter untouched
         // (the reactor fast path's contract), so the query is counted only
         // on the hit.
-        let (shared, epoch, snapshot) = {
+        let (shared, epoch, overlay) = {
             let session = self.session_for(shard).ok()?;
             let epoch = session.shared().read().append_epoch();
-            let snapshot = session.acquire_cached(t, opts)?;
-            (session.shared().clone(), epoch, snapshot)
+            let overlay = session.acquire_cached(t, opts)?;
+            (session.shared().clone(), epoch, overlay)
         };
         self.router.note_queries(shard, 1);
-        Some((shared, epoch, snapshot))
+        Some((shared, epoch, overlay))
     }
 
     /// Multipoint retrieval: times are grouped by owning shard; each group
@@ -2023,6 +2041,60 @@ mod tests {
             .snapshot_at(Timestamp(102), &AttrOptions::all())
             .unwrap();
         assert_eq!(mid.node_count(), 60 + 3);
+    }
+
+    #[test]
+    fn a_retrieval_planned_on_the_tail_executes_after_a_roll() {
+        let sharded = ShardedGraphManager::build_in_memory(
+            &linear_trace(),
+            ShardedConfig::default()
+                .with_shards(2)
+                .with_shard_events(40)
+                .with_manager(
+                    GraphManagerConfig::default()
+                        .with_index(deltagraph::DeltaGraphConfig::new(4, 2)),
+                ),
+        )
+        .unwrap();
+        let mut replay = linear_trace();
+        let mut append = |t: i64, node: u64| {
+            let event = Event::add_node(t, node);
+            replay.push(event.clone()).unwrap();
+            sharded.append_event(event).unwrap();
+        };
+        append(61, 9061);
+        append(62, 9062);
+        // t=45 lies in an interval of the tail's index, t=62 after its
+        // last leaf.
+        let tail = sharded.shard_for(Timestamp(62)).unwrap();
+        let opts = AttrOptions::all();
+        let plan = |t: i64| tail.read().index().plan_retrieval(Timestamp(t), &opts);
+        assert!(tail
+            .read()
+            .index()
+            .plan_snapshot(Timestamp(45), &opts)
+            .unwrap()
+            .is_some());
+        assert!(tail
+            .read()
+            .index()
+            .plan_snapshot(Timestamp(62), &opts)
+            .unwrap()
+            .is_none());
+        let planned = [(45, plan(45).unwrap()), (62, plan(62).unwrap())];
+        let shards = sharded.shard_count();
+        for i in 0..12 {
+            append(70 + i, 9070 + i as u64);
+        }
+        assert!(sharded.shard_count() > shards, "the tail did not roll");
+        let oracle = datagen::Dataset {
+            name: "linear",
+            events: replay,
+        };
+        for (t, retrieval) in planned {
+            let t = Timestamp(t);
+            assert_eq!(retrieval.execute().unwrap(), oracle.snapshot_at(t), "t={t}");
+        }
     }
 
     #[test]

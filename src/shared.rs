@@ -2,17 +2,27 @@
 //!
 //! A [`GraphManager`] is single-threaded by design — retrieval overlays
 //! snapshots onto the GraphPool, which mutates shared bitmaps. The snapshot
-//! *computation* itself, however, only reads the DeltaGraph index. The
-//! [`SharedGraphManager`] exploits that split: the expensive part of a query
-//! (planning, delta fetches, eventlist replay) runs under a shared read
-//! lock, so many sessions retrieve concurrently, and only the cheap overlay
-//! and append operations take the exclusive write lock.
+//! *computation* itself, however, only reads the DeltaGraph index, and only
+//! to plan: a [`deltagraph::Retrieval`] owns everything its execution needs.
+//! The [`SharedGraphManager`] exploits that split: a point query plans under
+//! the shared read lock, fetches, decodes and applies with no lock held, and
+//! takes the exclusive write lock only for the overlay. Readers of other
+//! points never wait behind that work, and neither do appends.
+//!
+//! [`SharedGraphManager::read`] and [`SharedGraphManager::write`] add the
+//! time they wait to acquire the lock to per-shard totals
+//! ([`SharedGraphManager::lock_wait_us`]).
 //!
 //! Sessions track the pool handles they create through a [`PoolSession`];
 //! dropping the session releases its overlays and runs the lazy cleaner, so
 //! a disconnecting client can never leak pool bits.
 
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{
+    Arc, LockResult, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+    TryLockResult,
+};
+use std::time::Instant;
 
 use deltagraph::DgResult;
 use graphpool::GraphId;
@@ -24,7 +34,34 @@ use crate::response_cache::WireFormat;
 /// A cloneable, thread-safe handle to one [`GraphManager`].
 #[derive(Clone)]
 pub struct SharedGraphManager {
-    inner: Arc<RwLock<GraphManager>>,
+    inner: Arc<Guarded>,
+}
+
+/// The manager's lock, and the nanoseconds callers have waited for it.
+struct Guarded {
+    lock: RwLock<GraphManager>,
+    read_wait_ns: AtomicU64,
+    write_wait_ns: AtomicU64,
+}
+
+/// Takes a lock, adding the time spent blocked to `wait_ns`. An
+/// uncontended take reads no clock.
+fn timed<G>(
+    wait_ns: &AtomicU64,
+    try_lock: impl FnOnce() -> TryLockResult<G>,
+    lock: impl FnOnce() -> LockResult<G>,
+) -> G {
+    match try_lock() {
+        Ok(guard) => guard,
+        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+        Err(TryLockError::WouldBlock) => {
+            let started = Instant::now();
+            let guard = lock().unwrap_or_else(PoisonError::into_inner);
+            let waited = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            wait_ns.fetch_add(waited, Relaxed);
+            guard
+        }
+    }
 }
 
 // GraphManager must stay usable across threads for the server; assert it here
@@ -38,7 +75,11 @@ impl SharedGraphManager {
     /// Wraps a manager for shared use.
     pub fn new(manager: GraphManager) -> Self {
         SharedGraphManager {
-            inner: Arc::new(RwLock::new(manager)),
+            inner: Arc::new(Guarded {
+                lock: RwLock::new(manager),
+                read_wait_ns: AtomicU64::new(0),
+                write_wait_ns: AtomicU64::new(0),
+            }),
         }
     }
 
@@ -75,24 +116,49 @@ impl SharedGraphManager {
             .response_cache_put(t, opts, format, bytes, computed_at_epoch)
     }
 
-    /// Shared read access. Snapshot computation through
-    /// [`GraphManager::index`] needs only this.
+    /// Shared read access: planning a retrieval through
+    /// [`GraphManager::index`], cache probes that take no reference, and
+    /// materializing an overlay. Time spent blocked counts toward
+    /// [`SharedGraphManager::lock_wait_us`].
     pub fn read(&self) -> RwLockReadGuard<'_, GraphManager> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+        let lock = &self.inner.lock;
+        timed(&self.inner.read_wait_ns, || lock.try_read(), || lock.read())
     }
 
-    /// Exclusive write access, for overlays, appends, and releases.
+    /// Exclusive write access, for overlays, appends, and releases. Time
+    /// spent blocked counts toward [`SharedGraphManager::lock_wait_us`].
     pub fn write(&self) -> RwLockWriteGuard<'_, GraphManager> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+        let lock = &self.inner.lock;
+        timed(
+            &self.inner.write_wait_ns,
+            || lock.try_write(),
+            || lock.write(),
+        )
     }
 
-    /// Read-only probe of the shared snapshot cache: the cached snapshot for
-    /// `(t, opts)` if present, without touching overlay references. `None`
-    /// on a miss — the caller computes the snapshot itself (and decides
-    /// whether that result is worth caching). Takes the write lock briefly
-    /// (LRU and hit counters move on a hit).
+    /// Microseconds callers have spent blocked acquiring this manager's
+    /// lock so far, as `(read, write)`. Both only grow.
+    pub fn lock_wait_us(&self) -> (u64, u64) {
+        (
+            self.inner.read_wait_ns.load(Relaxed) / 1000,
+            self.inner.write_wait_ns.load(Relaxed) / 1000,
+        )
+    }
+
+    /// Read-only probe of the shared snapshot cache: the snapshot for
+    /// `(t, opts)`, materialized from its cached overlay under the read
+    /// lock, without touching overlay references. `None` on a miss — the
+    /// caller computes the snapshot itself (and decides whether that result
+    /// is worth caching).
     pub fn peek_cached(&self, t: Timestamp, opts: &AttrOptions) -> Option<Arc<Snapshot>> {
-        self.write().cache_peek(t, opts)
+        self.read().cache_peek(t, opts)
+    }
+
+    /// The graph of pool overlay `id`, materialized under the read lock.
+    /// The caller must hold a reference to `id` (see [`PoolSession`]), or
+    /// the overlay could be released and cleaned up underneath it.
+    pub fn snapshot_of(&self, id: GraphId) -> Arc<Snapshot> {
+        Arc::new(self.read().graph(id).to_snapshot())
     }
 
     /// Starts a session whose overlays are released when it drops.
@@ -107,15 +173,30 @@ impl SharedGraphManager {
 /// One point retrieval served through [`PoolSession::retrieve_cached`].
 #[derive(Clone, Debug)]
 pub struct CachedPoint {
-    /// The materialized snapshot (shared with the cache on a hit).
-    pub snapshot: Arc<Snapshot>,
-    /// Whether the snapshot came from the shared cache.
+    /// The pool overlay the session now holds one reference to: the cached
+    /// one on a hit, the one built for this retrieval on a miss.
+    pub overlay: GraphId,
+    /// The snapshot this retrieval built, owned by the caller alone — the
+    /// cache keeps only the overlay. `None` on a hit, which builds nothing;
+    /// see [`CachedPoint::into_snapshot`].
+    pub snapshot: Option<Arc<Snapshot>>,
+    /// Whether the overlay came from the shared cache.
     pub cache_hit: bool,
-    /// The append epoch the snapshot is consistent with, read under the
-    /// same lock that produced it. Callers caching anything derived from
-    /// the snapshot (e.g. rendered response bytes) pass this to the insert
+    /// The append epoch the point is consistent with, read under the same
+    /// lock that planned or found it. Callers caching anything derived from
+    /// the point (e.g. rendered response bytes) pass this to the insert
     /// path so a result that raced an `APPEND` is never cached.
     pub epoch: u64,
+}
+
+impl CachedPoint {
+    /// The point as a snapshot: the one this retrieval built or, on a hit,
+    /// one materialized from the overlay on `shared`, the shard that served
+    /// the point.
+    pub fn into_snapshot(self, shared: &SharedGraphManager) -> Arc<Snapshot> {
+        self.snapshot
+            .unwrap_or_else(|| shared.snapshot_of(self.overlay))
+    }
 }
 
 /// Tracks the GraphPool handles one session created, releasing them (and
@@ -135,17 +216,19 @@ impl PoolSession {
     }
 
     /// Point retrieval through the shared snapshot cache: returns the
-    /// snapshot as of `t`, whether it was served from the cache, and the
-    /// append epoch it is consistent with (see [`CachedPoint`]).
+    /// overlay as of `t` the session now holds, the snapshot if this call
+    /// built one, whether the overlay was served from the cache, and the
+    /// append epoch the point is consistent with (see [`CachedPoint`]).
     ///
     /// On a hit the session shares the cached pool overlay (its reference
-    /// count goes up; no new overlay is built). On a miss the snapshot is
-    /// computed under the shared read lock — concurrent sessions retrieve in
-    /// parallel — then overlaid and cached under the write lock, with a
-    /// re-probe in between so two sessions racing on the same `(t, opts)`
-    /// still end up sharing one overlay. Either way the handle is recorded
-    /// against this session and released (one reference) when the session
-    /// drops. With the cache disabled (capacity 0) both probes miss without
+    /// count goes up; nothing is built). On a miss the retrieval is planned
+    /// under the shared read lock and executed with no lock held —
+    /// concurrent sessions retrieve in parallel and appends do not wait on
+    /// them — then overlaid and cached under the write lock, with a
+    /// re-probe first so two sessions racing on the same `(t, opts)` still
+    /// end up sharing one overlay. Either way the handle is recorded against
+    /// this session and released (one reference) when the session drops.
+    /// With the cache disabled (capacity 0) both probes miss without
     /// counting and the insert declines, leaving a plain session-owned
     /// overlay.
     pub fn retrieve_cached(&mut self, t: Timestamp, opts: &AttrOptions) -> DgResult<CachedPoint> {
@@ -155,66 +238,67 @@ impl PoolSession {
         // because appends (which bump it) also invalidate under it.
         {
             let mut gm = self.shared.write();
-            if let Some((snap, id)) = gm.cache_acquire(t, opts, true) {
+            if let Some(id) = gm.cache_acquire(t, opts, true) {
                 let epoch = gm.append_epoch();
                 drop(gm);
-                self.handles.push(id);
-                return Ok(CachedPoint {
-                    snapshot: snap,
-                    cache_hit: true,
-                    epoch,
-                });
+                return Ok(self.hold(id, None, true, epoch));
             }
         }
-        // Miss: the expensive DeltaGraph traversal runs under the read
-        // lock. The append epoch is read under the same guard, so it is
-        // exactly the history the snapshot saw.
-        let (snapshot, epoch) = {
+        // Miss: plan under the read lock, reading the append epoch under
+        // the same guard so it names exactly the history the plan saw. The
+        // plan owns everything its execution needs and payload ids are
+        // write-once, so fetch, decode and apply run with no lock held.
+        let (retrieval, epoch) = {
             let gm = self.shared.read();
-            let snapshot = Arc::new(gm.index().get_snapshot(t, opts)?);
-            (snapshot, gm.append_epoch())
+            (gm.index().plan_retrieval(t, opts)?, gm.append_epoch())
         };
+        let snapshot = Arc::new(retrieval.execute()?);
         let mut gm = self.shared.write();
         // Double-check: another session may have cached (t, opts) while we
         // computed. Counted as neither hit nor miss — this lookup already
         // recorded its miss above.
-        if let Some((snap, id)) = gm.cache_acquire(t, opts, false) {
-            let epoch = gm.append_epoch();
-            drop(gm);
-            self.handles.push(id);
-            return Ok(CachedPoint {
-                snapshot: snap,
-                cache_hit: true,
-                epoch,
-            });
-        }
-        // If an append landed between our compute and this insert, the
-        // manager declines to cache the (possibly stale) snapshot and
-        // hands back a plain session-owned overlay.
-        let id = gm.cache_insert_overlay(&snapshot, t, opts, epoch);
+        let (id, cache_hit) = match gm.cache_acquire(t, opts, false) {
+            Some(id) => (id, true),
+            // If an append landed between our plan and this insert, the
+            // manager declines to cache the (possibly stale) snapshot and
+            // hands back a plain session-owned overlay.
+            None => (gm.cache_insert_overlay(&snapshot, t, opts, epoch), false),
+        };
         drop(gm);
-        self.handles.push(id);
-        Ok(CachedPoint {
+        Ok(self.hold(id, Some(snapshot), cache_hit, epoch))
+    }
+
+    /// Records `overlay` against this session and describes the point.
+    fn hold(
+        &mut self,
+        overlay: GraphId,
+        snapshot: Option<Arc<Snapshot>>,
+        cache_hit: bool,
+        epoch: u64,
+    ) -> CachedPoint {
+        self.handles.push(overlay);
+        CachedPoint {
+            overlay,
             snapshot,
-            cache_hit: false,
+            cache_hit,
             epoch,
-        })
+        }
     }
 
     /// Cache-only point acquisition: on a hit the session shares the cached
-    /// overlay (its reference count goes up) and the materialized snapshot
-    /// is returned; on a miss nothing is computed or inserted — the caller
-    /// retrieves however it prefers (e.g. the Steiner multipoint planner).
-    /// Hits and misses both count toward the cache statistics.
+    /// overlay (its reference count goes up) and its id is returned; on a
+    /// miss nothing is computed or inserted — the caller retrieves however
+    /// it prefers (e.g. the Steiner multipoint planner). Hits and misses
+    /// both count toward the cache statistics.
     ///
     /// This is the probe half of [`PoolSession::retrieve_cached`], used by
     /// queries that want overlay sharing for hot points without letting a
     /// wide cold scan (multipoint over many distinct times) evict the hot
     /// set by force-inserting every point.
-    pub fn acquire_cached(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<Arc<Snapshot>> {
-        let (snapshot, id) = self.shared.write().cache_acquire(t, opts, true)?;
+    pub fn acquire_cached(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<GraphId> {
+        let id = self.shared.write().cache_acquire(t, opts, true)?;
         self.handles.push(id);
-        Some(snapshot)
+        Some(id)
     }
 
     /// Handles created by this session, in creation order.
@@ -326,7 +410,7 @@ mod tests {
         assert!(!p1.cache_hit, "first retrieval must miss");
         assert!(p2.cache_hit, "second retrieval must hit");
         assert_eq!(p1.epoch, p2.epoch);
-        assert_eq!(*p1.snapshot, *p2.snapshot);
+        assert_eq!(p1.clone().into_snapshot(&sm), p2.clone().into_snapshot(&sm));
         // exactly one overlay, shared: cache ref + one per session
         assert_eq!(sm.read().pool().active_overlay_count(), 1);
         let id = s1.handles()[0];
@@ -360,7 +444,7 @@ mod tests {
         let point = session.retrieve_cached(Timestamp(25), &opts).unwrap();
         assert!(!point.cache_hit);
         assert_eq!(point.epoch, 1);
-        assert!(point.snapshot.has_node(tgraph::NodeId(777)));
+        assert!(point.into_snapshot(&sm).has_node(tgraph::NodeId(777)));
         assert_eq!(sm.read().cache_stats().invalidations, 1);
     }
 
@@ -384,7 +468,7 @@ mod tests {
         let snap = session
             .retrieve_cached(Timestamp(10), &opts)
             .unwrap()
-            .snapshot;
+            .into_snapshot(&sm);
         let id = session.handles()[0];
         sm.write().append_event(Event::add_node(20, 777)).unwrap();
         // The t=10 entry survives the append (10 < 20) and its pool view
@@ -399,7 +483,7 @@ mod tests {
         let mut other = sm.session();
         let p2 = other.retrieve_cached(Timestamp(10), &opts).unwrap();
         assert!(p2.cache_hit);
-        assert!(!p2.snapshot.has_node(tgraph::NodeId(777)));
+        assert!(!p2.into_snapshot(&sm).has_node(tgraph::NodeId(777)));
     }
 
     #[test]
@@ -429,8 +513,23 @@ mod tests {
         let mut session = sm.session();
         let point = session.retrieve_cached(Timestamp(25), &opts).unwrap();
         assert!(!point.cache_hit);
-        assert!(point.snapshot.has_node(tgraph::NodeId(777)));
+        assert!(point.into_snapshot(&sm).has_node(tgraph::NodeId(777)));
         assert_eq!(sm.read().cache_len(), 1);
+    }
+
+    #[test]
+    fn a_cold_retrieval_leaves_its_snapshot_to_the_caller_alone() {
+        let sm = shared_cached(8);
+        let mut session = sm.session();
+        let point = session
+            .retrieve_cached(Timestamp(6), &AttrOptions::all())
+            .unwrap();
+        assert!(!point.cache_hit);
+        let snapshot = point.snapshot.expect("a miss builds its snapshot");
+        // The cache keeps the overlay only: no second reference pins a copy.
+        assert_eq!(Arc::strong_count(&snapshot), 1);
+        assert_eq!(sm.read().cache_len(), 1);
+        assert_eq!(sm.read().graph(point.overlay).to_snapshot(), *snapshot);
     }
 
     #[test]

@@ -158,6 +158,19 @@ fn metrics_are_monotonic_across_scrapes() {
         count_after >= count_before + 12,
         "before={count_before} after={count_after}"
     );
+    // Shard lock waits are exported as counters that never decrease.
+    for name in [
+        "shard_read_lock_wait_us_total",
+        "shard_write_lock_wait_us_total",
+    ] {
+        assert!(
+            before
+                .iter()
+                .any(|l| l.starts_with(&format!("M {name} counter"))),
+            "{name} missing"
+        );
+        assert!(metric_field(&after, name, "value") >= metric_field(&before, name, "value"));
+    }
     for name in metric_names(&before) {
         // Gauges (live connections, queue depth) may move either way;
         // counters and histogram counts must not regress.

@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 
 use historygraph::datagen::toy_trace;
 use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager, SharedGraphManager};
+use histql::Executor;
 use server::{serve_sharded, Client, ServerConfig, ServerHandle};
 
 /// A server over a one-shard router, plus that shard.
@@ -198,4 +199,31 @@ fn cache_disabled_server_behaves_like_before() {
         assert_eq!(field(&cache[0], "misses"), 0);
     }
     await_overlays(&shared, 0);
+}
+
+/// The cache keeps overlays, not snapshots: a hit whose rendered bytes are
+/// not cached is rendered from the pool overlay, and its text and binary
+/// frames are byte-identical to the miss's.
+#[test]
+fn a_hit_without_cached_bytes_renders_like_the_miss() {
+    // No response cache: every point is rendered.
+    let router = ShardedGraphManager::build_in_memory(
+        &toy_trace().events,
+        ShardedConfig::default()
+            .with_manager(GraphManagerConfig::default().with_snapshot_cache(16)),
+    )
+    .unwrap();
+    for (t, protocol) in [(6, "TEXT"), (9, "BINARY")] {
+        let mut cold = Executor::for_router(router.clone());
+        let mut hot = Executor::for_router(router.clone());
+        for exec in [&mut cold, &mut hot] {
+            exec.execute_framed(&format!("PROTOCOL {protocol}"));
+        }
+        let line = format!("GET GRAPH AT {t} WITH +node:all+edge:all");
+        let hits = router.cache_overview().stats.hits;
+        let miss = cold.execute_framed(&line);
+        let hit = hot.execute_framed(&line);
+        assert_eq!(router.cache_overview().stats.hits, hits + 1, "{protocol}");
+        assert_eq!(miss.as_ref(), hit.as_ref(), "{protocol} frames differ");
+    }
 }
