@@ -205,6 +205,7 @@ impl DeltaGraph {
     /// kept in memory. Leaves folded in later by appends extend the index
     /// the same way.
     pub fn build_aux_index(&mut self, index: Box<dyn AuxIndex>) -> DgResult<()> {
+        self.ensure_appendable()?;
         // Auxiliary events are derived from plain events; a seed graph
         // (`DeltaGraph::build_seeded`) has none to derive them from.
         let first = *self.skeleton.leaves().first().ok_or(DgError::EmptyIndex)?;

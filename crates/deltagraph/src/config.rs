@@ -1,6 +1,14 @@
 //! Construction parameters for a DeltaGraph (Section 4.6).
 
+use tgraph::codec::{Decode, Encode, Reader};
+use tgraph::TgError;
+
 use crate::diff_fn::DifferentialFunction;
+
+/// Most partitions a persisted configuration may name: every retrieval
+/// allocates one key per partition and column, so a corrupt count must not
+/// reach it.
+const MAX_PARTITIONS: u64 = 1 << 16;
 
 /// Parameters accepted by the DeltaGraph construction algorithm:
 /// the leaf-eventlist size `L`, the arity `k`, the differential function
@@ -83,6 +91,70 @@ impl DeltaGraphConfig {
     }
 }
 
+/// The parameters a sealed index's payloads were written with — leaf size,
+/// arity, differential function and partitions — in that order.
+/// `retrieval_threads` is a run-time choice and is not persisted.
+impl Encode for DeltaGraphConfig {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.leaf_size.encode(buf);
+        self.arity.encode(buf);
+        let (tag, r1, r2): (u64, f64, f64) = match self.diff_fn {
+            DifferentialFunction::Intersection => (0, 0.0, 0.0),
+            DifferentialFunction::Union => (1, 0.0, 0.0),
+            DifferentialFunction::Skewed { r } => (2, r, 0.0),
+            DifferentialFunction::RightSkewed { r } => (3, r, 0.0),
+            DifferentialFunction::LeftSkewed { r } => (4, r, 0.0),
+            DifferentialFunction::Mixed { r1, r2 } => (5, r1, r2),
+            DifferentialFunction::Balanced => (6, 0.0, 0.0),
+            DifferentialFunction::Empty => (7, 0.0, 0.0),
+        };
+        tag.encode(buf);
+        r1.encode(buf);
+        r2.encode(buf);
+        u64::from(self.partitions).encode(buf);
+    }
+}
+
+impl Decode for DeltaGraphConfig {
+    /// Decodes and validates a persisted configuration (one retrieval
+    /// thread; the opener picks its own).
+    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
+        let leaf_size = usize::decode(r)?;
+        let arity = usize::decode(r)?;
+        let (tag, r1, r2) = (u64::decode(r)?, f64::decode(r)?, f64::decode(r)?);
+        let diff_fn = match tag {
+            0 => DifferentialFunction::Intersection,
+            1 => DifferentialFunction::Union,
+            2 => DifferentialFunction::Skewed { r: r1 },
+            3 => DifferentialFunction::RightSkewed { r: r1 },
+            4 => DifferentialFunction::LeftSkewed { r: r1 },
+            5 => DifferentialFunction::Mixed { r1, r2 },
+            6 => DifferentialFunction::Balanced,
+            7 => DifferentialFunction::Empty,
+            _ => {
+                return Err(TgError::Codec(format!(
+                    "invalid differential function tag {tag}"
+                )))
+            }
+        };
+        let partitions = u64::decode(r)?;
+        if partitions > MAX_PARTITIONS {
+            return Err(TgError::Codec(format!(
+                "implausible partition count {partitions}"
+            )));
+        }
+        let config = DeltaGraphConfig {
+            leaf_size,
+            arity,
+            diff_fn,
+            partitions: partitions as u32,
+            retrieval_threads: 1,
+        };
+        config.validate().map_err(TgError::Codec)?;
+        Ok(config)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,6 +175,29 @@ mod tests {
         assert_eq!(cfg.partitions, 3);
         assert_eq!(cfg.retrieval_threads, 2);
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn persisted_parameters_round_trip_and_are_validated() {
+        for f in [
+            DifferentialFunction::Intersection,
+            DifferentialFunction::Skewed { r: 0.3 },
+            DifferentialFunction::Mixed { r1: 0.9, r2: 0.1 },
+            DifferentialFunction::Empty,
+        ] {
+            let cfg = DeltaGraphConfig::new(70, 3)
+                .with_diff_fn(f)
+                .with_partitions(4)
+                .with_retrieval_threads(2);
+            let back = DeltaGraphConfig::from_bytes(&cfg.to_bytes()).unwrap();
+            assert_eq!(
+                (back.leaf_size, back.arity, back.diff_fn, back.partitions),
+                (70, 3, f, 4)
+            );
+            assert_eq!(back.retrieval_threads, 1, "threads are not persisted");
+        }
+        let bad = DeltaGraphConfig::new(10, 1).to_bytes();
+        assert!(DeltaGraphConfig::from_bytes(&bad).is_err());
     }
 
     #[test]

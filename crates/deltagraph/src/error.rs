@@ -33,6 +33,9 @@ pub enum DgError {
     UnknownAuxIndex(String),
     /// Invalid construction or query parameter.
     InvalidParameter(String),
+    /// A write reached a sealed index: it serves retrievals from its
+    /// persisted payloads and takes no appends.
+    Sealed,
     /// The shard owning the queried time range is quarantined after failed
     /// hydration attempts; other shards keep serving.
     ShardQuarantined {
@@ -59,6 +62,7 @@ impl fmt::Display for DgError {
             DgError::UnknownNode(id) => write!(f, "unknown skeleton node {id}"),
             DgError::UnknownAuxIndex(name) => write!(f, "unknown auxiliary index {name:?}"),
             DgError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
+            DgError::Sealed => write!(f, "the index is sealed: it takes no appends"),
             DgError::ShardQuarantined {
                 shard,
                 failures,

@@ -1,6 +1,11 @@
 //! The `DeltaGraph` index object: skeleton + persisted payloads + run-time
 //! state (materialized nodes, the current graph, and the recent eventlist).
 
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use kvstore::{ComponentKind, KeyValueStore, NodePartitioner, StoreKey};
+use tgraph::codec::{Decode, Encode, Reader};
 use tgraph::fxhash::FxHashMap;
 use tgraph::{AttrOptions, Event, EventList, Snapshot, Timestamp};
 
@@ -32,6 +37,34 @@ pub struct IndexStats {
     pub recent_events: usize,
 }
 
+/// What a sealed index keeps beside its payloads: the construction
+/// parameters the payloads were written with, and the skeleton that names
+/// them. Together with a store holding those payloads it is the whole index
+/// ([`DeltaGraph::open_sealed`]).
+#[derive(Clone, Debug)]
+pub struct IndexImage {
+    /// Construction parameters (partitions decide which keys hold a payload).
+    pub config: DeltaGraphConfig,
+    /// The skeleton, without run-time materialization marks.
+    pub skeleton: Skeleton,
+}
+
+impl Encode for IndexImage {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.config.encode(buf);
+        self.skeleton.encode(buf);
+    }
+}
+
+impl Decode for IndexImage {
+    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
+        Ok(IndexImage {
+            config: DeltaGraphConfig::decode(r)?,
+            skeleton: Skeleton::decode(r)?,
+        })
+    }
+}
+
 /// The DeltaGraph index over the history of one graph.
 pub struct DeltaGraph {
     pub(crate) config: DeltaGraphConfig,
@@ -47,6 +80,9 @@ pub struct DeltaGraph {
     pub(crate) next_id: u64,
     /// Registered auxiliary indexes (Section 4.7).
     pub(crate) aux: Vec<crate::aux::AuxState>,
+    /// Opened from a persisted image ([`DeltaGraph::open_sealed`]): no
+    /// current graph, no appends.
+    sealed: bool,
 }
 
 impl DeltaGraph {
@@ -70,7 +106,98 @@ impl DeltaGraph {
             recent,
             next_id,
             aux: Vec::new(),
+            sealed: false,
         }
+    }
+
+    /// Opens a sealed index: the skeleton and parameters of `image` over a
+    /// store holding the payloads they were written with (a segment file).
+    /// Nothing is fetched or rebuilt; retrievals read the store on demand.
+    /// A sealed index has no current graph and refuses appends with
+    /// [`DgError::Sealed`].
+    pub fn open_sealed(
+        image: IndexImage,
+        store: Arc<dyn KeyValueStore>,
+        retrieval_threads: usize,
+    ) -> DeltaGraph {
+        let IndexImage { config, skeleton } = image;
+        let payloads = PayloadStore::new(
+            store,
+            NodePartitioner::new(config.partitions),
+            retrieval_threads,
+        );
+        DeltaGraph {
+            config: DeltaGraphConfig {
+                retrieval_threads,
+                ..config
+            },
+            skeleton,
+            payloads,
+            materialized: FxHashMap::default(),
+            current: Snapshot::new(),
+            recent: EventList::new(),
+            // Payload ids are only taken by writes, which a sealed index refuses.
+            next_id: 0,
+            aux: Vec::new(),
+            sealed: true,
+        }
+    }
+
+    /// What sealing this index writes: its [`IndexImage`], encoded, and
+    /// every payload block its skeleton names, read back from the store in
+    /// key order. Refused while events wait in the recent eventlist — the
+    /// image has no place for them.
+    #[allow(clippy::type_complexity)]
+    pub fn sealed_parts(&self) -> DgResult<(Vec<u8>, Vec<(StoreKey, Vec<u8>)>)> {
+        if !self.recent.is_empty() {
+            return Err(DgError::InvalidParameter(format!(
+                "cannot seal an index with {} unfolded recent events",
+                self.recent.len()
+            )));
+        }
+        let image = IndexImage {
+            config: self.config.clone(),
+            skeleton: self.skeleton.clone(),
+        }
+        .to_bytes();
+        let ids: BTreeSet<u64> = self
+            .skeleton
+            .edges()
+            .iter()
+            .map(|e| e.payload.id())
+            .collect();
+        let store = self.payloads.backing_store();
+        let mut blocks = Vec::new();
+        for partition in 0..self.payloads.partition_count() {
+            for &id in &ids {
+                for component in [
+                    ComponentKind::Structure,
+                    ComponentKind::NodeAttr,
+                    ComponentKind::EdgeAttr,
+                    ComponentKind::Transient,
+                ] {
+                    let key = StoreKey::new(partition, id, component);
+                    if let Some(bytes) = store.get(key)? {
+                        blocks.push((key, bytes));
+                    }
+                }
+            }
+        }
+        Ok((image, blocks))
+    }
+
+    /// Whether this index was opened sealed ([`DeltaGraph::open_sealed`]).
+    pub fn is_sealed(&self) -> bool {
+        self.sealed
+    }
+
+    /// `Err(DgError::Sealed)` on a sealed index; writers check this before
+    /// touching any state.
+    pub fn ensure_appendable(&self) -> DgResult<()> {
+        if self.sealed {
+            return Err(DgError::Sealed);
+        }
+        Ok(())
     }
 
     /// Convenience constructor: builds the index over `events` using the
@@ -111,7 +238,9 @@ impl DeltaGraph {
         &self.payloads
     }
 
-    /// The current (latest) graph state.
+    /// The current (latest) graph state, maintained for appends. Empty for
+    /// a sealed index, which takes no appends: retrieve its latest state
+    /// with a query at or after its history's end instead.
     pub fn current_graph(&self) -> &Snapshot {
         &self.current
     }
@@ -238,6 +367,11 @@ impl DeltaGraph {
     /// materialized").
     pub fn materialize_current_leaf(&mut self) -> DgResult<NodeIdx> {
         let last = self.skeleton.last_leaf()?;
+        if self.sealed {
+            // No resident current graph: retrieve the leaf like any node.
+            self.materialize(last)?;
+            return Ok(last);
+        }
         let mut graph = self.current.clone();
         // Undo the recent (not yet indexed) events to obtain the last leaf's
         // state.
@@ -296,6 +430,7 @@ impl DeltaGraph {
     /// eventlist. Once the recent eventlist reaches the leaf size `L`, it is
     /// folded into the index as a new leaf.
     pub fn append_event(&mut self, event: Event) -> DgResult<()> {
+        self.ensure_appendable()?;
         // Validate chronology before touching the current graph: the recent
         // list would reject the event below, but by then `apply_forward` has
         // already mutated `current`, leaving an event in the graph that no
@@ -559,6 +694,71 @@ mod tests {
         assert!(dg.recent_events().len() < leaf_size);
         let (_, hist_end) = dg.history_range().unwrap();
         assert!(hist_end.raw() >= end + leaf_size as i64);
+    }
+
+    #[test]
+    fn a_sealed_index_answers_like_the_index_it_was_sealed_from() {
+        let ds = datagen::churn_trace(&datagen::ChurnConfig::tiny(23));
+        let dg = DeltaGraph::build(
+            &ds.events,
+            DeltaGraphConfig::new(40, 3).with_partitions(2),
+            Arc::new(MemStore::new()),
+        )
+        .unwrap();
+        let (image, blocks) = dg.sealed_parts().unwrap();
+        let store = MemStore::new();
+        for (key, value) in &blocks {
+            store.put(*key, value).unwrap();
+        }
+        assert_eq!(store.stored_bytes(), dg.stats().stored_bytes);
+        let image = IndexImage::from_bytes(&image).unwrap();
+        let mut sealed = DeltaGraph::open_sealed(image, Arc::new(store), 1);
+        assert!(sealed.is_sealed() && sealed.current_graph().is_empty());
+        assert_eq!(sealed.history_range().unwrap(), dg.history_range().unwrap());
+        let times = datagen::uniform_timepoints(ds.start_time(), ds.end_time(), 9);
+        for opts in [AttrOptions::all(), AttrOptions::structure_only()] {
+            for &t in &times {
+                assert_eq!(
+                    sealed.get_snapshot(t, &opts).unwrap(),
+                    dg.get_snapshot(t, &opts).unwrap()
+                );
+            }
+            assert_eq!(
+                sealed.get_snapshots(&times, &opts).unwrap(),
+                dg.get_snapshots(&times, &opts).unwrap()
+            );
+        }
+        let (lo, hi) = (times[2], times[5]);
+        assert_eq!(
+            sealed
+                .get_snapshot_interval(lo, hi, &AttrOptions::all())
+                .unwrap(),
+            dg.get_snapshot_interval(lo, hi, &AttrOptions::all())
+                .unwrap()
+        );
+        // The last leaf is retrieved, not taken from the (empty) current graph.
+        let last = sealed.materialize_current_leaf().unwrap();
+        let end = ds.end_time();
+        assert_eq!(sealed.materialized[&last], ds.snapshot_at(end));
+        // Appends are refused, typed, before anything changes.
+        let leaves = sealed.skeleton().leaves().len();
+        let err = sealed
+            .append_event(Event::add_node(end.raw() + 1, 999_999))
+            .unwrap_err();
+        assert!(matches!(err, DgError::Sealed), "{err}");
+        assert!(sealed.current_graph().is_empty() && sealed.recent_events().is_empty());
+        assert_eq!(sealed.skeleton().leaves().len(), leaves);
+        // A rebuild of a sealed index is a normal, appendable index.
+        let rebuilt = sealed.rebuild(Arc::new(MemStore::new())).unwrap();
+        assert_eq!(rebuilt.current_graph(), &ds.final_snapshot());
+    }
+
+    #[test]
+    fn an_index_with_unfolded_events_refuses_to_seal() {
+        let (ds, mut dg) = small_index();
+        dg.append_event(Event::add_node(ds.end_time().raw() + 1, 777_777))
+            .unwrap();
+        assert!(dg.sealed_parts().is_err());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use build::DeltaGraphBuilder;
 pub use config::DeltaGraphConfig;
 pub use diff_fn::DifferentialFunction;
 pub use error::{DgError, DgResult};
-pub use graph::{DeltaGraph, IndexStats};
+pub use graph::{DeltaGraph, IndexImage, IndexStats};
 pub use query::{Anchor, PointPlan, Retrieval};
 pub use skeleton::{ComponentWeights, EdgePayload, LeafInterval, NodeIdx, Skeleton};
 pub use storage::PayloadStore;

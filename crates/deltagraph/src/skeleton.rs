@@ -7,7 +7,8 @@
 //! data itself. Query planning runs Dijkstra / Steiner-tree algorithms over
 //! the skeleton; execution then fetches only the deltas on the chosen paths.
 
-use tgraph::{AttrOptions, Timestamp};
+use tgraph::codec::{Decode, Encode, Reader};
+use tgraph::{AttrOptions, TgError, Timestamp};
 
 use crate::error::{DgError, DgResult};
 
@@ -101,6 +102,17 @@ pub enum EdgePayload {
         /// Storage id of the eventlist.
         eventlist_id: u64,
     },
+}
+
+impl EdgePayload {
+    /// The payload id the edge reads: its delta's or its eventlist's.
+    pub fn id(&self) -> u64 {
+        match *self {
+            EdgePayload::Delta { delta_id: id }
+            | EdgePayload::EventsForward { eventlist_id: id }
+            | EdgePayload::EventsBackward { eventlist_id: id } => id,
+        }
+    }
 }
 
 /// A directed edge of the skeleton.
@@ -420,6 +432,187 @@ impl Skeleton {
     }
 }
 
+// ----------------------------------------------------------------------
+// Persistence: a sealed index stores its skeleton beside its payloads.
+// Materialization is run-time state and is not persisted; the derived
+// tables (`out`, `leaves`, `super_root`) are rebuilt on decode.
+// ----------------------------------------------------------------------
+
+fn codec_err(msg: impl Into<String>) -> TgError {
+    TgError::Codec(msg.into())
+}
+
+/// Reads a sequence length, refusing one the remaining input cannot hold
+/// (every element takes at least one byte), so no allocation exceeds it.
+fn read_len(r: &mut Reader<'_>) -> tgraph::Result<usize> {
+    let len = r.read_varint()?;
+    if len > r.remaining() as u64 {
+        return Err(codec_err(format!(
+            "length {len} exceeds the {} bytes left",
+            r.remaining()
+        )));
+    }
+    Ok(len as usize)
+}
+
+/// Reads a node index and checks it names one of `nodes` nodes.
+fn read_node(r: &mut Reader<'_>, nodes: usize) -> tgraph::Result<NodeIdx> {
+    let idx = r.read_varint()?;
+    if idx >= nodes as u64 {
+        return Err(codec_err(format!(
+            "node index {idx} out of range ({nodes} nodes)"
+        )));
+    }
+    Ok(idx as usize)
+}
+
+impl Encode for ComponentWeights {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.structure.encode(buf);
+        self.node_attr.encode(buf);
+        self.edge_attr.encode(buf);
+        self.transient.encode(buf);
+    }
+}
+
+impl Decode for ComponentWeights {
+    /// Each weight is a payload size, so anything past 4 GiB is corrupt —
+    /// and bounding it keeps the planner's path-cost sums from overflowing.
+    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
+        let mut weight = || -> tgraph::Result<usize> {
+            let w = r.read_varint()?;
+            if w > u64::from(u32::MAX) {
+                return Err(codec_err(format!("payload weight {w} is implausible")));
+            }
+            Ok(w as usize)
+        };
+        Ok(ComponentWeights {
+            structure: weight()?,
+            node_attr: weight()?,
+            edge_attr: weight()?,
+            transient: weight()?,
+        })
+    }
+}
+
+impl Encode for Skeleton {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.nodes.len().encode(buf);
+        for node in &self.nodes {
+            let kind: u8 = match node.kind {
+                SkeletonNodeKind::SuperRoot => 0,
+                SkeletonNodeKind::Interior => 1,
+                SkeletonNodeKind::Leaf => 2,
+            };
+            u64::from(kind).encode(buf);
+            u64::from(node.level).encode(buf);
+            node.time.encode(buf);
+            node.element_count.encode(buf);
+        }
+        self.edges.len().encode(buf);
+        for edge in &self.edges {
+            edge.from.encode(buf);
+            edge.to.encode(buf);
+            let (tag, id): (u8, u64) = match edge.payload {
+                EdgePayload::Delta { delta_id } => (0, delta_id),
+                EdgePayload::EventsForward { eventlist_id } => (1, eventlist_id),
+                EdgePayload::EventsBackward { eventlist_id } => (2, eventlist_id),
+            };
+            u64::from(tag).encode(buf);
+            id.encode(buf);
+            edge.weights.encode(buf);
+        }
+        self.intervals.len().encode(buf);
+        for iv in &self.intervals {
+            iv.eventlist_id.encode(buf);
+            iv.left_leaf.encode(buf);
+            iv.right_leaf.encode(buf);
+            iv.start.encode(buf);
+            iv.end.encode(buf);
+            iv.event_count.encode(buf);
+            iv.weights.encode(buf);
+        }
+    }
+}
+
+impl Decode for Skeleton {
+    /// Decodes and validates a skeleton: exactly one super-root, at least
+    /// one leaf, leaves in time order, every edge and interval naming
+    /// existing nodes, intervals joining leaves in time order. A skeleton
+    /// that passes can be planned over without panicking.
+    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
+        let mut s = Skeleton::new();
+        for _ in 0..read_len(r)? {
+            let kind = match r.read_varint()? {
+                0 => SkeletonNodeKind::SuperRoot,
+                1 => SkeletonNodeKind::Interior,
+                2 => SkeletonNodeKind::Leaf,
+                tag => return Err(codec_err(format!("invalid skeleton node kind {tag}"))),
+            };
+            let level = u32::try_from(r.read_varint()?)
+                .map_err(|_| codec_err("skeleton node level overflows"))?;
+            let time = Option::<Timestamp>::decode(r)?;
+            let element_count = usize::decode(r)?;
+            match kind {
+                SkeletonNodeKind::SuperRoot if s.super_root.is_some() => {
+                    return Err(codec_err("skeleton has two super-roots"))
+                }
+                SkeletonNodeKind::Leaf => {
+                    let Some(t) = time else {
+                        return Err(codec_err("skeleton leaf without a time"));
+                    };
+                    if s.leaves.last().is_some_and(|&l| s.nodes[l].time > Some(t)) {
+                        return Err(codec_err("skeleton leaves out of time order"));
+                    }
+                }
+                _ => {}
+            }
+            s.add_node(kind, level, time, element_count);
+        }
+        if !s.is_populated() {
+            return Err(codec_err("skeleton lacks a super-root or a leaf"));
+        }
+        let nodes = s.nodes.len();
+        for _ in 0..read_len(r)? {
+            let from = read_node(r, nodes)?;
+            let to = read_node(r, nodes)?;
+            let payload = match (r.read_varint()?, u64::decode(r)?) {
+                (0, delta_id) => EdgePayload::Delta { delta_id },
+                (1, eventlist_id) => EdgePayload::EventsForward { eventlist_id },
+                (2, eventlist_id) => EdgePayload::EventsBackward { eventlist_id },
+                (tag, _) => return Err(codec_err(format!("invalid skeleton edge tag {tag}"))),
+            };
+            let weights = ComponentWeights::decode(r)?;
+            s.add_edge(from, to, payload, weights);
+        }
+        for _ in 0..read_len(r)? {
+            let interval = LeafInterval {
+                eventlist_id: u64::decode(r)?,
+                left_leaf: read_node(r, nodes)?,
+                right_leaf: read_node(r, nodes)?,
+                start: Timestamp::decode(r)?,
+                end: Timestamp::decode(r)?,
+                event_count: usize::decode(r)?,
+                weights: ComponentWeights::decode(r)?,
+            };
+            let leaves_ok = [interval.left_leaf, interval.right_leaf]
+                .iter()
+                .all(|&n| s.nodes[n].kind == SkeletonNodeKind::Leaf);
+            let ordered = interval.start <= interval.end
+                && s.intervals
+                    .last()
+                    .is_none_or(|last| last.end <= interval.start);
+            if !leaves_ok || !ordered {
+                return Err(codec_err(
+                    "skeleton interval out of order or off its leaves",
+                ));
+            }
+            s.add_interval(interval);
+        }
+        Ok(s)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,6 +687,36 @@ mod tests {
             weights: w(6),
         });
         s
+    }
+
+    #[test]
+    fn the_codec_round_trips_and_refuses_broken_structure() {
+        let mut s = sample();
+        s.set_materialized(3, true).unwrap();
+        let bytes = s.to_bytes();
+        let back = Skeleton::from_bytes(&bytes).unwrap();
+        // Materialization is run-time state: it does not survive encoding.
+        s.set_materialized(3, false).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{s:?}"));
+        // Every strict prefix is refused, never panics.
+        for cut in 0..bytes.len() {
+            assert!(Skeleton::from_bytes(&bytes[..cut]).is_err(), "cut={cut}");
+        }
+        // An edge naming a node that does not exist.
+        let mut bad = Skeleton::new();
+        bad.add_node(SkeletonNodeKind::Leaf, 1, Some(Timestamp(1)), 0);
+        bad.add_node(SkeletonNodeKind::SuperRoot, 2, None, 0);
+        bad.edges.push(SkeletonEdge {
+            from: 1,
+            to: 7,
+            payload: EdgePayload::Delta { delta_id: 1 },
+            weights: ComponentWeights::default(),
+        });
+        assert!(Skeleton::from_bytes(&bad.to_bytes()).is_err());
+        // No super-root.
+        let mut rootless = Skeleton::new();
+        rootless.add_node(SkeletonNodeKind::Leaf, 1, Some(Timestamp(1)), 0);
+        assert!(Skeleton::from_bytes(&rootless.to_bytes()).is_err());
     }
 
     #[test]

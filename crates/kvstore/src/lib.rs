@@ -19,8 +19,8 @@
 //!   report index sizes and I/O volumes,
 //! * [`Wal`] — an append-only, CRC-checked write-ahead log of graph events
 //!   (the durable tail of a sharded deployment),
-//! * [`Segment`] — write-once, fully checksummed segment files holding one
-//!   sealed historical shard each.
+//! * [`Segment`] — write-once, checksummed segment files, each a read-only
+//!   store of one sealed historical shard's DeltaGraph payloads.
 
 pub mod disk;
 pub mod faults;

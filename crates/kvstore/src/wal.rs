@@ -114,9 +114,9 @@ pub fn wal_record_len(event: &Event) -> u64 {
     (WAL_HEADER_LEN + event.to_bytes().len()) as u64
 }
 
-/// Strictly replays a log that is known to be complete (e.g. the live tail
-/// log at shard-roll time): any torn or corrupt byte is an error, never a
-/// silent truncation.
+/// Strictly replays a log that is known to be complete (e.g. one a clean
+/// shutdown closed): any torn or corrupt byte is an error, never a silent
+/// truncation.
 pub fn read_wal_events(path: impl AsRef<Path>) -> StoreResult<Vec<Event>> {
     let path = path.as_ref();
     let mut data = Vec::new();

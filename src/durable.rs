@@ -8,23 +8,29 @@
 //!   MANIFEST             # which files below are authoritative
 //!   LOCK                 # pid of the process owning this directory
 //!   keys.log             # BIND name→node records (append-only)
-//!   segment-00000.seg    # sealed historical shard 0 (write-once)
-//!   segment-00001.seg    # sealed historical shard 1
+//!   segment-00000.seg    # sealed historical shard 0's DeltaGraph (write-once)
+//!   segment-00001.seg    # sealed historical shard 1's DeltaGraph
 //!   tailseed-00002.seg   # the tail shard's seed events (write-once)
 //!   wal-00002.log        # the tail shard's append log (grows)
 //! ```
 //!
-//! Sealed shards are immutable [`Segment`] files. The tail shard is the
-//! pair *tailseed + WAL*: its state is always `tailseed.seed` replayed,
-//! then every WAL record in order. The `MANIFEST` (written via temp file +
-//! fsync + atomic rename) names the generation, so a crash anywhere during
-//! a roll leaves either the old generation (trigger event unacknowledged,
-//! correctly absent) or the new one — never a mix. Files of an incomplete
-//! roll are deleted as orphans on the next open.
+//! Sealed shards are immutable [`Segment`] files, each holding its shard's
+//! DeltaGraph: the payload blocks, the key table, and the skeleton with the
+//! construction parameters. Opening one reads only its footer, key table,
+//! meta and skeleton; hydrating it assembles a read-only index over the
+//! file, which fetches payloads on demand. The tail shard is the pair
+//! *tailseed + WAL* (the tailseed a segment file holding one block, the
+//! seed events): its state is always the seed replayed, then every WAL
+//! record in order, and it is rebuilt on first touch. The `MANIFEST`
+//! (written via temp file + fsync + atomic rename) names the generation,
+//! so a crash anywhere during a roll leaves either the old generation
+//! (trigger event unacknowledged, correctly absent) or the new one — never
+//! a mix. Files of an incomplete roll are deleted as orphans on the next
+//! open.
 //!
 //! Rolling the tail (generation `g` → `g+1`) performs, in order:
 //!
-//! 1. seal `segment-g.seg` from `tailseed-g.seg` + the replayed WAL,
+//! 1. seal `segment-g.seg` from the old tail's index, rebuilt balanced,
 //! 2. write `tailseed-(g+1).seg` with the new tail's seed events,
 //! 3. create `wal-(g+1).log` holding the roll-triggering event, fsynced,
 //! 4. atomically swap the `MANIFEST` to generation `g+1`,
@@ -47,13 +53,14 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use deltagraph::{DgError, DgResult};
+use deltagraph::{DeltaGraph, DgError, DgResult, IndexImage};
 use kvstore::disk::crc32;
 use kvstore::faults;
-use kvstore::wal::{read_wal_events, Wal, WalSyncPolicy};
-use kvstore::{Segment, SegmentMeta, StoreError};
+use kvstore::wal::{Wal, WalSyncPolicy};
+use kvstore::{ComponentKind, KeyValueStore, Segment, SegmentMeta, StoreError, StoreKey};
 use tgraph::codec::{Decode, Encode, Reader};
 use tgraph::{Event, Timestamp};
 
@@ -90,6 +97,52 @@ fn lock_path(dir: &Path) -> PathBuf {
 
 fn keys_path(dir: &Path) -> PathBuf {
     dir.join("keys.log")
+}
+
+/// The one block of a tailseed file: the tail's seed events.
+const SEED_KEY: StoreKey = StoreKey {
+    partition: 0,
+    delta_id: 0,
+    component: ComponentKind::Meta,
+};
+
+/// The blocks of a tailseed file holding `seed`.
+fn tailseed_blocks(seed: &[Event]) -> [(StoreKey, Vec<u8>); 1] {
+    let mut bytes = Vec::new();
+    seed.len().encode(&mut bytes);
+    for event in seed {
+        event.encode(&mut bytes);
+    }
+    [(SEED_KEY, bytes)]
+}
+
+/// Reads generation `gen`'s tailseed file: its meta and seed events.
+fn read_tailseed(path: &Path, gen: u64) -> DgResult<(SegmentMeta, Vec<Event>)> {
+    let file = Segment::open(path)?;
+    let malformed = || corrupt(format!("tailseed for generation {gen} is malformed"));
+    if file.meta().shard_index != gen || !file.index_bytes().is_empty() {
+        return Err(malformed());
+    }
+    let bytes = file.get(SEED_KEY)?.ok_or_else(malformed)?;
+    let seed = Vec::<Event>::from_bytes(&bytes).map_err(|e| {
+        corrupt(format!(
+            "tailseed for generation {gen} has bad seed events: {e}"
+        ))
+    })?;
+    Ok((file.meta().clone(), seed))
+}
+
+/// Seals `index` into the segment file at `path`: every payload block its
+/// skeleton names, plus its image. Returns the file's size.
+fn write_sealed(
+    path: &Path,
+    meta: &SegmentMeta,
+    index: &DeltaGraph,
+    retries: &mut u64,
+) -> DgResult<u64> {
+    let (image, blocks) = index.sealed_parts()?;
+    retried(retries, || Ok(Segment::write(path, meta, &blocks, &image)?))?;
+    Ok(std::fs::metadata(path).map_err(io_err)?.len())
 }
 
 /// Transient IO retries before giving up on an operation.
@@ -307,12 +360,47 @@ fn read_manifest(dir: &Path) -> DgResult<u64> {
     }
 }
 
-/// One shard's full contents as planned at build time or recovered from
-/// disk: its routing lower bound, synthetic seed events, and real events.
+/// One shard's full contents as planned at build time, or the tail's as
+/// recovered from disk: its routing lower bound, synthetic seed events,
+/// and real events.
 pub(crate) struct ShardPlan {
     pub lower: Option<Timestamp>,
     pub seed: Vec<Event>,
     pub events: Vec<Event>,
+}
+
+/// A sealed shard as recovered: its opened segment (a read-only store of
+/// its payloads) and the decoded image naming them.
+pub(crate) struct SealedShard {
+    pub segment: Arc<Segment>,
+    pub image: IndexImage,
+}
+
+impl SealedShard {
+    /// Inclusive lower bound of the shard's time range.
+    pub fn lower(&self) -> Option<Timestamp> {
+        self.segment.meta().lower
+    }
+
+    /// Real (non-seed) events the shard's index holds.
+    pub fn events(&self) -> usize {
+        self.image
+            .skeleton
+            .intervals()
+            .iter()
+            .map(|iv| iv.event_count)
+            .sum()
+    }
+}
+
+/// What [`DurableState::open`] recovers beside the storage state.
+pub(crate) struct Recovered {
+    /// The sealed shards, in shard order.
+    pub sealed: Vec<SealedShard>,
+    /// The tail: its seed events and the WAL's events.
+    pub tail: ShardPlan,
+    /// Key bindings from `keys.log`.
+    pub keys: Vec<(String, u64)>,
 }
 
 /// The live durable-storage state of a sharded deployment. Owned by the
@@ -351,16 +439,29 @@ pub(crate) struct DurableState {
 }
 
 impl DurableState {
-    /// Creates a fresh deployment at `dir` from build-time shard plans:
-    /// one sealed segment per historical shard, a tailseed + WAL pair for
-    /// the tail (the WAL pre-loaded with the tail's real events), and the
-    /// committing manifest. Any previous deployment in `dir` is replaced.
-    pub fn initialize(dir: &Path, policy: WalSyncPolicy, plans: &[ShardPlan]) -> DgResult<Self> {
-        let Some((tail, sealed)) = plans.split_last() else {
+    /// Creates a fresh deployment at `dir` from build-time shard plans and
+    /// the indexes built from them: one sealed segment per historical shard
+    /// (`sealed[i]` is plan `i`'s index), a tailseed + WAL pair for the tail
+    /// (the WAL pre-loaded with the tail's real events), and the committing
+    /// manifest. Any previous deployment in `dir` is replaced.
+    pub fn initialize(
+        dir: &Path,
+        policy: WalSyncPolicy,
+        plans: &[ShardPlan],
+        sealed: &[&DeltaGraph],
+    ) -> DgResult<Self> {
+        let Some((tail, sealed_plans)) = plans.split_last() else {
             return Err(DgError::InvalidParameter(
                 "cannot initialize durable storage from zero shard plans".into(),
             ));
         };
+        if sealed.len() != sealed_plans.len() {
+            return Err(DgError::InvalidParameter(format!(
+                "{} sealed shard plans but {} indexes",
+                sealed_plans.len(),
+                sealed.len()
+            )));
+        }
         std::fs::create_dir_all(dir).map_err(io_err)?;
         let lock = acquire_dir_lock(dir)?;
         // Drop any stale manifest first so a crash mid-initialize can never
@@ -370,27 +471,25 @@ impl DurableState {
         let mut retries = 0u64;
         let tail_gen = sealed.len() as u64;
         let mut segment_bytes = 0u64;
-        for (i, plan) in sealed.iter().enumerate() {
-            let path = segment_path(dir, i as u64);
+        for (i, (plan, index)) in sealed_plans.iter().zip(sealed).enumerate() {
             let meta = SegmentMeta {
                 shard_index: i as u64,
                 lower: plan.lower,
             };
-            retried(&mut retries, || {
-                Ok(Segment::write(&path, &meta, &plan.seed, &plan.events)?)
-            })?;
-            segment_bytes += std::fs::metadata(&path).map_err(io_err)?.len();
+            segment_bytes +=
+                write_sealed(&segment_path(dir, i as u64), &meta, index, &mut retries)?;
         }
         let tailseed_meta = SegmentMeta {
             shard_index: tail_gen,
             lower: tail.lower,
         };
         let tailseed_file = tailseed_path(dir, tail_gen);
+        let seed_blocks = tailseed_blocks(&tail.seed);
         retried(&mut retries, || {
             Ok(Segment::write(
                 &tailseed_file,
                 &tailseed_meta,
-                &tail.seed,
+                &seed_blocks,
                 &[],
             )?)
         })?;
@@ -422,50 +521,56 @@ impl DurableState {
         })
     }
 
-    /// Opens an existing deployment: reads the manifest, loads every sealed
-    /// segment and the tail pair (truncating a torn WAL tail), deletes
-    /// orphan files from an incomplete roll, and returns the storage state,
-    /// one [`ShardPlan`] per shard (tail last), and the recovered key
-    /// bindings. The caller rebuilds the in-memory shards from the plans
-    /// and then records [`DurableState::recovery_ms`].
-    #[allow(clippy::type_complexity)]
-    pub fn open(
-        dir: &Path,
-        policy: WalSyncPolicy,
-    ) -> DgResult<(Self, Vec<ShardPlan>, Vec<(String, u64)>)> {
+    /// Opens an existing deployment: reads the manifest; opens every sealed
+    /// segment — footer, key table, meta and skeleton, checksums verified,
+    /// no payload block or event read — and decodes its image; loads the
+    /// tail pair (truncating a torn WAL tail); deletes orphan files from an
+    /// incomplete roll. Returns the storage state and what it recovered.
+    /// The caller assembles the shards and records
+    /// [`DurableState::recovery_ms`].
+    pub fn open(dir: &Path, policy: WalSyncPolicy) -> DgResult<(Self, Recovered)> {
         let lock = acquire_dir_lock(dir)?;
         let tail_gen = read_manifest(dir)?;
-        let mut plans = Vec::with_capacity(tail_gen as usize + 1);
+        // The manifest is untrusted input: a segment count the directory
+        // cannot hold is corruption, and never sizes an allocation or a loop.
+        let files = std::fs::read_dir(dir).map_err(io_err)?.count() as u64;
+        if tail_gen > files {
+            return Err(corrupt(format!(
+                "manifest in {} lists {tail_gen} segments, but the directory holds {files} files",
+                dir.display()
+            )));
+        }
+        let mut sealed = Vec::new();
         let mut segment_bytes = 0u64;
         for i in 0..tail_gen {
             let path = segment_path(dir, i);
-            let seg = Segment::read(&path)?;
-            if seg.meta.shard_index != i {
+            let segment = Segment::open(&path)?;
+            if segment.meta().shard_index != i {
                 return Err(corrupt(format!(
                     "segment {} claims shard index {}, expected {i}",
                     path.display(),
-                    seg.meta.shard_index
+                    segment.meta().shard_index
                 )));
             }
-            segment_bytes += std::fs::metadata(&path).map_err(io_err)?.len();
-            plans.push(ShardPlan {
-                lower: seg.meta.lower,
-                seed: seg.seed,
-                events: seg.events,
+            let image = IndexImage::from_bytes(segment.index_bytes()).map_err(|e| {
+                corrupt(format!(
+                    "segment {} has a bad skeleton: {e}",
+                    path.display()
+                ))
+            })?;
+            segment_bytes += segment.file_len();
+            sealed.push(SealedShard {
+                segment: Arc::new(segment),
+                image,
             });
         }
-        let tailseed = Segment::read(tailseed_path(dir, tail_gen))?;
-        if tailseed.meta.shard_index != tail_gen || !tailseed.events.is_empty() {
-            return Err(corrupt(format!(
-                "tailseed for generation {tail_gen} is malformed"
-            )));
-        }
+        let (tailseed, seed) = read_tailseed(&tailseed_path(dir, tail_gen), tail_gen)?;
         let replay = Wal::open(wal_path(dir, tail_gen), policy)?;
-        plans.push(ShardPlan {
-            lower: tailseed.meta.lower,
-            seed: tailseed.seed,
+        let tail = ShardPlan {
+            lower: tailseed.lower,
+            seed,
             events: replay.events,
-        });
+        };
         let keys = read_keys(dir);
         let keys_file = OpenOptions::new()
             .create(true)
@@ -488,7 +593,7 @@ impl DurableState {
             _lock: lock,
         };
         state.remove_orphans();
-        Ok((state, plans, keys))
+        Ok((state, Recovered { sealed, tail, keys }))
     }
 
     /// Deletes files a crash mid-roll or mid-initialize left behind: any
@@ -574,7 +679,8 @@ impl DurableState {
     }
 
     /// The crash-atomic roll protocol (module docs): seals the current tail
-    /// into a segment, starts generation `tail_gen + 1` whose WAL holds the
+    /// into a segment — `sealed` is its index, rebuilt balanced by the
+    /// caller — starts generation `tail_gen + 1` whose WAL holds the
     /// roll-triggering `events` (one for a plain `APPEND`, the whole batch
     /// for an `APPEND BATCH` — a recovered tail never sees a batch prefix),
     /// and commits by swapping the manifest.
@@ -588,6 +694,7 @@ impl DurableState {
         boundary: Timestamp,
         new_seed: &[Event],
         events: &[Event],
+        sealed: &DeltaGraph,
     ) -> DgResult<()> {
         if let Some(reason) = &self.degraded {
             return Err(DgError::Store(StoreError::Degraded(format!(
@@ -597,21 +704,15 @@ impl DurableState {
         let old_gen = self.tail_gen;
         let new_gen = old_gen + 1;
         let mut retries = 0u64;
-        // 1. Seal: the old tail's full contents are its seed file plus the
-        //    complete WAL (every record intact — this log was never torn).
+        // 1. Seal: the old tail's index goes into its segment under the
+        //    identity its tailseed was written with.
         let wal = &mut self.wal;
         retried(&mut retries, || Ok(wal.sync()?))?;
-        let old_seed = Segment::read(tailseed_path(&self.dir, old_gen))?;
-        let wal_events = read_wal_events(self.wal.path())?;
+        let old_meta = Segment::open(tailseed_path(&self.dir, old_gen))?
+            .meta()
+            .clone();
         let sealed_path = segment_path(&self.dir, old_gen);
-        retried(&mut retries, || {
-            Ok(Segment::write(
-                &sealed_path,
-                &old_seed.meta,
-                &old_seed.seed,
-                &wal_events,
-            )?)
-        })?;
+        let sealed_bytes = write_sealed(&sealed_path, &old_meta, sealed, &mut retries)?;
         // 2–3. The new generation's tailseed and WAL (trigger event synced
         //      before the commit point so an acked roll survives a crash).
         let new_meta = SegmentMeta {
@@ -619,11 +720,12 @@ impl DurableState {
             lower: Some(boundary),
         };
         let new_tailseed_path = tailseed_path(&self.dir, new_gen);
+        let seed_blocks = tailseed_blocks(new_seed);
         retried(&mut retries, || {
             Ok(Segment::write(
                 &new_tailseed_path,
                 &new_meta,
-                new_seed,
+                &seed_blocks,
                 &[],
             )?)
         })?;
@@ -646,9 +748,7 @@ impl DurableState {
         //    anything missed.
         std::fs::remove_file(tailseed_path(&self.dir, old_gen)).ok();
         std::fs::remove_file(wal_path(&self.dir, old_gen)).ok();
-        self.segment_bytes += std::fs::metadata(&sealed_path)
-            .map(|m| m.len())
-            .unwrap_or(0);
+        self.segment_bytes += sealed_bytes;
         self.appends_before_gen += self.wal.appends();
         self.fsyncs_before_gen += self.wal.fsyncs();
         self.wal = new_wal;
@@ -752,6 +852,9 @@ fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deltagraph::DeltaGraphConfig;
+    use kvstore::MemStore;
+    use tgraph::{AttrOptions, NodeId, Snapshot};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("durable-test-{name}-{}", std::process::id()));
@@ -766,6 +869,42 @@ mod tests {
             seed,
             events,
         }
+    }
+
+    /// The index a shard plan builds, as the router builds it.
+    fn index_of(plan: &ShardPlan) -> DeltaGraph {
+        let mut state = Snapshot::new();
+        state.apply_events_forward(&plan.seed).unwrap();
+        let seed_time = crate::manager::seeded_start(&plan.seed, &plan.events).unwrap();
+        DeltaGraph::build_seeded(
+            state,
+            seed_time,
+            &plan.events,
+            DeltaGraphConfig::default(),
+            Arc::new(MemStore::new()),
+        )
+        .unwrap()
+    }
+
+    /// Initializes `dir` from `plans`, building every sealed shard's index.
+    fn initialize(dir: &Path, plans: &[ShardPlan]) -> DurableState {
+        let indexes: Vec<DeltaGraph> = plans[..plans.len() - 1].iter().map(index_of).collect();
+        let sealed: Vec<&DeltaGraph> = indexes.iter().collect();
+        DurableState::initialize(dir, WalSyncPolicy::Always, plans, &sealed).unwrap()
+    }
+
+    /// The recovered sealed shard's snapshot at `t`, served from its segment.
+    fn sealed_snapshot(shard: &SealedShard, t: i64) -> Snapshot {
+        let store = Arc::clone(&shard.segment) as Arc<dyn KeyValueStore>;
+        DeltaGraph::open_sealed(shard.image.clone(), store, 1)
+            .get_snapshot(Timestamp(t), &AttrOptions::all())
+            .unwrap()
+    }
+
+    fn node_ids(snap: &Snapshot) -> Vec<u64> {
+        let mut ids: Vec<u64> = snap.node_ids().map(|n: NodeId| n.0).collect();
+        ids.sort_unstable();
+        ids
     }
 
     #[test]
@@ -783,20 +922,22 @@ mod tests {
                 vec![Event::add_node(10, 3)],
             ),
         ];
-        let st = DurableState::initialize(&dir, WalSyncPolicy::Always, &plans).unwrap();
+        let st = initialize(&dir, &plans);
         assert_eq!(st.segments(), 1);
         assert!(st.wal_bytes() > 0);
         drop(st);
 
-        let (st, recovered, keys) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
-        assert_eq!(recovered.len(), 2);
-        assert_eq!(recovered[0].lower, None);
-        assert_eq!(recovered[0].events.len(), 2);
-        assert_eq!(recovered[1].lower, Some(Timestamp(10)));
-        assert_eq!(recovered[1].seed.len(), 2);
-        assert_eq!(recovered[1].events, vec![Event::add_node(10, 3)]);
+        let (st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
+        assert_eq!(recovered.sealed.len(), 1);
+        let sealed = &recovered.sealed[0];
+        assert_eq!(sealed.lower(), None);
+        assert_eq!(sealed.events(), 2);
+        assert_eq!(node_ids(&sealed_snapshot(sealed, 2)), vec![1, 2]);
+        assert_eq!(recovered.tail.lower, Some(Timestamp(10)));
+        assert_eq!(recovered.tail.seed.len(), 2);
+        assert_eq!(recovered.tail.events, vec![Event::add_node(10, 3)]);
         assert_eq!(st.torn_truncations, 0);
-        assert!(keys.is_empty());
+        assert!(recovered.keys.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -804,13 +945,19 @@ mod tests {
     fn roll_commits_atomically_and_cleans_up() {
         let dir = tmpdir("roll");
         let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
-        let mut st = DurableState::initialize(&dir, WalSyncPolicy::Always, &plans).unwrap();
+        let mut st = initialize(&dir, &plans);
         st.append_batch(&[Event::add_node(2, 2)]).unwrap();
         let trigger = Event::add_node(5, 3);
+        let old_tail = index_of(&plan(
+            None,
+            vec![],
+            vec![Event::add_node(1, 1), Event::add_node(2, 2)],
+        ));
         st.roll(
             Timestamp(5),
             &[Event::add_node(4, 1), Event::add_node(4, 2)],
             std::slice::from_ref(&trigger),
+            &old_tail,
         )
         .unwrap();
         assert_eq!(st.segments(), 1);
@@ -819,14 +966,15 @@ mod tests {
         assert!(!tailseed_path(&dir, 0).exists());
         drop(st);
 
-        let (st, recovered, _keys) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
-        assert_eq!(recovered.len(), 2);
+        let (st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
+        assert_eq!(recovered.sealed.len(), 1);
+        assert_eq!(recovered.sealed[0].events(), 2);
         assert_eq!(
-            recovered[0].events,
-            vec![Event::add_node(1, 1), Event::add_node(2, 2)]
+            node_ids(&sealed_snapshot(&recovered.sealed[0], 4)),
+            vec![1, 2]
         );
-        assert_eq!(recovered[1].lower, Some(Timestamp(5)));
-        assert_eq!(recovered[1].events, vec![trigger]);
+        assert_eq!(recovered.tail.lower, Some(Timestamp(5)));
+        assert_eq!(recovered.tail.events, vec![trigger]);
         assert_eq!(st.segments(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -835,18 +983,19 @@ mod tests {
     fn orphans_from_an_incomplete_roll_are_ignored_and_removed() {
         let dir = tmpdir("orphans");
         let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
-        drop(DurableState::initialize(&dir, WalSyncPolicy::Always, &plans).unwrap());
+        drop(initialize(&dir, &plans));
         // Simulate a crash after roll steps 1–3 but before the manifest
         // swap: the sealed segment and new generation exist on disk, but
         // the manifest still points at generation 0.
+        let (image, blocks) = index_of(&plans[0]).sealed_parts().unwrap();
         Segment::write(
             segment_path(&dir, 0),
             &SegmentMeta {
                 shard_index: 0,
                 lower: None,
             },
-            &[],
-            &[Event::add_node(1, 1)],
+            &blocks,
+            &image,
         )
         .unwrap();
         Segment::write(
@@ -855,7 +1004,7 @@ mod tests {
                 shard_index: 1,
                 lower: Some(Timestamp(5)),
             },
-            &[Event::add_node(4, 1)],
+            &tailseed_blocks(&[Event::add_node(4, 1)]),
             &[],
         )
         .unwrap();
@@ -864,10 +1013,10 @@ mod tests {
             .append(&Event::add_node(5, 9))
             .unwrap();
 
-        let (_st, recovered, _keys) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
+        let (_st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
         // The old generation won: one shard, the phantom roll's event gone.
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].events, vec![Event::add_node(1, 1)]);
+        assert!(recovered.sealed.is_empty());
+        assert_eq!(recovered.tail.events, vec![Event::add_node(1, 1)]);
         assert!(!segment_path(&dir, 0).exists());
         assert!(!tailseed_path(&dir, 1).exists());
         assert!(!wal_path(&dir, 1).exists());
@@ -886,7 +1035,7 @@ mod tests {
     fn a_fatal_append_fault_degrades_instead_of_crashing() {
         let dir = tmpdir("degrade");
         let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
-        let mut st = DurableState::initialize(&dir, WalSyncPolicy::Always, &plans).unwrap();
+        let mut st = initialize(&dir, &plans);
         let scope = dir.to_string_lossy().to_string();
         faults::arm_scoped(
             "wal.append",
@@ -906,9 +1055,9 @@ mod tests {
         assert!(st.sync().is_ok(), "shutdown sync is a no-op when degraded");
         drop(st);
         // The un-acked record was rolled back; the acked prefix survives.
-        let (st, recovered, _keys) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].events, vec![Event::add_node(1, 1)]);
+        let (st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
+        assert!(recovered.sealed.is_empty());
+        assert_eq!(recovered.tail.events, vec![Event::add_node(1, 1)]);
         assert!(!st.is_degraded(), "a fresh open starts healthy");
         drop(st);
         std::fs::remove_dir_all(&dir).ok();
@@ -918,7 +1067,7 @@ mod tests {
     fn transient_append_faults_are_retried() {
         let dir = tmpdir("transient");
         let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
-        let mut st = DurableState::initialize(&dir, WalSyncPolicy::Always, &plans).unwrap();
+        let mut st = initialize(&dir, &plans);
         let scope = dir.to_string_lossy().to_string();
         faults::arm_scoped(
             "wal.append",
@@ -932,9 +1081,9 @@ mod tests {
         assert!(st.retries() >= 2);
         assert!(!st.is_degraded());
         drop(st);
-        let (_st, recovered, _keys) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
+        let (_st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
         assert_eq!(
-            recovered[0].events,
+            recovered.tail.events,
             vec![Event::add_node(1, 1), Event::add_node(2, 2)]
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -944,7 +1093,7 @@ mod tests {
     fn the_dir_lock_refuses_a_second_opener_and_reclaims_stale_locks() {
         let dir = tmpdir("lock");
         let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
-        let st = DurableState::initialize(&dir, WalSyncPolicy::Always, &plans).unwrap();
+        let st = initialize(&dir, &plans);
         // Second open while the first handle is alive: clear, typed error.
         let err = match DurableState::open(&dir, WalSyncPolicy::Always) {
             Err(e) => e,
@@ -955,7 +1104,7 @@ mod tests {
         assert!(!lock_path(&dir).exists(), "drop releases the lock");
         // A lock left by a dead process is stale: detected and reclaimed.
         std::fs::write(lock_path(&dir), "999999999").unwrap();
-        let (st, _, _) =
+        let (st, _) =
             DurableState::open(&dir, WalSyncPolicy::Always).expect("stale lock is reclaimed");
         drop(st);
         std::fs::remove_dir_all(&dir).ok();
@@ -965,21 +1114,21 @@ mod tests {
     fn key_bindings_survive_restart() {
         let dir = tmpdir("keys");
         let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
-        let mut st = DurableState::initialize(&dir, WalSyncPolicy::Always, &plans).unwrap();
+        let mut st = initialize(&dir, &plans);
         st.record_key("alice", 7).unwrap();
         st.record_key("bob", 11).unwrap();
         drop(st);
-        let (st, _, keys) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
+        let (st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
         assert_eq!(
-            keys,
+            recovered.keys,
             vec![("alice".to_string(), 7), ("bob".to_string(), 11)]
         );
         drop(st);
         // A torn tail (crash mid-bind) drops only the torn record.
         let full = std::fs::read(keys_path(&dir)).unwrap();
         std::fs::write(keys_path(&dir), &full[..full.len() - 3]).unwrap();
-        let (st, _, keys) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
-        assert_eq!(keys, vec![("alice".to_string(), 7)]);
+        let (st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
+        assert_eq!(recovered.keys, vec![("alice".to_string(), 7)]);
         drop(st);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -988,12 +1137,15 @@ mod tests {
     fn initialize_replaces_previous_key_bindings() {
         let dir = tmpdir("keys-reinit");
         let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
-        let mut st = DurableState::initialize(&dir, WalSyncPolicy::Always, &plans).unwrap();
+        let mut st = initialize(&dir, &plans);
         st.record_key("old", 1).unwrap();
         drop(st);
-        drop(DurableState::initialize(&dir, WalSyncPolicy::Always, &plans).unwrap());
-        let (st, _, keys) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
-        assert!(keys.is_empty(), "re-initialize clears old bindings");
+        drop(initialize(&dir, &plans));
+        let (st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
+        assert!(
+            recovered.keys.is_empty(),
+            "re-initialize clears old bindings"
+        );
         drop(st);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1001,11 +1153,66 @@ mod tests {
     #[test]
     fn zero_plans_is_a_typed_error_not_a_panic() {
         let dir = tmpdir("zeroplans");
-        let err = match DurableState::initialize(&dir, WalSyncPolicy::Always, &[]) {
+        let err = match DurableState::initialize(&dir, WalSyncPolicy::Always, &[], &[]) {
             Err(e) => e,
             Ok(_) => panic!("zero plans must be refused"),
         };
         assert!(err.to_string().contains("zero shard plans"), "got: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_hostile_manifest_segment_count_is_refused_not_trusted() {
+        let dir = tmpdir("hostile-manifest");
+        let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
+        drop(initialize(&dir, &plans));
+        for count in [u64::MAX, 1 << 40] {
+            std::fs::write(
+                manifest_path(&dir),
+                format!("{MANIFEST_HEADER}\nsegments {count}\ntail {count}\n"),
+            )
+            .unwrap();
+            match DurableState::open(&dir, WalSyncPolicy::Always) {
+                Err(DgError::Store(StoreError::Corruption(msg))) => {
+                    assert!(msg.contains("segments"), "count={count}: {msg}")
+                }
+                Err(other) => panic!("count={count}: expected corruption, got {other}"),
+                Ok(_) => panic!("count={count}: a hostile manifest was accepted"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_decodes_no_event_of_a_sealed_segment() {
+        let dir = tmpdir("no-event-decode");
+        let plans = vec![
+            plan(
+                None,
+                vec![],
+                vec![Event::add_node(1, 1), Event::add_node(2, 2)],
+            ),
+            plan(
+                Some(10),
+                vec![Event::add_node(9, 1), Event::add_node(9, 2)],
+                vec![],
+            ),
+        ];
+        drop(initialize(&dir, &plans));
+        // Flip a byte inside the sealed segment's first payload block: the
+        // block is an eventlist or a delta, so a decoder that touched it
+        // would fail its checksum. Open reads no payload, so it succeeds.
+        let path = segment_path(&dir, 0);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8] ^= 0x20;
+        std::fs::write(&path, &bytes).unwrap();
+        let (_st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
+        let shard = &recovered.sealed[0];
+        assert_eq!(shard.segment.stats().gets, 0, "open fetched a payload");
+        assert!(
+            Segment::read(&path).is_err(),
+            "the full verify still catches it"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

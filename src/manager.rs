@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use deltagraph::{DeltaGraph, DeltaGraphConfig, DgError, DgResult, IndexStats};
+use deltagraph::{DeltaGraph, DeltaGraphConfig, DgError, DgResult, IndexImage, IndexStats};
 use graphpool::{GraphId, GraphPool, GraphView};
 use kvstore::{DiskStore, KeyValueStore, MemStore};
 use tgraph::{AttrOptions, EdgeId, Event, EventKind, NodeId, Snapshot, TimeExpression, Timestamp};
@@ -140,8 +140,6 @@ pub struct GraphManager {
     key_to_node: HashMap<String, NodeId>,
     node_to_key: HashMap<NodeId, String>,
     config: GraphManagerConfig,
-    /// The pool handle of the current graph's last full overlay.
-    current_seeded: bool,
     /// Shared snapshot cache (disabled at capacity 0); see [`crate::cache`].
     cache: SnapshotCache,
     /// Rendered-response byte cache (disabled at capacity 0); see
@@ -208,6 +206,19 @@ impl GraphManager {
         Ok(Self::from_index(index, config))
     }
 
+    /// Opens a sealed shard's database: its index assembled from `image`
+    /// over `store`, the segment holding the payloads the image names (see
+    /// [`DeltaGraph::open_sealed`]). Nothing is rebuilt; the index has no
+    /// current graph and refuses appends.
+    pub fn open_sealed(
+        image: IndexImage,
+        store: Arc<dyn KeyValueStore>,
+        config: GraphManagerConfig,
+    ) -> Self {
+        let index = DeltaGraph::open_sealed(image, store, config.index.retrieval_threads);
+        Self::from_index(index, config)
+    }
+
     /// Builds the database over a complete event trace on the given backing
     /// store.
     pub fn build(
@@ -233,7 +244,6 @@ impl GraphManager {
             key_to_node: HashMap::new(),
             node_to_key: HashMap::new(),
             config,
-            current_seeded: true,
             cache,
             response_cache,
             append_epoch: 0,
@@ -301,7 +311,7 @@ impl GraphManager {
     }
 
     fn overlay(&mut self, snapshot: &Snapshot, t: Timestamp) -> GraphId {
-        if self.config.dependent_overlays && self.current_seeded {
+        if self.config.dependent_overlays {
             // Query-time decision: overlay as dependent on the current graph
             // when the difference is small relative to the snapshot size.
             let current = self.index.current_graph();
@@ -556,6 +566,7 @@ impl GraphManager {
     /// so the *expanded* sequence is what reaches the WAL: recovery rebuilds
     /// indexes from raw WAL replay, which must therefore be well formed.
     pub fn expand_event(&self, event: Event) -> DgResult<(Vec<Event>, usize)> {
+        self.index.ensure_appendable()?;
         let mut expanded = Vec::with_capacity(1);
         expand_contract(
             self.index.current_graph(),
@@ -625,6 +636,7 @@ impl GraphManager {
     /// and by durable writers that must know the final sequence before
     /// writing it ahead to the WAL.
     pub fn prepare_batch(&self, events: Vec<Event>) -> DgResult<(Vec<Event>, usize)> {
+        self.index.ensure_appendable()?;
         if events.is_empty() {
             return Err(DgError::InvalidParameter(
                 "an APPEND BATCH must contain at least one event".into(),

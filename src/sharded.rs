@@ -40,7 +40,7 @@ use std::sync::{
 use std::thread;
 use std::time::Instant;
 
-use deltagraph::{DgError, DgResult};
+use deltagraph::{DeltaGraph, DgError, DgResult};
 use graphpool::GraphId;
 use kvstore::wal::WalSyncPolicy;
 use kvstore::{KeyValueStore, MemStore};
@@ -48,7 +48,7 @@ use tgraph::codec::{Decode, Encode, Reader};
 use tgraph::{AttrOptions, Event, EventKind, EventList, Snapshot, TimeExpression, Timestamp};
 
 use crate::cache::{CacheEntryInfo, CacheStats};
-use crate::durable::{DurableState, ShardPlan};
+use crate::durable::{DurableState, Recovered, SealedShard, ShardPlan};
 use crate::manager::{seeded_start, BatchOutcome, GraphManager, GraphManagerConfig};
 use crate::response_cache::ResponseCacheStats;
 use crate::shared::{CachedPoint, PoolSession, SharedGraphManager};
@@ -138,6 +138,16 @@ struct Shard {
 }
 
 impl Shard {
+    fn new(cell: ShardCell, lower: Option<Timestamp>, events: usize) -> Shard {
+        Shard {
+            cell,
+            lower,
+            events: AtomicUsize::new(events),
+            queries: AtomicU64::new(0),
+            appends: AtomicU64::new(0),
+        }
+    }
+
     /// The shard's serving manager, hydrating a lazily recovered shard on
     /// first touch (see [`ShardCell::get`]).
     fn shared(&self, inner: &Inner) -> DgResult<SharedGraphManager> {
@@ -149,9 +159,11 @@ impl Shard {
 /// deferred to first touch on the recovery path
 /// ([`ShardedGraphManager::open`]) so restart-to-first-query pays for the
 /// one shard the query lands on, not for the whole history. Every shard,
-/// the tail included, stays cold until a query or append touches it; the
-/// deferred build runs over the same checksum-verified plan an eager build
-/// would have used and produces an identical manager.
+/// the tail included, stays cold until a query or append touches it. A
+/// sealed shard's first touch assembles a read-only index over its opened
+/// segment — skeleton from the file, payloads fetched on demand, nothing
+/// rebuilt; the tail's first touch rebuilds its index from its seed and
+/// WAL events.
 struct ShardCell {
     built: OnceLock<SharedGraphManager>,
     /// `Some` while hydration is pending; taken by the first toucher and
@@ -172,8 +184,8 @@ struct ShardCell {
     retry_at: AtomicU64,
     /// The error that caused the last failed hydration attempt.
     last_error: Mutex<String>,
-    /// Microseconds the successful deferred build took; `0` while cold and
-    /// for a shard that was built eagerly.
+    /// Microseconds the successful hydration took; `0` while cold and for
+    /// a shard that was built eagerly.
     hydrate_us: AtomicU64,
 }
 
@@ -186,10 +198,16 @@ fn clock_ms() -> u64 {
 /// Deferred construction input of a lazily recovered shard.
 struct PendingShard {
     index: usize,
-    plan: ShardPlan,
-    /// The recovered tail carries the crash-healing retry: a build failure
-    /// drops the final WAL record once (see [`ShardCell::get`]).
-    is_tail: bool,
+    source: PendingSource,
+}
+
+/// What a cold shard hydrates from.
+enum PendingSource {
+    /// A sealed shard's opened segment and decoded image.
+    Sealed(SealedShard),
+    /// The tail's seed and WAL events, rebuilt on first touch; it carries
+    /// the crash-healing retry (see [`hydrate_tail`]).
+    Tail(ShardPlan),
 }
 
 impl ShardCell {
@@ -205,14 +223,10 @@ impl ShardCell {
         }
     }
 
-    fn lazy(index: usize, plan: ShardPlan, is_tail: bool) -> Self {
+    fn lazy(index: usize, source: PendingSource) -> Self {
         ShardCell {
             built: OnceLock::new(),
-            pending: Mutex::new(Some(PendingShard {
-                index,
-                plan,
-                is_tail,
-            })),
+            pending: Mutex::new(Some(PendingShard { index, source })),
             quarantined: AtomicBool::new(false),
             failures: AtomicU64::new(0),
             retry_at: AtomicU64::new(0),
@@ -262,33 +276,17 @@ impl ShardCell {
         }
         let mut p = pending
             .take()
-            .expect("an unbuilt shard holds a pending plan");
+            .expect("an unbuilt shard holds a pending source");
         let started = Instant::now();
-        let built = match build_shard(&p.plan, p.index, &inner.config, &inner.make_store) {
-            Ok(shared) => Ok(shared),
-            Err(first_err) if p.is_tail => {
-                // A crash between the WAL write-ahead and the rollback of a
-                // rejected apply leaves exactly one never-applied record at
-                // the very end of the log. Drop it and rebuild once; any
-                // deeper failure is real corruption. (Before lazy recovery
-                // this retry ran inside `open`; it moves with the build.)
-                match (p.plan.events.pop(), inner.storage.as_ref()) {
-                    (Some(last), Some(storage)) => storage
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .drop_last_wal_record(kvstore::wal_record_len(&last))
-                        .and_then(|()| {
-                            // The record is gone from the log and the plan,
-                            // whatever the rebuild does — keep the counter
-                            // in step with both.
-                            events.fetch_sub(1, Ordering::Relaxed);
-                            build_shard(&p.plan, p.index, &inner.config, &inner.make_store)
-                        }),
-                    _ => Err(first_err),
-                }
-            }
-            Err(e) => Err(e),
-        };
+        let built = match &mut p.source {
+            PendingSource::Sealed(sealed) => Ok(GraphManager::open_sealed(
+                sealed.image.clone(),
+                Arc::clone(&sealed.segment) as Arc<dyn KeyValueStore>,
+                inner.config.manager.clone(),
+            )),
+            PendingSource::Tail(plan) => hydrate_tail(plan, p.index, inner, events),
+        }
+        .map(SharedGraphManager::new);
         match built {
             Ok(shared) => {
                 self.quarantined.store(false, Ordering::Relaxed);
@@ -339,10 +337,11 @@ impl ShardCell {
             return shared.read().index().history_range().ok().map(|(s, _)| s);
         }
         let pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        match pending.as_ref() {
-            // Where the deferred build will anchor leaf 0, so the cold
-            // estimate and the hydrated value are the same.
-            Some(p) => seeded_start(&p.plan.seed, &p.plan.events),
+        match pending.as_ref().map(|p| &p.source) {
+            // Where the hydrated index anchors leaf 0, so the cold estimate
+            // and the hydrated value are the same.
+            Some(PendingSource::Sealed(sealed)) => sealed.image.skeleton.history_start().ok(),
+            Some(PendingSource::Tail(plan)) => seeded_start(&plan.seed, &plan.events),
             // Hydrated between the peek and the lock.
             None => self
                 .built
@@ -358,8 +357,11 @@ impl ShardCell {
             return shared.read().index().history_range().ok().map(|(_, e)| e);
         }
         let pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        match pending.as_ref() {
-            Some(p) => p.plan.events.last().or(p.plan.seed.last()).map(|e| e.time),
+        match pending.as_ref().map(|p| &p.source) {
+            Some(PendingSource::Sealed(sealed)) => sealed.image.skeleton.history_end().ok(),
+            Some(PendingSource::Tail(plan)) => {
+                plan.events.last().or(plan.seed.last()).map(|e| e.time)
+            }
             // Hydrated between the peek and the lock.
             None => self
                 .built
@@ -457,10 +459,11 @@ pub struct StorageInfo {
     pub torn_bytes: u64,
     /// Torn-tail truncations performed at the last recovery.
     pub torn_truncations: u64,
-    /// Wall-clock milliseconds the last recovery's open phase took —
-    /// manifest read, segment checksum verification, and WAL replay.
-    /// Deferred shard index builds (paid on first touch) are not included.
-    /// `0` = fresh build, never recovered.
+    /// Wall-clock milliseconds the last recovery's open phase took:
+    /// manifest read; each sealed segment's footer, key table, meta and
+    /// skeleton read and checksummed (no payload block is read); the tail's
+    /// seed file and WAL replay. Hydration on first touch is not included
+    /// (see `shard_hydrate_us`). `0` = fresh build, never recovered.
     pub recovery_ms: u64,
 }
 
@@ -667,23 +670,51 @@ pub struct ShardedGraphManager {
     inner: Arc<Inner>,
 }
 
-/// Builds one shard's manager from its plan, fresh or recovered. The plan
-/// is only borrowed: a lazily recovered shard keeps it for the quarantine
-/// retry when the build fails.
+/// Builds one shard's manager from its plan: a fresh build's shard, or the
+/// recovered tail. The plan is only borrowed: a lazily recovered tail keeps
+/// it for the quarantine retry when the build fails.
 fn build_shard(
     plan: &ShardPlan,
     index: usize,
     config: &ShardedConfig,
     make_store: &StoreFactory,
-) -> DgResult<SharedGraphManager> {
-    Ok(SharedGraphManager::new(
-        GraphManager::build_from_seed_events(
-            &plan.seed,
-            &plan.events,
-            config.manager.clone(),
-            make_store(index),
-        )?,
-    ))
+) -> DgResult<GraphManager> {
+    GraphManager::build_from_seed_events(
+        &plan.seed,
+        &plan.events,
+        config.manager.clone(),
+        make_store(index),
+    )
+}
+
+/// Rebuilds the recovered tail from its seed and WAL events. A crash
+/// between the WAL write-ahead and the rollback of a rejected apply leaves
+/// exactly one never-applied record at the very end of the log: when the
+/// build fails, drop that record and rebuild once; any deeper failure is
+/// real corruption.
+fn hydrate_tail(
+    plan: &mut ShardPlan,
+    index: usize,
+    inner: &Inner,
+    events: &AtomicUsize,
+) -> DgResult<GraphManager> {
+    let first_err = match build_shard(plan, index, &inner.config, &inner.make_store) {
+        Ok(gm) => return Ok(gm),
+        Err(e) => e,
+    };
+    match (plan.events.pop(), inner.storage.as_ref()) {
+        (Some(last), Some(storage)) => storage
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drop_last_wal_record(kvstore::wal_record_len(&last))
+            .and_then(|()| {
+                // The record is gone from the log and the plan, whatever the
+                // rebuild does — keep the counter in step with both.
+                events.fetch_sub(1, Ordering::Relaxed);
+                build_shard(plan, index, &inner.config, &inner.make_store)
+            }),
+        _ => Err(first_err),
+    }
 }
 
 /// Collapses a graph state into the synthetic *seed events* that recreate it
@@ -752,16 +783,18 @@ impl ShardedGraphManager {
     ) -> DgResult<Self> {
         let plans = Self::plan_shards(events, &config)?;
         let make_store: StoreFactory = Box::new(make_store);
-        let shards = Self::build_shards(&plans, &config, &make_store)?;
+        let managers = Self::build_shards(&plans, &config, &make_store)?;
+        let shards = eager_shards(&plans, managers);
         Ok(Self::assemble(shards, config, make_store, None))
     }
 
     /// Builds a sharded store over a complete event trace AND persists it
-    /// to `dir`: every historical shard is sealed into an immutable segment
-    /// file and the tail gets a seed file plus a write-ahead log
-    /// (pre-loaded with the tail's events), so appends are durable under
-    /// `policy` and a later [`ShardedGraphManager::open`] recovers the
-    /// whole deployment. Any previous deployment in `dir` is replaced.
+    /// to `dir`: every historical shard's DeltaGraph is sealed into an
+    /// immutable segment file and the tail gets a seed file plus a
+    /// write-ahead log (pre-loaded with the tail's events), so appends are
+    /// durable under `policy` and a later [`ShardedGraphManager::open`]
+    /// recovers the whole deployment. Any previous deployment in `dir` is
+    /// replaced.
     pub fn build_durable(
         events: &EventList,
         config: ShardedConfig,
@@ -769,27 +802,37 @@ impl ShardedGraphManager {
         policy: WalSyncPolicy,
     ) -> DgResult<Self> {
         let plans = Self::plan_shards(events, &config)?;
-        let storage = DurableState::initialize(dir.as_ref(), policy, &plans)?;
         let make_store: StoreFactory = Box::new(|_| Arc::new(MemStore::new()));
-        let shards = Self::build_shards(&plans, &config, &make_store)?;
+        let managers = Self::build_shards(&plans, &config, &make_store)?;
+        let sealed: Vec<&DeltaGraph> = managers[..managers.len() - 1]
+            .iter()
+            .map(GraphManager::index)
+            .collect();
+        let storage = DurableState::initialize(dir.as_ref(), policy, &plans, &sealed)?;
+        let shards = eager_shards(&plans, managers);
         Ok(Self::assemble(shards, config, make_store, Some(storage)))
     }
 
-    /// Recovers a durable deployment from `dir`: sealed segments rebuild
-    /// the historical shards, the tail replays from its seed file plus the
-    /// WAL (a torn final record is truncated away), and serving resumes
-    /// where the previous process stopped — every acknowledged append made
-    /// under [`WalSyncPolicy::Always`] is visible again. The shard layout
-    /// comes from disk; only `config.manager` and `config.shard_events`
+    /// Recovers a durable deployment from `dir`: each sealed segment serves
+    /// its historical shard's DeltaGraph as written, the tail replays from
+    /// its seed file plus the WAL (a torn final record is truncated away),
+    /// and serving resumes where the previous process stopped — every
+    /// acknowledged append made under [`WalSyncPolicy::Always`] is visible
+    /// again. The shard layout and each sealed index's construction
+    /// parameters come from disk; only `config.manager` (caches, retrieval
+    /// threads, and the tail's index parameters) and `config.shard_events`
     /// apply.
     ///
-    /// Recovery is *lazy*: `open` verifies every file (checksums, the
-    /// manifest, the WAL's record framing) but builds no indexes — each
-    /// shard's index is built on the first query or append that touches
-    /// it, so time-to-first-answer is one shard's build, not the whole
-    /// history's. A segment whose verified bytes decode but fail the index
-    /// build (a writer bug, not disk corruption) therefore surfaces on
-    /// first touch rather than here.
+    /// Recovery is *lazy*. `open` reads each sealed segment's footer, key
+    /// table, meta and skeleton and verifies their checksums, reads the
+    /// tail's seed file and replays the WAL's framing, and builds nothing.
+    /// A sealed shard's first touch assembles a read-only index over its
+    /// segment — no event is decoded and nothing is rebuilt — and each
+    /// payload block is checksummed when a retrieval first reads it, so a
+    /// corrupt block fails the queries that need it, not the open. The
+    /// tail's first touch rebuilds its index from seed and WAL. A segment
+    /// written before format v2 is refused with an error naming the format;
+    /// rebuild such a directory.
     ///
     /// Application key bindings ([`ShardedGraphManager::register_key`]) are
     /// persisted to the data directory's `keys.log` and recovered here, so
@@ -800,33 +843,31 @@ impl ShardedGraphManager {
         policy: WalSyncPolicy,
     ) -> DgResult<Self> {
         let started = Instant::now();
-        let (mut storage, plans, keys) = DurableState::open(dir.as_ref(), policy)?;
+        let (mut storage, Recovered { sealed, tail, keys }) =
+            DurableState::open(dir.as_ref(), policy)?;
         let make_store: StoreFactory = Box::new(|_| Arc::new(MemStore::new()));
         // Nothing survived anywhere (a lone tail whose WAL was destroyed):
         // refuse now rather than hand out a router whose every query fails.
-        let tail_plan = plans.last().ok_or_else(|| {
-            DgError::InvalidParameter("the recovered manifest lists no shards".into())
-        })?;
-        if tail_plan.seed.is_empty() && tail_plan.events.is_empty() {
+        if tail.seed.is_empty() && tail.events.is_empty() {
             return Err(DgError::EmptyIndex);
         }
-        // No shard is built here. Each keeps its decoded, checksum-verified
-        // plan and hydrates on first touch (see [`ShardCell`]) — the tail
-        // on the first append or tail-range query, carrying the torn-record
-        // retry with it. Restart-to-first-query therefore pays for exactly
-        // one shard build (histbench traces it as `durable.first_answer_ms`).
-        let last = plans.len() - 1;
-        let shards: Vec<Shard> = plans
+        // No shard is built here. Each keeps what it hydrates from (see
+        // [`ShardCell`]) — a sealed shard its opened segment, the tail its
+        // seed and WAL events, rebuilt on the first append or tail-range
+        // query with the torn-record retry.
+        let tail_index = sealed.len();
+        let mut shards: Vec<Shard> = sealed
             .into_iter()
             .enumerate()
-            .map(|(index, plan)| Shard {
-                lower: plan.lower,
-                events: AtomicUsize::new(plan.events.len()),
-                queries: AtomicU64::new(0),
-                appends: AtomicU64::new(0),
-                cell: ShardCell::lazy(index, plan, index == last),
+            .map(|(index, shard)| {
+                let (lower, events) = (shard.lower(), shard.events());
+                let cell = ShardCell::lazy(index, PendingSource::Sealed(shard));
+                Shard::new(cell, lower, events)
             })
             .collect();
+        let (lower, events) = (tail.lower, tail.events.len());
+        let cell = ShardCell::lazy(tail_index, PendingSource::Tail(tail));
+        shards.push(Shard::new(cell, lower, events));
         storage.recovery_ms = started.elapsed().as_millis().max(1) as u64;
         let keys = keys
             .into_iter()
@@ -902,25 +943,17 @@ impl ShardedGraphManager {
         Ok(plans)
     }
 
-    /// Builds one serving shard per plan, in order, through the same
-    /// constructor a recovered shard hydrates with.
+    /// Builds one manager per plan, in order, through the same constructor
+    /// a recovered tail hydrates with.
     fn build_shards(
         plans: &[ShardPlan],
         config: &ShardedConfig,
         make_store: &StoreFactory,
-    ) -> DgResult<Vec<Shard>> {
+    ) -> DgResult<Vec<GraphManager>> {
         plans
             .iter()
             .enumerate()
-            .map(|(index, plan)| {
-                Ok(Shard {
-                    cell: ShardCell::eager(build_shard(plan, index, config, make_store)?),
-                    lower: plan.lower,
-                    events: AtomicUsize::new(plan.events.len()),
-                    queries: AtomicU64::new(0),
-                    appends: AtomicU64::new(0),
-                })
-            })
+            .map(|(index, plan)| build_shard(plan, index, config, make_store))
             .collect()
     }
 
@@ -1364,7 +1397,6 @@ impl ShardedGraphManager {
         let state = gm.index().current_graph().clone();
         let seed = self.is_durable().then(|| seed_events(&state, seed_time));
         let keys = gm.key_bindings();
-        drop(gm);
         let mut next = GraphManager::build_seeded(
             state,
             seed_time,
@@ -1375,13 +1407,21 @@ impl ShardedGraphManager {
         for (key, node) in keys {
             next.register_key(key, node);
         }
+        // The old tail's segment holds its index rebuilt balanced — the
+        // index a restart serves as is, built once here instead of on
+        // every restart. The in-memory old tail keeps serving unchanged.
+        let sealed = seed
+            .is_some()
+            .then(|| gm.index().rebuild(Arc::new(MemStore::new())))
+            .transpose()?;
+        drop(gm);
         // Persist the roll before exposing the new shard: seal the old
         // tail into its segment, start the next WAL generation holding the
         // triggering events, and commit with the manifest swap. An error
         // here leaves both disk (old manifest wins) and memory (no new
         // shard) on the old generation, the events unacknowledged.
-        if let (Some(mut st), Some(seed)) = (self.storage_guard(), seed) {
-            st.roll(boundary, &seed, expanded)?;
+        if let (Some(mut st), Some(seed), Some(sealed)) = (self.storage_guard(), seed, sealed) {
+            st.roll(boundary, &seed, expanded, &sealed)?;
         }
         shards.push(Shard {
             cell: ShardCell::eager(SharedGraphManager::new(next)),
@@ -1648,6 +1688,18 @@ impl ShardedGraphManager {
             sessions: HashMap::new(),
         }
     }
+}
+
+/// Serving shards over freshly built managers, one per plan.
+fn eager_shards(plans: &[ShardPlan], managers: Vec<GraphManager>) -> Vec<Shard> {
+    plans
+        .iter()
+        .zip(managers)
+        .map(|(plan, gm)| {
+            let cell = ShardCell::eager(SharedGraphManager::new(gm));
+            Shard::new(cell, plan.lower, plan.events.len())
+        })
+        .collect()
 }
 
 fn shard_index_in(shards: &[Shard], t: Timestamp) -> usize {

@@ -224,12 +224,14 @@ proptest! {
 
 proptest! {
     /// Durable recovery extends the invariant to crashes: for random
-    /// streams, shard layouts, roll budgets, live appends, and a random
-    /// kill point (the WAL torn at an arbitrary byte offset), a recovered
-    /// router must answer point retrievals identically to an in-memory
-    /// manager replaying the surviving prefix of the stream. The prefix is
-    /// computed independently from the WAL's record framing, so this also
-    /// pins *which* events must survive a given tear.
+    /// streams, shard layouts, leaf sizes, roll budgets, live appends, and a
+    /// random kill point (the WAL torn at an arbitrary byte offset), a
+    /// recovered router must answer point retrievals, multipoint retrievals
+    /// across its shards, and an interval inside a sealed shard (served
+    /// from the shard's segment) identically to an in-memory manager
+    /// replaying the surviving prefix of the stream. The prefix is computed
+    /// independently from the WAL's record framing, so this also pins
+    /// *which* events must survive a given tear.
     #[test]
     fn prop_recovered_router_matches_in_memory_over_surviving_prefix(
         seed in 0u64..4,
@@ -237,6 +239,8 @@ proptest! {
         budget in 0usize..10,
         appends in 1usize..12,
         cut_frac in 0u64..101,
+        leaf_pick in 0usize..2,
+        window_pct in 0i64..100,
     ) {
         use historygraph::kvstore::{read_wal_events, wal_record_len};
         use historygraph::WalSyncPolicy;
@@ -250,9 +254,13 @@ proptest! {
 
         let ds = churn_trace(&ChurnConfig::tiny(900 + seed));
         let end = ds.end_time().raw();
+        let leaf_size = [1000, 60][leaf_pick];
         let config = ShardedConfig::default()
             .with_shards(shard_count)
-            .with_shard_events(budget);
+            .with_shard_events(budget)
+            .with_manager(
+                GraphManagerConfig::default().with_index(DeltaGraphConfig::new(leaf_size, 2)),
+            );
         let durable = ShardedGraphManager::build_durable(
             &ds.events,
             config.clone(),
@@ -324,10 +332,30 @@ proptest! {
                 }
             }
             for opts in [AttrOptions::all(), AttrOptions::structure_only()] {
+                let mut want = Vec::new();
                 for &t in &times {
                     let got = recovered.snapshot_at(t, &opts).unwrap();
-                    let want = oracle.index().get_snapshot(t, &opts).unwrap();
-                    assert_eq!(got, want, "t={} opts={}", t.raw(), opts.canonical_string());
+                    want.push(oracle.index().get_snapshot(t, &opts).unwrap());
+                    assert_eq!(&got, want.last().unwrap(), "t={} opts={}", t.raw(), opts.canonical_string());
+                }
+                // The same times in one request: grouped by shard, each
+                // group through its shard's multipoint planner.
+                let got = recovered.snapshots_at(&times, &opts).unwrap();
+                assert_eq!(got, want, "multipoint opts={}", opts.canonical_string());
+            }
+            // An interval inside one sealed shard (every shard but the tail).
+            let infos = recovered.shard_infos();
+            let sealed = &infos[..infos.len() - 1];
+            if let Some(info) = sealed.get(window_pct as usize % sealed.len().max(1)) {
+                let lo = info.lower.unwrap_or(ds.start_time()).raw();
+                let hi = info.upper.expect("a sealed shard is bounded above").raw();
+                let from = Timestamp(lo + (hi - lo) * window_pct / 100);
+                let to = Timestamp(hi);
+                if from < to {
+                    let opts = AttrOptions::all();
+                    let got = recovered.session().interval(from, to, &opts).unwrap();
+                    let want = oracle.index().get_snapshot_interval(from, to, &opts).unwrap();
+                    assert_eq!(got, want, "interval [{}, {}) in shard {}", from.raw(), hi, info.index);
                 }
             }
         }
