@@ -50,6 +50,13 @@ impl BitMap {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// Clears every bit set in `mask` (`self &= !mask`), a word at a time.
+    pub fn clear_mask(&mut self, mask: &BitMap) {
+        for (word, m) in self.words.iter_mut().zip(&mask.words) {
+            *word &= !m;
+        }
+    }
+
     /// Clears every bit.
     pub fn clear(&mut self) {
         self.words.clear();
@@ -98,6 +105,24 @@ mod tests {
         assert_eq!(bm.count_ones(), 1);
         // no growth happened for the clear
         assert!(bm.approx_memory() <= 8);
+    }
+
+    #[test]
+    fn clearing_a_mask_clears_exactly_its_bits() {
+        let mut bm = BitMap::new();
+        for bit in [0, 5, 63, 64, 130, 200] {
+            bm.set(bit, true);
+        }
+        let mut mask = BitMap::new();
+        for bit in [5, 64, 131, 900] {
+            mask.set(bit, true);
+        }
+        bm.clear_mask(&mask);
+        let left: Vec<usize> = (0..1000).filter(|&i| bm.get(i)).collect();
+        assert_eq!(left, [0, 63, 130, 200]);
+        // A mask shorter than the bitmap leaves the high words alone.
+        bm.clear_mask(&BitMap::new());
+        assert_eq!(bm.count_ones(), 4);
     }
 
     #[test]

@@ -51,7 +51,7 @@ enum BitAssignment {
 }
 
 /// Registry entry for one active graph (one row of the GraphID–bit table).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphEntry {
     /// The graph's id.
     pub id: GraphId,
@@ -78,7 +78,7 @@ impl GraphEntry {
     }
 }
 
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 struct PoolNode {
     bm: BitMap,
     /// attribute name → list of (value, bitmap of graphs having that value)
@@ -117,7 +117,7 @@ impl Ends {
 
 /// One incarnation of an edge id: its endpoints, the graphs holding it
 /// between them, and their attribute values.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct PoolEdge {
     ends: Ends,
     bm: BitMap,
@@ -138,7 +138,7 @@ impl PoolEdge {
 /// between other endpoints, so graphs from different times can disagree
 /// on where an id points; each incarnation keeps its own membership bits
 /// and attribute values. `reused` is empty unless that happened.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct EdgeSlot {
     first: PoolEdge,
     reused: Vec<PoolEdge>,
@@ -155,6 +155,7 @@ impl EdgeSlot {
 }
 
 /// The in-memory pool of overlaid graphs.
+#[derive(Clone, PartialEq)]
 pub struct GraphPool {
     nodes: FxHashMap<NodeId, PoolNode>,
     edges: FxHashMap<EdgeId, EdgeSlot>,
@@ -751,53 +752,49 @@ impl GraphPool {
     /// for reuse, and removes elements that no longer belong to any active
     /// graph. Returns the number of elements removed from the union.
     pub fn cleanup(&mut self) -> usize {
+        self.cleanup_with(BitMap::clear_mask)
+    }
+
+    /// [`GraphPool::cleanup`], clearing the released bits of every bitmap
+    /// with `clear(bitmap, released)`.
+    fn cleanup_with(&mut self, clear: impl Fn(&mut BitMap, &BitMap)) -> usize {
         if self.pending_cleanup.is_empty() {
             return 0;
         }
-        let mut bits_to_clear: Vec<usize> = Vec::new();
+        let mut released = BitMap::new();
         for id in std::mem::take(&mut self.pending_cleanup) {
             if let Some(slot) = self.entries.get_mut(id.0 as usize) {
                 if let Some(entry) = slot.take() {
                     match entry.bits {
                         BitAssignment::Single { member } => {
-                            bits_to_clear.push(member);
+                            released.set(member, true);
                             self.free_singles.push(member);
                         }
                         BitAssignment::Pair { exception, member } => {
-                            bits_to_clear.extend([exception, member]);
+                            released.set(exception, true);
+                            released.set(member, true);
                             self.free_pairs.push((exception, member));
                         }
                     }
                 }
             }
         }
-        for node in self.nodes.values_mut() {
-            for &bit in &bits_to_clear {
-                node.bm.set(bit, false);
-            }
-            for values in node.attrs.values_mut() {
+        let clear_attrs = |attrs: &mut BTreeMap<String, Vec<(AttrValue, BitMap)>>| {
+            for values in attrs.values_mut() {
                 for (_, bm) in values.iter_mut() {
-                    for &bit in &bits_to_clear {
-                        bm.set(bit, false);
-                    }
+                    clear(bm, &released);
                 }
                 values.retain(|(_, bm)| !bm.is_empty());
             }
-            node.attrs.retain(|_, values| !values.is_empty());
+            attrs.retain(|_, values| !values.is_empty());
+        };
+        for node in self.nodes.values_mut() {
+            clear(&mut node.bm, &released);
+            clear_attrs(&mut node.attrs);
         }
         for edge in self.edges.values_mut().flat_map(EdgeSlot::iter_mut) {
-            for &bit in &bits_to_clear {
-                edge.bm.set(bit, false);
-            }
-            for values in edge.attrs.values_mut() {
-                for (_, bm) in values.iter_mut() {
-                    for &bit in &bits_to_clear {
-                        bm.set(bit, false);
-                    }
-                }
-                values.retain(|(_, bm)| !bm.is_empty());
-            }
-            edge.attrs.retain(|_, values| !values.is_empty());
+            clear(&mut edge.bm, &released);
+            clear_attrs(&mut edge.attrs);
         }
 
         // Remove elements that belong to nothing any more.
@@ -957,5 +954,85 @@ impl GraphPool {
             total += 32 + list.len() * std::mem::size_of::<(NodeId, EdgeId)>();
         }
         total
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The reference clearing: one `set` per released bit (the random
+    /// sequences below stay far below 256 bits).
+    fn clear_per_bit(bm: &mut BitMap, released: &BitMap) {
+        for bit in (0..256).filter(|&bit| released.get(bit)) {
+            bm.set(bit, false);
+        }
+    }
+
+    fn next(rng: &mut u64) -> u64 {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        *rng
+    }
+
+    /// A graph over a small universe, so overlays overlap, edge ids come
+    /// back between other endpoints, and attribute values collide.
+    fn random_snapshot(rng: &mut u64) -> Snapshot {
+        let mut s = Snapshot::new();
+        for n in 0..12 {
+            if !next(rng).is_multiple_of(3) {
+                s.ensure_node(NodeId(n));
+                if next(rng).is_multiple_of(2) {
+                    let value = AttrValue::Int((next(rng) % 3) as i64);
+                    s.set_node_attr(NodeId(n), "k", Some(value)).unwrap();
+                }
+            }
+        }
+        for e in 0..16 {
+            if next(rng).is_multiple_of(2) {
+                let (src, dst) = (NodeId(next(rng) % 12), NodeId(next(rng) % 12));
+                s.add_edge(EdgeId(e), src, dst, next(rng).is_multiple_of(2))
+                    .unwrap();
+                if next(rng).is_multiple_of(2) {
+                    let value = AttrValue::Int((next(rng) % 2) as i64);
+                    s.set_edge_attr(EdgeId(e), "w", Some(value)).unwrap();
+                }
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn word_wise_cleanup_matches_per_bit_cleanup() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut cleanups = 0;
+        for round in 0..40 {
+            let mut pool = GraphPool::new();
+            pool.set_current(&random_snapshot(&mut rng));
+            let mut live: Vec<GraphId> = Vec::new();
+            for step in 0..40 {
+                let t = Timestamp(step);
+                match next(&mut rng) % 6 {
+                    0 | 1 => live.push(pool.add_historical(&random_snapshot(&mut rng), t)),
+                    2 => {
+                        let snapshot = random_snapshot(&mut rng);
+                        live.push(pool.add_historical_dependent(&snapshot, t, CURRENT_GRAPH));
+                    }
+                    3 | 4 if !live.is_empty() => {
+                        let id = live.swap_remove(next(&mut rng) as usize % live.len());
+                        pool.release(id);
+                    }
+                    _ => {
+                        let mut per_bit = pool.clone();
+                        let removed = pool.cleanup();
+                        assert_eq!(per_bit.cleanup_with(clear_per_bit), removed);
+                        assert!(pool == per_bit, "round {round} step {step}");
+                        cleanups += 1;
+                    }
+                }
+            }
+        }
+        assert!(cleanups > 100, "only {cleanups} cleanups compared");
     }
 }

@@ -191,12 +191,12 @@ impl Executor {
     /// per-request path.
     ///
     /// `GET GRAPH AT` replies route through the rendered-response byte
-    /// cache when the manager has one: the first render of a
-    /// `(t, opts, protocol)` is cached (under the append-epoch guard) and
-    /// every later hit is served with zero rendering. The session's
-    /// snapshot-cache overlay reference is still acquired on every request,
-    /// so refcount semantics (`STATS CACHE`, `RELEASE ALL`, disconnect) are
-    /// identical in both paths.
+    /// cache when the manager has one: once the snapshot cache admits a
+    /// `(t, opts)` (its second reference), its render is cached under the
+    /// append-epoch guard and every later hit is served with zero
+    /// rendering. The session's reference to the cached overlay is still
+    /// acquired on every such request, so refcount semantics (`STATS
+    /// CACHE`, `RELEASE ALL`, disconnect) are identical in both paths.
     pub fn execute_framed(&mut self, line: &str) -> Reply {
         let queue_us = std::mem::take(&mut self.pending_queue_us);
         let started = self.hub.as_ref().map(|_| Instant::now());
@@ -314,9 +314,12 @@ impl Executor {
 
     /// Point render: snapshot-cache retrieval on the owning shard
     /// (preserving overlay refcounts), then that *same* shard's
-    /// response-cache probe, then render + insert. Returns the framed bytes
-    /// plus the shard and append epoch they were computed under, so a
-    /// single-flight leader can publish them for validation by followers.
+    /// response-cache probe, then render + insert. A point the snapshot
+    /// cache did not admit is rendered and nothing else: no response-cache
+    /// probe or insert, so a one-off point takes no second write lock.
+    /// Returns the framed bytes plus the shard and append epoch they were
+    /// computed under, so a single-flight leader can publish them for
+    /// validation by followers.
     /// The shard is resolved exactly once — the get and the epoch-guarded
     /// put go through the handle the snapshot came from, so a tail shard
     /// rolled between the render and the insert can never be handed bytes
@@ -329,28 +332,35 @@ impl Executor {
     ) -> QlResult<(SharedGraphManager, u64, Arc<[u8]>)> {
         let (shared, point) = self.session.retrieve_cached_routed(t, opts)?;
         let epoch = point.epoch;
-        if let Some(bytes) = shared.response_cache_get(t, opts, self.protocol) {
-            return Ok((shared, epoch, bytes));
+        let admitted = point.overlay.is_some();
+        if admitted {
+            if let Some(bytes) = shared.response_cache_get(t, opts, self.protocol) {
+                return Ok((shared, epoch, bytes));
+            }
         }
         let resp = Response::Graph {
             t,
             graph: point.into_snapshot(&shared),
         };
         let bytes: Arc<[u8]> = resp.to_frame(self.protocol).into();
-        // Declined (not cached) if an append raced the retrieval — the
-        // reply is still correct for this request, just not reusable.
-        shared.response_cache_put(t, opts, self.protocol, Arc::clone(&bytes), epoch);
+        if admitted {
+            // Declined (not cached) if an append raced the retrieval — the
+            // reply is still correct for this request, just not reusable.
+            shared.response_cache_put(t, opts, self.protocol, Arc::clone(&bytes), epoch);
+        }
         Ok((shared, epoch, bytes))
     }
 
     /// Single-flight point render. The first request for a key becomes the
     /// leader and renders through [`Executor::render_point_shared`];
-    /// followers block on the flight and accept the leader's bytes only if
-    /// (a) the shard owning `t` is still the same manager at the same
-    /// append epoch — the response cache's staleness guard — and (b) they
-    /// can take their own snapshot-cache overlay reference, so refcount
-    /// semantics (`STATS CACHE`, `RELEASE ALL`, disconnect) are identical
-    /// to the uncoalesced path. Anything else falls back to a full render.
+    /// followers block on the flight and accept the leader's bytes if the
+    /// shard owning `t` is still the same manager at the same append epoch
+    /// — the response cache's staleness guard. Anything else falls back to
+    /// a full render. An accepted join is a repeat reference to the point:
+    /// the follower takes its own reference to the cached overlay if the
+    /// leader's point was admitted, so refcount semantics (`STATS CACHE`,
+    /// `RELEASE ALL`, disconnect) are identical to the uncoalesced path,
+    /// and otherwise counts toward the point's admission.
     fn execute_point_coalesced(
         &mut self,
         table: &Arc<FlightTable>,
@@ -379,7 +389,8 @@ impl Executor {
                     let owner = self.router.shard_for(t)?;
                     let fresh = owner.same_manager(&result.shard)
                         && owner.read().append_epoch() == result.epoch;
-                    if fresh && self.session.acquire_cached_routed(t, &opts).is_some() {
+                    if fresh {
+                        self.session.join_cached_routed(t, &opts);
                         table.note_coalesced();
                         return Ok(Reply::Shared(result.bytes));
                     }
@@ -395,8 +406,9 @@ impl Executor {
         match query {
             Query::GetGraphAt { t, attrs } => {
                 // Point retrievals route through the shared snapshot cache:
-                // a hot `t` is computed once and its pool overlay is shared
-                // (reference-counted) by every session that asks for it.
+                // a `t` asked for twice is overlaid once and its pool
+                // overlay is shared (reference-counted) by every session
+                // that asks for it again.
                 let opts = AttrOptions::parse(attrs)?;
                 let (shared, point) = self.session.retrieve_cached_routed(*t, &opts)?;
                 Ok(Response::Graph {
@@ -411,11 +423,10 @@ impl Executor {
                 // reference-counted overlay across sessions and across the
                 // points of one query. The remaining cold points go through
                 // the shard's Steiner planner together (sharing fetched
-                // deltas) and get private overlays, deliberately *without*
-                // inserting into the cache: one wide cold scan must not
-                // evict the hot set that point queries built up. Replies
-                // are reassembled in request order regardless of shard
-                // completion order.
+                // deltas) and are answered without an overlay or a cache
+                // insert: one wide cold scan must not evict the hot set
+                // that point queries built up. Replies are reassembled in
+                // request order regardless of shard completion order.
                 let opts = AttrOptions::parse(attrs)?;
                 let snaps = self.session.get_graphs_at(times, &opts)?;
                 Ok(Response::Graphs {
@@ -740,7 +751,8 @@ mod tests {
         }
         .to_text();
         assert_eq!(text, expected);
-        assert_eq!(exec.session_handles().len(), 1);
+        // No cache, so nothing is admitted and the session holds nothing.
+        assert!(exec.session_handles().is_empty());
     }
 
     #[test]
@@ -867,31 +879,44 @@ mod tests {
 
     #[test]
     fn release_all_clears_overlays() {
-        let (mut exec, router) = executor();
+        let (mut exec, router) = cached_executor(8);
         let shared = router.shard_at(0).unwrap();
-        run(&mut exec, "GET GRAPH AT 3");
-        run(&mut exec, "GET GRAPH AT 9");
+        // The second reference to each point admits it.
+        for t in [3, 9, 3, 9] {
+            run(&mut exec, &format!("GET GRAPH AT {t}"));
+        }
         assert_eq!(shared.read().pool().active_overlay_count(), 2);
+        assert_eq!(exec.session_handles().len(), 2);
         let released = run(&mut exec, "RELEASE ALL");
         assert_eq!(released, "OK RELEASED 2");
-        assert_eq!(shared.read().pool().active_overlay_count(), 0);
+        assert!(exec.session_handles().is_empty());
+        // Only the cache's own references remain.
+        let gm = shared.read();
+        assert!(gm.cache_entries().iter().all(|e| e.refs == 1));
     }
 
     #[test]
     fn release_all_is_scoped_to_the_issuing_session() {
-        let (mut exec, router) = executor();
+        let (mut exec, router) = cached_executor(8);
         let shared = router.shard_at(0).unwrap();
         let mut other = Executor::for_router(router.clone());
-        run(&mut other, "GET GRAPH AT 6");
-        run(&mut exec, "GET GRAPH AT 3");
-        assert_eq!(shared.read().pool().active_overlay_count(), 2);
-        // exec releases only its own overlay; other's survives.
+        for _ in 0..2 {
+            run(&mut other, "GET GRAPH AT 6");
+            run(&mut exec, "GET GRAPH AT 3");
+        }
+        let refs = |t: i64| {
+            let gm = shared.read();
+            let entry = gm.cache_entries().into_iter().find(|e| e.t == Timestamp(t));
+            entry.map(|e| e.refs)
+        };
+        assert_eq!((refs(3), refs(6)), (Some(2), Some(2)));
+        // exec releases only its own reference; other's survives.
         assert_eq!(run(&mut exec, "RELEASE ALL"), "OK RELEASED 1");
-        assert_eq!(shared.read().pool().active_overlay_count(), 1);
+        assert_eq!((refs(3), refs(6)), (Some(1), Some(2)));
         assert_eq!(other.session_handles().len(), 1);
         assert!(exec.session_handles().is_empty());
         drop(other);
-        assert_eq!(shared.read().pool().active_overlay_count(), 0);
+        assert_eq!(refs(6), Some(1));
     }
 
     #[test]
@@ -899,9 +924,13 @@ mod tests {
         let (mut exec, router) = cached_executor(8);
         let shared = router.shard_at(0).unwrap();
         let mut other = Executor::for_router(router.clone());
-        let a = run(&mut exec, "GET GRAPH AT 6 WITH +node:all+edge:all");
+        // exec's first reference holds nothing, other's admits the point,
+        // exec's second hits it.
+        let first = run(&mut exec, "GET GRAPH AT 6 WITH +node:all+edge:all");
         let b = run(&mut other, "GET GRAPH AT 6 WITH +node:all+edge:all");
+        let a = run(&mut exec, "GET GRAPH AT 6 WITH +node:all+edge:all");
         assert_eq!(a, b);
+        assert_eq!(first, b);
         // one shared overlay: cache ref + one per executor session
         assert_eq!(shared.read().pool().active_overlay_count(), 1);
         let id = exec.session_handles()[0];
@@ -910,7 +939,7 @@ mod tests {
 
         let cache = run(&mut exec, "STATS CACHE");
         assert!(
-            cache.starts_with("OK CACHE entries=1 capacity=8 hits=1 misses=1"),
+            cache.starts_with("OK CACHE entries=1 capacity=8 hits=1 misses=2"),
             "{cache}"
         );
         assert!(
@@ -930,8 +959,9 @@ mod tests {
     fn append_invalidates_cache_over_the_wire() {
         let (mut exec, router) = cached_executor(8);
         let shared = router.shard_at(0).unwrap();
-        run(&mut exec, "GET GRAPH AT 6");
-        run(&mut exec, "GET GRAPH AT 25");
+        for t in [6, 25, 6, 25] {
+            run(&mut exec, &format!("GET GRAPH AT {t}"));
+        }
         assert_eq!(shared.read().cache_len(), 2);
         run(&mut exec, "APPEND NODE 20 777");
         // the t=25 entry is at/after the append, the t=6 entry is before it
@@ -947,7 +977,8 @@ mod tests {
         let (mut exec, router) = cached_executor(8);
         let shared = router.shard_at(0).unwrap();
         run(&mut exec, "BIND alice 1");
-        // GET with full attributes caches (6, all); NODE peeks it
+        // GET with full attributes, twice, caches (6, all); NODE peeks it
+        run(&mut exec, "GET GRAPH AT 6 WITH +node:all+edge:all");
         run(&mut exec, "GET GRAPH AT 6 WITH +node:all+edge:all");
         let refs_before = {
             let gm = shared.read();
@@ -968,7 +999,7 @@ mod tests {
         assert_eq!(
             cache,
             "OK CACHE entries=0 capacity=0 hits=0 misses=0 insertions=0 \
-             invalidations=0 evictions=0 overlays=1\n\
+             invalidations=0 evictions=0 overlays=0\n\
              RC entries=0 capacity=0 byte_budget=0 hits=0 misses=0 insertions=0 \
              invalidations=0 evictions=0 bytes=0"
         );
@@ -1003,13 +1034,18 @@ mod tests {
     fn framed_point_queries_are_served_from_the_response_cache() {
         let (mut exec, router) = full_executor(8, 8);
         let shared = router.shard_at(0).unwrap();
+        // The first reference is rendered and cached nowhere.
         let first = exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
+        assert_eq!(shared.read().response_cache_stats(), Default::default());
+        // The second is admitted and its bytes cached; the third hits them.
         let second = exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
+        let third = exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
         assert_eq!(first.as_ref(), second.as_ref());
+        assert_eq!(first.as_ref(), third.as_ref());
         let rc = shared.read().response_cache_stats();
         assert_eq!((rc.hits, rc.misses, rc.insertions), (1, 1, 1));
         assert_eq!(rc.bytes, first.as_ref().len() as u64);
-        // The second request still took a snapshot-cache overlay reference.
+        // The byte-cache hit still took a snapshot-cache overlay reference.
         assert_eq!(exec.session_handles().len(), 2);
         // A different protocol renders (and caches) separately.
         exec.execute_line("PROTOCOL BINARY").unwrap();
@@ -1048,6 +1084,7 @@ mod tests {
     fn append_invalidates_response_cache_entries() {
         let (mut exec, router) = full_executor(8, 8);
         let shared = router.shard_at(0).unwrap();
+        exec.execute_framed("GET GRAPH AT 25");
         let before = exec.execute_framed("GET GRAPH AT 25");
         assert_eq!(shared.read().response_cache_len(), 1);
         run(&mut exec, "APPEND NODE 20 777");
@@ -1070,16 +1107,17 @@ mod tests {
         let shared = router.shard_at(0).unwrap();
         let mut other = Executor::for_router(router.clone());
         run(&mut exec, "GET GRAPH AT 6");
+        run(&mut exec, "GET GRAPH AT 6");
         // Multipoint over the same instant plus one more: the t=6 overlay is
         // reused (cache hit, shared across sessions), t=9 goes through the
-        // Steiner planner into a private overlay and is *not* inserted —
-        // cold multipoint scans must not evict the hot set.
+        // Steiner planner with no overlay and is *not* inserted — cold
+        // multipoint scans must not evict the hot set.
         let a = run(&mut other, "GET GRAPHS AT 6, 9");
         assert!(a.starts_with("OK GRAPHS count=2"), "{a}");
-        assert_eq!(shared.read().pool().active_overlay_count(), 2);
+        assert_eq!(shared.read().pool().active_overlay_count(), 1);
         assert_eq!(shared.read().cache_len(), 1, "t=9 must not be cached");
         let stats = shared.read().cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
+        assert_eq!((stats.hits, stats.misses), (1, 3));
         // Both sessions hold the same t=6 overlay.
         assert_eq!(exec.session_handles()[0], other.session_handles()[0]);
         // And the result matches the uncached multipoint path.
@@ -1109,18 +1147,20 @@ mod tests {
     fn stats_shards_reports_per_shard_counters() {
         let (mut exec, router) = sharded_executor(3);
         assert_eq!(router.shard_count(), 3);
-        run(&mut exec, "GET GRAPH AT 10");
-        run(&mut exec, "GET GRAPH AT 10");
+        // A first reference, the miss that admits the point, then a hit.
+        for _ in 0..3 {
+            run(&mut exec, "GET GRAPH AT 10");
+        }
         let shards = run(&mut exec, "STATS SHARDS");
         assert!(shards.starts_with("OK SHARDS count=3"), "{shards}");
         let s0 = shards.lines().find(|l| l.starts_with("S 0 ")).unwrap();
         assert!(s0.contains("lower=- upper=20"), "{s0}");
-        assert!(s0.contains("cache_hits=1 cache_misses=1"), "{s0}");
+        assert!(s0.contains("cache_hits=1 cache_misses=2"), "{s0}");
         let s2 = shards.lines().find(|l| l.starts_with("S 2 ")).unwrap();
         assert!(s2.contains("lower=40 upper=-"), "{s2}");
         // STATS CACHE aggregates the same counters across shards.
         let cache = run(&mut exec, "STATS CACHE");
-        assert!(cache.contains("hits=1 misses=1"), "{cache}");
+        assert!(cache.contains("hits=1 misses=2"), "{cache}");
     }
 
     #[test]
@@ -1392,11 +1432,15 @@ mod tests {
         assert!(exec.try_execute_hot("GET GRAPH AT 6").is_none());
         assert_eq!(hub.path_fast.get(), 0);
         assert_eq!(hub.verb(VerbKind::GetGraphAt).snapshot().count, 0);
-        // Warm it through the full path, then hit the fast path.
+        // A first reference through the full path caches nothing, so the
+        // hot path still declines.
+        exec.execute_framed("GET GRAPH AT 6");
+        assert!(exec.try_execute_hot("GET GRAPH AT 6").is_none());
+        // The second admits the point; then the fast path hits.
         exec.execute_framed("GET GRAPH AT 6");
         assert!(exec.try_execute_hot("GET GRAPH AT 6").is_some());
         assert_eq!(hub.path_fast.get(), 1);
-        assert_eq!(hub.verb(VerbKind::GetGraphAt).snapshot().count, 2);
+        assert_eq!(hub.verb(VerbKind::GetGraphAt).snapshot().count, 3);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! * every `put` appends a CRC-protected record to a single data file,
 //! * an in-memory index maps each key to the offset of its latest record,
-//! * `get` performs one positioned read,
+//! * `get` performs one positioned read, outside the store's lock,
 //! * `delete` appends a tombstone,
 //! * [`DiskStore::open`] rebuilds the index by scanning the log, skipping a
 //!   trailing torn record if the process died mid-write,
@@ -18,9 +18,10 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -65,7 +66,11 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 struct DiskInner {
-    file: File,
+    /// The data file. Every read and write is positioned, so a `get` takes
+    /// a clone of this handle under the lock and reads after releasing it;
+    /// a handle replaced by `compact` stays readable for reads already
+    /// holding it.
+    file: Arc<File>,
     /// key → (offset of the value bytes, value length)
     index: HashMap<StoreKey, (u64, u32)>,
     /// next append offset
@@ -98,7 +103,7 @@ impl DiskStore {
             .open(&path)?;
         Ok(DiskStore {
             inner: Mutex::new(DiskInner {
-                file,
+                file: Arc::new(file),
                 index: HashMap::new(),
                 tail: 0,
                 live_bytes: 0,
@@ -152,10 +157,9 @@ impl DiskStore {
         if valid_end < file_len {
             file.set_len(valid_end)?;
         }
-        file.seek(SeekFrom::Start(valid_end))?;
         Ok(DiskStore {
             inner: Mutex::new(DiskInner {
-                file,
+                file: Arc::new(file),
                 index,
                 tail: valid_end,
                 live_bytes,
@@ -194,7 +198,7 @@ impl DiskStore {
         let mut new_tail = 0u64;
         for key in keys {
             let (off, len) = inner.index[&key];
-            let value = read_value(&mut inner.file, off, len)?;
+            let value = read_value(&inner.file, off, len)?;
             let record = build_record(key, Some(&value));
             tmp.write_all(&record)?;
             new_index.insert(key, (new_tail + RECORD_HEADER_LEN as u64, len));
@@ -202,10 +206,10 @@ impl DiskStore {
         }
         tmp.sync_data()?;
         std::fs::rename(&tmp_path, &self.path)?;
-        // Reopen the renamed file as the active handle.
+        // Reopen the renamed file as the active handle. Reads that took the
+        // old handle finish against the old file, whose offsets they hold.
         let file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        inner.file = file;
-        inner.file.seek(SeekFrom::Start(new_tail))?;
+        inner.file = Arc::new(file);
         inner.index = new_index;
         inner.tail = new_tail;
         Ok(old_tail.saturating_sub(new_tail))
@@ -272,10 +276,9 @@ fn parse_record(
     )))
 }
 
-fn read_value(file: &mut File, offset: u64, len: u32) -> StoreResult<Vec<u8>> {
-    file.seek(SeekFrom::Start(offset))?;
+fn read_value(file: &File, offset: u64, len: u32) -> StoreResult<Vec<u8>> {
     let mut buf = vec![0u8; len as usize];
-    file.read_exact(&mut buf)?;
+    file.read_exact_at(&mut buf, offset)?;
     Ok(buf)
 }
 
@@ -286,8 +289,7 @@ impl KeyValueStore for DiskStore {
         let record = build_record(key, Some(value));
         let tail = inner.tail;
         let value_offset = tail + RECORD_HEADER_LEN as u64;
-        inner.file.seek(SeekFrom::Start(tail))?;
-        inner.file.write_all(&record)?;
+        inner.file.write_all_at(&record, tail)?;
         inner.tail += record.len() as u64;
         if let Some((_, old_len)) = inner.index.insert(key, (value_offset, value.len() as u32)) {
             inner.live_bytes -= u64::from(old_len);
@@ -297,13 +299,17 @@ impl KeyValueStore for DiskStore {
     }
 
     fn get(&self, key: StoreKey) -> StoreResult<Option<Vec<u8>>> {
-        let mut inner = self.inner.lock();
-        let slot = inner.index.get(&key).copied();
+        // Only the lookup runs under the lock; concurrent gets read in
+        // parallel.
+        let slot = {
+            let inner = self.inner.lock();
+            let slot = inner.index.get(&key).copied();
+            slot.map(|slot| (slot, Arc::clone(&inner.file)))
+        };
         let value = match slot {
-            Some((offset, len)) => Some(read_value(&mut inner.file, offset, len)?),
+            Some(((offset, len), file)) => Some(read_value(&file, offset, len)?),
             None => None,
         };
-        drop(inner);
         self.stats.record_get(value.as_ref().map(Vec::len));
         Ok(value)
     }
@@ -314,8 +320,7 @@ impl KeyValueStore for DiskStore {
         if inner.index.contains_key(&key) {
             let record = build_record(key, None);
             let tail = inner.tail;
-            inner.file.seek(SeekFrom::Start(tail))?;
-            inner.file.write_all(&record)?;
+            inner.file.write_all_at(&record, tail)?;
             inner.tail += record.len() as u64;
             if let Some((_, old_len)) = inner.index.remove(&key) {
                 inner.live_bytes -= u64::from(old_len);
@@ -469,6 +474,44 @@ mod tests {
             s.get(key(3)).unwrap().as_deref(),
             Some(&b"post-compact"[..])
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_gets_racing_compaction_read_whole_values() {
+        let path = tmpdir("race").join("data.log");
+        let s = Arc::new(DiskStore::create(&path).unwrap());
+        let value = |k: u64, v: u64| format!("key-{k}-version-{v}-").repeat(8 + k as usize);
+        for v in 0..4 {
+            for k in 0..16 {
+                s.put(key(k), value(k, v).as_bytes()).unwrap();
+            }
+        }
+        // Readers and the compactor start together, so gets holding the
+        // old file handle overlap the swap to the compacted file.
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let readers: Vec<_> = (0..2)
+            .map(|r| {
+                let s = Arc::clone(&s);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..2000u64 {
+                        let k = (i * 7 + r) % 16;
+                        let got = s.get(key(k)).unwrap().expect("a live key");
+                        assert_eq!(got, value(k, 3).into_bytes(), "key {k}");
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        for _ in 0..20 {
+            s.compact().unwrap();
+        }
+        for reader in readers {
+            reader.join().unwrap();
+        }
+        assert_eq!(s.len(), 16);
         std::fs::remove_file(&path).ok();
     }
 

@@ -253,7 +253,8 @@ mod tests {
     fn start(max_connections: usize) -> (ServerHandle, SharedGraphManager) {
         let router = ShardedGraphManager::build_in_memory(
             &datagen::toy_trace().events,
-            ShardedConfig::default(),
+            ShardedConfig::default()
+                .with_manager(historygraph::GraphManagerConfig::default().with_snapshot_cache(8)),
         )
         .unwrap();
         let handle = serve_sharded(
@@ -356,22 +357,23 @@ mod tests {
         let (server, shared) = start(8);
         {
             let mut client = Client::connect(server.addr()).unwrap();
-            client.send("GET GRAPH AT 3").unwrap();
-            client.send("GET GRAPHS AT 6, 9").unwrap();
-            assert_eq!(shared.read().pool().active_overlay_count(), 3);
-        }
-        // The client dropped; its session must release all three overlays,
-        // leaving only the current graph active.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let active = shared.read().pool().active_graphs().len();
-            if active == 1 {
-                assert_eq!(shared.read().pool().active_overlay_count(), 0);
-                break;
+            // Second references admit t=3 and t=6; the multipoint shares
+            // t=6 and answers t=9 without an overlay.
+            for t in [3, 6, 3, 6] {
+                client.send(&format!("GET GRAPH AT {t}")).unwrap();
             }
+            client.send("GET GRAPHS AT 6, 9").unwrap();
+            assert_eq!(shared.read().pool().active_overlay_count(), 2);
+            assert!(shared.read().cache_entries().iter().all(|e| e.refs > 1));
+        }
+        // The client dropped; its session must release all three
+        // references, leaving each cached overlay to the cache alone.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while shared.read().cache_entries().iter().any(|e| e.refs > 1) {
             assert!(Instant::now() < deadline, "overlays were not released");
             thread::sleep(Duration::from_millis(10));
         }
+        assert_eq!(shared.read().pool().active_overlay_count(), 2);
     }
 
     #[test]
@@ -427,8 +429,10 @@ mod tests {
         let (mut server, shared) = start(8);
         let mut a = Client::connect(server.addr()).unwrap();
         let mut b = Client::connect(server.addr()).unwrap();
-        a.send_ok("GET GRAPH AT 6").unwrap();
-        b.send_ok("GET GRAPH AT 9").unwrap();
+        for _ in 0..2 {
+            a.send_ok("GET GRAPH AT 6").unwrap();
+            b.send_ok("GET GRAPH AT 9").unwrap();
+        }
         assert_eq!(shared.read().pool().active_overlay_count(), 2);
         // Both clients now sit idle in a blocking read. A drain must not
         // wait out their 300 s read timeout: it closes them at the socket.
@@ -439,8 +443,9 @@ mod tests {
             "drain should close idle sessions well before the deadline"
         );
         assert_eq!(server.active_connections(), 0);
-        // The force-closed sessions released their overlays on the way out.
-        assert_eq!(shared.read().pool().active_overlay_count(), 0);
+        // The force-closed sessions released their references on the way
+        // out; the cached overlays keep only the cache's own.
+        assert!(shared.read().cache_entries().iter().all(|e| e.refs == 1));
         // The clients observe the close as EOF/error, not a hang.
         assert!(a.send("PING").is_err());
         assert!(b.send("PING").is_err());
@@ -513,8 +518,13 @@ mod tests {
         let (mut server, router) = start_sharded(3, 8);
         let mut a = Client::connect(server.addr()).unwrap();
         let mut b = Client::connect(server.addr()).unwrap();
-        // Each session holds overlays on more than one shard.
+        // Each session holds overlays on more than one shard: second point
+        // references admit every point, then the multipoint shares them.
+        for t in [10, 50, 10, 50] {
+            a.send_ok(&format!("GET GRAPH AT {t}")).unwrap();
+        }
         a.send_ok("GET GRAPHS AT 10, 50").unwrap();
+        b.send_ok("GET GRAPH AT 30").unwrap();
         b.send_ok("GET GRAPH AT 30").unwrap();
         let overlays = |router: &ShardedGraphManager| -> usize {
             router.shard_infos().iter().map(|i| i.overlays).sum()

@@ -651,15 +651,14 @@ impl Encode for Snapshot {
 
 impl Decode for Snapshot {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        // Each decoded attribute map moves into its element whole; a repeated
+        // id merges its maps as per-entry assignment would.
         let mut snap = Snapshot::new();
         let node_count = r.read_varint()? as usize;
         for _ in 0..node_count {
             let id = NodeId::decode(r)?;
             let attrs = decode_attr_map(r)?;
-            snap.ensure_node(id);
-            for (k, v) in attrs {
-                snap.set_node_attr(id, &k, Some(v))?;
-            }
+            snap.merge_node_attrs(id, attrs);
         }
         let edge_count = r.read_varint()? as usize;
         for _ in 0..edge_count {
@@ -669,9 +668,7 @@ impl Decode for Snapshot {
             let directed = bool::decode(r)?;
             let attrs = decode_attr_map(r)?;
             snap.add_edge(id, src, dst, directed)?;
-            for (k, v) in attrs {
-                snap.set_edge_attr(id, &k, Some(v))?;
-            }
+            snap.merge_edge_attrs(id, attrs)?;
         }
         Ok(snap)
     }
@@ -769,6 +766,59 @@ mod tests {
         assert!(decoded
             .neighbors(NodeId(2))
             .contains(&(NodeId(1), EdgeId(1))));
+    }
+
+    #[test]
+    fn decoding_repeated_node_ids_merges_like_per_entry_assignment() {
+        let map = |entries: &[(&str, i64)]| -> AttrMap {
+            entries
+                .iter()
+                .map(|(k, v)| (k.to_string(), AttrValue::Int(*v)))
+                .collect()
+        };
+        let nodes = [
+            (NodeId(1), map(&[("a", 1), ("b", 2)])),
+            (NodeId(2), AttrMap::new()),
+            (NodeId(1), map(&[("b", 3), ("c", 4)])),
+            (NodeId(2), map(&[("d", 5)])),
+        ];
+        let mut bytes = Vec::new();
+        write_varint(&mut bytes, nodes.len() as u64);
+        for (id, attrs) in &nodes {
+            id.encode(&mut bytes);
+            encode_attr_map(attrs, &mut bytes);
+        }
+        let edge = |bytes: &mut Vec<u8>, attrs: &AttrMap| {
+            EdgeId(9).encode(bytes);
+            NodeId(2).encode(bytes);
+            NodeId(3).encode(bytes);
+            true.encode(bytes);
+            encode_attr_map(attrs, bytes);
+        };
+        let mut ok = bytes.clone();
+        write_varint(&mut ok, 1);
+        edge(&mut ok, &map(&[("w", 7)]));
+        // The reference: every entry assigned one at a time.
+        let mut want = Snapshot::new();
+        for (id, attrs) in &nodes {
+            want.ensure_node(*id);
+            for (k, v) in attrs {
+                want.set_node_attr(*id, k, Some(v.clone())).unwrap();
+            }
+        }
+        want.add_edge(EdgeId(9), NodeId(2), NodeId(3), true)
+            .unwrap();
+        want.set_edge_attr(EdgeId(9), "w", Some(AttrValue::Int(7)))
+            .unwrap();
+        let got = Snapshot::from_bytes(&ok).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(got.node_attr(NodeId(1), "b"), Some(&AttrValue::Int(3)));
+        // A repeated edge id is refused, as before.
+        let mut twice = bytes;
+        write_varint(&mut twice, 2);
+        edge(&mut twice, &AttrMap::new());
+        edge(&mut twice, &AttrMap::new());
+        assert!(Snapshot::from_bytes(&twice).is_err());
     }
 
     #[test]

@@ -58,6 +58,11 @@ pub struct Snapshot {
     /// Outgoing adjacency: for undirected edges both endpoints index the edge,
     /// for directed edges only the source does.
     adj: FxHashMap<NodeId, Vec<(NodeId, EdgeId)>>,
+    /// Incoming directed edges (self-loops excluded), indexed by their
+    /// destination as `(source, edge)` — the edges `adj` does not list at
+    /// the node they point into, so removing a node finds every incident
+    /// edge in O(degree).
+    inbound: FxHashMap<NodeId, Vec<(NodeId, EdgeId)>>,
 }
 
 impl PartialEq for Snapshot {
@@ -183,24 +188,23 @@ impl Snapshot {
         self.nodes.entry(n).or_default();
     }
 
-    /// Removes a node and (defensively) any incident edges. Returns an error
-    /// if the node does not exist.
+    /// Removes a node and (defensively) any incident edges, in O(degree).
+    /// Returns an error if the node does not exist.
     pub fn remove_node(&mut self, n: NodeId) -> Result<()> {
         if self.nodes.remove(&n).is_none() {
             return Err(TgError::InvalidEvent(format!("node {n} does not exist")));
         }
         // Well-formed event streams delete incident edges first, but cascade
         // here so the structure never holds dangling adjacency.
-        let incident: Vec<EdgeId> = self
-            .edges
-            .iter()
-            .filter(|(_, d)| d.src == n || d.dst == n)
-            .map(|(e, _)| *e)
+        let incident: Vec<EdgeId> = [self.adj.remove(&n), self.inbound.remove(&n)]
+            .into_iter()
+            .flatten()
+            .flatten()
+            .map(|(_, e)| e)
             .collect();
         for e in incident {
             let _ = self.remove_edge(e);
         }
-        self.adj.remove(&n);
         Ok(())
     }
 
@@ -222,11 +226,23 @@ impl Snapshot {
                 attrs: AttrMap::new(),
             },
         );
-        self.adj.entry(src).or_default().push((dst, e));
-        if !directed && src != dst {
-            self.adj.entry(dst).or_default().push((src, e));
-        }
+        self.link(e, src, dst, directed);
         Ok(())
+    }
+
+    /// Indexes edge `e` at its endpoints: `adj` at the source (and at the
+    /// destination of an undirected edge), `inbound` at the destination of
+    /// a directed one. A self-loop is indexed once.
+    fn link(&mut self, e: EdgeId, src: NodeId, dst: NodeId, directed: bool) {
+        self.adj.entry(src).or_default().push((dst, e));
+        if src != dst {
+            let at_dst = if directed {
+                &mut self.inbound
+            } else {
+                &mut self.adj
+            };
+            at_dst.entry(dst).or_default().push((src, e));
+        }
     }
 
     /// Removes an edge. Returns an error if it does not exist.
@@ -238,8 +254,13 @@ impl Snapshot {
         if let Some(list) = self.adj.get_mut(&data.src) {
             list.retain(|(_, id)| *id != e);
         }
-        if !data.directed && data.src != data.dst {
-            if let Some(list) = self.adj.get_mut(&data.dst) {
+        if data.src != data.dst {
+            let at_dst = if data.directed {
+                &mut self.inbound
+            } else {
+                &mut self.adj
+            };
+            if let Some(list) = at_dst.get_mut(&data.dst) {
                 list.retain(|(_, id)| *id != e);
             }
         }
@@ -277,6 +298,24 @@ impl Snapshot {
                 edge.attrs.remove(key);
             }
         }
+        Ok(())
+    }
+
+    /// Node `n`, created if absent, with every entry of `attrs` assigned
+    /// over its attributes — what `set_node_attr` per entry does, but the
+    /// map's keys are moved in, not reallocated.
+    pub(crate) fn merge_node_attrs(&mut self, n: NodeId, attrs: AttrMap) {
+        merge_attrs(&mut self.nodes.entry(n).or_default().attrs, attrs);
+    }
+
+    /// Every entry of `attrs` assigned over the attributes of edge `e`, as
+    /// [`Snapshot::merge_node_attrs`] does for nodes. The edge must exist.
+    pub(crate) fn merge_edge_attrs(&mut self, e: EdgeId, attrs: AttrMap) -> Result<()> {
+        let edge = self
+            .edges
+            .get_mut(&e)
+            .ok_or_else(|| TgError::InvalidEvent(format!("edge {e} does not exist")))?;
+        merge_attrs(&mut edge.attrs, attrs);
         Ok(())
     }
 
@@ -391,10 +430,7 @@ impl Snapshot {
                         directed: data.directed,
                         attrs: intersect_attrs(&data.attrs, &other_data.attrs),
                     };
-                    out.adj.entry(data.src).or_default().push((data.dst, *e));
-                    if !data.directed && data.src != data.dst {
-                        out.adj.entry(data.dst).or_default().push((data.src, *e));
-                    }
+                    out.link(*e, data.src, data.dst, data.directed);
                     out.edges.insert(*e, merged);
                 }
             }
@@ -417,10 +453,7 @@ impl Snapshot {
             if !out.edges.contains_key(e) {
                 out.ensure_node(data.src);
                 out.ensure_node(data.dst);
-                out.adj.entry(data.src).or_default().push((data.dst, *e));
-                if !data.directed && data.src != data.dst {
-                    out.adj.entry(data.dst).or_default().push((data.src, *e));
-                }
+                out.link(*e, data.src, data.dst, data.directed);
                 out.edges.insert(*e, data.clone());
             } else {
                 let entry = out.edges.get_mut(e).expect("just checked");
@@ -468,6 +501,7 @@ impl Snapshot {
         let adj_bytes: usize = self
             .adj
             .values()
+            .chain(self.inbound.values())
             .map(|v| 32 + v.len() * std::mem::size_of::<(NodeId, EdgeId)>())
             .sum();
         node_bytes + edge_bytes + adj_bytes
@@ -485,6 +519,14 @@ impl Snapshot {
     /// The set of node ids, as a hash set (convenience for tests/analytics).
     pub fn node_id_set(&self) -> FxHashSet<NodeId> {
         self.nodes.keys().copied().collect()
+    }
+}
+
+fn merge_attrs(into: &mut AttrMap, attrs: AttrMap) {
+    if into.is_empty() {
+        *into = attrs;
+    } else {
+        into.extend(attrs);
     }
 }
 
@@ -553,6 +595,71 @@ mod tests {
         assert!(!s.has_edge(EdgeId(10)));
         assert!(!s.has_edge(EdgeId(11)));
         assert!(s.neighbors(NodeId(1)).is_empty());
+    }
+
+    /// The reference cascade: scan the whole edge table for edges touching
+    /// the node.
+    fn remove_node_by_scan(s: &mut Snapshot, n: NodeId) {
+        let incident: Vec<EdgeId> = s
+            .edges()
+            .filter(|(_, d)| d.src == n || d.dst == n)
+            .map(|(e, _)| e)
+            .collect();
+        for e in incident {
+            s.remove_edge(e).unwrap();
+        }
+        s.nodes.remove(&n).unwrap();
+        s.adj.remove(&n);
+        s.inbound.remove(&n);
+    }
+
+    #[test]
+    fn adjacency_cascade_matches_the_edge_table_scan() {
+        // Node 1 has outgoing and incoming directed edges, undirected edges
+        // in both endpoint orders, and a directed and an undirected
+        // self-loop; 2 and 3 point at each other.
+        let mut s = Snapshot::new();
+        let edges = [
+            (1, 1, 2, true),
+            (2, 3, 1, true),
+            (3, 4, 1, true),
+            (4, 1, 4, false),
+            (5, 5, 1, false),
+            (6, 1, 1, true),
+            (7, 1, 1, false),
+            (8, 2, 3, true),
+            (9, 3, 2, true),
+            (10, 2, 5, false),
+        ];
+        for (e, src, dst, directed) in edges {
+            s.add_edge(EdgeId(e), NodeId(src), NodeId(dst), directed)
+                .unwrap();
+        }
+        for n in 1..=5 {
+            let mut fast = s.clone();
+            let mut slow = s.clone();
+            fast.remove_node(NodeId(n)).unwrap();
+            remove_node_by_scan(&mut slow, NodeId(n));
+            assert_eq!(fast, slow, "node {n}");
+            for m in fast.node_ids() {
+                let mut a = fast.neighbors(m).to_vec();
+                let mut b = slow.neighbors(m).to_vec();
+                a.sort_unstable();
+                b.sort_unstable();
+                assert_eq!(a, b, "adjacency of {m} after removing {n}");
+            }
+            // No index still names a removed edge.
+            for list in fast.adj.values().chain(fast.inbound.values()) {
+                assert!(list.iter().all(|(_, e)| fast.has_edge(*e)), "node {n}");
+            }
+        }
+        // Node 1 removed: everything left is the 2/3/5 triangle's edges.
+        s.remove_node(NodeId(1)).unwrap();
+        let mut left: Vec<_> = s.edge_ids().collect();
+        left.sort_unstable();
+        assert_eq!(left, [EdgeId(8), EdgeId(9), EdgeId(10)]);
+        assert_eq!(s.degree(NodeId(5)), 1);
+        assert!(!s.inbound.contains_key(&NodeId(1)));
     }
 
     #[test]

@@ -16,6 +16,14 @@
 //! overlay (`GraphView::to_snapshot`), and dropping an entry frees nothing
 //! but a pool reference.
 //!
+//! Only a point that is asked for again is overlaid. A bounded
+//! *doorkeeper* remembers the keys of recent misses — as many as the cache
+//! holds entries. A miss on a key the doorkeeper has not seen is answered
+//! from the snapshot the caller built, with no overlay and no entry; a
+//! miss on a key it has seen is admitted: overlaid, cached and shared from
+//! then on. A wide scan of distinct points therefore costs the pool and
+//! the cache nothing, and cannot evict the hot set.
+//!
 //! Consistency is kept by the append path: an `APPEND` at time `ta`
 //! invalidates every cached entry with `t >= ta` (those snapshots could now
 //! differ from a fresh computation), while entries strictly before `ta`
@@ -26,7 +34,7 @@
 //! [`SharedGraphManager`](crate::SharedGraphManager). See
 //! `docs/ARCHITECTURE.md` for where the cache sits in a request's life.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use graphpool::GraphId;
@@ -137,12 +145,17 @@ struct CacheEntry {
 /// An LRU cache of pool overlays keyed by `(t, AttrOptions)`.
 ///
 /// Capacity 0 disables the cache entirely: lookups always miss without
-/// touching the counters, and nothing is retained. Entries own one pool
-/// reference to their overlay; dropping an entry (eviction, invalidation,
-/// purge) returns the overlay id so the owner can release that reference.
+/// touching the counters, no miss is ever admitted, and nothing is
+/// retained. Entries own one pool reference to their overlay; dropping an
+/// entry (eviction, invalidation, purge) returns the overlay id so the
+/// owner can release that reference.
 pub struct SnapshotCache {
     capacity: usize,
     entries: HashMap<(Timestamp, AttrOptions), CacheEntry>,
+    /// The doorkeeper: keys of the last `capacity` distinct misses, oldest
+    /// first, and the same keys as a set for the membership test.
+    missed: VecDeque<(Timestamp, AttrOptions)>,
+    missed_set: HashSet<(Timestamp, AttrOptions)>,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -157,6 +170,8 @@ impl SnapshotCache {
         SnapshotCache {
             capacity,
             entries: HashMap::new(),
+            missed: VecDeque::new(),
+            missed_set: HashSet::new(),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -213,6 +228,28 @@ impl SnapshotCache {
         let entry = found?;
         entry.last_used.store(tick, Relaxed);
         Some(entry.overlay)
+    }
+
+    /// Records a reference to `(t, opts)` that found no entry, and returns
+    /// whether it repeats a recent one — whether the doorkeeper admits the
+    /// point into the cache. The first reference is remembered (the oldest
+    /// remembered key is forgotten once `capacity` are) and refused; a
+    /// disabled cache refuses everything and remembers nothing.
+    pub(crate) fn admit(&mut self, t: Timestamp, opts: &AttrOptions) -> bool {
+        if self.capacity == 0 {
+            return false;
+        }
+        let key = (t, opts.clone());
+        if self.missed_set.contains(&key) {
+            return true;
+        }
+        if self.missed.len() == self.capacity {
+            let oldest = self.missed.pop_front().expect("capacity > 0");
+            self.missed_set.remove(&oldest);
+        }
+        self.missed.push_back(key.clone());
+        self.missed_set.insert(key);
+        false
     }
 
     /// Inserts a freshly built overlay. Returns the overlays this displaced
@@ -402,6 +439,24 @@ mod tests {
             (d.t, d.opts, d.overlay, d.refs),
             (e.t, e.opts, e.overlay, e.refs)
         );
+    }
+
+    #[test]
+    fn the_doorkeeper_admits_a_recent_second_reference_only() {
+        let mut c = SnapshotCache::new(2);
+        let o = AttrOptions::all();
+        assert!(!c.admit(Timestamp(1), &o), "a first reference is refused");
+        assert!(c.admit(Timestamp(1), &o), "a second one is admitted");
+        assert!(c.admit(Timestamp(1), &o));
+        assert!(!c.admit(Timestamp(1), &AttrOptions::structure_only()));
+        // Two newer misses push t=1 out: it starts over.
+        assert!(!c.admit(Timestamp(2), &o));
+        assert!(!c.admit(Timestamp(1), &o));
+        assert!(c.admit(Timestamp(2), &o));
+        // Admission is bookkeeping only: no counter moves.
+        assert_eq!(c.stats(), CacheStats::default());
+        let mut off = SnapshotCache::new(0);
+        assert!(!off.admit(Timestamp(1), &o) && !off.admit(Timestamp(1), &o));
     }
 
     #[test]

@@ -354,26 +354,35 @@ impl GraphManager {
         self.pool.retain(overlay).then_some(overlay)
     }
 
-    /// Overlays a freshly computed snapshot and, when the cache is enabled,
-    /// caches the overlay. The returned handle carries one reference for
-    /// the calling session; the cache holds its own (the registration
-    /// reference), so the overlay outlives the session for future sharers.
+    /// Records a point retrieval that missed the cache and returns whether
+    /// the doorkeeper admits it: `true` only when `(t, opts)` missed
+    /// recently before (see [`crate::cache`]). An admitted point is
+    /// overlaid and cached through [`GraphManager::cache_insert_overlay`];
+    /// any other is answered without touching the pool.
+    pub(crate) fn cache_admit(&mut self, t: Timestamp, opts: &AttrOptions) -> bool {
+        self.cache.admit(t, opts)
+    }
+
+    /// Overlays a freshly computed, admitted snapshot and caches the
+    /// overlay. The returned handle carries one reference for the calling
+    /// session; the cache holds its own (the registration reference), so
+    /// the overlay outlives the session for future sharers.
     ///
     /// `computed_at_epoch` is the [`GraphManager::append_epoch`] observed
     /// while the snapshot was computed (under the read lock). If an append
     /// has landed since, the snapshot may predate events at or before `t`,
-    /// so it is overlaid for the calling session only and *not* cached —
-    /// a racing insert must never resurrect an invalidated time range.
+    /// so nothing is overlaid or cached and `None` is returned — a racing
+    /// insert must never resurrect an invalidated time range. A disabled
+    /// cache returns `None` too.
     pub(crate) fn cache_insert_overlay(
         &mut self,
         snapshot: &Snapshot,
         t: Timestamp,
         opts: &AttrOptions,
         computed_at_epoch: u64,
-    ) -> GraphId {
+    ) -> Option<GraphId> {
         if self.cache.capacity() == 0 || self.append_epoch != computed_at_epoch {
-            // Plain session-owned overlay, nothing cached.
-            return self.overlay(snapshot, t);
+            return None;
         }
         // Cached overlays are always self-contained (never dependent on the
         // current graph): a dependent overlay's view silently changes when
@@ -384,7 +393,7 @@ impl GraphManager {
         for displaced in self.cache.insert(t, opts.clone(), id) {
             self.pool.release(displaced);
         }
-        id
+        Some(id)
     }
 
     /// Read-only cache probe: the snapshot for `(t, opts)`, materialized

@@ -9,8 +9,11 @@
 //! history. The [`ResponseCache`] exploits that: it maps
 //! `(t, `[`AttrOptions`]`, `[`WireFormat`]`)` to the complete reply bytes
 //! (`Arc<[u8]>`, including the text `END` sentinel or the binary length
-//! prefix), populated on first render and served on every later hit with
-//! zero per-request rendering.
+//! prefix), populated on the first render of a point the snapshot cache
+//! has admitted and served on every later hit with zero per-request
+//! rendering. A point's first reference is neither looked up nor
+//! inserted here: it is not admitted (see [`crate::cache`]), so its
+//! bytes would most likely be evicted unread.
 //!
 //! Consistency follows the snapshot cache's rule exactly: an `APPEND` at
 //! `ta` drops every entry with `t >= ta`; inserts are guarded by the

@@ -1733,9 +1733,9 @@ pub struct ShardedSession {
 
 /// The per-shard half of a multipoint query: probe the shard's snapshot
 /// cache per point (hot points share the cached overlay), then compute the
-/// remaining cold points together through the shard's Steiner planner into
-/// private overlays — deliberately without inserting, so a wide cold scan
-/// cannot evict the hot set.
+/// remaining cold points together through the shard's Steiner planner —
+/// with no overlay and no insert, so a wide cold scan costs the pool
+/// nothing and cannot evict the hot set.
 fn shard_multipoint(
     session: &mut PoolSession,
     times: &[Timestamp],
@@ -1766,10 +1766,8 @@ fn shard_multipoint(
             .index()
             .get_snapshots(&missing, opts)?;
         let mut computed = snaps.into_iter();
-        for (slot, &t) in out.iter_mut().zip(times).filter(|(snap, _)| snap.is_none()) {
-            let snapshot = Arc::new(computed.next().expect("one snapshot per miss"));
-            session.overlay(&snapshot, t);
-            *slot = Some(snapshot);
+        for slot in out.iter_mut().filter(|snap| snap.is_none()) {
+            *slot = Some(Arc::new(computed.next().expect("one snapshot per miss")));
         }
     }
     Ok(out
@@ -1817,34 +1815,31 @@ impl ShardedSession {
         Ok((session.shared().clone(), point))
     }
 
-    /// Probe-only point acquisition on the owning shard's snapshot cache: a
-    /// hit bumps the cached overlay's refcount into this session — the same
-    /// bookkeeping as a [`ShardedSession::retrieve_cached`] hit — but a miss
-    /// computes nothing and acquires nothing. Single-flight followers use
-    /// this to take their overlay reference before accepting a leader's
-    /// shared bytes; a `None` sends them down the full retrieval path.
-    pub fn acquire_cached_routed(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<GraphId> {
+    /// A single-flight follower's reference on the owning shard (see
+    /// [`PoolSession::join_cached`]): a hit bumps the cached overlay's
+    /// refcount into this session — the same bookkeeping as a
+    /// [`ShardedSession::retrieve_cached`] hit — and a miss computes and
+    /// acquires nothing but counts toward the point's admission. The caller
+    /// answers from the leader's bytes either way.
+    pub fn join_cached_routed(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<GraphId> {
         let shard = self.router.shard_index_for(t);
+        // The follower is served either way, so the query counts either way.
+        self.router.note_queries(shard, 1);
         // A probe on a cold shard is a guaranteed miss and must compute
         // nothing — including the shard's own deferred index build.
         if !self.sessions.contains_key(&shard) && !self.router.is_hydrated(shard) {
             return None;
         }
-        let hit = self.session_for(shard).ok()?.acquire_cached(t, opts);
-        if hit.is_some() {
-            // A miss computes nothing here; the full retrieval the caller
-            // falls back to does its own query accounting.
-            self.router.note_queries(shard, 1);
-        }
-        hit
+        self.session_for(shard).ok()?.join_cached(t, opts)
     }
 
-    /// [`ShardedSession::acquire_cached_routed`] plus the context needed to
-    /// cache bytes rendered from the hit: the owning shard handle and its
-    /// append epoch, read *before* the acquire — so a response-cache insert
-    /// guarded by this epoch is declined if an `APPEND` races the render,
-    /// exactly like a full retrieval's epoch guard. The event-driven
-    /// server's reactor fast path is built on this.
+    /// Probe-only acquisition on the owning shard — the
+    /// [`PoolSession::acquire_cached`] bookkeeping, routed — plus the
+    /// context needed to cache bytes rendered from the hit: the owning
+    /// shard handle and its append epoch, read *before* the acquire — so a
+    /// response-cache insert guarded by this epoch is declined if an
+    /// `APPEND` races the render, exactly like a full retrieval's epoch
+    /// guard. The event-driven server's reactor fast path is built on this.
     pub fn acquire_cached_point_routed(
         &mut self,
         t: Timestamp,
@@ -1884,10 +1879,10 @@ impl ShardedSession {
             })
     }
 
-    /// Interval retrieval on the single shard covering `[start, end)`; the
-    /// graph is overlaid into that shard's pool under this session.
+    /// Interval retrieval on the single shard covering `[start, end)`. The
+    /// graph is answered, not overlaid.
     pub fn interval(
-        &mut self,
+        &self,
         start: Timestamp,
         end: Timestamp,
         opts: &AttrOptions,
@@ -1895,18 +1890,17 @@ impl ShardedSession {
         let max = if end > start { end.prev() } else { start };
         let (shard, shared) = self.router.covering_shard(start.min(max), start.max(max))?;
         self.router.note_queries(shard, 1);
-        let (graph, transients) = shared
+        let interval = shared
             .read()
             .index()
-            .get_snapshot_interval(start, end, opts)?;
-        self.session_for(shard)?.overlay(&graph, start);
-        Ok((graph, transients))
+            .get_snapshot_interval(start, end, opts);
+        interval
     }
 
     /// Boolean time-expression retrieval on the single shard covering every
-    /// referenced point; the hypothetical graph is overlaid at the anchor.
+    /// referenced point. The hypothetical graph is answered, not overlaid.
     pub fn expr(
-        &mut self,
+        &self,
         tex: &TimeExpression,
         anchor: Timestamp,
         opts: &AttrOptions,
@@ -1915,12 +1909,12 @@ impl ShardedSession {
         let max = tex.times.iter().copied().max().unwrap_or(anchor);
         let (shard, shared) = self.router.covering_shard(min, max)?;
         self.router.note_queries(shard, 1);
-        let graph = shared.read().index().get_time_expression(tex, opts)?;
-        self.session_for(shard)?.overlay(&graph, anchor);
-        Ok(graph)
+        let graph = shared.read().index().get_time_expression(tex, opts);
+        graph
     }
 
-    /// Pool handles this session holds, across every shard in shard order.
+    /// Cached overlays this session holds references to, across every shard
+    /// in shard order.
     pub fn handles(&self) -> Vec<GraphId> {
         let mut shards: Vec<_> = self.sessions.iter().collect();
         shards.sort_by_key(|(idx, _)| **idx);
@@ -1930,7 +1924,8 @@ impl ShardedSession {
             .collect()
     }
 
-    /// Releases every handle on every shard; returns how many were released.
+    /// Releases every reference on every shard; returns how many were
+    /// released.
     pub fn release_now(&mut self) -> usize {
         self.sessions
             .values_mut()
@@ -2243,7 +2238,19 @@ mod tests {
                 t.raw()
             );
         }
-        // Overlays were recorded across multiple shard sessions.
+        // Cold points are answered, not overlaid.
+        assert!(session.handles().is_empty());
+        let overlays = || -> usize { sharded.shard_infos().iter().map(|i| i.overlays).sum() };
+        assert_eq!(overlays(), 0);
+        // Once every point is cached (a second point reference admits it),
+        // the multipoint shares the cached overlays across shard sessions.
+        let mut warm = sharded.session();
+        for &t in times.iter().chain(&times) {
+            warm.retrieve_cached(t, &opts).unwrap();
+        }
+        assert_eq!(overlays(), times.len());
+        let again = session.get_graphs_at(&times, &opts).unwrap();
+        assert_eq!(again, snaps);
         assert_eq!(session.handles().len(), times.len());
         assert_eq!(session.release_now(), times.len());
     }
@@ -2262,7 +2269,7 @@ mod tests {
     fn interval_and_expr_are_range_restricted() {
         let sharded = router(3);
         let opts = AttrOptions::all();
-        let mut session = sharded.session();
+        let session = sharded.session();
         // Fully inside shard 1 ([21, 41)): fine.
         let (graph, transients) = session
             .interval(Timestamp(25), Timestamp(30), &opts)
@@ -2279,6 +2286,10 @@ mod tests {
         let spanning = TimeExpression::diff(50i64, 10i64);
         let err = session.expr(&spanning, Timestamp(10), &opts).unwrap_err();
         assert!(err.to_string().contains("spans shards"), "{err}");
+        // Answers are not overlaid: the session holds nothing.
+        assert!(session.handles().is_empty());
+        let shard = sharded.shard_for(Timestamp(25)).unwrap();
+        assert_eq!(shard.read().pool().active_overlay_count(), 0);
     }
 
     #[test]
@@ -2303,8 +2314,9 @@ mod tests {
         let opts = AttrOptions::all();
         {
             let mut session = sharded.session();
-            session.retrieve_cached(Timestamp(10), &opts).unwrap();
-            session.retrieve_cached(Timestamp(50), &opts).unwrap();
+            for t in [10, 50, 10, 50] {
+                session.retrieve_cached(Timestamp(t), &opts).unwrap();
+            }
             let overlays: usize = sharded.shard_infos().iter().map(|i| i.overlays).sum();
             assert_eq!(overlays, 2);
         }
@@ -2878,6 +2890,7 @@ mod tests {
         let opened = ShardedGraphManager::open(&dir, config, WalSyncPolicy::Always).unwrap();
         let opts = AttrOptions::all();
         let mut session = opened.session();
+        session.retrieve_cached(Timestamp(10), &opts).unwrap();
         session.retrieve_cached(Timestamp(10), &opts).unwrap();
         let held = session.handles();
         let refs = || opened.shard_at(0).unwrap().read().pool().refcount(held[0]);

@@ -6,16 +6,17 @@
 //! to plan: a [`deltagraph::Retrieval`] owns everything its execution needs.
 //! The [`SharedGraphManager`] exploits that split: a point query plans under
 //! the shared read lock, fetches, decodes and applies with no lock held, and
-//! takes the exclusive write lock only for the overlay. Readers of other
+//! takes the exclusive write lock again only to overlay a point the cache
+//! admits (one asked for twice; see [`crate::cache`]). Readers of other
 //! points never wait behind that work, and neither do appends.
 //!
 //! [`SharedGraphManager::read`] and [`SharedGraphManager::write`] add the
 //! time they wait to acquire the lock to per-shard totals
 //! ([`SharedGraphManager::lock_wait_us`]).
 //!
-//! Sessions track the pool handles they create through a [`PoolSession`];
-//! dropping the session releases its overlays and runs the lazy cleaner, so
-//! a disconnecting client can never leak pool bits.
+//! Sessions track the cached overlays they hold references to through a
+//! [`PoolSession`]; dropping the session releases them and runs the lazy
+//! cleaner, so a disconnecting client can never leak pool bits.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{
@@ -173,9 +174,12 @@ impl SharedGraphManager {
 /// One point retrieval served through [`PoolSession::retrieve_cached`].
 #[derive(Clone, Debug)]
 pub struct CachedPoint {
-    /// The pool overlay the session now holds one reference to: the cached
-    /// one on a hit, the one built for this retrieval on a miss.
-    pub overlay: GraphId,
+    /// The cached pool overlay the session now holds one reference to: the
+    /// one found on a hit, or the one an admitted miss built. `None` when
+    /// the miss was not admitted — the point's first recent reference, a
+    /// retrieval that raced an append, or a disabled cache — so nothing was
+    /// overlaid or cached and the session holds nothing for the point.
+    pub overlay: Option<GraphId>,
     /// The snapshot this retrieval built, owned by the caller alone — the
     /// cache keeps only the overlay. `None` on a hit, which builds nothing;
     /// see [`CachedPoint::into_snapshot`].
@@ -194,56 +198,59 @@ impl CachedPoint {
     /// one materialized from the overlay on `shared`, the shard that served
     /// the point.
     pub fn into_snapshot(self, shared: &SharedGraphManager) -> Arc<Snapshot> {
-        self.snapshot
-            .unwrap_or_else(|| shared.snapshot_of(self.overlay))
+        self.snapshot.unwrap_or_else(|| {
+            shared.snapshot_of(
+                self.overlay
+                    .expect("a point that built no snapshot is a hit"),
+            )
+        })
     }
 }
 
-/// Tracks the GraphPool handles one session created, releasing them (and
-/// running the cleaner) when dropped — the server's per-connection guard.
+/// Tracks the cached overlays one session holds references to, releasing
+/// them (and running the cleaner) when dropped — the server's
+/// per-connection guard.
 pub struct PoolSession {
     shared: SharedGraphManager,
     handles: Vec<GraphId>,
 }
 
 impl PoolSession {
-    /// Overlays an already-computed snapshot, recording the handle against
-    /// this session. Takes the write lock briefly.
-    pub fn overlay(&mut self, snapshot: &Snapshot, t: Timestamp) -> GraphId {
-        let id = self.shared.write().overlay_snapshot(snapshot, t);
-        self.handles.push(id);
-        id
-    }
-
     /// Point retrieval through the shared snapshot cache: returns the
-    /// overlay as of `t` the session now holds, the snapshot if this call
-    /// built one, whether the overlay was served from the cache, and the
-    /// append epoch the point is consistent with (see [`CachedPoint`]).
+    /// cached overlay the session now holds (if any), the snapshot if this
+    /// call built one, whether the overlay was served from the cache, and
+    /// the append epoch the point is consistent with (see [`CachedPoint`]).
     ///
     /// On a hit the session shares the cached pool overlay (its reference
     /// count goes up; nothing is built). On a miss the retrieval is planned
     /// under the shared read lock and executed with no lock held —
     /// concurrent sessions retrieve in parallel and appends do not wait on
-    /// them — then overlaid and cached under the write lock, with a
-    /// re-probe first so two sessions racing on the same `(t, opts)` still
-    /// end up sharing one overlay. Either way the handle is recorded against
-    /// this session and released (one reference) when the session drops.
-    /// With the cache disabled (capacity 0) both probes miss without
-    /// counting and the insert declines, leaving a plain session-owned
-    /// overlay.
+    /// them. What happens next is the doorkeeper's call, made under the
+    /// probe's write lock (see [`crate::cache`]):
+    /// * a first reference is answered from the built snapshot alone — no
+    ///   overlay, no cache entry, no second write lock;
+    /// * a repeat reference is admitted: overlaid and cached under the
+    ///   write lock, with a re-probe first so two sessions racing on the
+    ///   same `(t, opts)` still end up sharing one overlay.
+    ///
+    /// Every overlay the session takes a reference to is recorded and
+    /// released (one reference) when the session drops. With the cache
+    /// disabled (capacity 0) both probes miss without counting and nothing
+    /// is ever admitted.
     pub fn retrieve_cached(&mut self, t: Timestamp, opts: &AttrOptions) -> DgResult<CachedPoint> {
         // Fast path: a hit is a refcount bump under a brief write lock. The
         // epoch is read under the same guard — a cached entry is always
         // consistent with the epoch observed while holding the lock,
         // because appends (which bump it) also invalidate under it.
-        {
+        let admitted = {
             let mut gm = self.shared.write();
             if let Some(id) = gm.cache_acquire(t, opts, true) {
                 let epoch = gm.append_epoch();
                 drop(gm);
-                return Ok(self.hold(id, None, true, epoch));
+                return Ok(self.hold(Some(id), None, true, epoch));
             }
-        }
+            gm.cache_admit(t, opts)
+        };
         // Miss: plan under the read lock, reading the append epoch under
         // the same guard so it names exactly the history the plan saw. The
         // plan owns everything its execution needs and payload ids are
@@ -253,30 +260,33 @@ impl PoolSession {
             (gm.index().plan_retrieval(t, opts)?, gm.append_epoch())
         };
         let snapshot = Arc::new(retrieval.execute()?);
+        if !admitted {
+            return Ok(self.hold(None, Some(snapshot), false, epoch));
+        }
         let mut gm = self.shared.write();
         // Double-check: another session may have cached (t, opts) while we
         // computed. Counted as neither hit nor miss — this lookup already
         // recorded its miss above.
-        let (id, cache_hit) = match gm.cache_acquire(t, opts, false) {
-            Some(id) => (id, true),
+        let (overlay, cache_hit) = match gm.cache_acquire(t, opts, false) {
+            Some(id) => (Some(id), true),
             // If an append landed between our plan and this insert, the
-            // manager declines to cache the (possibly stale) snapshot and
-            // hands back a plain session-owned overlay.
+            // manager declines to overlay or cache the (possibly stale)
+            // snapshot; it still answers this request.
             None => (gm.cache_insert_overlay(&snapshot, t, opts, epoch), false),
         };
         drop(gm);
-        Ok(self.hold(id, Some(snapshot), cache_hit, epoch))
+        Ok(self.hold(overlay, Some(snapshot), cache_hit, epoch))
     }
 
     /// Records `overlay` against this session and describes the point.
     fn hold(
         &mut self,
-        overlay: GraphId,
+        overlay: Option<GraphId>,
         snapshot: Option<Arc<Snapshot>>,
         cache_hit: bool,
         epoch: u64,
     ) -> CachedPoint {
-        self.handles.push(overlay);
+        self.handles.extend(overlay);
         CachedPoint {
             overlay,
             snapshot,
@@ -301,12 +311,28 @@ impl PoolSession {
         Some(id)
     }
 
-    /// Handles created by this session, in creation order.
+    /// A single-flight follower's reference to a point another session
+    /// just rendered: shares the cached overlay when there is one, and
+    /// otherwise records the reference with the doorkeeper — a coalesced
+    /// join counts toward admission exactly like a repeat miss.
+    pub fn join_cached(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<GraphId> {
+        let mut gm = self.shared.write();
+        let id = gm.cache_acquire(t, opts, true);
+        if id.is_none() {
+            gm.cache_admit(t, opts);
+        }
+        drop(gm);
+        self.handles.extend(id);
+        id
+    }
+
+    /// Cached overlays this session holds references to, in acquisition
+    /// order (one entry per reference).
     pub fn handles(&self) -> &[GraphId] {
         &self.handles
     }
 
-    /// Releases every handle this session created, runs the cleaner, and
+    /// Releases every reference this session holds, runs the cleaner, and
     /// returns how many were released. Called automatically on drop.
     pub fn release_now(&mut self) -> usize {
         if self.handles.is_empty() {
@@ -373,23 +399,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn session_overlays_release_on_drop() {
-        let sm = shared();
-        {
-            let mut session = sm.session();
-            let snap = sm
-                .read()
-                .index()
-                .get_snapshot(Timestamp(6), &AttrOptions::all())
-                .unwrap();
-            let id = session.overlay(&snap, Timestamp(6));
-            assert_eq!(session.handles(), &[id]);
-            assert_eq!(sm.read().pool().active_overlay_count(), 1);
-        }
-        assert_eq!(sm.read().pool().active_overlay_count(), 0);
-    }
-
     fn shared_cached(capacity: usize) -> SharedGraphManager {
         let gm = GraphManager::build_in_memory(
             &toy_trace().events,
@@ -400,16 +409,42 @@ mod tests {
     }
 
     #[test]
+    fn session_overlays_release_on_drop() {
+        let sm = shared_cached(8);
+        let opts = AttrOptions::all();
+        let id = {
+            let mut session = sm.session();
+            session.retrieve_cached(Timestamp(6), &opts).unwrap();
+            let id = session
+                .retrieve_cached(Timestamp(6), &opts)
+                .unwrap()
+                .overlay
+                .expect("a second reference is admitted");
+            assert_eq!(session.handles(), &[id]);
+            assert_eq!(sm.read().pool().refcount(id), Some(2));
+            id
+        };
+        // The session's reference went with it; the cache keeps its own.
+        assert_eq!(sm.read().pool().refcount(id), Some(1));
+    }
+
+    #[test]
     fn cached_retrievals_share_one_overlay_across_sessions() {
         let sm = shared_cached(8);
         let opts = AttrOptions::all();
         let mut s1 = sm.session();
         let mut s2 = sm.session();
-        let p1 = s1.retrieve_cached(Timestamp(6), &opts).unwrap();
+        let first = s1.retrieve_cached(Timestamp(6), &opts).unwrap();
         let p2 = s2.retrieve_cached(Timestamp(6), &opts).unwrap();
-        assert!(!p1.cache_hit, "first retrieval must miss");
-        assert!(p2.cache_hit, "second retrieval must hit");
+        let p1 = s1.retrieve_cached(Timestamp(6), &opts).unwrap();
+        assert!(
+            !first.cache_hit && first.overlay.is_none(),
+            "first reference"
+        );
+        assert!(!p2.cache_hit, "the second reference misses and is admitted");
+        assert!(p1.cache_hit, "the third hits");
         assert_eq!(p1.epoch, p2.epoch);
+        assert_eq!(p1.clone().into_snapshot(&sm), first.into_snapshot(&sm));
         assert_eq!(p1.clone().into_snapshot(&sm), p2.clone().into_snapshot(&sm));
         // exactly one overlay, shared: cache ref + one per session
         assert_eq!(sm.read().pool().active_overlay_count(), 1);
@@ -423,7 +458,25 @@ mod tests {
         assert_eq!(sm.read().pool().refcount(id), Some(1));
         assert_eq!(sm.read().pool().active_overlay_count(), 1);
         let stats = sm.read().cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 2, 1));
+    }
+
+    #[test]
+    fn a_coalesced_join_counts_as_a_reference() {
+        let sm = shared_cached(8);
+        let opts = AttrOptions::all();
+        let mut follower = sm.session();
+        // Nothing cached: the join takes no reference, but is remembered.
+        assert_eq!(follower.join_cached(Timestamp(6), &opts), None);
+        assert!(follower.handles().is_empty());
+        // So the next retrieval is a repeat reference and is admitted.
+        let mut session = sm.session();
+        let point = session.retrieve_cached(Timestamp(6), &opts).unwrap();
+        let id = point.overlay.expect("admitted after the join");
+        assert_eq!(sm.read().cache_len(), 1);
+        // A join on a cached point shares its overlay.
+        assert_eq!(follower.join_cached(Timestamp(6), &opts), Some(id));
+        assert_eq!(sm.read().pool().refcount(id), Some(3));
     }
 
     #[test]
@@ -431,8 +484,9 @@ mod tests {
         let sm = shared_cached(8);
         let opts = AttrOptions::all();
         let mut session = sm.session();
-        session.retrieve_cached(Timestamp(6), &opts).unwrap();
-        session.retrieve_cached(Timestamp(25), &opts).unwrap();
+        for t in [6, 6, 25, 25] {
+            session.retrieve_cached(Timestamp(t), &opts).unwrap();
+        }
         assert_eq!(sm.read().cache_len(), 2);
         sm.write().append_event(Event::add_node(20, 777)).unwrap();
         // t=25 (>= 20) invalidated, t=6 (< 20) still cached
@@ -465,6 +519,7 @@ mod tests {
         let sm = SharedGraphManager::new(gm);
         let mut session = sm.session();
         let opts = AttrOptions::all();
+        session.retrieve_cached(Timestamp(10), &opts).unwrap();
         let snap = session
             .retrieve_cached(Timestamp(10), &opts)
             .unwrap()
@@ -490,30 +545,33 @@ mod tests {
     fn snapshot_that_raced_an_append_is_not_cached() {
         let sm = shared_cached(8);
         let opts = AttrOptions::all();
-        // Replay retrieve_cached's miss path by hand with an append landing
-        // between the compute and the insert: the pre-append snapshot must
-        // not enter the cache (it would serve stale reads at t>=20 forever).
+        // Replay retrieve_cached's admitted miss path by hand with an append
+        // landing between the compute and the insert: the pre-append
+        // snapshot must not enter the cache (it would serve stale reads at
+        // t>=20 forever).
         let (stale, epoch) = {
             let gm = sm.read();
             let snap = Arc::new(gm.index().get_snapshot(Timestamp(25), &opts).unwrap());
             (snap, gm.append_epoch())
         };
         sm.write().append_event(Event::add_node(20, 777)).unwrap();
-        let id = sm
+        let declined = sm
             .write()
             .cache_insert_overlay(&stale, Timestamp(25), &opts, epoch);
+        assert_eq!(declined, None, "stale snapshot must not be overlaid");
         assert_eq!(
             sm.read().cache_len(),
             0,
             "stale snapshot must not be cached"
         );
-        // The caller still got a plain session-owned overlay (refs = 1).
-        assert_eq!(sm.read().pool().refcount(id), Some(1));
-        // A fresh retrieval computes post-append state and caches that.
+        assert_eq!(sm.read().pool().active_overlay_count(), 0);
+        // A fresh retrieval computes post-append state; its repeat caches
+        // that.
         let mut session = sm.session();
         let point = session.retrieve_cached(Timestamp(25), &opts).unwrap();
         assert!(!point.cache_hit);
         assert!(point.into_snapshot(&sm).has_node(tgraph::NodeId(777)));
+        session.retrieve_cached(Timestamp(25), &opts).unwrap();
         assert_eq!(sm.read().cache_len(), 1);
     }
 
@@ -521,31 +579,39 @@ mod tests {
     fn a_cold_retrieval_leaves_its_snapshot_to_the_caller_alone() {
         let sm = shared_cached(8);
         let mut session = sm.session();
-        let point = session
-            .retrieve_cached(Timestamp(6), &AttrOptions::all())
-            .unwrap();
+        let opts = AttrOptions::all();
+        // First reference: nothing overlaid, cached or held.
+        let point = session.retrieve_cached(Timestamp(6), &opts).unwrap();
+        assert!(!point.cache_hit && point.overlay.is_none());
+        let first = point.snapshot.expect("a miss builds its snapshot");
+        assert_eq!(Arc::strong_count(&first), 1);
+        assert_eq!(sm.read().cache_len(), 0);
+        assert_eq!(sm.read().pool().active_overlay_count(), 0);
+        assert!(session.handles().is_empty());
+        // Second reference: admitted, and the cache keeps the overlay only —
+        // no second reference pins a copy.
+        let point = session.retrieve_cached(Timestamp(6), &opts).unwrap();
         assert!(!point.cache_hit);
         let snapshot = point.snapshot.expect("a miss builds its snapshot");
-        // The cache keeps the overlay only: no second reference pins a copy.
         assert_eq!(Arc::strong_count(&snapshot), 1);
+        assert_eq!(snapshot, first);
         assert_eq!(sm.read().cache_len(), 1);
-        assert_eq!(sm.read().graph(point.overlay).to_snapshot(), *snapshot);
+        let overlay = point.overlay.expect("admitted");
+        assert_eq!(sm.read().graph(overlay).to_snapshot(), *snapshot);
     }
 
     #[test]
-    fn disabled_cache_keeps_per_session_overlays() {
+    fn a_disabled_cache_overlays_nothing() {
         let sm = shared_cached(0);
         let opts = AttrOptions::all();
-        let mut s1 = sm.session();
-        let mut s2 = sm.session();
-        let h1 = s1.retrieve_cached(Timestamp(6), &opts).unwrap().cache_hit;
-        let h2 = s2.retrieve_cached(Timestamp(6), &opts).unwrap().cache_hit;
-        assert!(!h1 && !h2);
-        // no sharing: one overlay per session, gone when the sessions drop
-        assert_eq!(sm.read().pool().active_overlay_count(), 2);
-        drop(s1);
-        drop(s2);
+        let mut sessions = [sm.session(), sm.session()];
+        for i in [0, 1, 0, 1] {
+            let point = sessions[i].retrieve_cached(Timestamp(6), &opts).unwrap();
+            assert!(!point.cache_hit && point.overlay.is_none());
+        }
+        // No sharing and no private overlays: a reference is never repeated.
         assert_eq!(sm.read().pool().active_overlay_count(), 0);
+        assert_eq!(sessions.map(|mut s| s.release_now()), [0, 0]);
         assert_eq!(sm.read().cache_stats(), crate::CacheStats::default());
     }
 
@@ -554,7 +620,8 @@ mod tests {
         let sm = shared_cached(4);
         let opts = AttrOptions::all();
         let mut session = sm.session();
-        for _ in 0..3 {
+        // The first reference holds nothing; the other three share one.
+        for _ in 0..4 {
             session.retrieve_cached(Timestamp(6), &opts).unwrap();
         }
         let id = session.handles()[0];

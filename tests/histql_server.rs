@@ -178,28 +178,37 @@ fn concurrent_sessions_match_direct_execution() {
 #[test]
 fn server_pool_returns_to_baseline_after_disconnects() {
     let s = setup();
-    let router = build_router(&s.events);
+    let router = ShardedGraphManager::build_in_memory(
+        &s.events,
+        ShardedConfig::default().with_manager(GraphManagerConfig::default().with_snapshot_cache(4)),
+    )
+    .unwrap();
     let shared = router.shard_at(0).unwrap();
     let server = serve_sharded(router, ServerConfig::default()).unwrap();
     let t = s.times[2].raw();
     {
         let mut a = Client::connect(server.addr()).unwrap();
         let mut b = Client::connect(server.addr()).unwrap();
+        // The second reference admits `t`; the multipoint shares it and
+        // answers its cold point without an overlay.
+        a.send_ok(&format!("GET GRAPH AT {t}")).unwrap();
         a.send_ok(&format!("GET GRAPH AT {t}")).unwrap();
         b.send_ok(&format!("GET GRAPHS AT {}, {t}", s.times[0].raw()))
             .unwrap();
-        assert_eq!(shared.read().pool().active_overlay_count(), 3);
+        assert_eq!(shared.read().pool().active_overlay_count(), 1);
+        assert_eq!(shared.read().cache_entries()[0].refs, 3);
     }
-    // Both clients dropped: their sessions release every overlay, so only
-    // the current graph remains active.
+    // Both clients dropped: their sessions release every reference, so
+    // only the current graph and the cache's own overlay remain active.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while shared.read().pool().active_graphs().len() != 1 {
+    while shared.read().cache_entries()[0].refs != 1 {
         assert!(
             Instant::now() < deadline,
-            "pool still holds {} active graphs",
-            shared.read().pool().active_graphs().len()
+            "sessions still hold {} references",
+            shared.read().cache_entries()[0].refs - 1
         );
         thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(shared.read().pool().active_overlay_count(), 0);
+    assert_eq!(shared.read().pool().active_graphs().len(), 2);
+    assert_eq!(shared.read().pool().active_overlay_count(), 1);
 }

@@ -235,9 +235,23 @@ fn disconnect_releases_overlays_on_every_shard() {
     let (server, router) = start(3, 0);
     {
         let mut client = Client::connect(server.addr()).unwrap();
+        let overlays = || -> usize { router.shard_infos().iter().map(|i| i.overlays).sum() };
+        // Cold points are answered without overlays.
         client.send_ok("GET GRAPHS AT 10, 30, 50").unwrap();
-        let overlays: usize = router.shard_infos().iter().map(|i| i.overlays).sum();
-        assert_eq!(overlays, 3);
+        assert_eq!(overlays(), 0);
+        // A second point reference admits each point on its shard (the
+        // multipoint's probes are not point references), and the multipoint
+        // then holds a reference to each cached overlay.
+        for t in [10, 30, 50, 10, 30, 50] {
+            client.send_ok(&format!("GET GRAPH AT {t}")).unwrap();
+        }
+        client.send_ok("GET GRAPHS AT 10, 30, 50").unwrap();
+        assert_eq!(overlays(), 3);
+        assert_eq!(
+            client.send_ok("RELEASE ALL").unwrap(),
+            vec!["OK RELEASED 6"]
+        );
+        client.send_ok("GET GRAPHS AT 10, 30, 50").unwrap();
     }
     // The client dropped; every shard's session reference must go. Cached
     // overlays stay warm holding exactly the cache's own reference.
