@@ -586,17 +586,7 @@ fn apply_payload(
     lists: &mut EventLists,
 ) -> DgResult<()> {
     match payload {
-        EdgePayload::Delta { delta_id } => {
-            let mut delta = payloads.read_delta(delta_id, opts)?;
-            if !opts.node.is_all() {
-                delta.node_attrs.retain(|a| opts.wants_node_attr(&a.key));
-            }
-            if !opts.edge.is_all() {
-                delta.edge_attrs.retain(|a| opts.wants_edge_attr(&a.key));
-            }
-            delta.apply_to(graph)?;
-            Ok(())
-        }
+        EdgePayload::Delta { delta_id } => payloads.apply_delta(delta_id, opts, graph),
         EdgePayload::EventsForward { eventlist_id } => {
             let events = fetch_eventlist(payloads, lists, eventlist_id, opts)?;
             apply_events_filtered(graph, events.events(), true, opts)

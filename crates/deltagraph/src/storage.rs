@@ -10,9 +10,12 @@
 use std::sync::Arc;
 
 use kvstore::{ComponentKind, KeyValueStore, NodePartitioner, StoreKey};
-use tgraph::codec::{write_varint, Decode, Encode, Reader};
+use tgraph::codec::{visit_assignments, write_varint, Decode, Encode, Reader};
+use tgraph::delta::AttrAssignment;
 use tgraph::event::EventCategory;
-use tgraph::{AttrOptions, Delta, EdgeId, Event, EventList, TgError};
+use tgraph::{
+    AttrOptions, Delta, EdgeId, Event, EventList, NodeId, Snapshot, StructDelta, TgError,
+};
 
 use crate::error::DgResult;
 use crate::skeleton::ComponentWeights;
@@ -110,14 +113,7 @@ impl PayloadStore {
     /// Reads the delta stored under `id`, restricted to the components
     /// required by `opts`.
     pub fn read_delta(&self, id: u64, opts: &AttrOptions) -> DgResult<Delta> {
-        let mut components = vec![ComponentKind::Structure];
-        if opts.needs_node_attrs() {
-            components.push(ComponentKind::NodeAttr);
-        }
-        if opts.needs_edge_attrs() {
-            components.push(ComponentKind::EdgeAttr);
-        }
-        let keys = self.keys_for(id, &components);
+        let keys = self.keys_for(id, &attr_components(opts, false));
         let values = self.fetch(&keys)?;
 
         let mut delta = Delta::new();
@@ -125,26 +121,74 @@ impl PayloadStore {
             let Some(bytes) = value else { continue };
             match key.component {
                 ComponentKind::Structure => {
-                    let part = tgraph::StructDelta::from_bytes(&bytes).map_err(tg)?;
-                    delta.structure.add_nodes.extend(part.add_nodes);
-                    delta.structure.del_nodes.extend(part.del_nodes);
-                    delta.structure.add_edges.extend(part.add_edges);
-                    delta.structure.del_edges.extend(part.del_edges);
+                    delta
+                        .structure
+                        .extend(StructDelta::from_bytes(&bytes).map_err(tg)?);
                 }
                 ComponentKind::NodeAttr => {
-                    let part: Vec<tgraph::delta::AttrAssignment<tgraph::NodeId>> =
-                        Vec::from_bytes(&bytes).map_err(tg)?;
+                    let part: Vec<AttrAssignment<NodeId>> = Vec::from_bytes(&bytes).map_err(tg)?;
                     delta.node_attrs.extend(part);
                 }
                 ComponentKind::EdgeAttr => {
-                    let part: Vec<tgraph::delta::AttrAssignment<EdgeId>> =
-                        Vec::from_bytes(&bytes).map_err(tg)?;
+                    let part: Vec<AttrAssignment<EdgeId>> = Vec::from_bytes(&bytes).map_err(tg)?;
                     delta.edge_attrs.extend(part);
                 }
                 _ => {}
             }
         }
         Ok(delta)
+    }
+
+    /// Applies the delta stored under `id` to `graph` as it decodes it:
+    /// what [`PayloadStore::read_delta`], dropping the attributes `opts`
+    /// does not select, and then [`Delta::apply_to`] do, without building
+    /// the intermediate [`Delta`]. The structure of every partition is
+    /// applied first, deletions before additions; each attribute column is
+    /// then read with its keys borrowed, filtered by `opts` before anything
+    /// is stored, and a key is copied only when it is new to its element.
+    ///
+    /// A payload that fails to decode is an error, as it is for
+    /// `read_delta`; `graph` may then hold part of the delta.
+    pub fn apply_delta(&self, id: u64, opts: &AttrOptions, graph: &mut Snapshot) -> DgResult<()> {
+        let keys = self.keys_for(id, &attr_components(opts, false));
+        let values = self.fetch(&keys)?;
+        let columns: Vec<(ComponentKind, Vec<u8>)> = keys
+            .iter()
+            .zip(values)
+            .filter_map(|(key, value)| Some((key.component, value?)))
+            .collect();
+
+        let mut structure = StructDelta::default();
+        for (_, bytes) in columns
+            .iter()
+            .filter(|(c, _)| *c == ComponentKind::Structure)
+        {
+            structure.extend(StructDelta::from_bytes(bytes).map_err(tg)?);
+        }
+        structure.apply_to(graph)?;
+
+        for (component, bytes) in &columns {
+            match component {
+                ComponentKind::NodeAttr => {
+                    visit_assignments(bytes, |id: NodeId, key, value| {
+                        if opts.wants_node_attr(key) {
+                            graph.assign_node_attr(id, key, value);
+                        }
+                    })
+                    .map_err(tg)?;
+                }
+                ComponentKind::EdgeAttr => {
+                    visit_assignments(bytes, |id: EdgeId, key, value| {
+                        if opts.wants_edge_attr(key) {
+                            graph.assign_edge_attr(id, key, value);
+                        }
+                    })
+                    .map_err(tg)?;
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -197,17 +241,7 @@ impl PayloadStore {
         opts: &AttrOptions,
         include_transient: bool,
     ) -> DgResult<EventList> {
-        let mut components = vec![ComponentKind::Structure];
-        if opts.needs_node_attrs() {
-            components.push(ComponentKind::NodeAttr);
-        }
-        if opts.needs_edge_attrs() {
-            components.push(ComponentKind::EdgeAttr);
-        }
-        if include_transient {
-            components.push(ComponentKind::Transient);
-        }
-        let keys = self.keys_for(id, &components);
+        let keys = self.keys_for(id, &attr_components(opts, include_transient));
         let values = self.fetch(&keys)?;
         let mut indexed: Vec<(u64, Event)> = Vec::new();
         for value in values.into_iter().flatten() {
@@ -313,6 +347,22 @@ fn tg(e: TgError) -> crate::error::DgError {
     e.into()
 }
 
+/// The components a read under `opts` fetches: the structure always, each
+/// attribute column `opts` needs, and the transient column on request.
+fn attr_components(opts: &AttrOptions, include_transient: bool) -> Vec<ComponentKind> {
+    let mut components = vec![ComponentKind::Structure];
+    if opts.needs_node_attrs() {
+        components.push(ComponentKind::NodeAttr);
+    }
+    if opts.needs_edge_attrs() {
+        components.push(ComponentKind::EdgeAttr);
+    }
+    if include_transient {
+        components.push(ComponentKind::Transient);
+    }
+    components
+}
+
 fn category_slot(cat: EventCategory) -> usize {
     match cat {
         EventCategory::Structure => 0,
@@ -406,7 +456,8 @@ pub fn partition_delta(delta: &Delta, partitioner: &NodePartitioner) -> Vec<Delt
 mod tests {
     use super::*;
     use kvstore::MemStore;
-    use tgraph::{AttrValue, NodeId, Snapshot};
+    use proptest::prelude::*;
+    use tgraph::AttrValue;
 
     fn payload_store(partitions: u32, threads: usize) -> PayloadStore {
         PayloadStore::new(
@@ -550,5 +601,213 @@ mod tests {
         ps.write_delta(1, &delta).unwrap();
         // only one key should be stored (partition 0, structure)
         assert_eq!(ps.backing_store().len(), 1);
+    }
+
+    /// A splitmix64 stream, for the random graphs below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn value(&mut self) -> AttrValue {
+            match self.below(3) {
+                0 => AttrValue::Int(self.below(4) as i64),
+                1 => AttrValue::from(["x", "yy", "zzz"][self.below(3) as usize]),
+                _ => AttrValue::Bool(self.below(2) == 1),
+            }
+        }
+    }
+
+    const NODE_KEYS: [&str; 4] = ["a", "b", "name", "c"];
+    const EDGE_KEYS: [&str; 3] = ["w", "label", "v"];
+
+    /// A random graph over nodes 0..24 with random attributes.
+    fn random_graph(rng: &mut Rng) -> Snapshot {
+        let mut g = Snapshot::new();
+        for n in 0..24 {
+            if rng.below(4) > 0 {
+                g.ensure_node(NodeId(n));
+            }
+        }
+        for e in 0..30 {
+            if rng.below(2) == 0 {
+                let (src, dst) = (NodeId(rng.below(24)), NodeId(rng.below(24)));
+                g.add_edge(EdgeId(e), src, dst, rng.below(2) == 0).unwrap();
+            }
+        }
+        randomize_attrs(&mut g, rng);
+        g
+    }
+
+    /// Sets, changes and removes attributes of every element at random.
+    fn randomize_attrs(g: &mut Snapshot, rng: &mut Rng) {
+        for n in g.node_ids().collect::<Vec<_>>() {
+            for key in NODE_KEYS {
+                match rng.below(3) {
+                    0 => g.set_node_attr(n, key, None).unwrap(),
+                    1 => g.set_node_attr(n, key, Some(rng.value())).unwrap(),
+                    _ => {}
+                }
+            }
+        }
+        for e in g.edge_ids().collect::<Vec<_>>() {
+            for key in EDGE_KEYS {
+                match rng.below(3) {
+                    0 => g.set_edge_attr(e, key, None).unwrap(),
+                    1 => g.set_edge_attr(e, key, Some(rng.value())).unwrap(),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// A delta from a random graph to a random edit of it: deleted nodes
+    /// (with their edges) and edges, added ones, and attributes set,
+    /// changed and removed. Returns the source graph and the delta.
+    fn random_delta(seed: u64) -> (Snapshot, Delta) {
+        let mut rng = Rng(seed);
+        let from = random_graph(&mut rng);
+        let mut to = from.clone();
+        for n in from.node_ids() {
+            if rng.below(5) == 0 {
+                to.remove_node(n).unwrap();
+            }
+        }
+        for e in to.edge_ids().collect::<Vec<_>>() {
+            if rng.below(5) == 0 {
+                to.remove_edge(e).unwrap();
+            }
+        }
+        for e in 30..36 {
+            let (src, dst) = (NodeId(rng.below(30)), NodeId(rng.below(30)));
+            to.add_edge(EdgeId(e), src, dst, rng.below(2) == 0).unwrap();
+        }
+        randomize_attrs(&mut to, &mut rng);
+        let delta = Delta::between(&from, &to);
+        assert!(!delta.structure.del_nodes.is_empty() || !delta.structure.del_edges.is_empty());
+        (from, delta)
+    }
+
+    /// Every selection the equivalence is checked under.
+    fn selections() -> Vec<AttrOptions> {
+        vec![
+            AttrOptions::all(),
+            AttrOptions::structure_only(),
+            AttrOptions::parse("+node:all").unwrap(),
+            AttrOptions::parse("+node:name").unwrap(),
+        ]
+    }
+
+    /// The reference for `apply_delta`: read the whole delta, drop the
+    /// attributes `opts` does not select, apply.
+    fn read_filter_apply(
+        ps: &PayloadStore,
+        id: u64,
+        opts: &AttrOptions,
+        base: &Snapshot,
+    ) -> DgResult<Snapshot> {
+        let mut delta = ps.read_delta(id, opts)?;
+        delta.node_attrs.retain(|a| opts.wants_node_attr(&a.key));
+        delta.edge_attrs.retain(|a| opts.wants_edge_attr(&a.key));
+        let mut graph = base.clone();
+        delta.apply_to(&mut graph)?;
+        Ok(graph)
+    }
+
+    /// `apply_delta` over a copy of `base`.
+    fn apply_onto(
+        ps: &PayloadStore,
+        id: u64,
+        opts: &AttrOptions,
+        base: &Snapshot,
+    ) -> DgResult<Snapshot> {
+        let mut graph = base.clone();
+        ps.apply_delta(id, opts, &mut graph)?;
+        Ok(graph)
+    }
+
+    #[test]
+    fn apply_delta_builds_the_target_graph() {
+        let (from, delta) = random_delta(7);
+        let mut to = from.clone();
+        delta.apply_to(&mut to).unwrap();
+        for partitions in [1, 3] {
+            let ps = payload_store(partitions, 1);
+            ps.write_delta(1, &delta).unwrap();
+            let got = apply_onto(&ps, 1, &AttrOptions::all(), &from).unwrap();
+            assert_eq!(got, to, "partitions={partitions}");
+            // A missing id applies nothing.
+            assert_eq!(
+                apply_onto(&ps, 2, &AttrOptions::all(), &from).unwrap(),
+                from
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn apply_delta_equals_read_filter_apply(seed in any::<u64>()) {
+            let (from, delta) = random_delta(seed);
+            for partitions in [1, 3] {
+                let ps = payload_store(partitions, 1);
+                ps.write_delta(1, &delta).unwrap();
+                for opts in selections() {
+                    let base = from.project_attrs(&opts);
+                    let want = read_filter_apply(&ps, 1, &opts, &base).unwrap();
+                    let got = apply_onto(&ps, 1, &opts, &base).unwrap();
+                    assert_eq!(got, want, "seed={seed} partitions={partitions} opts={opts:?}");
+                }
+            }
+        }
+
+        #[test]
+        fn mutated_delta_payloads_apply_like_the_reference_or_fail(
+            seed in any::<u64>(),
+            edit in any::<u64>(),
+        ) {
+            let (from, delta) = random_delta(seed);
+            let mut rng = Rng(edit);
+            for partitions in [1, 3] {
+                let ps = payload_store(partitions, 1);
+                ps.write_delta(1, &delta).unwrap();
+                let store = ps.backing_store();
+                let stored: Vec<(StoreKey, Vec<u8>)> = (0..partitions)
+                    .flat_map(|p| {
+                        [ComponentKind::Structure, ComponentKind::NodeAttr, ComponentKind::EdgeAttr]
+                            .map(|c| StoreKey::new(p, 1, c))
+                    })
+                    .filter_map(|key| Some((key, store.get(key).unwrap()?)))
+                    .collect();
+                let (key, mut bytes) = stored[rng.below(stored.len() as u64) as usize].clone();
+                let at = rng.below(bytes.len() as u64) as usize;
+                match rng.below(4) {
+                    0 => bytes[at] ^= 1 << rng.below(8),
+                    1 => bytes[at] = rng.below(256) as u8,
+                    2 => bytes.truncate(at),
+                    _ => bytes.insert(at, rng.below(256) as u8),
+                }
+                store.put(key, &bytes).unwrap();
+                for opts in selections() {
+                    let base = from.project_attrs(&opts);
+                    let want = read_filter_apply(&ps, 1, &opts, &base);
+                    let got = apply_onto(&ps, 1, &opts, &base);
+                    match (got, want) {
+                        (Ok(got), Ok(want)) => assert_eq!(got, want, "seed={seed} edit={edit}"),
+                        (Err(_), Err(_)) => {}
+                        (got, want) => panic!(
+                            "seed={seed} edit={edit} {opts:?}: apply_delta {:?}, reference {:?}",
+                            got.map(|_| ()),
+                            want.map(|_| ()),
+                        ),
+                    }
+                }
+            }
+        }
     }
 }

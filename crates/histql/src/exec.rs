@@ -113,6 +113,10 @@ pub struct Executor {
     /// Queue wait measured by the serving core for the next request,
     /// consumed by the next [`Executor::execute_framed`] call.
     pending_queue_us: u64,
+    /// The response the last [`Executor::execute_framed`] call rendered,
+    /// kept so the caller can free it after the reply is on its way (see
+    /// [`Executor::take_rendered`]); the next call replaces it.
+    rendered: Option<Response>,
 }
 
 impl Executor {
@@ -129,6 +133,7 @@ impl Executor {
             hub: None,
             session_id: 0,
             pending_queue_us: 0,
+            rendered: None,
         }
     }
 
@@ -173,6 +178,16 @@ impl Executor {
         self.session.handles()
     }
 
+    /// Takes the response the last [`Executor::execute_framed`] call
+    /// rendered its reply from, if it rendered one. A cold point's response
+    /// owns the whole snapshot, and freeing that takes a noticeable share
+    /// of the request; a server takes it here and drops it after the reply
+    /// is queued, off the request's critical path. Left alone, it is freed
+    /// by the next call.
+    pub fn take_rendered(&mut self) -> Option<Response> {
+        self.rendered.take()
+    }
+
     /// The session's current response encoding.
     pub fn protocol(&self) -> WireFormat {
         self.protocol
@@ -198,6 +213,7 @@ impl Executor {
     /// acquired on every such request, so refcount semantics (`STATS
     /// CACHE`, `RELEASE ALL`, disconnect) are identical in both paths.
     pub fn execute_framed(&mut self, line: &str) -> Reply {
+        self.rendered = None;
         let queue_us = std::mem::take(&mut self.pending_queue_us);
         let started = self.hub.as_ref().map(|_| Instant::now());
         let query = match parse(line) {
@@ -215,8 +231,11 @@ impl Executor {
         let result = if let Query::GetGraphAt { t, attrs } = &query {
             self.execute_point_framed(*t, attrs)
         } else {
-            self.execute(&query)
-                .map(|resp| Reply::Owned(resp.to_frame(self.protocol)))
+            self.execute(&query).map(|resp| {
+                let bytes = resp.to_frame(self.protocol);
+                self.rendered = Some(resp);
+                Reply::Owned(bytes)
+            })
         };
         // Render the error in the protocol that was current when the query
         // ran (a failed PROTOCOL verb never switches modes).
@@ -343,6 +362,7 @@ impl Executor {
             graph: point.into_snapshot(&shared),
         };
         let bytes: Arc<[u8]> = resp.to_frame(self.protocol).into();
+        self.rendered = Some(resp);
         if admitted {
             // Declined (not cached) if an append raced the retrieval — the
             // reply is still correct for this request, just not reusable.
@@ -1028,6 +1048,31 @@ mod tests {
         // A malformed PROTOCOL verb never switches modes.
         assert!(exec.execute_line("PROTOCOL MORSE").is_err());
         assert_eq!(exec.protocol(), WireFormat::Text);
+    }
+
+    #[test]
+    fn the_rendered_response_is_kept_for_the_caller_until_the_next_call() {
+        let (mut exec, _router) = full_executor(8, 8);
+        let reply = exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
+        let Some(Response::Graph { t, graph }) = exec.take_rendered() else {
+            panic!("a rendered point keeps its response");
+        };
+        assert_eq!(t, Timestamp(6));
+        let again = Response::Graph { t, graph }.to_frame(exec.protocol());
+        assert_eq!(reply.as_ref(), &again[..], "the reply was rendered from it");
+        assert!(exec.take_rendered().is_none(), "taken once");
+        // Other verbs keep theirs too, and the next call replaces it.
+        exec.execute_framed("PING");
+        exec.execute_framed("STATS");
+        assert!(matches!(exec.take_rendered(), Some(Response::Stats { .. })));
+        // A reply served from cached bytes renders nothing to keep.
+        exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
+        exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
+        assert!(exec.take_rendered().is_none());
+        // A failed query renders no response either.
+        exec.execute_framed("PING");
+        exec.execute_framed("FROB 12");
+        assert!(exec.take_rendered().is_none());
     }
 
     #[test]

@@ -718,7 +718,9 @@ impl Response {
                 out.extend_from_slice(b"END\n");
                 out
             }
-            WireFormat::Binary => Frame::Response(self.clone()).to_frame_bytes(),
+            WireFormat::Binary => {
+                frame_bytes(MAX_FRAME_BYTES, |buf| encode_response_envelope(self, buf))
+            }
         }
     }
 }
@@ -767,29 +769,7 @@ impl Frame {
     /// [`Frame::to_frame_bytes`] with an explicit bound (exposed at crate
     /// level so tests can exercise the oversized path cheaply).
     pub(crate) fn to_frame_bytes_bounded(&self, max: usize) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(128);
-        payload.push(BINARY_FRAME_VERSION);
-        self.encode(&mut payload);
-        if payload.len() > max {
-            // Replace with a short error frame, built directly rather than
-            // recursing — if even the replacement exceeds a pathologically
-            // small `max` it is emitted anyway (it is ~150 bytes; any
-            // conforming bound is far larger than one error frame).
-            let replacement = Frame::Error(format!(
-                "reply of {} bytes exceeds the binary frame limit ({max}); \
-                 narrow the query or use PROTOCOL TEXT",
-                payload.len()
-            ));
-            payload.clear();
-            payload.push(BINARY_FRAME_VERSION);
-            replacement.encode(&mut payload);
-        }
-        let mut out = Vec::with_capacity(payload.len() + 4);
-        // Fits u32: payload is bounded by `max` (<= MAX_FRAME_BYTES in
-        // production) or is the ~150-byte replacement.
-        out.extend_from_slice(&u32::try_from(payload.len()).expect("bounded").to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        frame_bytes(max, |buf| self.encode(buf))
     }
 
     /// Decodes one frame payload (the bytes *after* the length prefix:
@@ -807,13 +787,46 @@ impl Frame {
     }
 }
 
+/// Frames the envelope `encode` writes as the full on-wire bytes, in one
+/// buffer: a length placeholder, the version byte and the envelope, then
+/// the length patched in. An envelope past `max` bytes is replaced by an
+/// error frame (see [`Frame::to_frame_bytes`]).
+fn frame_bytes(max: usize, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(128);
+    out.extend_from_slice(&[0; 4]);
+    out.push(BINARY_FRAME_VERSION);
+    encode(&mut out);
+    let payload_len = out.len() - 4;
+    if payload_len > max {
+        // Replace with a short error frame, built directly rather than
+        // recursing — if even the replacement exceeds a pathologically
+        // small `max` it is emitted anyway (it is ~150 bytes; any
+        // conforming bound is far larger than one error frame).
+        let replacement = Frame::Error(format!(
+            "reply of {payload_len} bytes exceeds the binary frame limit ({max}); \
+             narrow the query or use PROTOCOL TEXT"
+        ));
+        out = vec![0; 4];
+        out.push(BINARY_FRAME_VERSION);
+        replacement.encode(&mut out);
+    }
+    // Fits u32: the payload is bounded by `max` (<= MAX_FRAME_BYTES in
+    // production) or is the ~150-byte replacement.
+    let len = u32::try_from(out.len() - 4).expect("bounded");
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out
+}
+
+/// The envelope of a successful response: tag 0, then the response.
+fn encode_response_envelope(resp: &Response, buf: &mut Vec<u8>) {
+    buf.push(0);
+    resp.encode(buf);
+}
+
 impl Encode for Frame {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            Frame::Response(resp) => {
-                buf.push(0);
-                resp.encode(buf);
-            }
+            Frame::Response(resp) => encode_response_envelope(resp, buf),
             Frame::Error(msg) => {
                 buf.push(1);
                 msg.encode(buf);
@@ -1152,7 +1165,7 @@ fn fmt_attr_name(name: &str) -> String {
 /// attributes sorted by name (attribute maps are ordered already).
 fn push_graph_body(out: &mut Vec<String>, graph: &Snapshot) {
     let mut nodes: Vec<_> = graph.nodes().collect();
-    nodes.sort_by_key(|(id, _)| *id);
+    nodes.sort_unstable_by_key(|(id, _)| *id);
     for (id, data) in nodes {
         let mut line = format!("N {}", id.raw());
         for (name, value) in &data.attrs {
@@ -1161,7 +1174,7 @@ fn push_graph_body(out: &mut Vec<String>, graph: &Snapshot) {
         out.push(line);
     }
     let mut edges: Vec<_> = graph.edges().collect();
-    edges.sort_by_key(|(id, _)| *id);
+    edges.sort_unstable_by_key(|(id, _)| *id);
     for (id, data) in edges {
         let mut line = format!(
             "E {} {} {} {}",

@@ -16,7 +16,8 @@
 //! 3. A **worker** pops the item, runs `execute_framed` (snapshot cache →
 //!    single-flight table → response byte cache → render), and pushes the
 //!    framed reply plus the executor onto the completion list, waking the
-//!    reactor through the poller's [`Waker`].
+//!    reactor through the poller's [`Waker`]. Only then does it free the
+//!    response the reply was rendered from (a cold point's whole snapshot).
 //! 4. The reactor reinstalls the executor, appends the reply to the
 //!    connection's outbox, and writes as much as the socket accepts,
 //!    keeping write interest registered for the rest.
@@ -375,6 +376,10 @@ pub(crate) fn start(
                     }
                     reply
                 };
+                // The response the reply was rendered from is freed here,
+                // after the reactor has been handed the reply — never on
+                // the reactor, and not before the reply is queued.
+                let rendered = work.executor.take_rendered();
                 completions
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -384,6 +389,7 @@ pub(crate) fn start(
                         executor: work.executor,
                     });
                 worker_waker.wake();
+                drop(rendered);
             }
         });
     }

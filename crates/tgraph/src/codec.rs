@@ -7,7 +7,7 @@
 //! The format is deterministic, versioned implicitly by the crate, and
 //! covered by round-trip property tests.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 use crate::attr::{AttrMap, AttrValue};
 use crate::delta::{AttrAssignment, Delta, EdgeRecord, StructDelta};
@@ -39,12 +39,7 @@ pub trait Decode: Sized {
     fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let mut r = Reader::new(bytes);
         let v = Self::decode(&mut r)?;
-        if !r.is_empty() {
-            return Err(TgError::Codec(format!(
-                "{} trailing bytes after decoding",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(v)
     }
 }
@@ -70,27 +65,51 @@ impl<'a> Reader<'a> {
         self.buf.is_empty()
     }
 
-    fn read_u8(&mut self) -> Result<u8> {
+    /// Fails unless every byte has been consumed: a value that occupies a
+    /// whole slice leaves no trailing bytes.
+    #[inline]
+    pub fn finish(&self) -> Result<()> {
         if self.buf.is_empty() {
-            return Err(TgError::Codec("unexpected end of input".into()));
+            Ok(())
+        } else {
+            Err(TgError::Codec(format!(
+                "{} trailing bytes after decoding",
+                self.buf.len()
+            )))
         }
-        Ok(self.buf.get_u8())
     }
 
+    #[inline]
+    fn read_u8(&mut self) -> Result<u8> {
+        let (&byte, rest) = self.buf.split_first().ok_or_else(end_of_input)?;
+        self.buf = rest;
+        Ok(byte)
+    }
+
+    #[inline]
     fn read_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.buf.len() < n {
-            return Err(TgError::Codec(format!(
-                "needed {n} bytes, only {} available",
-                self.buf.len()
-            )));
+            return Err(short_input(n, self.buf.len()));
         }
         let (head, tail) = self.buf.split_at(n);
         self.buf = tail;
         Ok(head)
     }
 
-    /// Reads an unsigned LEB128 varint.
+    /// Reads an unsigned LEB128 varint. Most varints in this format are one
+    /// byte, so that case is decided before the general loop.
+    #[inline]
     pub fn read_varint(&mut self) -> Result<u64> {
+        if let Some((&byte, rest)) = self.buf.split_first() {
+            if byte < 0x80 {
+                self.buf = rest;
+                return Ok(u64::from(byte));
+            }
+        }
+        self.read_multibyte_varint()
+    }
+
+    fn read_multibyte_varint(&mut self) -> Result<u64> {
         let mut result = 0u64;
         let mut shift = 0u32;
         loop {
@@ -105,6 +124,42 @@ impl<'a> Reader<'a> {
             shift += 7;
         }
     }
+
+    /// Reads a sequence length. Every element takes at least one byte in
+    /// this format, so a length beyond the unread input is corrupt.
+    #[inline]
+    pub fn read_len(&mut self) -> Result<usize> {
+        let len = self.read_varint()? as usize;
+        if len > self.buf.len() {
+            return Err(TgError::Codec(format!(
+                "sequence length {len} exceeds remaining input {}",
+                self.buf.len()
+            )));
+        }
+        Ok(len)
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input.
+    #[inline]
+    pub fn read_str(&mut self) -> Result<&'a str> {
+        let len = self.read_varint()? as usize;
+        let bytes = self.read_bytes(len)?;
+        std::str::from_utf8(bytes).map_err(|e| TgError::Codec(format!("invalid utf-8 string: {e}")))
+    }
+}
+
+// The error paths are kept out of line, so the inlined reads stay small.
+
+#[cold]
+#[inline(never)]
+fn end_of_input() -> TgError {
+    TgError::Codec("unexpected end of input".into())
+}
+
+#[cold]
+#[inline(never)]
+fn short_input(needed: usize, available: usize) -> TgError {
+    TgError::Codec(format!("needed {needed} bytes, only {available} available"))
 }
 
 /// Appends an unsigned LEB128 varint.
@@ -141,6 +196,7 @@ impl Encode for u64 {
 }
 
 impl Decode for u64 {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         r.read_varint()
     }
@@ -153,6 +209,7 @@ impl Encode for usize {
 }
 
 impl Decode for usize {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok(r.read_varint()? as usize)
     }
@@ -165,6 +222,7 @@ impl Encode for i64 {
 }
 
 impl Decode for i64 {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok(unzigzag(r.read_varint()?))
     }
@@ -177,6 +235,7 @@ impl Encode for bool {
 }
 
 impl Decode for bool {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         match r.read_u8()? {
             0 => Ok(false),
@@ -193,6 +252,7 @@ impl Encode for f64 {
 }
 
 impl Decode for f64 {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let bytes = r.read_bytes(8)?;
         let mut arr = [0u8; 8];
@@ -209,11 +269,9 @@ impl Encode for String {
 }
 
 impl Decode for String {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let len = r.read_varint()? as usize;
-        let bytes = r.read_bytes(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| TgError::Codec(format!("invalid utf-8 string: {e}")))
+        r.read_str().map(str::to_owned)
     }
 }
 
@@ -275,15 +333,7 @@ impl<T: Decode> Decode for std::sync::Arc<T> {
 
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let len = r.read_varint()? as usize;
-        // Guard against absurd lengths from corrupt input: each element needs
-        // at least one byte in this format.
-        if len > r.remaining() {
-            return Err(TgError::Codec(format!(
-                "sequence length {len} exceeds remaining input {}",
-                r.remaining()
-            )));
-        }
+        let len = r.read_len()?;
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(T::decode(r)?);
@@ -301,6 +351,7 @@ impl Encode for NodeId {
 }
 
 impl Decode for NodeId {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok(NodeId(r.read_varint()?))
     }
@@ -313,6 +364,7 @@ impl Encode for EdgeId {
 }
 
 impl Decode for EdgeId {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok(EdgeId(r.read_varint()?))
     }
@@ -325,6 +377,7 @@ impl Encode for Timestamp {
 }
 
 impl Decode for Timestamp {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok(Timestamp(i64::decode(r)?))
     }
@@ -354,6 +407,7 @@ impl Encode for AttrValue {
 }
 
 impl Decode for AttrValue {
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         match r.read_u8()? {
             0 => Ok(AttrValue::Str(String::decode(r)?)),
@@ -373,15 +427,17 @@ fn encode_attr_map(map: &AttrMap, buf: &mut Vec<u8>) {
     }
 }
 
+/// Decodes an attribute map. An encoded map lists its keys in order, so the
+/// map is built in one pass from the collected entries rather than by one
+/// search per insert; a repeated key keeps its last value, as inserting
+/// would.
 fn decode_attr_map(r: &mut Reader<'_>) -> Result<AttrMap> {
-    let len = r.read_varint()? as usize;
-    let mut map = AttrMap::new();
+    let len = r.read_len()?;
+    let mut entries = Vec::with_capacity(len);
     for _ in 0..len {
-        let k = String::decode(r)?;
-        let v = AttrValue::decode(r)?;
-        map.insert(k, v);
+        entries.push((String::decode(r)?, AttrValue::decode(r)?));
     }
-    Ok(map)
+    Ok(entries.into_iter().collect())
 }
 
 // --- events ----------------------------------------------------------------
@@ -521,29 +577,7 @@ impl Encode for EventList {
 
 impl Decode for EventList {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let events = Vec::<Event>::decode_with_len(r)?;
-        Ok(EventList::from_events(events))
-    }
-}
-
-trait DecodeWithLen: Sized {
-    fn decode_with_len(r: &mut Reader<'_>) -> Result<Self>;
-}
-
-impl DecodeWithLen for Vec<Event> {
-    fn decode_with_len(r: &mut Reader<'_>) -> Result<Self> {
-        let len = r.read_varint()? as usize;
-        if len > r.remaining() {
-            return Err(TgError::Codec(format!(
-                "event count {len} exceeds remaining input {}",
-                r.remaining()
-            )));
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(Event::decode(r)?);
-        }
-        Ok(out)
+        Ok(EventList::from_events(Vec::decode(r)?))
     }
 }
 
@@ -599,12 +633,42 @@ impl<Id: Encode + Copy> Encode for AttrAssignment<Id> {
 
 impl<Id: Decode + Copy> Decode for AttrAssignment<Id> {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let (id, key, value) = read_assignment(r)?;
         Ok(AttrAssignment {
-            id: Id::decode(r)?,
-            key: String::decode(r)?,
-            value: Option::<AttrValue>::decode(r)?,
+            id,
+            key: key.to_owned(),
+            value,
         })
     }
+}
+
+/// Reads one [`AttrAssignment`] with its key borrowed from the input: the
+/// one parser behind both `AttrAssignment::decode` and
+/// [`visit_assignments`].
+#[inline]
+fn read_assignment<'a, Id: Decode>(r: &mut Reader<'a>) -> Result<(Id, &'a str, Option<AttrValue>)> {
+    Ok((
+        Id::decode(r)?,
+        r.read_str()?,
+        Option::<AttrValue>::decode(r)?,
+    ))
+}
+
+/// Visits, in order, every assignment of one encoded attribute column —
+/// the bytes of a `Vec<AttrAssignment<Id>>` — with its key borrowed from
+/// `bytes`, so a consumer copies a key only if it keeps it. Fails exactly
+/// where `Vec::<AttrAssignment<Id>>::from_bytes` fails, trailing bytes
+/// included; the assignments before the failure have been visited.
+pub fn visit_assignments<'a, Id: Decode>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(Id, &'a str, Option<AttrValue>),
+) -> Result<()> {
+    let mut r = Reader::new(bytes);
+    for _ in 0..r.read_len()? {
+        let (id, key, value) = read_assignment(&mut r)?;
+        visit(id, key, value);
+    }
+    r.finish()
 }
 
 impl Encode for Delta {
@@ -630,14 +694,14 @@ impl Decode for Delta {
 impl Encode for Snapshot {
     fn encode(&self, buf: &mut Vec<u8>) {
         let mut nodes: Vec<_> = self.nodes().collect();
-        nodes.sort_by_key(|(id, _)| *id);
+        nodes.sort_unstable_by_key(|(id, _)| *id);
         write_varint(buf, nodes.len() as u64);
         for (id, data) in nodes {
             id.encode(buf);
             encode_attr_map(&data.attrs, buf);
         }
         let mut edges: Vec<_> = self.edges().collect();
-        edges.sort_by_key(|(id, _)| *id);
+        edges.sort_unstable_by_key(|(id, _)| *id);
         write_varint(buf, edges.len() as u64);
         for (id, data) in edges {
             id.encode(buf);
@@ -653,14 +717,18 @@ impl Decode for Snapshot {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         // Each decoded attribute map moves into its element whole; a repeated
         // id merges its maps as per-entry assignment would.
+        // The tables are sized from the counts up front; a count is bounded
+        // by the input left, so a corrupt one cannot reserve beyond it.
         let mut snap = Snapshot::new();
-        let node_count = r.read_varint()? as usize;
+        let node_count = r.read_len()?;
+        snap.reserve(node_count, 0);
         for _ in 0..node_count {
             let id = NodeId::decode(r)?;
             let attrs = decode_attr_map(r)?;
             snap.merge_node_attrs(id, attrs);
         }
-        let edge_count = r.read_varint()? as usize;
+        let edge_count = r.read_len()?;
+        snap.reserve(0, edge_count);
         for _ in 0..edge_count {
             let id = EdgeId::decode(r)?;
             let src = NodeId::decode(r)?;
@@ -668,7 +736,9 @@ impl Decode for Snapshot {
             let directed = bool::decode(r)?;
             let attrs = decode_attr_map(r)?;
             snap.add_edge(id, src, dst, directed)?;
-            snap.merge_edge_attrs(id, attrs)?;
+            if !attrs.is_empty() {
+                snap.merge_edge_attrs(id, attrs)?;
+            }
         }
         Ok(snap)
     }

@@ -51,6 +51,49 @@ impl StructDelta {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Appends every change of `other`, keeping each list's order.
+    pub fn extend(&mut self, other: StructDelta) {
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        self.add_nodes.extend(other.add_nodes);
+        self.del_nodes.extend(other.del_nodes);
+        self.add_edges.extend(other.add_edges);
+        self.del_edges.extend(other.del_edges);
+    }
+
+    /// Applies these changes to `target` in place, deletions before
+    /// additions, with the tables pre-sized for the additions.
+    ///
+    /// Deletions of elements that are already absent are tolerated (this
+    /// happens when a delta is applied on top of a *partially* fetched
+    /// graph, e.g. structure-only retrieval where an attribute-less node
+    /// was never materialized), and so are additions of elements that
+    /// already exist.
+    pub fn apply_to(&self, target: &mut Snapshot) -> Result<()> {
+        for rec in &self.del_edges {
+            if target.has_edge(rec.edge) {
+                target.remove_edge(rec.edge)?;
+            }
+        }
+        for n in &self.del_nodes {
+            if target.has_node(*n) {
+                target.remove_node(*n)?;
+            }
+        }
+        target.reserve(self.add_nodes.len(), self.add_edges.len());
+        for n in &self.add_nodes {
+            target.ensure_node(*n);
+        }
+        for rec in &self.add_edges {
+            if !target.has_edge(rec.edge) {
+                target.add_edge(rec.edge, rec.src, rec.dst, rec.directed)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// An attribute assignment carried by a delta: set `key` on element `id` to
@@ -218,42 +261,17 @@ impl Delta {
             .sort_by(|a, b| (a.id, &a.key).cmp(&(b.id, &b.key)));
     }
 
-    /// Applies this delta to `target` in place. Deletions are applied before
-    /// additions, and structure before attributes, so that attribute
-    /// assignments always refer to elements that exist.
-    ///
-    /// Deletions of elements that are already absent are tolerated (this
-    /// happens when a delta is applied on top of a *partially* fetched graph,
-    /// e.g. structure-only retrieval where an attribute-less node was never
-    /// materialized); additions of elements that already exist are errors.
+    /// Applies this delta to `target` in place: the structure first (see
+    /// [`StructDelta::apply_to`]), then the attribute assignments, so that
+    /// they always refer to elements that exist. An assignment to an
+    /// element that is absent is skipped.
     pub fn apply_to(&self, target: &mut Snapshot) -> Result<()> {
-        for rec in &self.structure.del_edges {
-            if target.has_edge(rec.edge) {
-                target.remove_edge(rec.edge)?;
-            }
-        }
-        for n in &self.structure.del_nodes {
-            if target.has_node(*n) {
-                target.remove_node(*n)?;
-            }
-        }
-        for n in &self.structure.add_nodes {
-            target.ensure_node(*n);
-        }
-        for rec in &self.structure.add_edges {
-            if !target.has_edge(rec.edge) {
-                target.add_edge(rec.edge, rec.src, rec.dst, rec.directed)?;
-            }
-        }
+        self.structure.apply_to(target)?;
         for a in &self.node_attrs {
-            if target.has_node(a.id) {
-                target.set_node_attr(a.id, &a.key, a.value.clone())?;
-            }
+            target.assign_node_attr(a.id, &a.key, a.value.clone());
         }
         for a in &self.edge_attrs {
-            if target.has_edge(a.id) {
-                target.set_edge_attr(a.id, &a.key, a.value.clone())?;
-            }
+            target.assign_edge_attr(a.id, &a.key, a.value.clone());
         }
         Ok(())
     }

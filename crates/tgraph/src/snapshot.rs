@@ -269,36 +269,53 @@ impl Snapshot {
 
     /// Sets (or with `None` removes) a node attribute. The node must exist.
     pub fn set_node_attr(&mut self, n: NodeId, key: &str, value: Option<AttrValue>) -> Result<()> {
-        let node = self
-            .nodes
-            .get_mut(&n)
-            .ok_or_else(|| TgError::InvalidEvent(format!("node {n} does not exist")))?;
-        match value {
-            Some(v) => {
-                node.attrs.insert(key.to_owned(), v);
-            }
-            None => {
-                node.attrs.remove(key);
-            }
+        if self.assign_node_attr(n, key, value) {
+            Ok(())
+        } else {
+            Err(TgError::InvalidEvent(format!("node {n} does not exist")))
         }
-        Ok(())
     }
 
     /// Sets (or with `None` removes) an edge attribute. The edge must exist.
     pub fn set_edge_attr(&mut self, e: EdgeId, key: &str, value: Option<AttrValue>) -> Result<()> {
-        let edge = self
-            .edges
-            .get_mut(&e)
-            .ok_or_else(|| TgError::InvalidEvent(format!("edge {e} does not exist")))?;
-        match value {
-            Some(v) => {
-                edge.attrs.insert(key.to_owned(), v);
-            }
-            None => {
-                edge.attrs.remove(key);
-            }
+        if self.assign_edge_attr(e, key, value) {
+            Ok(())
+        } else {
+            Err(TgError::InvalidEvent(format!("edge {e} does not exist")))
         }
-        Ok(())
+    }
+
+    /// [`Snapshot::set_node_attr`] where an absent node is skipped rather
+    /// than an error; returns whether the node exists. The key is copied
+    /// only when it is new to the node's map.
+    pub fn assign_node_attr(&mut self, n: NodeId, key: &str, value: Option<AttrValue>) -> bool {
+        match self.nodes.get_mut(&n) {
+            Some(node) => {
+                assign_attr(&mut node.attrs, key, value);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// [`Snapshot::assign_node_attr`] for an edge attribute.
+    pub fn assign_edge_attr(&mut self, e: EdgeId, key: &str, value: Option<AttrValue>) -> bool {
+        match self.edges.get_mut(&e) {
+            Some(edge) => {
+                assign_attr(&mut edge.attrs, key, value);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Makes room for `nodes` more nodes and `edges` more edges, so a
+    /// batch of additions of known size does not grow the tables step by
+    /// step.
+    pub fn reserve(&mut self, nodes: usize, edges: usize) {
+        self.nodes.reserve(nodes);
+        self.edges.reserve(edges);
+        self.adj.reserve(nodes);
     }
 
     /// Node `n`, created if absent, with every entry of `attrs` assigned
@@ -519,6 +536,27 @@ impl Snapshot {
     /// The set of node ids, as a hash set (convenience for tests/analytics).
     pub fn node_id_set(&self) -> FxHashSet<NodeId> {
         self.nodes.keys().copied().collect()
+    }
+}
+
+/// Sets (or with `None` removes) `key` in `map`, allocating the key only
+/// when it is new. Keys mostly arrive in order (a delta's attribute column
+/// is sorted by element, then key), so a key past the map's last one is
+/// inserted without a search for an existing entry first.
+fn assign_attr(map: &mut AttrMap, key: &str, value: Option<AttrValue>) {
+    let Some(v) = value else {
+        map.remove(key);
+        return;
+    };
+    if map
+        .last_key_value()
+        .is_none_or(|(last, _)| last.as_str() < key)
+    {
+        map.insert(key.to_owned(), v);
+    } else if let Some(slot) = map.get_mut(key) {
+        *slot = v;
+    } else {
+        map.insert(key.to_owned(), v);
     }
 }
 

@@ -230,6 +230,12 @@ impl SnapshotCache {
         Some(entry.overlay)
     }
 
+    /// Counts one hit, for a lookup made uncounted that found its entry
+    /// (see [`crate::GraphManager`]'s probe-only lookup).
+    pub(crate) fn count_hit(&self) {
+        self.hits.fetch_add(1, Relaxed);
+    }
+
     /// Records a reference to `(t, opts)` that found no entry, and returns
     /// whether it repeats a recent one — whether the doorkeeper admits the
     /// point into the cache. The first reference is remembered (the oldest

@@ -354,6 +354,15 @@ impl GraphManager {
         self.pool.retain(overlay).then_some(overlay)
     }
 
+    /// [`GraphManager::cache_acquire`] for a probe whose miss is not a
+    /// lookup of its own: only a hit is counted. A miss sends the request
+    /// on to a full retrieval, whose own probe counts it.
+    pub(crate) fn cache_probe(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<GraphId> {
+        let overlay = self.cache_acquire(t, opts, false)?;
+        self.cache.count_hit();
+        Some(overlay)
+    }
+
     /// Records a point retrieval that missed the cache and returns whether
     /// the doorkeeper admits it: `true` only when `(t, opts)` missed
     /// recently before (see [`crate::cache`]). An admitted point is

@@ -1834,7 +1834,7 @@ impl ShardedSession {
     }
 
     /// Probe-only acquisition on the owning shard — the
-    /// [`PoolSession::acquire_cached`] bookkeeping, routed — plus the
+    /// [`PoolSession::probe_cached`] bookkeeping, routed — plus the
     /// context needed to cache bytes rendered from the hit: the owning
     /// shard handle and its append epoch, read *before* the acquire — so a
     /// response-cache insert guarded by this epoch is declined if an
@@ -1852,12 +1852,12 @@ impl ShardedSession {
             return None;
         }
         // A miss acquires nothing and must leave every counter untouched
-        // (the reactor fast path's contract), so the query is counted only
-        // on the hit.
+        // (the reactor fast path's contract), so the query and the cache
+        // hit are counted only on the hit.
         let (shared, epoch, overlay) = {
             let session = self.session_for(shard).ok()?;
             let epoch = session.shared().read().append_epoch();
-            let overlay = session.acquire_cached(t, opts)?;
+            let overlay = session.probe_cached(t, opts)?;
             (session.shared().clone(), epoch, overlay)
         };
         self.router.note_queries(shard, 1);

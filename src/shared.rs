@@ -311,6 +311,16 @@ impl PoolSession {
         Some(id)
     }
 
+    /// [`PoolSession::acquire_cached`] for a probe that precedes a full
+    /// [`PoolSession::retrieve_cached`] of the same point, as the reactor's
+    /// fast path does: only a hit is counted, so a point that misses here
+    /// counts one miss, in the retrieval.
+    pub fn probe_cached(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<GraphId> {
+        let id = self.shared.write().cache_probe(t, opts)?;
+        self.handles.push(id);
+        Some(id)
+    }
+
     /// A single-flight follower's reference to a point another session
     /// just rendered: shares the cached overlay when there is one, and
     /// otherwise records the reference with the doorkeeper — a coalesced

@@ -203,6 +203,43 @@ fn append_is_never_served_stale_bytes() {
     assert!(seen[0].starts_with("OK GRAPH t=70 nodes=61"), "{seen:?}");
 }
 
+/// Reads one `name=` counter off the `OK CACHE` line of `STATS CACHE`.
+fn cache_counter(client: &mut Client, name: &str) -> u64 {
+    let lines = client.send_ok("STATS CACHE").unwrap();
+    lines[0]
+        .split_whitespace()
+        .find_map(|kv| kv.strip_prefix(&format!("{name}=")))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} on {lines:?}"))
+}
+
+/// The reactor probes the snapshot cache before handing a point to a
+/// worker, whose retrieval probes it again. Only the retrieval counts a
+/// miss: one cold `GET GRAPH AT` moves `STATS CACHE` misses by exactly
+/// one, and a point served by the reactor counts one hit and no miss.
+#[test]
+fn a_cold_point_counts_one_snapshot_cache_miss() {
+    let _serial = serial();
+    let server = start(&linear_trace(), 32, 32, 32);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let (hits, misses) = (
+        cache_counter(&mut client, "hits"),
+        cache_counter(&mut client, "misses"),
+    );
+
+    client.send_ok("GET GRAPH AT 30").unwrap();
+    assert_eq!(cache_counter(&mut client, "misses"), misses + 1);
+    assert_eq!(cache_counter(&mut client, "hits"), hits);
+
+    // The second reference misses once more, and is admitted...
+    client.send_ok("GET GRAPH AT 30").unwrap();
+    assert_eq!(cache_counter(&mut client, "misses"), misses + 2);
+    // ...so the third is the reactor's hit.
+    client.send_ok("GET GRAPH AT 30").unwrap();
+    assert_eq!(cache_counter(&mut client, "misses"), misses + 2);
+    assert_eq!(cache_counter(&mut client, "hits"), hits + 1);
+}
+
 /// A client that pipelines thousands of requests before reading a single
 /// reply exercises the write-side backpressure: the total reply volume is
 /// far beyond the outbox high-water mark, so the server must repeatedly
