@@ -475,11 +475,18 @@ impl DeltaGraph {
     /// Folds the recent eventlist into the index as a new leaf.
     ///
     /// The new leaf is connected to the previous last leaf through the usual
-    /// bidirectional eventlist edges and, additionally, receives a direct
-    /// delta from the super-root; every registered auxiliary index gains the
-    /// leaf's auxiliary snapshot. Re-balancing the interior hierarchy is
-    /// deferred to a full rebuild (the paper likewise treats incremental
-    /// hierarchy maintenance as out of scope).
+    /// bidirectional eventlist edges. It also receives a direct delta from
+    /// the super-root — a full copy of the graph — but only when the chain
+    /// has outgrown one: when the cheapest path from the super-root alone
+    /// (weights under [`AttrOptions::all`]) costs more than twice that
+    /// delta. So a folded leaf costs at most two full copies to read, and at
+    /// most one copy is written per copy's worth of eventlists. The rule
+    /// reads only the skeleton and the current graph, never materialized
+    /// nodes, so replaying the same appends (a WAL recovery) makes the same
+    /// decisions. Every registered auxiliary index gains the leaf's
+    /// auxiliary snapshot. Re-balancing the interior hierarchy is deferred
+    /// to a full rebuild (the paper likewise treats incremental hierarchy
+    /// maintenance as out of scope).
     fn integrate_recent(&mut self) -> DgResult<()> {
         if self.recent.is_empty() {
             return Ok(());
@@ -525,18 +532,20 @@ impl DeltaGraph {
             weights: ev_weights,
         });
 
-        // Direct delta from the super-root so the new leaf is reachable
-        // without walking the whole leaf chain.
+        // A direct delta from the super-root, once the chain costs more than
+        // twice one.
+        let all = AttrOptions::all();
+        let super_root = self.skeleton.super_root();
+        let chain = self.skeleton.dijkstra(&[(super_root, 0)], &all)[leaf].map(|(c, _)| c);
         let delta = tgraph::Delta::between(&Snapshot::new(), &self.current);
         let delta_id = self.next_id;
-        self.next_id += 1;
-        let weights = self.payloads.write_delta(delta_id, &delta)?;
-        self.skeleton.add_edge(
-            self.skeleton.super_root(),
-            leaf,
-            EdgePayload::Delta { delta_id },
-            weights,
-        );
+        let (blocks, weights) = self.payloads.delta_blocks(delta_id, &delta);
+        if chain.is_none_or(|c| c > 2 * weights.for_options(&all)) {
+            self.next_id += 1;
+            self.payloads.put_blocks(&blocks)?;
+            self.skeleton
+                .add_edge(super_root, leaf, EdgePayload::Delta { delta_id }, weights);
+        }
         self.fold_aux_leaf(&recent)
     }
 
@@ -759,6 +768,153 @@ mod tests {
         dg.append_event(Event::add_node(ds.end_time().raw() + 1, 777_777))
             .unwrap();
         assert!(dg.sealed_parts().is_err());
+    }
+
+    /// A churn trace (node and edge deletions, attributes) indexed over its
+    /// first half, with leaves of `leaf_size` events; returns the trace and
+    /// the index. The second half is for appending.
+    fn half_built(leaf_size: usize) -> (datagen::Dataset, DeltaGraph, usize) {
+        let ds = datagen::churn_trace(&datagen::ChurnConfig::tiny(51));
+        let half = ds.events.len() / 2;
+        let first = EventList::from_events(ds.events.events()[..half].to_vec());
+        let dg = DeltaGraph::build(
+            &first,
+            DeltaGraphConfig::new(leaf_size, 2),
+            Arc::new(MemStore::new()),
+        )
+        .unwrap();
+        (ds, dg, half)
+    }
+
+    /// The super-root's delta edges into leaves folded after the build.
+    fn copies_after(dg: &DeltaGraph, built_leaves: usize) -> Vec<NodeIdx> {
+        let folded = &dg.skeleton().leaves()[built_leaves..];
+        dg.skeleton()
+            .edges_from(dg.skeleton().super_root())
+            .filter(|e| matches!(e.payload, EdgePayload::Delta { .. }) && folded.contains(&e.to))
+            .map(|e| e.to)
+            .collect()
+    }
+
+    fn fold_selections() -> [AttrOptions; 3] {
+        [
+            AttrOptions::all(),
+            AttrOptions::structure_only(),
+            AttrOptions::parse("+node:name").unwrap(),
+        ]
+    }
+
+    #[test]
+    fn folds_write_a_full_copy_only_once_the_chain_outgrows_one() {
+        let (ds, mut dg, half) = half_built(40);
+        let built_leaves = dg.skeleton().leaves().len();
+        let events = ds.events.events();
+        let check = |dg: &DeltaGraph, upto: usize| {
+            // Points before the appends, inside folded leaves, and after the
+            // last fold, against the replay of every appended event <= t.
+            let appended = EventList::from_events(events[..upto].to_vec());
+            let end = events[upto - 1].time;
+            for t in datagen::uniform_timepoints(ds.start_time(), end, 7) {
+                let mut replay = Snapshot::new();
+                appended.apply_prefix_forward(&mut replay, t).unwrap();
+                for opts in fold_selections() {
+                    let want = replay.project_attrs(&opts);
+                    assert_eq!(dg.get_snapshot(t, &opts).unwrap(), want, "t={t} {opts:?}");
+                }
+            }
+        };
+        let mut leaves = built_leaves;
+        for (i, ev) in events[half..].iter().enumerate() {
+            dg.append_event(ev.clone()).unwrap();
+            if dg.skeleton().leaves().len() > leaves {
+                leaves = dg.skeleton().leaves().len();
+                check(&dg, half + i + 1);
+            }
+        }
+        check(&dg, events.len());
+        let folded = dg.skeleton().leaves().len() - built_leaves;
+        let copies = copies_after(&dg, built_leaves).len();
+        assert!(folded >= 4, "only {folded} folds");
+        assert!(copies >= 1, "no fold wrote a full copy");
+        assert!(copies < folded, "every fold wrote a full copy");
+    }
+
+    #[test]
+    fn a_fold_without_a_copy_stores_exactly_its_eventlist() {
+        let (ds, mut dg, half) = half_built(40);
+        let (mut saw_copy, mut saw_bare) = (false, false);
+        for ev in &ds.events.events()[half..] {
+            let (before, leaves) = (dg.stats().stored_bytes, dg.skeleton().leaves().len());
+            let copies = copies_after(&dg, 0).len();
+            dg.append_event(ev.clone()).unwrap();
+            if dg.skeleton().leaves().len() == leaves {
+                continue;
+            }
+            let grown = dg.stats().stored_bytes - before;
+            let list = dg.skeleton().intervals().last().unwrap().weights.total() as u64;
+            if copies_after(&dg, 0).len() == copies {
+                saw_bare = true;
+                assert_eq!(
+                    grown, list,
+                    "a fold without a copy stores its eventlist only"
+                );
+            } else {
+                saw_copy = true;
+                assert!(grown > list);
+            }
+        }
+        assert!(saw_copy && saw_bare);
+    }
+
+    #[test]
+    fn every_folded_leaf_costs_at_most_two_full_copies_and_its_eventlist() {
+        let (ds, mut dg, half) = half_built(40);
+        let built_leaves = dg.skeleton().leaves().len();
+        dg.append_events(ds.events.events()[half..].iter().cloned())
+            .unwrap();
+        let all = AttrOptions::all();
+        let best = dg
+            .skeleton()
+            .dijkstra(&[(dg.skeleton().super_root(), 0)], &all);
+        let intervals = dg.skeleton().intervals();
+        for (i, &leaf) in dg.skeleton().leaves().iter().enumerate().skip(built_leaves) {
+            let t = dg.skeleton().node(leaf).unwrap().time.unwrap();
+            let copy = tgraph::Delta::between(&Snapshot::new(), &ds.snapshot_at(t));
+            let copy = dg
+                .payload_store()
+                .delta_blocks(0, &copy)
+                .1
+                .for_options(&all);
+            let list = intervals[i - 1].weights.for_options(&all);
+            let cost = best[leaf].expect("reachable").0;
+            assert!(
+                cost <= 2 * copy + list,
+                "leaf {leaf}: cost {cost}, copy {copy}, list {list}"
+            );
+        }
+    }
+
+    #[test]
+    fn replaying_the_same_appends_folds_the_same_skeleton() {
+        // The original materializes its last leaf, as a running server
+        // might; a replay from the log starts with nothing materialized.
+        // The fold rule reads the super-root alone, so both fold alike.
+        let (ds, mut original, half) = half_built(40);
+        let (_, mut replay, _) = half_built(40);
+        original.materialize_current_leaf().unwrap();
+        for ev in &ds.events.events()[half..] {
+            original.append_event(ev.clone()).unwrap();
+            replay.append_event(ev.clone()).unwrap();
+        }
+        let edges = |dg: &DeltaGraph| -> Vec<(NodeIdx, NodeIdx, EdgePayload)> {
+            dg.skeleton()
+                .edges()
+                .iter()
+                .map(|e| (e.from, e.to, e.payload))
+                .collect()
+        };
+        assert_eq!(edges(&original), edges(&replay));
+        assert_eq!(original.stats().stored_bytes, replay.stats().stored_bytes);
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod diff_fn;
 pub mod error;
 pub mod graph;
 pub mod model;
+mod net;
 pub mod query;
 pub mod skeleton;
 pub mod storage;

@@ -22,16 +22,17 @@
 use std::collections::hash_map::Entry;
 
 use tgraph::fxhash::{FxHashMap, FxHashSet};
-use tgraph::{AttrOptions, Event, EventKind, EventList, Snapshot, TimeExpression, Timestamp};
+use tgraph::{AttrOptions, ColumnGraph, Event, EventKind, Snapshot, TimeExpression, Timestamp};
 
 use crate::error::{DgError, DgResult};
 use crate::graph::DeltaGraph;
+use crate::net::apply_events;
 use crate::skeleton::{EdgePayload, Location, NodeIdx};
-use crate::storage::PayloadStore;
+use crate::storage::{decode_events, EventSpan, PayloadStore};
 
-/// Leaf-eventlists fetched during one retrieval, by payload id, so an
-/// eventlist on several plan edges is fetched and decoded once.
-type EventLists = FxHashMap<u64, EventList>;
+/// Leaf-eventlist columns fetched during one retrieval, by payload id, so
+/// an eventlist on several plan edges is fetched once.
+type EventLists = FxHashMap<u64, Vec<Vec<u8>>>;
 
 /// How the final snapshot is derived from the target leaf's graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,7 +77,7 @@ pub struct PointPlan {
 pub struct Retrieval {
     payloads: PayloadStore,
     opts: AttrOptions,
-    source: Snapshot,
+    source: ColumnGraph,
     path: Vec<EdgePayload>,
     finish: Finish,
 }
@@ -94,9 +95,12 @@ enum Finish {
 }
 
 impl Retrieval {
-    /// Fetches, decodes and applies the planned payloads: the snapshot the
-    /// plan describes.
-    pub fn execute(self) -> DgResult<Snapshot> {
+    /// Fetches, decodes and applies the planned payloads: the graph the
+    /// plan describes, as sorted columns. Each delta is one linear merge of
+    /// its sorted runs into the columns, and the leaf-eventlist finish is
+    /// one more (see [`ColumnGraph::apply`]);
+    /// [`ColumnGraph::into_snapshot`] gives the [`Snapshot`].
+    pub fn execute(self) -> DgResult<ColumnGraph> {
         let Retrieval {
             payloads,
             opts,
@@ -124,7 +128,9 @@ impl DeltaGraph {
     /// points after the last indexed leaf are served from the last leaf plus
     /// the recent (not yet indexed) eventlist.
     pub fn get_snapshot(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<Snapshot> {
-        self.plan_retrieval(t, opts)?.execute()
+        self.plan_retrieval(t, opts)?
+            .execute()
+            .map(ColumnGraph::into_snapshot)
     }
 
     /// Plans the retrieval of the snapshot as of `t` (see
@@ -162,13 +168,29 @@ impl DeltaGraph {
         times: &[Timestamp],
         opts: &AttrOptions,
     ) -> DgResult<Vec<Snapshot>> {
-        let mut results: Vec<Option<Snapshot>> = vec![None; times.len()];
+        Ok(self
+            .get_graphs(times, opts)?
+            .into_iter()
+            .map(ColumnGraph::into_snapshot)
+            .collect())
+    }
+
+    /// [`DeltaGraph::get_snapshots`] as sorted columns, for callers that
+    /// read a few elements of each graph and need no [`Snapshot`].
+    pub fn get_graphs(
+        &self,
+        times: &[Timestamp],
+        opts: &AttrOptions,
+    ) -> DgResult<Vec<ColumnGraph>> {
+        let mut results: Vec<Option<ColumnGraph>> = vec![None; times.len()];
         // (query index, interval, time), for the terminals the Steiner tree covers
         let mut terminals: Vec<(usize, usize, Timestamp)> = Vec::new();
         for (qi, &t) in times.iter().enumerate() {
             match self.skeleton.locate(t)? {
-                Location::BeforeHistory => results[qi] = Some(Snapshot::new()),
-                Location::AfterLastLeaf => results[qi] = Some(self.get_snapshot(t, opts)?),
+                Location::BeforeHistory => results[qi] = Some(ColumnGraph::new()),
+                Location::AfterLastLeaf => {
+                    results[qi] = Some(self.plan_retrieval(t, opts)?.execute()?)
+                }
                 Location::Interval(interval) => terminals.push((qi, interval, t)),
             }
         }
@@ -262,7 +284,9 @@ impl DeltaGraph {
     /// materialization and by auxiliary indexes). Interior-node graphs are
     /// generally not valid snapshots of any time point.
     pub fn node_graph(&self, node: NodeIdx, opts: &AttrOptions) -> DgResult<Snapshot> {
-        self.plan_node(node, opts, Finish::Done)?.execute()
+        self.plan_node(node, opts, Finish::Done)?
+            .execute()
+            .map(ColumnGraph::into_snapshot)
     }
 
     /// Plans (but does not execute) a singlepoint retrieval; exposed for plan
@@ -373,11 +397,13 @@ impl DeltaGraph {
     /// The graph of a plan source (the super-root or a materialized node),
     /// projected to the requested attributes. `None` if `node` is not a
     /// source.
-    fn source_graph(&self, node: NodeIdx, opts: &AttrOptions) -> Option<Snapshot> {
+    fn source_graph(&self, node: NodeIdx, opts: &AttrOptions) -> Option<ColumnGraph> {
         if node == self.skeleton.super_root() {
-            return Some(Snapshot::new());
+            return Some(ColumnGraph::new());
         }
-        self.materialized.get(&node).map(|m| m.project_attrs(opts))
+        self.materialized
+            .get(&node)
+            .map(|m| ColumnGraph::from_snapshot(&m.project_attrs(opts)))
     }
 
     /// The retrieval that builds `target` by applying the payloads of
@@ -417,7 +443,7 @@ impl DeltaGraph {
 
     fn execute_multipoint(
         &self,
-        results: &mut [Option<Snapshot>],
+        results: &mut [Option<ColumnGraph>],
         mut terminals: Vec<(usize, usize, Timestamp)>,
         opts: &AttrOptions,
     ) -> DgResult<()> {
@@ -534,12 +560,12 @@ impl DeltaGraph {
     fn walk_tree(
         &self,
         node: NodeIdx,
-        graph: Snapshot,
+        graph: ColumnGraph,
         tree_children: &FxHashMap<NodeIdx, Vec<usize>>,
         anchored: &FxHashMap<NodeIdx, Vec<(usize, Finish)>>,
         opts: &AttrOptions,
         lists: &mut EventLists,
-        results: &mut [Option<Snapshot>],
+        results: &mut [Option<ColumnGraph>],
     ) -> DgResult<()> {
         if let Some(queries) = anchored.get(&node) {
             for (qi, finish) in queries {
@@ -580,7 +606,7 @@ impl DeltaGraph {
 /// leaf-eventlist forward or backward.
 fn apply_payload(
     payloads: &PayloadStore,
-    graph: &mut Snapshot,
+    graph: &mut ColumnGraph,
     payload: EdgePayload,
     opts: &AttrOptions,
     lists: &mut EventLists,
@@ -588,20 +614,21 @@ fn apply_payload(
     match payload {
         EdgePayload::Delta { delta_id } => payloads.apply_delta(delta_id, opts, graph),
         EdgePayload::EventsForward { eventlist_id } => {
-            let events = fetch_eventlist(payloads, lists, eventlist_id, opts)?;
-            apply_events_filtered(graph, events.events(), true, opts)
+            let columns = fetch_eventlist(payloads, lists, eventlist_id, opts)?;
+            apply_events(graph, &decode_events(columns, EventSpan::All)?, true, opts)
         }
         EdgePayload::EventsBackward { eventlist_id } => {
-            let events = fetch_eventlist(payloads, lists, eventlist_id, opts)?;
-            apply_events_filtered(graph, events.events(), false, opts)
+            let columns = fetch_eventlist(payloads, lists, eventlist_id, opts)?;
+            apply_events(graph, &decode_events(columns, EventSpan::All)?, false, opts)
         }
     }
 }
 
-/// Carries the graph of a plan's target leaf to the query time.
+/// Carries the graph of a plan's target leaf to the query time. The leaf
+/// eventlist is decoded only as far as the finish reads it.
 fn apply_finish(
     payloads: &PayloadStore,
-    graph: &mut Snapshot,
+    graph: &mut ColumnGraph,
     finish: &Finish,
     opts: &AttrOptions,
     lists: &mut EventLists,
@@ -609,57 +636,39 @@ fn apply_finish(
     match finish {
         Finish::Done => Ok(()),
         Finish::Forward { eventlist_id, t } => {
-            let events = fetch_eventlist(payloads, lists, *eventlist_id, opts)?;
-            apply_events_filtered(graph, events.prefix_at(*t), true, opts)
+            let columns = fetch_eventlist(payloads, lists, *eventlist_id, opts)?;
+            apply_events(
+                graph,
+                &decode_events(columns, EventSpan::Until(*t))?,
+                true,
+                opts,
+            )
         }
         Finish::Backward { eventlist_id, t } => {
-            let events = fetch_eventlist(payloads, lists, *eventlist_id, opts)?;
-            apply_events_filtered(graph, events.suffix_after(*t), false, opts)
+            let columns = fetch_eventlist(payloads, lists, *eventlist_id, opts)?;
+            apply_events(
+                graph,
+                &decode_events(columns, EventSpan::After(*t))?,
+                false,
+                opts,
+            )
         }
-        Finish::Recent(events) => apply_events_filtered(graph, events, true, opts),
+        Finish::Recent(events) => apply_events(graph, events, true, opts),
     }
 }
 
-/// The leaf-eventlist stored under `eventlist_id`, fetched on first use and
-/// borrowed from `lists` after that.
+/// The columns of the leaf-eventlist stored under `eventlist_id`, fetched
+/// on first use and borrowed from `lists` after that.
 fn fetch_eventlist<'a>(
     payloads: &PayloadStore,
     lists: &'a mut EventLists,
     eventlist_id: u64,
     opts: &AttrOptions,
-) -> DgResult<&'a EventList> {
+) -> DgResult<&'a [Vec<u8>]> {
     Ok(match lists.entry(eventlist_id) {
         Entry::Occupied(hit) => hit.into_mut(),
-        Entry::Vacant(slot) => slot.insert(payloads.read_eventlist(eventlist_id, opts, false)?),
+        Entry::Vacant(slot) => slot.insert(payloads.eventlist_columns(eventlist_id, opts)?),
     })
-}
-
-/// Applies `events` to `graph`, forward or backward, skipping transient
-/// events and attribute events whose attribute is not selected by `opts`.
-fn apply_events_filtered(
-    graph: &mut Snapshot,
-    events: &[Event],
-    forward: bool,
-    opts: &AttrOptions,
-) -> DgResult<()> {
-    let wanted = |ev: &Event| -> bool {
-        match &ev.kind {
-            EventKind::SetNodeAttr { key, .. } => opts.wants_node_attr(key),
-            EventKind::SetEdgeAttr { key, .. } => opts.wants_edge_attr(key),
-            EventKind::TransientEdge { .. } | EventKind::TransientNode { .. } => false,
-            _ => true,
-        }
-    };
-    if forward {
-        for ev in events.iter().filter(|e| wanted(e)) {
-            graph.apply_forward(ev)?;
-        }
-    } else {
-        for ev in events.iter().rev().filter(|e| wanted(e)) {
-            graph.apply_backward(ev)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -670,6 +679,7 @@ mod tests {
     use datagen::{churn_trace, dblp_like, toy_trace, ChurnConfig, DblpConfig};
     use kvstore::MemStore;
     use std::sync::Arc;
+    use tgraph::EventList;
 
     fn build(
         events: &EventList,
@@ -976,8 +986,14 @@ mod tests {
                 .unwrap();
         }
         assert!(dg.skeleton().leaves().len() > leaves, "no leaf was folded");
-        assert_eq!(inside.execute().unwrap(), ds.snapshot_at(Timestamp(6)));
-        assert_eq!(after.execute().unwrap(), ds.snapshot_at(Timestamp(20)));
+        assert_eq!(
+            inside.execute().unwrap().into_snapshot(),
+            ds.snapshot_at(Timestamp(6))
+        );
+        assert_eq!(
+            after.execute().unwrap().into_snapshot(),
+            ds.snapshot_at(Timestamp(20))
+        );
     }
 
     #[test]

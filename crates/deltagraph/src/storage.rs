@@ -11,10 +11,12 @@ use std::sync::Arc;
 
 use kvstore::{ComponentKind, KeyValueStore, NodePartitioner, StoreKey};
 use tgraph::codec::{visit_assignments, write_varint, Decode, Encode, Reader};
+use tgraph::columns::Assignment;
 use tgraph::delta::AttrAssignment;
 use tgraph::event::EventCategory;
 use tgraph::{
-    AttrOptions, Delta, EdgeId, Event, EventList, NodeId, Snapshot, StructDelta, TgError,
+    AttrOptions, ColumnGraph, Delta, EdgeId, Event, EventList, NodeId, StructDelta, TgError,
+    Timestamp,
 };
 
 use crate::error::DgResult;
@@ -78,36 +80,51 @@ impl PayloadStore {
     /// per-component serialized sizes (summed over partitions), which become
     /// the skeleton edge weights.
     pub fn write_delta(&self, id: u64, delta: &Delta) -> DgResult<ComponentWeights> {
+        let (blocks, weights) = self.delta_blocks(id, delta);
+        self.put_blocks(&blocks)?;
+        Ok(weights)
+    }
+
+    /// What [`PayloadStore::write_delta`] would store for `delta` under
+    /// `id`, without storing it: the blocks and their weights.
+    pub(crate) fn delta_blocks(
+        &self,
+        id: u64,
+        delta: &Delta,
+    ) -> (Vec<(StoreKey, Vec<u8>)>, ComponentWeights) {
         let parts = partition_delta(delta, &self.partitioner);
         let mut weights = ComponentWeights::default();
+        let mut blocks = Vec::new();
         for (partition, part) in parts.iter().enumerate() {
             let partition = partition as u32;
             if !part.structure.is_empty() {
                 let bytes = part.structure.to_bytes();
                 weights.structure += bytes.len();
-                self.store.put(
+                blocks.push((
                     StoreKey::new(partition, id, ComponentKind::Structure),
-                    &bytes,
-                )?;
+                    bytes,
+                ));
             }
             if !part.node_attrs.is_empty() {
                 let bytes = part.node_attrs.to_bytes();
                 weights.node_attr += bytes.len();
-                self.store.put(
-                    StoreKey::new(partition, id, ComponentKind::NodeAttr),
-                    &bytes,
-                )?;
+                blocks.push((StoreKey::new(partition, id, ComponentKind::NodeAttr), bytes));
             }
             if !part.edge_attrs.is_empty() {
                 let bytes = part.edge_attrs.to_bytes();
                 weights.edge_attr += bytes.len();
-                self.store.put(
-                    StoreKey::new(partition, id, ComponentKind::EdgeAttr),
-                    &bytes,
-                )?;
+                blocks.push((StoreKey::new(partition, id, ComponentKind::EdgeAttr), bytes));
             }
         }
-        Ok(weights)
+        (blocks, weights)
+    }
+
+    /// Stores blocks from [`PayloadStore::delta_blocks`].
+    pub(crate) fn put_blocks(&self, blocks: &[(StoreKey, Vec<u8>)]) -> DgResult<()> {
+        for (key, bytes) in blocks {
+            self.store.put(*key, bytes)?;
+        }
+        Ok(())
     }
 
     /// Reads the delta stored under `id`, restricted to the components
@@ -141,53 +158,61 @@ impl PayloadStore {
 
     /// Applies the delta stored under `id` to `graph` as it decodes it:
     /// what [`PayloadStore::read_delta`], dropping the attributes `opts`
-    /// does not select, and then [`Delta::apply_to`] do, without building
-    /// the intermediate [`Delta`]. The structure of every partition is
-    /// applied first, deletions before additions; each attribute column is
-    /// then read with its keys borrowed, filtered by `opts` before anything
-    /// is stored, and a key is copied only when it is new to its element.
+    /// does not select, and then [`Delta::apply_to`] do to a [`tgraph::Snapshot`]
+    /// holding the same graph (see [`ColumnGraph::apply`]), as one linear
+    /// merge per column. Each attribute column is read with its keys
+    /// borrowed and filtered by `opts` before anything is kept; a key is
+    /// copied only when it is new to its element. The runs of several
+    /// partitions are merged into one run per column first.
     ///
-    /// A payload that fails to decode is an error, as it is for
-    /// `read_delta`; `graph` may then hold part of the delta.
-    pub fn apply_delta(&self, id: u64, opts: &AttrOptions, graph: &mut Snapshot) -> DgResult<()> {
+    /// Every run must be sorted with no repeats, as every write path
+    /// stores it ([`Delta::between`] sorts, and [`partition_delta`] keeps
+    /// each partition's order); a payload that is not, or that fails to
+    /// decode, is an error, and `graph` is then unspecified.
+    pub fn apply_delta(
+        &self,
+        id: u64,
+        opts: &AttrOptions,
+        graph: &mut ColumnGraph,
+    ) -> DgResult<()> {
         let keys = self.keys_for(id, &attr_components(opts, false));
         let values = self.fetch(&keys)?;
-        let columns: Vec<(ComponentKind, Vec<u8>)> = keys
-            .iter()
-            .zip(values)
-            .filter_map(|(key, value)| Some((key.component, value?)))
-            .collect();
-
-        let mut structure = StructDelta::default();
-        for (_, bytes) in columns
-            .iter()
-            .filter(|(c, _)| *c == ComponentKind::Structure)
-        {
-            structure.extend(StructDelta::from_bytes(bytes).map_err(tg)?);
-        }
-        structure.apply_to(graph)?;
-
-        for (component, bytes) in &columns {
-            match component {
+        let mut structure: Vec<StructDelta> = Vec::new();
+        let mut node_runs: Vec<Vec<Assignment<'_, NodeId>>> = Vec::new();
+        let mut edge_runs: Vec<Vec<Assignment<'_, EdgeId>>> = Vec::new();
+        for (key, value) in keys.iter().zip(&values) {
+            let Some(bytes) = value else { continue };
+            match key.component {
+                ComponentKind::Structure => {
+                    structure.push(StructDelta::from_bytes(bytes).map_err(tg)?);
+                }
                 ComponentKind::NodeAttr => {
-                    visit_assignments(bytes, |id: NodeId, key, value| {
-                        if opts.wants_node_attr(key) {
-                            graph.assign_node_attr(id, key, value);
-                        }
-                    })
-                    .map_err(tg)?;
+                    node_runs.push(read_run(bytes, |k| opts.wants_node_attr(k))?);
                 }
                 ComponentKind::EdgeAttr => {
-                    visit_assignments(bytes, |id: EdgeId, key, value| {
-                        if opts.wants_edge_attr(key) {
-                            graph.assign_edge_attr(id, key, value);
-                        }
-                    })
-                    .map_err(tg)?;
+                    edge_runs.push(read_run(bytes, |k| opts.wants_edge_attr(k))?);
                 }
                 _ => {}
             }
         }
+        let structure = structure
+            .into_iter()
+            .reduce(|a, b| StructDelta {
+                add_nodes: merge_runs(a.add_nodes, b.add_nodes, |n| *n),
+                del_nodes: merge_runs(a.del_nodes, b.del_nodes, |n| *n),
+                add_edges: merge_runs(a.add_edges, b.add_edges, |r| r.edge),
+                del_edges: merge_runs(a.del_edges, b.del_edges, |r| r.edge),
+            })
+            .unwrap_or_default();
+        let node_attrs = node_runs
+            .into_iter()
+            .reduce(|a, b| merge_runs(a, b, |a| (a.0, a.1)))
+            .unwrap_or_default();
+        let edge_attrs = edge_runs
+            .into_iter()
+            .reduce(|a, b| merge_runs(a, b, |a| (a.0, a.1)))
+            .unwrap_or_default();
+        graph.apply(&structure, node_attrs, edge_attrs)?;
         Ok(())
     }
 
@@ -251,6 +276,13 @@ impl PayloadStore {
         Ok(EventList::from_events(
             indexed.into_iter().map(|(_, e)| e).collect(),
         ))
+    }
+
+    /// The stored columns of leaf-eventlist `id` that a retrieval under
+    /// `opts` reads (no transient column), for [`decode_events`].
+    pub(crate) fn eventlist_columns(&self, id: u64, opts: &AttrOptions) -> DgResult<Vec<Vec<u8>>> {
+        let keys = self.keys_for(id, &attr_components(opts, false));
+        Ok(self.fetch(&keys)?.into_iter().flatten().collect())
     }
 
     // ------------------------------------------------------------------
@@ -403,6 +435,82 @@ fn decode_indexed_events(bytes: &[u8]) -> DgResult<Vec<(u64, Event)>> {
     Ok(out)
 }
 
+/// Which events of an eventlist [`decode_events`] returns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum EventSpan {
+    /// Every event.
+    All,
+    /// The events with `time <= t`: each column is decoded up to its
+    /// first later event and no further.
+    Until(Timestamp),
+    /// The events with `time > t`.
+    After(Timestamp),
+}
+
+/// The events of an eventlist's stored columns (see
+/// [`PayloadStore::eventlist_columns`]) within `span`, in their original
+/// order. The columns of one list are written in event order, which is
+/// time order, so `EventSpan::Until` stops reading each column at its
+/// first event past the bound.
+pub(crate) fn decode_events(columns: &[Vec<u8>], span: EventSpan) -> DgResult<Vec<Event>> {
+    let mut indexed: Vec<(u64, Event)> = Vec::new();
+    for bytes in columns {
+        let mut r = Reader::new(bytes);
+        let count = r.read_len().map_err(tg)?;
+        for _ in 0..count {
+            let idx = r.read_varint().map_err(tg)?;
+            let ev = Event::decode(&mut r).map_err(tg)?;
+            match span {
+                EventSpan::Until(t) if ev.time > t => break,
+                EventSpan::After(t) if ev.time <= t => continue,
+                _ => indexed.push((idx, ev)),
+            }
+        }
+    }
+    indexed.sort_unstable_by_key(|(i, _)| *i);
+    Ok(indexed.into_iter().map(|(_, e)| e).collect())
+}
+
+/// One stored attribute column as a run of assignments, keys borrowed from
+/// `bytes`, keeping only the keys `wanted` selects.
+fn read_run<'a, Id: Decode>(
+    bytes: &'a [u8],
+    wanted: impl Fn(&str) -> bool,
+) -> DgResult<Vec<Assignment<'a, Id>>> {
+    // The column's leading count, which decoding checks again.
+    let count = Reader::new(bytes).read_len().map_err(tg)?;
+    let mut run = Vec::with_capacity(count);
+    visit_assignments(bytes, |id, key, value| {
+        if wanted(key) {
+            run.push((id, key, value));
+        }
+    })
+    .map_err(tg)?;
+    Ok(run)
+}
+
+/// Merges two runs sorted by `key` into one sorted run. Order is not
+/// checked here: an out-of-order input leaves its inversion in the output,
+/// where [`ColumnGraph::apply`] refuses it, and so does a key in both.
+fn merge_runs<T, K: Ord>(a: Vec<T>, b: Vec<T>, key: impl Fn(&T) -> K) -> Vec<T> {
+    if a.is_empty() {
+        return b;
+    }
+    if b.is_empty() {
+        return a;
+    }
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut b = b.into_iter().peekable();
+    for x in a {
+        while let Some(y) = b.next_if(|y| key(y) <= key(&x)) {
+            out.push(y);
+        }
+        out.push(x);
+    }
+    out.extend(b);
+    out
+}
+
 /// Splits a delta into one sub-delta per partition: nodes (and their
 /// attributes) go to `h(node)`, edges to `h(min(src, dst))`, edge attributes
 /// to `h(edge id)` (edge-attribute assignments do not carry endpoints).
@@ -453,11 +561,11 @@ pub fn partition_delta(delta: &Delta, partitioner: &NodePartitioner) -> Vec<Delt
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use kvstore::MemStore;
     use proptest::prelude::*;
-    use tgraph::AttrValue;
+    use tgraph::{AttrValue, Snapshot};
 
     fn payload_store(partitions: u32, threads: usize) -> PayloadStore {
         PayloadStore::new(
@@ -604,10 +712,10 @@ mod tests {
     }
 
     /// A splitmix64 stream, for the random graphs below.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn below(&mut self, n: u64) -> u64 {
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
             self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -615,7 +723,7 @@ mod tests {
             (z ^ (z >> 31)) % n
         }
 
-        fn value(&mut self) -> AttrValue {
+        pub(crate) fn value(&mut self) -> AttrValue {
             match self.below(3) {
                 0 => AttrValue::Int(self.below(4) as i64),
                 1 => AttrValue::from(["x", "yy", "zzz"][self.below(3) as usize]),
@@ -624,11 +732,11 @@ mod tests {
         }
     }
 
-    const NODE_KEYS: [&str; 4] = ["a", "b", "name", "c"];
-    const EDGE_KEYS: [&str; 3] = ["w", "label", "v"];
+    pub(crate) const NODE_KEYS: [&str; 4] = ["a", "b", "name", "c"];
+    pub(crate) const EDGE_KEYS: [&str; 3] = ["w", "label", "v"];
 
     /// A random graph over nodes 0..24 with random attributes.
-    fn random_graph(rng: &mut Rng) -> Snapshot {
+    pub(crate) fn random_graph(rng: &mut Rng) -> Snapshot {
         let mut g = Snapshot::new();
         for n in 0..24 {
             if rng.below(4) > 0 {
@@ -646,7 +754,7 @@ mod tests {
     }
 
     /// Sets, changes and removes attributes of every element at random.
-    fn randomize_attrs(g: &mut Snapshot, rng: &mut Rng) {
+    pub(crate) fn randomize_attrs(g: &mut Snapshot, rng: &mut Rng) {
         for n in g.node_ids().collect::<Vec<_>>() {
             for key in NODE_KEYS {
                 match rng.below(3) {
@@ -695,7 +803,7 @@ mod tests {
     }
 
     /// Every selection the equivalence is checked under.
-    fn selections() -> Vec<AttrOptions> {
+    pub(crate) fn selections() -> Vec<AttrOptions> {
         vec![
             AttrOptions::all(),
             AttrOptions::structure_only(),
@@ -720,16 +828,16 @@ mod tests {
         Ok(graph)
     }
 
-    /// `apply_delta` over a copy of `base`.
+    /// `apply_delta` over the columns of `base`.
     fn apply_onto(
         ps: &PayloadStore,
         id: u64,
         opts: &AttrOptions,
         base: &Snapshot,
     ) -> DgResult<Snapshot> {
-        let mut graph = base.clone();
+        let mut graph = ColumnGraph::from_snapshot(base);
         ps.apply_delta(id, opts, &mut graph)?;
-        Ok(graph)
+        Ok(graph.into_snapshot())
     }
 
     #[test]
@@ -750,6 +858,91 @@ mod tests {
         }
     }
 
+    /// Whether `e` is one of [`ColumnGraph::apply`]'s refusals of a
+    /// payload that decodes: a run out of order or repeated, an edge added
+    /// without its endpoints, or an edge outliving an endpoint.
+    fn is_merge_refusal(e: &crate::error::DgError) -> bool {
+        let msg = e.to_string();
+        [
+            "out of order or repeated",
+            "not both nodes of the graph",
+            "replay contract",
+        ]
+        .iter()
+        .any(|m| msg.contains(m))
+    }
+
+    #[test]
+    fn runs_out_of_order_or_repeated_are_refused() {
+        let (from, delta) = random_delta(11);
+        let base = ColumnGraph::from_snapshot(&from);
+        let key = |c| StoreKey::new(0, 1, c);
+        // Each column of the delta, corrupted so that it still decodes.
+        type Corrupt = fn(&mut Delta);
+        let cases: [(&str, Corrupt); 6] = [
+            ("added nodes swapped", |d| d.structure.add_nodes.swap(0, 1)),
+            ("added node repeated", |d| {
+                let n = d.structure.add_nodes[0];
+                d.structure.add_nodes.insert(0, n)
+            }),
+            ("deleted edges swapped", |d| {
+                d.structure.del_edges.swap(0, 1)
+            }),
+            ("added edge repeated", |d| {
+                let r = d.structure.add_edges[0];
+                d.structure.add_edges.insert(0, r)
+            }),
+            ("node attributes swapped", |d| d.node_attrs.swap(0, 1)),
+            ("edge attribute repeated", |d| {
+                let a = d.edge_attrs[0].clone();
+                d.edge_attrs.insert(0, a)
+            }),
+        ];
+        for (what, corrupt) in cases {
+            let mut bad = delta.clone();
+            corrupt(&mut bad);
+            let ps = payload_store(1, 1);
+            ps.write_delta(1, &delta).unwrap();
+            // Overwrite the stored columns with the corrupted ones.
+            ps.backing_store()
+                .put(key(ComponentKind::Structure), &bad.structure.to_bytes())
+                .unwrap();
+            ps.backing_store()
+                .put(key(ComponentKind::NodeAttr), &bad.node_attrs.to_bytes())
+                .unwrap();
+            ps.backing_store()
+                .put(key(ComponentKind::EdgeAttr), &bad.edge_attrs.to_bytes())
+                .unwrap();
+            let err = ps
+                .apply_delta(1, &AttrOptions::all(), &mut base.clone())
+                .expect_err(what);
+            assert!(
+                err.to_string().contains("out of order or repeated"),
+                "{what}: {err}"
+            );
+        }
+        // Two partitions that both hold one id are refused the same way.
+        let ps = payload_store(2, 1);
+        ps.write_delta(1, &delta).unwrap();
+        let mut twice = Delta::new();
+        twice.structure.add_nodes = vec![NodeId(900)];
+        for p in 0..2 {
+            ps.backing_store()
+                .put(
+                    StoreKey::new(p, 2, ComponentKind::Structure),
+                    &twice.structure.to_bytes(),
+                )
+                .unwrap();
+        }
+        let err = ps
+            .apply_delta(2, &AttrOptions::all(), &mut base.clone())
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("out of order or repeated"),
+            "{err}"
+        );
+    }
+
     proptest! {
         #[test]
         fn apply_delta_equals_read_filter_apply(seed in any::<u64>()) {
@@ -760,7 +953,17 @@ mod tests {
                 for opts in selections() {
                     let base = from.project_attrs(&opts);
                     let want = read_filter_apply(&ps, 1, &opts, &base).unwrap();
-                    let got = apply_onto(&ps, 1, &opts, &base).unwrap();
+                    let mut columns = ColumnGraph::from_snapshot(&base);
+                    ps.apply_delta(1, &opts, &mut columns).unwrap();
+                    // The columns encode, unsorted-free, to the reference's bytes.
+                    assert_eq!(columns.to_bytes(), want.to_bytes(), "seed={seed} {opts:?}");
+                    // Neighbors read off the columns are the snapshot's.
+                    for n in want.node_ids() {
+                        let mut adjacent = want.neighbors(n).to_vec();
+                        adjacent.sort_unstable();
+                        assert_eq!(columns.neighbors(n), adjacent, "seed={seed} node {n}");
+                    }
+                    let got = columns.into_snapshot();
                     assert_eq!(got, want, "seed={seed} partitions={partitions} opts={opts:?}");
                 }
             }
@@ -800,6 +1003,9 @@ mod tests {
                     match (got, want) {
                         (Ok(got), Ok(want)) => assert_eq!(got, want, "seed={seed} edit={edit}"),
                         (Err(_), Err(_)) => {}
+                        // The merge refuses runs the order-blind reference
+                        // takes: out of order, repeated, or breaking §3.1.
+                        (Err(e), Ok(_)) if is_merge_refusal(&e) => {}
                         (got, want) => panic!(
                             "seed={seed} edit={edit} {opts:?}: apply_delta {:?}, reference {:?}",
                             got.map(|_| ()),

@@ -366,6 +366,12 @@ impl AppendSpec {
 /// Quotes a key or attribute name for the canonical text form.
 pub(crate) fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
+    out
+}
+
+/// Appends `s` quoted and escaped, as [`quote`] renders it.
+pub(crate) fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -377,16 +383,43 @@ pub(crate) fn quote(s: &str) -> String {
         }
     }
     out.push('"');
-    out
+}
+
+/// Appends `v` in decimal, as `{v}` formats it.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Renders an [`AttrValue`] literal in query syntax.
 pub(crate) fn fmt_value(v: &AttrValue) -> String {
+    let mut out = String::new();
+    push_value(&mut out, v);
+    out
+}
+
+/// Appends an [`AttrValue`] literal, as [`fmt_value`] renders it.
+pub(crate) fn push_value(out: &mut String, v: &AttrValue) {
+    use std::fmt::Write;
     match v {
-        AttrValue::Str(s) => quote(s),
-        AttrValue::Int(i) => i.to_string(),
-        AttrValue::Float(x) => format!("{x:?}"),
-        AttrValue::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
+        AttrValue::Str(s) => push_quoted(out, s),
+        AttrValue::Int(i) => {
+            if *i < 0 {
+                out.push('-');
+            }
+            push_u64(out, i.unsigned_abs());
+        }
+        AttrValue::Float(x) => write!(out, "{x:?}").expect("writing to a String"),
+        AttrValue::Bool(b) => out.push_str(if *b { "TRUE" } else { "FALSE" }),
     }
 }
 

@@ -22,14 +22,16 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use historygraph::{ShardedGraphManager, ShardedSession, SharedGraphManager, WireFormat};
-use tgraph::{AttrOptions, NodeId, TimeExpression, Timestamp};
+use tgraph::{AttrOptions, ColumnGraph, NodeId, TimeExpression, Timestamp};
 
 use crate::ast::Query;
 use crate::error::{QlError, QlResult};
 use crate::flight::{FlightResult, FlightStats, FlightTable, Joined};
 use crate::obs::{metrics_report, MetricsHub, VerbKind};
 use crate::parser::parse;
-use crate::wire::{frame_error, HistorySample, Response, ServerCounters, SlowQueryInfo};
+use crate::wire::{
+    frame_columns, frame_error, HistorySample, Response, ServerCounters, SlowQueryInfo,
+};
 
 /// Upper bound on `HISTORY NODE` samples per query, so a tiny `STEP` over a
 /// huge range cannot run the server out of memory.
@@ -52,6 +54,27 @@ impl AsRef<[u8]> for Reply {
             Reply::Owned(b) => b,
         }
     }
+}
+
+/// What an [`Executor::execute_framed`] call rendered its reply from,
+/// kept until the caller takes it ([`Executor::take_rendered`]) or the
+/// next call replaces it.
+#[derive(Debug)]
+pub enum Rendered {
+    /// A response, rendered through [`Response::to_frame`].
+    Response(Response),
+    /// The sorted columns of a point the snapshot cache did not admit,
+    /// rendered through [`frame_columns`].
+    Columns(ColumnGraph),
+}
+
+/// Node `n`'s attributes in `graph`, sorted by name.
+fn column_attrs(graph: &ColumnGraph, n: NodeId) -> Vec<(String, tgraph::AttrValue)> {
+    graph
+        .node_attrs(n)
+        .iter()
+        .map(|(_, k, v)| (k.to_string(), v.clone()))
+        .collect()
 }
 
 /// Live serving-core counters, shared between a server's reactor, its
@@ -113,10 +136,10 @@ pub struct Executor {
     /// Queue wait measured by the serving core for the next request,
     /// consumed by the next [`Executor::execute_framed`] call.
     pending_queue_us: u64,
-    /// The response the last [`Executor::execute_framed`] call rendered,
-    /// kept so the caller can free it after the reply is on its way (see
-    /// [`Executor::take_rendered`]); the next call replaces it.
-    rendered: Option<Response>,
+    /// What the last [`Executor::execute_framed`] call rendered its reply
+    /// from, kept so the caller can free it after the reply is on its way
+    /// (see [`Executor::take_rendered`]); the next call replaces it.
+    rendered: Option<Rendered>,
 }
 
 impl Executor {
@@ -173,18 +196,19 @@ impl Executor {
     }
 
     /// Pool handles this executor's session currently tracks, across every
-    /// shard it touched (in shard order).
-    pub fn session_handles(&self) -> Vec<graphpool::GraphId> {
+    /// shard it touched (in shard order): one entry per overlay, with how
+    /// many references the session holds to it.
+    pub fn session_handles(&self) -> Vec<(graphpool::GraphId, usize)> {
         self.session.handles()
     }
 
-    /// Takes the response the last [`Executor::execute_framed`] call
-    /// rendered its reply from, if it rendered one. A cold point's response
-    /// owns the whole snapshot, and freeing that takes a noticeable share
-    /// of the request; a server takes it here and drops it after the reply
-    /// is queued, off the request's critical path. Left alone, it is freed
-    /// by the next call.
-    pub fn take_rendered(&mut self) -> Option<Response> {
+    /// Takes what the last [`Executor::execute_framed`] call rendered its
+    /// reply from, if it rendered one. A cold point's columns (or response)
+    /// own the whole graph, and freeing that takes a noticeable share of
+    /// the request; a server takes it here and drops it after the reply is
+    /// queued, off the request's critical path. Left alone, it is freed by
+    /// the next call.
+    pub fn take_rendered(&mut self) -> Option<Rendered> {
         self.rendered.take()
     }
 
@@ -233,7 +257,7 @@ impl Executor {
         } else {
             self.execute(&query).map(|resp| {
                 let bytes = resp.to_frame(self.protocol);
-                self.rendered = Some(resp);
+                self.rendered = Some(Rendered::Response(resp));
                 Reply::Owned(bytes)
             })
         };
@@ -334,8 +358,10 @@ impl Executor {
     /// Point render: snapshot-cache retrieval on the owning shard
     /// (preserving overlay refcounts), then that *same* shard's
     /// response-cache probe, then render + insert. A point the snapshot
-    /// cache did not admit is rendered and nothing else: no response-cache
-    /// probe or insert, so a one-off point takes no second write lock.
+    /// cache did not admit is rendered and nothing else: straight from the
+    /// sorted columns its retrieval built, with no snapshot and no sort, and
+    /// no response-cache probe or insert, so a one-off point takes no second
+    /// write lock.
     /// Returns the framed bytes plus the shard and append epoch they were
     /// computed under, so a single-flight leader can publish them for
     /// validation by followers.
@@ -357,12 +383,17 @@ impl Executor {
                 return Ok((shared, epoch, bytes));
             }
         }
+        if let Some(columns) = point.columns {
+            let bytes: Arc<[u8]> = frame_columns(t, &columns, self.protocol).into();
+            self.rendered = Some(Rendered::Columns(columns));
+            return Ok((shared, epoch, bytes));
+        }
         let resp = Response::Graph {
             t,
             graph: point.into_snapshot(&shared),
         };
         let bytes: Arc<[u8]> = resp.to_frame(self.protocol).into();
-        self.rendered = Some(resp);
+        self.rendered = Some(Rendered::Response(resp));
         if admitted {
             // Declined (not cached) if an append raced the retrieval — the
             // reply is still correct for this request, just not reusable.
@@ -478,23 +509,32 @@ impl Executor {
                 // A cached full snapshot at `t` on the owning shard answers
                 // the entity query without touching the index (read-only
                 // peek: no overlay reference changes hands).
+                // Otherwise the node is read off the retrieved columns.
                 let opts = AttrOptions::all();
-                let snap = match self.router.peek_cached(*t, &opts) {
-                    Some(cached) => cached,
-                    None => std::sync::Arc::new(self.router.snapshot_at(*t, &opts)?),
+                let (present, attrs, neighbors) = match self.router.peek_cached(*t, &opts) {
+                    Some(snap) => {
+                        let attrs = snap
+                            .node(node)
+                            .map(|d| {
+                                d.attrs
+                                    .iter()
+                                    .map(|(k, v)| (k.clone(), v.clone()))
+                                    .collect()
+                            })
+                            .unwrap_or_default();
+                        let mut neighbors: Vec<_> = snap.neighbors(node).to_vec();
+                        neighbors.sort_unstable();
+                        (snap.has_node(node), attrs, neighbors)
+                    }
+                    None => {
+                        let graph = self.router.graph_at(*t, &opts)?;
+                        (
+                            graph.has_node(node),
+                            column_attrs(&graph, node),
+                            graph.neighbors(node),
+                        )
+                    }
                 };
-                let present = snap.has_node(node);
-                let attrs = snap
-                    .node(node)
-                    .map(|d| {
-                        d.attrs
-                            .iter()
-                            .map(|(k, v)| (k.clone(), v.clone()))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let mut neighbors: Vec<_> = snap.neighbors(node).to_vec();
-                neighbors.sort_unstable();
                 Ok(Response::Node {
                     key: key.clone(),
                     node,
@@ -534,23 +574,16 @@ impl Executor {
                 // Multipoint retrieval: within each owning shard the
                 // Steiner planner shares deltas across the samples, and
                 // distinct shards compute in parallel.
-                let snaps = self.router.snapshots_at(&times, &AttrOptions::all())?;
+                // Each sample reads one node off its graph's columns.
+                let graphs = self.router.graphs_at(&times, &AttrOptions::all())?;
                 let samples = times
                     .iter()
-                    .zip(&snaps)
-                    .map(|(&t, snap)| HistorySample {
+                    .zip(&graphs)
+                    .map(|(&t, graph)| HistorySample {
                         t,
-                        present: snap.has_node(node),
-                        degree: snap.degree(node),
-                        attrs: snap
-                            .node(node)
-                            .map(|d| {
-                                d.attrs
-                                    .iter()
-                                    .map(|(k, v)| (k.clone(), v.clone()))
-                                    .collect()
-                            })
-                            .unwrap_or_default(),
+                        present: graph.has_node(node),
+                        degree: graph.neighbors(node).len(),
+                        attrs: column_attrs(graph, node),
                     })
                     .collect();
                 Ok(Response::History {
@@ -898,6 +931,23 @@ mod tests {
     }
 
     #[test]
+    fn repeated_hits_hold_one_counted_entry_and_release_every_reference() {
+        let (mut exec, router) = full_executor(8, 8);
+        let shared = router.shard_at(0).unwrap();
+        // The first reference holds nothing; the next 10,000 hold the overlay.
+        for _ in 0..=10_000 {
+            exec.execute_framed("GET GRAPH AT 6");
+        }
+        let held = exec.session_handles();
+        assert_eq!(held.len(), 1, "one entry per overlay");
+        assert_eq!(held[0].1, 10_000);
+        assert_eq!(shared.read().pool().refcount(held[0].0), Some(10_001));
+        assert_eq!(run(&mut exec, "RELEASE ALL"), "OK RELEASED 10000");
+        assert!(exec.session_handles().is_empty());
+        assert_eq!(shared.read().pool().refcount(held[0].0), Some(1));
+    }
+
+    #[test]
     fn release_all_clears_overlays() {
         let (mut exec, router) = cached_executor(8);
         let shared = router.shard_at(0).unwrap();
@@ -953,8 +1003,9 @@ mod tests {
         assert_eq!(first, b);
         // one shared overlay: cache ref + one per executor session
         assert_eq!(shared.read().pool().active_overlay_count(), 1);
-        let id = exec.session_handles()[0];
-        assert_eq!(other.session_handles(), &[id]);
+        let id = exec.session_handles()[0].0;
+        assert_eq!(exec.session_handles(), [(id, 1)]);
+        assert_eq!(other.session_handles(), [(id, 1)]);
         assert_eq!(shared.read().pool().refcount(id), Some(3));
 
         let cache = run(&mut exec, "STATS CACHE");
@@ -1053,20 +1104,40 @@ mod tests {
     #[test]
     fn the_rendered_response_is_kept_for_the_caller_until_the_next_call() {
         let (mut exec, _router) = full_executor(8, 8);
+        // A first reference is rendered from its columns, and keeps them.
         let reply = exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
-        let Some(Response::Graph { t, graph }) = exec.take_rendered() else {
-            panic!("a rendered point keeps its response");
+        let Some(Rendered::Columns(columns)) = exec.take_rendered() else {
+            panic!("a first reference keeps the columns it rendered from");
         };
-        assert_eq!(t, Timestamp(6));
-        let again = Response::Graph { t, graph }.to_frame(exec.protocol());
-        assert_eq!(reply.as_ref(), &again[..], "the reply was rendered from it");
+        let again = frame_columns(Timestamp(6), &columns, exec.protocol());
+        assert_eq!(
+            reply.as_ref(),
+            &again[..],
+            "the reply was rendered from them"
+        );
+        let graph = Arc::new(columns.into_snapshot());
+        let as_response = Response::Graph {
+            t: Timestamp(6),
+            graph: Arc::clone(&graph),
+        };
+        assert_eq!(reply.as_ref(), &as_response.to_frame(exec.protocol())[..]);
         assert!(exec.take_rendered().is_none(), "taken once");
+        // The admitted second reference renders a response and keeps it.
+        let reply = exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
+        let Some(Rendered::Response(Response::Graph { t, graph: kept })) = exec.take_rendered()
+        else {
+            panic!("an admitted point keeps its response");
+        };
+        assert_eq!((t, &kept), (Timestamp(6), &graph));
+        assert_eq!(reply.as_ref(), &as_response.to_frame(exec.protocol())[..]);
         // Other verbs keep theirs too, and the next call replaces it.
         exec.execute_framed("PING");
         exec.execute_framed("STATS");
-        assert!(matches!(exec.take_rendered(), Some(Response::Stats { .. })));
+        assert!(matches!(
+            exec.take_rendered(),
+            Some(Rendered::Response(Response::Stats { .. }))
+        ));
         // A reply served from cached bytes renders nothing to keep.
-        exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
         exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
         assert!(exec.take_rendered().is_none());
         // A failed query renders no response either.
@@ -1090,8 +1161,10 @@ mod tests {
         let rc = shared.read().response_cache_stats();
         assert_eq!((rc.hits, rc.misses, rc.insertions), (1, 1, 1));
         assert_eq!(rc.bytes, first.as_ref().len() as u64);
-        // The byte-cache hit still took a snapshot-cache overlay reference.
-        assert_eq!(exec.session_handles().len(), 2);
+        // The byte-cache hit still took a snapshot-cache overlay reference:
+        // two references to one overlay.
+        let held = exec.session_handles();
+        assert_eq!((held.len(), held[0].1), (1, 2));
         // A different protocol renders (and caches) separately.
         exec.execute_line("PROTOCOL BINARY").unwrap();
         let binary = exec.execute_framed("GET GRAPH AT 6 WITH +node:all");
@@ -1164,7 +1237,7 @@ mod tests {
         let stats = shared.read().cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 3));
         // Both sessions hold the same t=6 overlay.
-        assert_eq!(exec.session_handles()[0], other.session_handles()[0]);
+        assert_eq!(exec.session_handles()[0].0, other.session_handles()[0].0);
         // And the result matches the uncached multipoint path.
         let (mut plain, _) = executor();
         assert_eq!(run(&mut plain, "GET GRAPHS AT 6, 9"), a);

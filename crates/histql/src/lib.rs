@@ -80,7 +80,7 @@ pub mod wire;
 
 pub use ast::{AppendSpec, Query, TimeExpr};
 pub use error::{QlError, QlResult};
-pub use exec::{Executor, Reply, ServerStats, MAX_HISTORY_SAMPLES};
+pub use exec::{Executor, Rendered, Reply, ServerStats, MAX_HISTORY_SAMPLES};
 pub use flight::{FlightStats, FlightTable};
 pub use historygraph::WireFormat;
 pub use obs::{metrics_report, MetricsHub, VerbKind};

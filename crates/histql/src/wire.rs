@@ -19,9 +19,11 @@ use std::sync::Arc;
 
 use historygraph::{CacheOverview, HealthInfo, ShardInfo, StorageInfo, WireFormat};
 use tgraph::codec::{write_varint, Decode, Encode, Reader};
-use tgraph::{AttrValue, Event, EventKind, NodeId, Snapshot, TgError, Timestamp};
+use tgraph::{
+    AttrValue, ColumnGraph, EdgeRecord, Event, EventKind, NodeId, Snapshot, TgError, Timestamp,
+};
 
-use crate::ast::{fmt_value, format_keyword, quote};
+use crate::ast::{fmt_value, format_keyword, push_quoted, push_u64, push_value, quote};
 
 /// The result of executing one [`crate::Query`].
 #[derive(Clone, Debug)]
@@ -710,6 +712,12 @@ impl Response {
     pub fn to_frame(&self, format: WireFormat) -> Vec<u8> {
         match format {
             WireFormat::Text => {
+                if let Response::Graph { t, graph } = self {
+                    let mut out = graph_header(*t, graph.node_count(), graph.edge_count());
+                    write_snapshot_body(&mut out, graph);
+                    out.push_str("END\n");
+                    return out.into_bytes();
+                }
                 let mut out = Vec::new();
                 for line in self.to_lines() {
                     out.extend_from_slice(line.as_bytes());
@@ -1150,44 +1158,130 @@ impl Decode for Response {
 /// otherwise — so names containing spaces, `=`, or control characters (which
 /// would break the line framing) always round-trip safely.
 fn fmt_attr_name(name: &str) -> String {
+    let mut out = String::new();
+    push_attr_name(&mut out, name);
+    out
+}
+
+/// Appends an attribute name, as [`fmt_attr_name`] renders it.
+fn push_attr_name(out: &mut String, name: &str) {
     let plain = !name.is_empty()
         && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.' | ':'));
+            .bytes()
+            .all(|c| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':'));
     if plain {
-        name.to_string()
+        out.push_str(name);
     } else {
-        quote(name)
+        push_quoted(out, name);
     }
 }
 
 /// Appends the `N`/`E` lines of a graph: nodes then edges, sorted by id,
 /// attributes sorted by name (attribute maps are ordered already).
 fn push_graph_body(out: &mut Vec<String>, graph: &Snapshot) {
+    let mut body = String::new();
+    write_snapshot_body(&mut body, graph);
+    // Every line ends in '\n', and no line holds one (values are escaped).
+    out.extend(body.split_terminator('\n').map(str::to_owned));
+}
+
+/// Writes the `N`/`E` lines of `graph`, each ended by a newline, sorting
+/// its ids first.
+fn write_snapshot_body(out: &mut String, graph: &Snapshot) {
     let mut nodes: Vec<_> = graph.nodes().collect();
     nodes.sort_unstable_by_key(|(id, _)| *id);
-    for (id, data) in nodes {
-        let mut line = format!("N {}", id.raw());
-        for (name, value) in &data.attrs {
-            line.push_str(&format!(" {}={}", fmt_attr_name(name), fmt_value(value)));
-        }
-        out.push(line);
-    }
     let mut edges: Vec<_> = graph.edges().collect();
     edges.sort_unstable_by_key(|(id, _)| *id);
-    for (id, data) in edges {
-        let mut line = format!(
-            "E {} {} {} {}",
-            id.raw(),
-            data.src.raw(),
-            data.dst.raw(),
-            if data.directed { "d" } else { "u" }
-        );
-        for (name, value) in &data.attrs {
-            line.push_str(&format!(" {}={}", fmt_attr_name(name), fmt_value(value)));
-        }
-        out.push(line);
+    write_graph_body(
+        out,
+        nodes
+            .into_iter()
+            .map(|(id, d)| (id, d.attrs.iter().map(|(k, v)| (k.as_str(), v)))),
+        edges.into_iter().map(|(id, d)| {
+            (
+                EdgeRecord {
+                    edge: id,
+                    src: d.src,
+                    dst: d.dst,
+                    directed: d.directed,
+                },
+                d.attrs.iter().map(|(k, v)| (k.as_str(), v)),
+            )
+        }),
+    );
+}
+
+/// Writes the `N`/`E` lines of a graph given in id order, each ended by a
+/// newline: the one text renderer behind [`Response::to_frame`] and
+/// [`frame_columns`].
+fn write_graph_body<'a, NA, EA>(
+    out: &mut String,
+    nodes: impl Iterator<Item = (NodeId, NA)>,
+    edges: impl Iterator<Item = (EdgeRecord, EA)>,
+) where
+    NA: Iterator<Item = (&'a str, &'a AttrValue)>,
+    EA: Iterator<Item = (&'a str, &'a AttrValue)>,
+{
+    for (id, attrs) in nodes {
+        out.push_str("N ");
+        push_u64(out, id.raw());
+        write_attrs(out, attrs);
     }
+    for (r, attrs) in edges {
+        out.push_str("E ");
+        push_u64(out, r.edge.raw());
+        out.push(' ');
+        push_u64(out, r.src.raw());
+        out.push(' ');
+        push_u64(out, r.dst.raw());
+        out.push_str(if r.directed { " d" } else { " u" });
+        write_attrs(out, attrs);
+    }
+}
+
+/// Writes ` name=value` per attribute, then the newline ending the line.
+fn write_attrs<'a>(out: &mut String, attrs: impl Iterator<Item = (&'a str, &'a AttrValue)>) {
+    for (name, value) in attrs {
+        out.push(' ');
+        push_attr_name(out, name);
+        out.push('=');
+        push_value(out, value);
+    }
+    out.push('\n');
+}
+
+/// The full reply to `GET GRAPH AT t` for a graph held as sorted columns,
+/// rendered straight from them: the same bytes as
+/// `Response::Graph { t, graph }.to_frame(format)` for the same graph,
+/// with no sort and no [`Snapshot`].
+pub fn frame_columns(t: Timestamp, graph: &ColumnGraph, format: WireFormat) -> Vec<u8> {
+    match format {
+        WireFormat::Text => {
+            let mut out = graph_header(t, graph.node_count(), graph.edge_count());
+            write_graph_body(
+                &mut out,
+                graph
+                    .node_rows()
+                    .map(|(id, rows)| (id, rows.iter().map(|(_, k, v)| (&**k, v)))),
+                graph
+                    .edge_rows()
+                    .map(|(r, rows)| (*r, rows.iter().map(|(_, k, v)| (&**k, v)))),
+            );
+            out.push_str("END\n");
+            out.into_bytes()
+        }
+        WireFormat::Binary => frame_bytes(MAX_FRAME_BYTES, |buf| {
+            // The envelope's success tag, then `Response::Graph`'s.
+            buf.extend_from_slice(&[0, 0]);
+            t.encode(buf);
+            graph.encode(buf);
+        }),
+    }
+}
+
+/// The first line of a `GET GRAPH AT` reply, newline included.
+fn graph_header(t: Timestamp, nodes: usize, edges: usize) -> String {
+    format!("OK GRAPH t={} nodes={nodes} edges={edges}\n", t.raw())
 }
 
 /// Renders one event (used for interval transients).
@@ -1699,6 +1793,48 @@ mod tests {
         assert!(Frame::from_payload(&[]).is_err());
     }
 
+    #[test]
+    fn column_replies_render_every_value_and_name_like_snapshot_replies() {
+        let mut s = Snapshot::new();
+        s.add_edge(EdgeId(7), NodeId(2), NodeId(1), true).unwrap();
+        s.add_edge(EdgeId(3), NodeId(1), NodeId(1), false).unwrap();
+        s.ensure_node(NodeId(40));
+        let values = [
+            AttrValue::from("plain"),
+            AttrValue::from("quote \" back\\ line\n tab\t"),
+            AttrValue::Int(-42),
+            AttrValue::Int(i64::MIN),
+            AttrValue::Float(-0.5),
+            AttrValue::Float(f64::NAN),
+            AttrValue::Bool(true),
+        ];
+        for (i, v) in values.iter().enumerate() {
+            let name = ["a", "two words", "x.y:z-1", "", "é", "n_", "Z"][i];
+            s.set_node_attr(NodeId(1), name, Some(v.clone())).unwrap();
+            s.set_edge_attr(EdgeId(7), name, Some(v.clone())).unwrap();
+        }
+        let columns = ColumnGraph::from_snapshot(&s);
+        for format in [WireFormat::Text, WireFormat::Binary] {
+            let reference = Response::Graph {
+                t: Timestamp(-3),
+                graph: Arc::new(s.clone()),
+            };
+            assert_eq!(
+                frame_columns(Timestamp(-3), &columns, format),
+                reference.to_frame(format),
+                "{format:?}"
+            );
+        }
+        // The text form is still the line-by-line one.
+        let reference = Response::Graph {
+            t: Timestamp(-3),
+            graph: Arc::new(s),
+        };
+        let mut lines = reference.to_lines().join("\n");
+        lines.push_str("\nEND\n");
+        assert_eq!(lines.as_bytes(), &reference.to_frame(WireFormat::Text)[..]);
+    }
+
     proptest! {
         #[test]
         fn prop_graph_responses_roundtrip_in_binary(
@@ -1722,6 +1858,41 @@ mod tests {
                 t: Timestamp(t),
                 graph: Arc::new(s),
             });
+        }
+
+        #[test]
+        fn prop_column_replies_equal_snapshot_replies(seed in 0u64..1000, pick in any::<u64>()) {
+            // A retrieval's columns, rendered straight, give the bytes of
+            // the reference snapshot (a replay of the trace) through
+            // `Response::to_frame`, in both encodings, under every
+            // partitioning and attribute selection.
+            use historygraph::kvstore::MemStore;
+            let ds = datagen::churn_trace(&datagen::ChurnConfig::tiny(seed));
+            let (start, end) = (ds.start_time().raw(), ds.end_time().raw());
+            let t = Timestamp(start + (pick % (end - start + 1) as u64) as i64);
+            for partitions in [1, 3] {
+                let dg = deltagraph::DeltaGraph::build(
+                    &ds.events,
+                    deltagraph::DeltaGraphConfig::new(60, 2).with_partitions(partitions),
+                    Arc::new(MemStore::new()),
+                )
+                .unwrap();
+                for opts in ["", "+node:all", "+node:attr0", "+node:all+edge:all"] {
+                    let opts = tgraph::AttrOptions::parse(opts).unwrap();
+                    let columns = dg.plan_retrieval(t, &opts).unwrap().execute().unwrap();
+                    let want = ds.snapshot_at(t).project_attrs(&opts);
+                    assert_eq!(columns.clone().into_snapshot(), want, "seed={seed} t={t}");
+                    let graph = Arc::new(want);
+                    for format in [WireFormat::Text, WireFormat::Binary] {
+                        let reference = Response::Graph { t, graph: Arc::clone(&graph) };
+                        assert_eq!(
+                            frame_columns(t, &columns, format),
+                            reference.to_frame(format),
+                            "seed={seed} t={t} {format:?}"
+                        );
+                    }
+                }
+            }
         }
 
         #[test]

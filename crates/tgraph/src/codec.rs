@@ -10,6 +10,7 @@
 use bytes::BufMut;
 
 use crate::attr::{AttrMap, AttrValue};
+use crate::columns::{AttrRow, ColumnGraph};
 use crate::delta::{AttrAssignment, Delta, EdgeRecord, StructDelta};
 use crate::error::{Result, TgError};
 use crate::event::{Event, EventKind};
@@ -710,6 +711,32 @@ impl Encode for Snapshot {
             data.directed.encode(buf);
             encode_attr_map(&data.attrs, buf);
         }
+    }
+}
+
+/// The same bytes as [`Snapshot`]'s encoding of the same graph: the
+/// columns are in the order that encoding sorts into.
+impl Encode for ColumnGraph {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        write_varint(buf, self.node_count() as u64);
+        for (id, attrs) in self.node_rows() {
+            id.encode(buf);
+            encode_attr_rows(attrs, buf);
+        }
+        write_varint(buf, self.edge_count() as u64);
+        for (rec, attrs) in self.edge_rows() {
+            rec.encode(buf);
+            encode_attr_rows(attrs, buf);
+        }
+    }
+}
+
+fn encode_attr_rows<Id>(rows: &[AttrRow<Id>], buf: &mut Vec<u8>) {
+    write_varint(buf, rows.len() as u64);
+    for (_, k, v) in rows {
+        write_varint(buf, k.len() as u64);
+        buf.extend_from_slice(k.as_bytes());
+        v.encode(buf);
     }
 }
 

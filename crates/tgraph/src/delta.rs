@@ -10,7 +10,7 @@
 use crate::attr::AttrValue;
 use crate::error::Result;
 use crate::ids::{EdgeId, NodeId};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{EdgeData, Snapshot};
 
 pub use crate::event::EventCategory as DeltaComponent;
 
@@ -191,9 +191,12 @@ impl Delta {
             }
         }
 
-        // Edge additions/deletions and attribute reconciliation.
+        // Edge additions/deletions and attribute reconciliation. An edge
+        // whose endpoints or direction changed is deleted and added back.
+        let same_edge =
+            |a: &EdgeData, b: &EdgeData| (a.src, a.dst, a.directed) == (b.src, b.dst, b.directed);
         for (e, to_data) in to.edges() {
-            match from.edge(e) {
+            match from.edge(e).filter(|f| same_edge(f, to_data)) {
                 None => {
                     delta.structure.add_edges.push(EdgeRecord {
                         edge: e,
@@ -232,7 +235,7 @@ impl Delta {
             }
         }
         for (e, from_data) in from.edges() {
-            if !to.has_edge(e) {
+            if to.edge(e).is_none_or(|t| !same_edge(from_data, t)) {
                 delta.structure.del_edges.push(EdgeRecord {
                     edge: e,
                     src: from_data.src,

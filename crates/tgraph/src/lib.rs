@@ -9,6 +9,8 @@
 //! * [`Event`] — the atomic, bidirectional unit of change (Section 3.1 of the paper),
 //! * [`EventList`] — a chronologically ordered list of events,
 //! * [`Snapshot`] — a materialized graph as of one time point,
+//! * [`ColumnGraph`] — the same graph as sorted columns, built by merging
+//!   sorted delta runs and rendered without a sort,
 //! * [`Delta`] — the columnar difference between two snapshots
 //!   (split into structure / node-attribute / edge-attribute components, Section 4.2),
 //! * [`AttrOptions`] — the `"+node:all-node:salary+edge:name"` retrieval options of Table 1,
@@ -23,6 +25,7 @@
 pub mod attr;
 pub mod attr_options;
 pub mod codec;
+pub mod columns;
 pub mod delta;
 pub mod error;
 pub mod event;
@@ -34,6 +37,7 @@ pub mod time_expr;
 
 pub use attr::{AttrMap, AttrValue};
 pub use attr_options::{AttrOptions, AttrSelection};
+pub use columns::ColumnGraph;
 pub use delta::{Delta, DeltaComponent, EdgeRecord, StructDelta};
 pub use error::{Result, TgError};
 pub use event::{Event, EventKind};

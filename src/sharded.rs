@@ -45,7 +45,9 @@ use graphpool::GraphId;
 use kvstore::wal::WalSyncPolicy;
 use kvstore::{KeyValueStore, MemStore};
 use tgraph::codec::{Decode, Encode, Reader};
-use tgraph::{AttrOptions, Event, EventKind, EventList, Snapshot, TimeExpression, Timestamp};
+use tgraph::{
+    AttrOptions, ColumnGraph, Event, EventKind, EventList, Snapshot, TimeExpression, Timestamp,
+};
 
 use crate::cache::{CacheEntryInfo, CacheStats};
 use crate::durable::{DurableState, Recovered, SealedShard, ShardPlan};
@@ -1190,19 +1192,34 @@ impl ShardedGraphManager {
     /// Computes the snapshot as of `t` on the owning shard (no overlay):
     /// planned under the shard's read lock, executed with no lock held.
     pub fn snapshot_at(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<Snapshot> {
+        self.graph_at(t, opts).map(ColumnGraph::into_snapshot)
+    }
+
+    /// [`ShardedGraphManager::snapshot_at`] as sorted columns, for callers
+    /// that read a few elements and need no [`Snapshot`].
+    pub fn graph_at(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<ColumnGraph> {
         let retrieval = self.shard_for(t)?.read().index().plan_retrieval(t, opts)?;
         retrieval.execute()
     }
 
-    /// Computes several snapshots, each on its owning shard, in request
-    /// order. Times within one shard go through that shard's Steiner-tree
-    /// multipoint planner together; distinct shards compute in parallel.
-    /// No overlays are created.
+    /// [`ShardedGraphManager::graphs_at`] as snapshots.
     pub fn snapshots_at(&self, times: &[Timestamp], opts: &AttrOptions) -> DgResult<Vec<Snapshot>> {
+        Ok(self
+            .graphs_at(times, opts)?
+            .into_iter()
+            .map(ColumnGraph::into_snapshot)
+            .collect())
+    }
+
+    /// Computes several graphs, each on its owning shard, in request
+    /// order, as sorted columns. Times within one shard go through that
+    /// shard's Steiner-tree multipoint planner together; distinct shards
+    /// compute in parallel. No overlays are created.
+    pub fn graphs_at(&self, times: &[Timestamp], opts: &AttrOptions) -> DgResult<Vec<ColumnGraph>> {
         // Sessions only carry each group's shard here: nothing is overlaid,
         // so they hold no handles and release nothing when they drop.
         self.fan_out(&mut HashMap::new(), times, |session, ts| {
-            session.shared().read().index().get_snapshots(ts, opts)
+            session.shared().read().index().get_graphs(ts, opts)
         })
     }
 
@@ -1914,8 +1931,9 @@ impl ShardedSession {
     }
 
     /// Cached overlays this session holds references to, across every shard
-    /// in shard order.
-    pub fn handles(&self) -> Vec<GraphId> {
+    /// in shard order: one entry per overlay, with how many references the
+    /// session holds to it.
+    pub fn handles(&self) -> Vec<(GraphId, usize)> {
         let mut shards: Vec<_> = self.sessions.iter().collect();
         shards.sort_by_key(|(idx, _)| **idx);
         shards
@@ -2140,7 +2158,11 @@ mod tests {
         };
         for (t, retrieval) in planned {
             let t = Timestamp(t);
-            assert_eq!(retrieval.execute().unwrap(), oracle.snapshot_at(t), "t={t}");
+            assert_eq!(
+                retrieval.execute().unwrap().into_snapshot(),
+                oracle.snapshot_at(t),
+                "t={t}"
+            );
         }
     }
 
@@ -2259,7 +2281,7 @@ mod tests {
     fn history_samples_span_shards() {
         let sharded = router(4);
         let times: Vec<Timestamp> = (0..=5).map(|i| Timestamp(i * 12)).collect();
-        let snaps = sharded.snapshots_at(&times, &AttrOptions::all()).unwrap();
+        let snaps = sharded.graphs_at(&times, &AttrOptions::all()).unwrap();
         for (t, snap) in times.iter().zip(&snaps) {
             assert_eq!(snap.node_count(), (t.raw().clamp(0, 60)) as usize);
         }
@@ -2508,6 +2530,59 @@ mod tests {
         assert_eq!(snap.node_count(), 60 + 8);
         // Appending keeps working on the recovered tail.
         opened.append_event(Event::add_node(300, 9990)).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_durable_tail_folds_appends_without_a_copy_each_and_reopens_to_the_same_answers() {
+        // Appends fold into the tail's index under the full-copy rule; a
+        // reopen rebuilds the tail from its log. Both answer alike.
+        let dir = durable_dir("fold-replay");
+        let ds = churn_trace(&ChurnConfig::tiny(53));
+        let half = ds.events.len() / 2;
+        let config = ShardedConfig::default().with_manager(
+            GraphManagerConfig::default().with_index(deltagraph::DeltaGraphConfig::new(30, 2)),
+        );
+        let first = EventList::from_events(ds.events.events()[..half].to_vec());
+        let sharded =
+            ShardedGraphManager::build_durable(&first, config.clone(), &dir, WalSyncPolicy::Off)
+                .unwrap();
+        let leaves = |router: &ShardedGraphManager| {
+            let tail = router.shard_handles().unwrap().pop().unwrap();
+            let gm = tail.read();
+            gm.index().skeleton().leaves().len()
+        };
+        let built = leaves(&sharded);
+        for ev in &ds.events.events()[half..] {
+            sharded.append_event(ev.clone()).unwrap();
+        }
+        let tail = sharded.shard_handles().unwrap().pop().unwrap();
+        let (folds, copies) = {
+            let gm = tail.read();
+            let skeleton = gm.index().skeleton();
+            let folded = &skeleton.leaves()[built..];
+            let copies = skeleton
+                .edges_from(skeleton.super_root())
+                .filter(|e| folded.contains(&e.to))
+                .count();
+            (folded.len(), copies)
+        };
+        assert!(
+            folds > 10 && copies >= 1 && copies < folds / 2,
+            "{folds} folds, {copies} copies"
+        );
+        let opts = AttrOptions::all();
+        let times = datagen::uniform_timepoints(ds.start_time(), ds.end_time(), 9);
+        let answers: Vec<Snapshot> = times
+            .iter()
+            .map(|&t| sharded.snapshot_at(t, &opts).unwrap())
+            .collect();
+        drop((tail, sharded));
+        let opened = ShardedGraphManager::open(&dir, config, WalSyncPolicy::Off).unwrap();
+        for (t, want) in times.iter().zip(&answers) {
+            assert_eq!(&opened.snapshot_at(*t, &opts).unwrap(), want, "t={t}");
+            assert_eq!(want, &ds.snapshot_at(*t), "t={t}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2893,7 +2968,14 @@ mod tests {
         session.retrieve_cached(Timestamp(10), &opts).unwrap();
         session.retrieve_cached(Timestamp(10), &opts).unwrap();
         let held = session.handles();
-        let refs = || opened.shard_at(0).unwrap().read().pool().refcount(held[0]);
+        let refs = || {
+            opened
+                .shard_at(0)
+                .unwrap()
+                .read()
+                .pool()
+                .refcount(held[0].0)
+        };
         let before = refs();
         assert_eq!(before, Some(2), "the cache's reference plus the session's");
         // Shard 0 resolves, the quarantined tail does not: the query fails

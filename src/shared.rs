@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use deltagraph::DgResult;
 use graphpool::GraphId;
-use tgraph::{AttrOptions, Snapshot, Timestamp};
+use tgraph::{AttrOptions, ColumnGraph, Snapshot, Timestamp};
 
 use crate::manager::GraphManager;
 use crate::response_cache::WireFormat;
@@ -180,9 +180,13 @@ pub struct CachedPoint {
     /// retrieval that raced an append, or a disabled cache — so nothing was
     /// overlaid or cached and the session holds nothing for the point.
     pub overlay: Option<GraphId>,
-    /// The snapshot this retrieval built, owned by the caller alone — the
-    /// cache keeps only the overlay. `None` on a hit, which builds nothing;
-    /// see [`CachedPoint::into_snapshot`].
+    /// The graph a miss the cache did not admit built, as the sorted
+    /// columns the retrieval produced: a reply renders from them with no
+    /// sort, and no [`Snapshot`] is built. `None` otherwise.
+    pub columns: Option<ColumnGraph>,
+    /// The snapshot an admitted miss built to overlay, owned by the caller
+    /// alone — the cache keeps only the overlay. `None` otherwise; see
+    /// [`CachedPoint::into_snapshot`].
     pub snapshot: Option<Arc<Snapshot>>,
     /// Whether the overlay came from the shared cache.
     pub cache_hit: bool,
@@ -194,10 +198,13 @@ pub struct CachedPoint {
 }
 
 impl CachedPoint {
-    /// The point as a snapshot: the one this retrieval built or, on a hit,
-    /// one materialized from the overlay on `shared`, the shard that served
-    /// the point.
+    /// The point as a snapshot: the one this retrieval built (from its
+    /// columns, if it kept only those) or, on a hit, one materialized from
+    /// the overlay on `shared`, the shard that served the point.
     pub fn into_snapshot(self, shared: &SharedGraphManager) -> Arc<Snapshot> {
+        if let Some(columns) = self.columns {
+            return Arc::new(columns.into_snapshot());
+        }
         self.snapshot.unwrap_or_else(|| {
             shared.snapshot_of(
                 self.overlay
@@ -212,7 +219,10 @@ impl CachedPoint {
 /// per-connection guard.
 pub struct PoolSession {
     shared: SharedGraphManager,
-    handles: Vec<GraphId>,
+    /// One entry per overlay held, with the number of references held to
+    /// it, in first-acquisition order: a client that hits the same point
+    /// forever holds one entry, not one per hit.
+    handles: Vec<(GraphId, usize)>,
 }
 
 impl PoolSession {
@@ -227,8 +237,8 @@ impl PoolSession {
     /// concurrent sessions retrieve in parallel and appends do not wait on
     /// them. What happens next is the doorkeeper's call, made under the
     /// probe's write lock (see [`crate::cache`]):
-    /// * a first reference is answered from the built snapshot alone — no
-    ///   overlay, no cache entry, no second write lock;
+    /// * a first reference is answered from the built columns alone — no
+    ///   snapshot, no overlay, no cache entry, no second write lock;
     /// * a repeat reference is admitted: overlaid and cached under the
     ///   write lock, with a re-probe first so two sessions racing on the
     ///   same `(t, opts)` still end up sharing one overlay.
@@ -259,10 +269,13 @@ impl PoolSession {
             let gm = self.shared.read();
             (gm.index().plan_retrieval(t, opts)?, gm.append_epoch())
         };
-        let snapshot = Arc::new(retrieval.execute()?);
+        let columns = retrieval.execute()?;
         if !admitted {
-            return Ok(self.hold(None, Some(snapshot), false, epoch));
+            let mut point = self.hold(None, None, false, epoch);
+            point.columns = Some(columns);
+            return Ok(point);
         }
+        let snapshot = Arc::new(columns.into_snapshot());
         let mut gm = self.shared.write();
         // Double-check: another session may have cached (t, opts) while we
         // computed. Counted as neither hit nor miss — this lookup already
@@ -286,9 +299,12 @@ impl PoolSession {
         cache_hit: bool,
         epoch: u64,
     ) -> CachedPoint {
-        self.handles.extend(overlay);
+        if let Some(id) = overlay {
+            self.note_reference(id);
+        }
         CachedPoint {
             overlay,
+            columns: None,
             snapshot,
             cache_hit,
             epoch,
@@ -307,7 +323,7 @@ impl PoolSession {
     /// set by force-inserting every point.
     pub fn acquire_cached(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<GraphId> {
         let id = self.shared.write().cache_acquire(t, opts, true)?;
-        self.handles.push(id);
+        self.note_reference(id);
         Some(id)
     }
 
@@ -317,7 +333,7 @@ impl PoolSession {
     /// counts one miss, in the retrieval.
     pub fn probe_cached(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<GraphId> {
         let id = self.shared.write().cache_probe(t, opts)?;
-        self.handles.push(id);
+        self.note_reference(id);
         Some(id)
     }
 
@@ -332,13 +348,24 @@ impl PoolSession {
             gm.cache_admit(t, opts);
         }
         drop(gm);
-        self.handles.extend(id);
+        if let Some(id) = id {
+            self.note_reference(id);
+        }
         id
     }
 
-    /// Cached overlays this session holds references to, in acquisition
-    /// order (one entry per reference).
-    pub fn handles(&self) -> &[GraphId] {
+    /// Counts one more reference held to overlay `id`.
+    fn note_reference(&mut self, id: GraphId) {
+        match self.handles.iter_mut().find(|(held, _)| *held == id) {
+            Some((_, refs)) => *refs += 1,
+            None => self.handles.push((id, 1)),
+        }
+    }
+
+    /// Cached overlays this session holds references to, in first
+    /// acquisition order: one entry per overlay, with how many references
+    /// the session holds to it.
+    pub fn handles(&self) -> &[(GraphId, usize)] {
         &self.handles
     }
 
@@ -348,10 +375,13 @@ impl PoolSession {
         if self.handles.is_empty() {
             return 0;
         }
-        let released = self.handles.len();
+        let mut released = 0;
         let mut gm = self.shared.write();
-        for id in self.handles.drain(..) {
-            gm.release(id);
+        for (id, refs) in self.handles.drain(..) {
+            for _ in 0..refs {
+                gm.release(id);
+            }
+            released += refs;
         }
         gm.cleanup();
         released
@@ -430,7 +460,7 @@ mod tests {
                 .unwrap()
                 .overlay
                 .expect("a second reference is admitted");
-            assert_eq!(session.handles(), &[id]);
+            assert_eq!(session.handles(), &[(id, 1)]);
             assert_eq!(sm.read().pool().refcount(id), Some(2));
             id
         };
@@ -458,8 +488,9 @@ mod tests {
         assert_eq!(p1.clone().into_snapshot(&sm), p2.clone().into_snapshot(&sm));
         // exactly one overlay, shared: cache ref + one per session
         assert_eq!(sm.read().pool().active_overlay_count(), 1);
-        let id = s1.handles()[0];
-        assert_eq!(s2.handles(), &[id]);
+        let id = s1.handles()[0].0;
+        assert_eq!(s1.handles(), &[(id, 1)]);
+        assert_eq!(s2.handles(), &[(id, 1)]);
         assert_eq!(sm.read().pool().refcount(id), Some(3));
         drop(s1);
         assert_eq!(sm.read().pool().refcount(id), Some(2));
@@ -534,7 +565,7 @@ mod tests {
             .retrieve_cached(Timestamp(10), &opts)
             .unwrap()
             .into_snapshot(&sm);
-        let id = session.handles()[0];
+        let id = session.handles()[0].0;
         sm.write().append_event(Event::add_node(20, 777)).unwrap();
         // The t=10 entry survives the append (10 < 20) and its pool view
         // must still equal the snapshot it was built from — no phantom 777.
@@ -593,8 +624,12 @@ mod tests {
         // First reference: nothing overlaid, cached or held.
         let point = session.retrieve_cached(Timestamp(6), &opts).unwrap();
         assert!(!point.cache_hit && point.overlay.is_none());
-        let first = point.snapshot.expect("a miss builds its snapshot");
-        assert_eq!(Arc::strong_count(&first), 1);
+        // It keeps the sorted columns its retrieval built, and no snapshot.
+        assert!(point.snapshot.is_none());
+        let first = point
+            .columns
+            .expect("a first reference keeps its columns")
+            .into_snapshot();
         assert_eq!(sm.read().cache_len(), 0);
         assert_eq!(sm.read().pool().active_overlay_count(), 0);
         assert!(session.handles().is_empty());
@@ -602,9 +637,12 @@ mod tests {
         // no second reference pins a copy.
         let point = session.retrieve_cached(Timestamp(6), &opts).unwrap();
         assert!(!point.cache_hit);
-        let snapshot = point.snapshot.expect("a miss builds its snapshot");
+        assert!(point.columns.is_none());
+        let snapshot = point
+            .snapshot
+            .expect("an admitted miss builds its snapshot");
         assert_eq!(Arc::strong_count(&snapshot), 1);
-        assert_eq!(snapshot, first);
+        assert_eq!(*snapshot, first);
         assert_eq!(sm.read().cache_len(), 1);
         let overlay = point.overlay.expect("admitted");
         assert_eq!(sm.read().graph(overlay).to_snapshot(), *snapshot);
@@ -634,10 +672,27 @@ mod tests {
         for _ in 0..4 {
             session.retrieve_cached(Timestamp(6), &opts).unwrap();
         }
-        let id = session.handles()[0];
-        assert_eq!(session.handles(), &[id, id, id]);
+        let id = session.handles()[0].0;
+        assert_eq!(session.handles(), &[(id, 3)]);
         assert_eq!(sm.read().pool().refcount(id), Some(4)); // cache + 3 holds
         assert_eq!(session.release_now(), 3);
+        assert_eq!(sm.read().pool().refcount(id), Some(1));
+    }
+
+    #[test]
+    fn a_session_keeps_one_counted_entry_per_overlay() {
+        let sm = shared_cached(4);
+        let opts = AttrOptions::all();
+        let mut session = sm.session();
+        // The first reference holds nothing; every later one is a hit.
+        for _ in 0..=10_000 {
+            session.retrieve_cached(Timestamp(6), &opts).unwrap();
+        }
+        let id = session.handles()[0].0;
+        assert_eq!(session.handles(), &[(id, 10_000)]);
+        assert_eq!(sm.read().pool().refcount(id), Some(10_001));
+        assert_eq!(session.release_now(), 10_000);
+        assert!(session.handles().is_empty());
         assert_eq!(sm.read().pool().refcount(id), Some(1));
     }
 
