@@ -42,6 +42,7 @@ pub mod build;
 pub mod config;
 pub mod diff_fn;
 pub mod error;
+pub mod form;
 pub mod graph;
 pub mod model;
 mod net;
@@ -54,6 +55,7 @@ pub use build::DeltaGraphBuilder;
 pub use config::DeltaGraphConfig;
 pub use diff_fn::DifferentialFunction;
 pub use error::{DgError, DgResult};
+pub use form::GraphForm;
 pub use graph::{DeltaGraph, IndexImage, IndexStats};
 pub use query::{Anchor, PointPlan, Retrieval};
 pub use skeleton::{ComponentWeights, EdgePayload, LeafInterval, NodeIdx, Skeleton};

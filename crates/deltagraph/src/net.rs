@@ -11,7 +11,9 @@
 //! exactly where applying it to the whole graph would. Where a
 //! [`tgraph::Snapshot`] would cascade — removing a node removes its edges
 //! and attributes — the reduction asserts the §3.1 replay contract instead:
-//! a node may be removed only once its edges and attributes are gone.
+//! a node may be removed only once its edges and attributes are gone. Each
+//! touched node counts its live attributes and edges as the replay goes,
+//! so that check costs one lookup.
 
 use tgraph::columns::Assignment;
 use tgraph::fxhash::FxHashMap;
@@ -81,13 +83,17 @@ impl<'a> Op<'a> {
     }
 }
 
-/// A touched node: whether it was in the graph, whether it is now, and how
+/// A touched node: whether it was in the graph, whether it is now, how
 /// many times the span removed it (attributes set before the last removal
-/// are gone with it).
+/// are gone with it), and how many attributes and edges it has now. The
+/// edge count starts from the node's edges in the graph only for a node
+/// the span removes: no other node's count is read.
 struct NodeState {
     initial: bool,
     present: bool,
     removals: u32,
+    attrs: isize,
+    edges: isize,
 }
 
 /// A touched edge, as [`NodeState`] for a node.
@@ -97,22 +103,34 @@ struct EdgeState {
     removals: u32,
 }
 
-/// Carries `graph` across `events` — applied forward, or undone from the
-/// last to the first — skipping transient events and attribute events
-/// whose attribute `opts` does not select, as one merge (see the module
-/// documentation). An event that does not apply, or that removes a node
-/// which still has edges or attributes, is an error.
+/// Whether a span applied under `opts` reads `ev`: attribute events only
+/// for a selected attribute.
+pub(crate) fn wanted(ev: &Event, opts: &AttrOptions) -> bool {
+    match &ev.kind {
+        EventKind::SetNodeAttr { key, .. } => opts.wants_node_attr(key),
+        EventKind::SetEdgeAttr { key, .. } => opts.wants_edge_attr(key),
+        _ => true,
+    }
+}
+
+/// The error for node `n`, removed at `time` while it still has edges or
+/// attributes.
+pub(crate) fn not_bare(n: NodeId, time: Timestamp) -> DgError {
+    invalid(format!(
+        "replay contract (§3.1): node {n} removed at {time} while it still has edges or \
+         attributes"
+    ))
+}
+
+/// Carries `graph` across `events` as one merge (see the module
+/// documentation and [`crate::GraphForm::apply_span`]).
 pub(crate) fn apply_events(
     graph: &mut ColumnGraph,
     events: &[Event],
     forward: bool,
     opts: &AttrOptions,
 ) -> DgResult<()> {
-    let wanted = |ev: &&Event| match &ev.kind {
-        EventKind::SetNodeAttr { key, .. } => opts.wants_node_attr(key),
-        EventKind::SetEdgeAttr { key, .. } => opts.wants_edge_attr(key),
-        _ => true,
-    };
+    let wanted = |ev: &&Event| wanted(ev, opts);
     let ops: Vec<(Timestamp, Op<'_>)> = if forward {
         events
             .iter()
@@ -136,7 +154,7 @@ pub(crate) fn apply_events(
         edges: FxHashMap::default(),
         node_attrs: FxHashMap::default(),
         edge_attrs: FxHashMap::default(),
-        incident: incident_edges(graph, &ops),
+        degrees: removed_degrees(graph, &ops),
     };
     for (time, op) in &ops {
         span.replay(*time, op)?;
@@ -146,29 +164,27 @@ pub(crate) fn apply_events(
     Ok(())
 }
 
-/// The edges of `graph` at each node the span removes, which must be
-/// deleted before the node is.
-fn incident_edges(
-    graph: &ColumnGraph,
-    ops: &[(Timestamp, Op<'_>)],
-) -> FxHashMap<NodeId, Vec<EdgeId>> {
-    let mut incident: FxHashMap<NodeId, Vec<EdgeId>> = ops
+/// How many edges of `graph` each node the span removes has: all of them
+/// must be deleted before the node is.
+fn removed_degrees(graph: &ColumnGraph, ops: &[(Timestamp, Op<'_>)]) -> FxHashMap<NodeId, isize> {
+    let mut degrees: FxHashMap<NodeId, isize> = ops
         .iter()
         .filter_map(|(_, op)| match op {
-            Op::RemoveNode(n) if graph.has_node(*n) => Some((*n, Vec::new())),
+            Op::RemoveNode(n) if graph.has_node(*n) => Some((*n, 0)),
             _ => None,
         })
         .collect();
-    if !incident.is_empty() {
+    if !degrees.is_empty() {
         for r in graph.edges() {
-            for n in [r.src, r.dst] {
-                if let Some(list) = incident.get_mut(&n) {
-                    list.push(r.edge);
-                }
+            if let Some(d) = degrees.get_mut(&r.src) {
+                *d += 1;
+            }
+            if let Some(d) = degrees.get_mut(&r.dst).filter(|_| r.dst != r.src) {
+                *d += 1;
             }
         }
     }
-    incident
+    degrees
 }
 
 /// The per-id state of a span being replayed over a graph.
@@ -180,18 +196,21 @@ struct Span<'g, 'a> {
     /// removals its element had had then.
     node_attrs: FxHashMap<(NodeId, &'a str), (u32, Option<&'a AttrValue>)>,
     edge_attrs: FxHashMap<(EdgeId, &'a str), (u32, Option<&'a AttrValue>)>,
-    incident: FxHashMap<NodeId, Vec<EdgeId>>,
+    /// See [`removed_degrees`].
+    degrees: FxHashMap<NodeId, isize>,
 }
 
 impl<'a> Span<'_, 'a> {
     fn node(&mut self, n: NodeId) -> &mut NodeState {
-        let graph = self.graph;
+        let (graph, degrees) = (self.graph, &self.degrees);
         self.nodes.entry(n).or_insert_with(|| {
             let initial = graph.has_node(n);
             NodeState {
                 initial,
                 present: initial,
                 removals: 0,
+                attrs: graph.node_attrs(n).len() as isize,
+                edges: degrees.get(&n).copied().unwrap_or(0),
             }
         })
     }
@@ -220,16 +239,13 @@ impl<'a> Span<'_, 'a> {
                 node.present = true;
             }
             Op::RemoveNode(n) => {
-                if !self.node(n).present {
+                let node = self.node(n);
+                if !node.present {
                     return Err(invalid(format!("node {n} does not exist")));
                 }
-                if !self.is_bare(n) {
-                    return Err(invalid(format!(
-                        "replay contract (§3.1): node {n} removed at {time} while it still has \
-                         edges or attributes"
-                    )));
+                if node.attrs != 0 || node.edges != 0 {
+                    return Err(not_bare(n, time));
                 }
-                let node = self.node(n);
                 node.present = false;
                 node.removals += 1;
             }
@@ -242,13 +258,15 @@ impl<'a> Span<'_, 'a> {
                 // Like `Snapshot::add_edge`, an edge brings missing endpoints.
                 self.node(rec.src).present = true;
                 self.node(rec.dst).present = true;
+                self.count_edge(rec, 1);
             }
             Op::RemoveEdge(e) => {
                 let edge = self.edge(e);
-                if edge.current.take().is_none() {
+                let Some(rec) = edge.current.take() else {
                     return Err(invalid(format!("edge {e} does not exist")));
-                }
+                };
                 edge.removals += 1;
+                self.count_edge(rec, -1);
             }
             Op::NodeAttr(n, key, value) => {
                 let node = self.node(n);
@@ -256,7 +274,16 @@ impl<'a> Span<'_, 'a> {
                     return Err(invalid(format!("node {n} does not exist")));
                 }
                 let removals = node.removals;
-                self.node_attrs.insert((n, key), (removals, value));
+                // Whether the attribute was set: by the span since the
+                // node's last removal, or else by the graph if none.
+                let was_set = match self.node_attrs.insert((n, key), (removals, value)) {
+                    Some((r, old)) => r == removals && old.is_some(),
+                    None => {
+                        removals == 0
+                            && self.graph.node_attrs(n).iter().any(|(_, k, _)| &**k == key)
+                    }
+                };
+                self.node(n).attrs += isize::from(value.is_some()) - isize::from(was_set);
             }
             Op::EdgeAttr(e, key, value) => {
                 let edge = self.edge(e);
@@ -270,47 +297,13 @@ impl<'a> Span<'_, 'a> {
         Ok(())
     }
 
-    /// Whether present node `n` has no edges and no attributes.
-    fn is_bare(&self, n: NodeId) -> bool {
-        let removals = self.nodes[&n].removals;
-        // What the span set, since the node's last removal.
-        let set_now = |key: &str| {
-            self.node_attrs
-                .get(&(n, key))
-                .filter(|(r, _)| *r == removals)
-                .map(|(_, v)| v.is_some())
-        };
-        if removals == 0
-            && self
-                .graph
-                .node_attrs(n)
-                .iter()
-                .any(|(_, k, _)| set_now(k) != Some(false))
-        {
-            return false;
+    /// Adds `by` to the edge count of each endpoint of `rec` (a self-loop
+    /// counts once).
+    fn count_edge(&mut self, rec: EdgeRecord, by: isize) {
+        self.node(rec.src).edges += by;
+        if rec.dst != rec.src {
+            self.node(rec.dst).edges += by;
         }
-        if self
-            .node_attrs
-            .iter()
-            .any(|((id, _), (r, v))| *id == n && *r == removals && v.is_some())
-        {
-            return false;
-        }
-        // The graph's edges at `n` must all be gone (after a removal they
-        // were checked then), and so must every edge the span added there.
-        let graph_edges = self.incident.get(&n).filter(|_| removals == 0);
-        if graph_edges.is_some_and(|edges| {
-            edges
-                .iter()
-                .any(|e| self.edges.get(e).is_none_or(|s| s.current.is_some()))
-        }) {
-            return false;
-        }
-        !self
-            .edges
-            .values()
-            .filter_map(|s| s.current)
-            .any(|r| r.src == n || r.dst == n)
     }
 
     /// The net effect of the span: sorted delete and add runs per id, and
@@ -372,6 +365,7 @@ fn invalid(msg: String) -> DgError {
 mod tests {
     use super::*;
     use crate::storage::tests::{random_graph, selections, Rng, EDGE_KEYS, NODE_KEYS};
+    use crate::GraphForm;
     use proptest::prelude::*;
     use tgraph::Snapshot;
 
@@ -379,11 +373,7 @@ mod tests {
     /// a [`Snapshot`] replays them, skipping what `opts` does not select.
     fn replay(graph: &Snapshot, events: &[Event], forward: bool, opts: &AttrOptions) -> Snapshot {
         let mut out = graph.project_attrs(opts);
-        let wanted = |ev: &&Event| match &ev.kind {
-            EventKind::SetNodeAttr { key, .. } => opts.wants_node_attr(key),
-            EventKind::SetEdgeAttr { key, .. } => opts.wants_edge_attr(key),
-            _ => true,
-        };
+        let wanted = |ev: &&Event| wanted(ev, opts);
         if forward {
             for ev in events.iter().filter(wanted) {
                 out.apply_forward(ev).unwrap();
@@ -396,15 +386,29 @@ mod tests {
         out
     }
 
+    /// `events` applied as one merge to the columns of `graph`, and as a
+    /// checked replay to the snapshot itself: the two forms must agree.
     fn merged(
         graph: &Snapshot,
         events: &[Event],
         forward: bool,
         opts: &AttrOptions,
     ) -> DgResult<Snapshot> {
-        let mut columns = ColumnGraph::from_snapshot(&graph.project_attrs(opts));
-        apply_events(&mut columns, events, forward, opts)?;
-        Ok(columns.into_snapshot())
+        let mut snapshot = graph.project_attrs(opts);
+        let mut columns = ColumnGraph::from_snapshot(&snapshot);
+        let by_columns = columns.apply_span(events, forward, opts).map(|()| columns);
+        let by_snapshot = snapshot
+            .apply_span(events, forward, opts)
+            .map(|()| snapshot);
+        match (by_columns, by_snapshot) {
+            (Ok(columns), Ok(snapshot)) => {
+                let columns = columns.into_snapshot();
+                assert_eq!(columns, snapshot, "the two forms differ");
+                Ok(columns)
+            }
+            (Err(e), Err(_)) => Err(e),
+            (a, b) => panic!("columns {:?}, snapshot {:?}", a.map(|_| ()), b.map(|_| ())),
+        }
     }
 
     /// A random span of well-formed events over `graph` (§3.1: attributes
@@ -544,6 +548,14 @@ mod tests {
             &pair(),
         );
         refused(&[drop_edge.clone(), drop_node.clone()], true, &pair());
+        // Nothing after the removal fails in its place.
+        refused(&[clear.clone(), drop_node.clone()], true, &pair());
+        // A directed edge into the node counts too.
+        let mut inbound = Snapshot::new();
+        inbound
+            .add_edge(EdgeId(12), NodeId(3), NodeId(4), true)
+            .unwrap();
+        refused(&[Event::delete_node(1, 4)], true, &inbound);
         // In §3.1 order the same span applies.
         let ok = [clear, drop_edge, drop_node];
         assert_eq!(

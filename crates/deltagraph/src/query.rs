@@ -22,11 +22,11 @@
 use std::collections::hash_map::Entry;
 
 use tgraph::fxhash::{FxHashMap, FxHashSet};
-use tgraph::{AttrOptions, ColumnGraph, Event, EventKind, Snapshot, TimeExpression, Timestamp};
+use tgraph::{AttrOptions, Event, EventKind, Snapshot, TimeExpression, Timestamp};
 
 use crate::error::{DgError, DgResult};
+use crate::form::GraphForm;
 use crate::graph::DeltaGraph;
-use crate::net::apply_events;
 use crate::skeleton::{EdgePayload, Location, NodeIdx};
 use crate::storage::{decode_events, EventSpan, PayloadStore};
 
@@ -77,7 +77,7 @@ pub struct PointPlan {
 pub struct Retrieval {
     payloads: PayloadStore,
     opts: AttrOptions,
-    source: ColumnGraph,
+    source: Snapshot,
     path: Vec<EdgePayload>,
     finish: Finish,
 }
@@ -96,24 +96,25 @@ enum Finish {
 
 impl Retrieval {
     /// Fetches, decodes and applies the planned payloads: the graph the
-    /// plan describes, as sorted columns. Each delta is one linear merge of
-    /// its sorted runs into the columns, and the leaf-eventlist finish is
-    /// one more (see [`ColumnGraph::apply`]);
-    /// [`ColumnGraph::into_snapshot`] gives the [`Snapshot`].
-    pub fn execute(self) -> DgResult<ColumnGraph> {
+    /// plan describes, built in the form the caller asks for (see
+    /// [`GraphForm`]) — a [`Snapshot`], or a [`tgraph::ColumnGraph`], where
+    /// each delta is one linear merge of its sorted runs into the columns
+    /// and the leaf-eventlist finish is one more.
+    pub fn execute<G: GraphForm>(self) -> DgResult<G> {
         let Retrieval {
             payloads,
             opts,
-            mut source,
+            source,
             path,
             finish,
         } = self;
+        let mut graph = G::from_source(source);
         let mut lists = EventLists::default();
         for payload in path {
-            apply_payload(&payloads, &mut source, payload, &opts, &mut lists)?;
+            apply_payload(&payloads, &mut graph, payload, &opts, &mut lists)?;
         }
-        apply_finish(&payloads, &mut source, &finish, &opts, &mut lists)?;
-        Ok(source)
+        apply_finish(&payloads, &mut graph, &finish, &opts, &mut lists)?;
+        Ok(graph)
     }
 }
 
@@ -128,9 +129,7 @@ impl DeltaGraph {
     /// points after the last indexed leaf are served from the last leaf plus
     /// the recent (not yet indexed) eventlist.
     pub fn get_snapshot(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<Snapshot> {
-        self.plan_retrieval(t, opts)?
-            .execute()
-            .map(ColumnGraph::into_snapshot)
+        self.plan_retrieval(t, opts)?.execute()
     }
 
     /// Plans the retrieval of the snapshot as of `t` (see
@@ -168,26 +167,23 @@ impl DeltaGraph {
         times: &[Timestamp],
         opts: &AttrOptions,
     ) -> DgResult<Vec<Snapshot>> {
-        Ok(self
-            .get_graphs(times, opts)?
-            .into_iter()
-            .map(ColumnGraph::into_snapshot)
-            .collect())
+        self.get_graphs(times, opts)
     }
 
-    /// [`DeltaGraph::get_snapshots`] as sorted columns, for callers that
-    /// read a few elements of each graph and need no [`Snapshot`].
-    pub fn get_graphs(
+    /// [`DeltaGraph::get_snapshots`], each graph built as the caller asks:
+    /// as sorted columns for a caller that reads a few elements of each and
+    /// needs no [`Snapshot`].
+    pub fn get_graphs<G: GraphForm>(
         &self,
         times: &[Timestamp],
         opts: &AttrOptions,
-    ) -> DgResult<Vec<ColumnGraph>> {
-        let mut results: Vec<Option<ColumnGraph>> = vec![None; times.len()];
+    ) -> DgResult<Vec<G>> {
+        let mut results: Vec<Option<G>> = vec![None; times.len()];
         // (query index, interval, time), for the terminals the Steiner tree covers
         let mut terminals: Vec<(usize, usize, Timestamp)> = Vec::new();
         for (qi, &t) in times.iter().enumerate() {
             match self.skeleton.locate(t)? {
-                Location::BeforeHistory => results[qi] = Some(ColumnGraph::new()),
+                Location::BeforeHistory => results[qi] = Some(G::default()),
                 Location::AfterLastLeaf => {
                     results[qi] = Some(self.plan_retrieval(t, opts)?.execute()?)
                 }
@@ -284,9 +280,7 @@ impl DeltaGraph {
     /// materialization and by auxiliary indexes). Interior-node graphs are
     /// generally not valid snapshots of any time point.
     pub fn node_graph(&self, node: NodeIdx, opts: &AttrOptions) -> DgResult<Snapshot> {
-        self.plan_node(node, opts, Finish::Done)?
-            .execute()
-            .map(ColumnGraph::into_snapshot)
+        self.plan_node(node, opts, Finish::Done)?.execute()
     }
 
     /// Plans (but does not execute) a singlepoint retrieval; exposed for plan
@@ -397,13 +391,11 @@ impl DeltaGraph {
     /// The graph of a plan source (the super-root or a materialized node),
     /// projected to the requested attributes. `None` if `node` is not a
     /// source.
-    fn source_graph(&self, node: NodeIdx, opts: &AttrOptions) -> Option<ColumnGraph> {
+    fn source_graph(&self, node: NodeIdx, opts: &AttrOptions) -> Option<Snapshot> {
         if node == self.skeleton.super_root() {
-            return Some(ColumnGraph::new());
+            return Some(Snapshot::new());
         }
-        self.materialized
-            .get(&node)
-            .map(|m| ColumnGraph::from_snapshot(&m.project_attrs(opts)))
+        self.materialized.get(&node).map(|m| m.project_attrs(opts))
     }
 
     /// The retrieval that builds `target` by applying the payloads of
@@ -441,9 +433,9 @@ impl DeltaGraph {
     // Multipoint (Steiner-tree) planning and execution
     // ------------------------------------------------------------------
 
-    fn execute_multipoint(
+    fn execute_multipoint<G: GraphForm>(
         &self,
-        results: &mut [Option<ColumnGraph>],
+        results: &mut [Option<G>],
         mut terminals: Vec<(usize, usize, Timestamp)>,
         opts: &AttrOptions,
     ) -> DgResult<()> {
@@ -545,7 +537,7 @@ impl DeltaGraph {
             })?;
             self.walk_tree(
                 root,
-                graph,
+                G::from_source(graph),
                 &tree_children,
                 &anchored,
                 opts,
@@ -557,15 +549,15 @@ impl DeltaGraph {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn walk_tree(
+    fn walk_tree<G: GraphForm>(
         &self,
         node: NodeIdx,
-        graph: ColumnGraph,
+        graph: G,
         tree_children: &FxHashMap<NodeIdx, Vec<usize>>,
         anchored: &FxHashMap<NodeIdx, Vec<(usize, Finish)>>,
         opts: &AttrOptions,
         lists: &mut EventLists,
-        results: &mut [Option<ColumnGraph>],
+        results: &mut [Option<G>],
     ) -> DgResult<()> {
         if let Some(queries) = anchored.get(&node) {
             for (qi, finish) in queries {
@@ -604,9 +596,9 @@ impl DeltaGraph {
 
 /// Applies one skeleton edge's payload to `graph`: a delta, or a whole
 /// leaf-eventlist forward or backward.
-fn apply_payload(
+fn apply_payload<G: GraphForm>(
     payloads: &PayloadStore,
-    graph: &mut ColumnGraph,
+    graph: &mut G,
     payload: EdgePayload,
     opts: &AttrOptions,
     lists: &mut EventLists,
@@ -615,20 +607,20 @@ fn apply_payload(
         EdgePayload::Delta { delta_id } => payloads.apply_delta(delta_id, opts, graph),
         EdgePayload::EventsForward { eventlist_id } => {
             let columns = fetch_eventlist(payloads, lists, eventlist_id, opts)?;
-            apply_events(graph, &decode_events(columns, EventSpan::All)?, true, opts)
+            graph.apply_span(&decode_events(columns, EventSpan::All)?, true, opts)
         }
         EdgePayload::EventsBackward { eventlist_id } => {
             let columns = fetch_eventlist(payloads, lists, eventlist_id, opts)?;
-            apply_events(graph, &decode_events(columns, EventSpan::All)?, false, opts)
+            graph.apply_span(&decode_events(columns, EventSpan::All)?, false, opts)
         }
     }
 }
 
 /// Carries the graph of a plan's target leaf to the query time. The leaf
 /// eventlist is decoded only as far as the finish reads it.
-fn apply_finish(
+fn apply_finish<G: GraphForm>(
     payloads: &PayloadStore,
-    graph: &mut ColumnGraph,
+    graph: &mut G,
     finish: &Finish,
     opts: &AttrOptions,
     lists: &mut EventLists,
@@ -637,23 +629,13 @@ fn apply_finish(
         Finish::Done => Ok(()),
         Finish::Forward { eventlist_id, t } => {
             let columns = fetch_eventlist(payloads, lists, *eventlist_id, opts)?;
-            apply_events(
-                graph,
-                &decode_events(columns, EventSpan::Until(*t))?,
-                true,
-                opts,
-            )
+            graph.apply_span(&decode_events(columns, EventSpan::Until(*t))?, true, opts)
         }
         Finish::Backward { eventlist_id, t } => {
             let columns = fetch_eventlist(payloads, lists, *eventlist_id, opts)?;
-            apply_events(
-                graph,
-                &decode_events(columns, EventSpan::After(*t))?,
-                false,
-                opts,
-            )
+            graph.apply_span(&decode_events(columns, EventSpan::After(*t))?, false, opts)
         }
-        Finish::Recent(events) => apply_events(graph, events, true, opts),
+        Finish::Recent(events) => graph.apply_span(events, true, opts),
     }
 }
 
@@ -667,7 +649,9 @@ fn fetch_eventlist<'a>(
 ) -> DgResult<&'a [Vec<u8>]> {
     Ok(match lists.entry(eventlist_id) {
         Entry::Occupied(hit) => hit.into_mut(),
-        Entry::Vacant(slot) => slot.insert(payloads.eventlist_columns(eventlist_id, opts)?),
+        Entry::Vacant(slot) => {
+            slot.insert(payloads.eventlist_columns(eventlist_id, opts, false)?)
+        }
     })
 }
 
@@ -987,11 +971,11 @@ mod tests {
         }
         assert!(dg.skeleton().leaves().len() > leaves, "no leaf was folded");
         assert_eq!(
-            inside.execute().unwrap().into_snapshot(),
+            inside.execute::<Snapshot>().unwrap(),
             ds.snapshot_at(Timestamp(6))
         );
         assert_eq!(
-            after.execute().unwrap().into_snapshot(),
+            after.execute::<Snapshot>().unwrap(),
             ds.snapshot_at(Timestamp(20))
         );
     }

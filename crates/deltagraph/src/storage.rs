@@ -15,11 +15,11 @@ use tgraph::columns::Assignment;
 use tgraph::delta::AttrAssignment;
 use tgraph::event::EventCategory;
 use tgraph::{
-    AttrOptions, ColumnGraph, Delta, EdgeId, Event, EventList, NodeId, StructDelta, TgError,
-    Timestamp,
+    AttrOptions, Delta, EdgeId, Event, EventList, NodeId, StructDelta, TgError, Timestamp,
 };
 
 use crate::error::DgResult;
+use crate::form::GraphForm;
 use crate::skeleton::ComponentWeights;
 
 /// Writes and reads deltas / eventlists for one DeltaGraph instance.
@@ -158,22 +158,23 @@ impl PayloadStore {
 
     /// Applies the delta stored under `id` to `graph` as it decodes it:
     /// what [`PayloadStore::read_delta`], dropping the attributes `opts`
-    /// does not select, and then [`Delta::apply_to`] do to a [`tgraph::Snapshot`]
-    /// holding the same graph (see [`ColumnGraph::apply`]), as one linear
-    /// merge per column. Each attribute column is read with its keys
-    /// borrowed and filtered by `opts` before anything is kept; a key is
-    /// copied only when it is new to its element. The runs of several
-    /// partitions are merged into one run per column first.
+    /// does not select, and then [`Delta::apply_to`] do, without building
+    /// the intermediate [`Delta`] — into a [`tgraph::ColumnGraph`] as one
+    /// linear merge per column ([`tgraph::ColumnGraph::apply`]), into a
+    /// [`tgraph::Snapshot`] through its indexes. Each attribute column is
+    /// read with its keys borrowed and filtered by `opts` before anything
+    /// is kept. The runs of several partitions are merged into one run per
+    /// column first.
     ///
     /// Every run must be sorted with no repeats, as every write path
     /// stores it ([`Delta::between`] sorts, and [`partition_delta`] keeps
     /// each partition's order); a payload that is not, or that fails to
     /// decode, is an error, and `graph` is then unspecified.
-    pub fn apply_delta(
+    pub fn apply_delta<G: GraphForm>(
         &self,
         id: u64,
         opts: &AttrOptions,
-        graph: &mut ColumnGraph,
+        graph: &mut G,
     ) -> DgResult<()> {
         let keys = self.keys_for(id, &attr_components(opts, false));
         let values = self.fetch(&keys)?;
@@ -212,7 +213,7 @@ impl PayloadStore {
             .into_iter()
             .reduce(|a, b| merge_runs(a, b, |a| (a.0, a.1)))
             .unwrap_or_default();
-        graph.apply(&structure, node_attrs, edge_attrs)?;
+        graph.apply_runs(&structure, node_attrs, edge_attrs)?;
         Ok(())
     }
 
@@ -266,22 +267,22 @@ impl PayloadStore {
         opts: &AttrOptions,
         include_transient: bool,
     ) -> DgResult<EventList> {
-        let keys = self.keys_for(id, &attr_components(opts, include_transient));
-        let values = self.fetch(&keys)?;
-        let mut indexed: Vec<(u64, Event)> = Vec::new();
-        for value in values.into_iter().flatten() {
-            indexed.extend(decode_indexed_events(&value)?);
-        }
-        indexed.sort_by_key(|(i, _)| *i);
-        Ok(EventList::from_events(
-            indexed.into_iter().map(|(_, e)| e).collect(),
-        ))
+        let columns = self.eventlist_columns(id, opts, include_transient)?;
+        Ok(EventList::from_events(decode_events(
+            &columns,
+            EventSpan::All,
+        )?))
     }
 
-    /// The stored columns of leaf-eventlist `id` that a retrieval under
-    /// `opts` reads (no transient column), for [`decode_events`].
-    pub(crate) fn eventlist_columns(&self, id: u64, opts: &AttrOptions) -> DgResult<Vec<Vec<u8>>> {
-        let keys = self.keys_for(id, &attr_components(opts, false));
+    /// The stored columns of eventlist `id` that [`PayloadStore::read_eventlist`]
+    /// reads, for [`decode_events`].
+    pub(crate) fn eventlist_columns(
+        &self,
+        id: u64,
+        opts: &AttrOptions,
+        include_transient: bool,
+    ) -> DgResult<Vec<Vec<u8>>> {
+        let keys = self.keys_for(id, &attr_components(opts, include_transient));
         Ok(self.fetch(&keys)?.into_iter().flatten().collect())
     }
 
@@ -423,18 +424,6 @@ fn encode_indexed_events(items: &[(u64, &Event)]) -> Vec<u8> {
     buf
 }
 
-fn decode_indexed_events(bytes: &[u8]) -> DgResult<Vec<(u64, Event)>> {
-    let mut r = Reader::new(bytes);
-    let count = r.read_varint().map_err(tg)? as usize;
-    let mut out = Vec::with_capacity(count.min(bytes.len()));
-    for _ in 0..count {
-        let idx = r.read_varint().map_err(tg)?;
-        let ev = Event::decode(&mut r).map_err(tg)?;
-        out.push((idx, ev));
-    }
-    Ok(out)
-}
-
 /// Which events of an eventlist [`decode_events`] returns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum EventSpan {
@@ -491,7 +480,7 @@ fn read_run<'a, Id: Decode>(
 
 /// Merges two runs sorted by `key` into one sorted run. Order is not
 /// checked here: an out-of-order input leaves its inversion in the output,
-/// where [`ColumnGraph::apply`] refuses it, and so does a key in both.
+/// where [`GraphForm::apply_runs`] refuses it, and so does a key in both.
 fn merge_runs<T, K: Ord>(a: Vec<T>, b: Vec<T>, key: impl Fn(&T) -> K) -> Vec<T> {
     if a.is_empty() {
         return b;
@@ -565,7 +554,7 @@ pub(crate) mod tests {
     use super::*;
     use kvstore::MemStore;
     use proptest::prelude::*;
-    use tgraph::{AttrValue, Snapshot};
+    use tgraph::{AttrValue, ColumnGraph, Snapshot};
 
     fn payload_store(partitions: u32, threads: usize) -> PayloadStore {
         PayloadStore::new(
@@ -840,6 +829,18 @@ pub(crate) mod tests {
         Ok(graph.into_snapshot())
     }
 
+    /// `apply_delta` over a copy of `base` itself.
+    fn apply_direct(
+        ps: &PayloadStore,
+        id: u64,
+        opts: &AttrOptions,
+        base: &Snapshot,
+    ) -> DgResult<Snapshot> {
+        let mut graph = base.clone();
+        ps.apply_delta(id, opts, &mut graph)?;
+        Ok(graph)
+    }
+
     #[test]
     fn apply_delta_builds_the_target_graph() {
         let (from, delta) = random_delta(7);
@@ -849,6 +850,8 @@ pub(crate) mod tests {
             let ps = payload_store(partitions, 1);
             ps.write_delta(1, &delta).unwrap();
             let got = apply_onto(&ps, 1, &AttrOptions::all(), &from).unwrap();
+            assert_eq!(got, to, "partitions={partitions}");
+            let got = apply_direct(&ps, 1, &AttrOptions::all(), &from).unwrap();
             assert_eq!(got, to, "partitions={partitions}");
             // A missing id applies nothing.
             assert_eq!(
@@ -920,6 +923,12 @@ pub(crate) mod tests {
                 err.to_string().contains("out of order or repeated"),
                 "{what}: {err}"
             );
+            // A snapshot refuses the same runs.
+            let err = apply_direct(&ps, 1, &AttrOptions::all(), &from).expect_err(what);
+            assert!(
+                err.to_string().contains("out of order or repeated"),
+                "{what}: {err}"
+            );
         }
         // Two partitions that both hold one id are refused the same way.
         let ps = payload_store(2, 1);
@@ -965,6 +974,8 @@ pub(crate) mod tests {
                     }
                     let got = columns.into_snapshot();
                     assert_eq!(got, want, "seed={seed} partitions={partitions} opts={opts:?}");
+                    let got = apply_direct(&ps, 1, &opts, &base).unwrap();
+                    assert_eq!(got, want, "seed={seed} partitions={partitions} opts={opts:?}");
                 }
             }
         }
@@ -999,18 +1010,20 @@ pub(crate) mod tests {
                 for opts in selections() {
                     let base = from.project_attrs(&opts);
                     let want = read_filter_apply(&ps, 1, &opts, &base);
-                    let got = apply_onto(&ps, 1, &opts, &base);
-                    match (got, want) {
-                        (Ok(got), Ok(want)) => assert_eq!(got, want, "seed={seed} edit={edit}"),
-                        (Err(_), Err(_)) => {}
-                        // The merge refuses runs the order-blind reference
-                        // takes: out of order, repeated, or breaking §3.1.
-                        (Err(e), Ok(_)) if is_merge_refusal(&e) => {}
-                        (got, want) => panic!(
-                            "seed={seed} edit={edit} {opts:?}: apply_delta {:?}, reference {:?}",
-                            got.map(|_| ()),
-                            want.map(|_| ()),
-                        ),
+                    for got in [apply_onto(&ps, 1, &opts, &base), apply_direct(&ps, 1, &opts, &base)] {
+                        match (got, &want) {
+                            (Ok(got), Ok(want)) => assert_eq!(&got, want, "seed={seed} edit={edit}"),
+                            (Err(_), Err(_)) => {}
+                            // The runs are refused where the order-blind
+                            // reference takes them: out of order, repeated,
+                            // or (by the merge) breaking §3.1.
+                            (Err(e), Ok(_)) if is_merge_refusal(&e) => {}
+                            (got, want) => panic!(
+                                "seed={seed} edit={edit} {opts:?}: apply_delta {:?}, reference {:?}",
+                                got.map(|_| ()),
+                                want.as_ref().map(|_| ()),
+                            ),
+                        }
                     }
                 }
             }

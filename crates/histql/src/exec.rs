@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use historygraph::{ShardedGraphManager, ShardedSession, SharedGraphManager, WireFormat};
+use historygraph::{Built, ShardedGraphManager, ShardedSession, SharedGraphManager, WireFormat};
 use tgraph::{AttrOptions, ColumnGraph, NodeId, TimeExpression, Timestamp};
 
 use crate::ast::Query;
@@ -383,7 +383,7 @@ impl Executor {
                 return Ok((shared, epoch, bytes));
             }
         }
-        if let Some(columns) = point.columns {
+        if let Some(Built::Columns(columns)) = point.built {
             let bytes: Arc<[u8]> = frame_columns(t, &columns, self.protocol).into();
             self.rendered = Some(Rendered::Columns(columns));
             return Ok((shared, epoch, bytes));
@@ -527,7 +527,7 @@ impl Executor {
                         (snap.has_node(node), attrs, neighbors)
                     }
                     None => {
-                        let graph = self.router.graph_at(*t, &opts)?;
+                        let graph: ColumnGraph = self.router.graph_at(*t, &opts)?;
                         (
                             graph.has_node(node),
                             column_attrs(&graph, node),
@@ -575,7 +575,8 @@ impl Executor {
                 // Steiner planner shares deltas across the samples, and
                 // distinct shards compute in parallel.
                 // Each sample reads one node off its graph's columns.
-                let graphs = self.router.graphs_at(&times, &AttrOptions::all())?;
+                let graphs: Vec<ColumnGraph> =
+                    self.router.graphs_at(&times, &AttrOptions::all())?;
                 let samples = times
                     .iter()
                     .zip(&graphs)

@@ -1879,7 +1879,7 @@ mod tests {
                 .unwrap();
                 for opts in ["", "+node:all", "+node:attr0", "+node:all+edge:all"] {
                     let opts = tgraph::AttrOptions::parse(opts).unwrap();
-                    let columns = dg.plan_retrieval(t, &opts).unwrap().execute().unwrap();
+                    let columns: ColumnGraph = dg.plan_retrieval(t, &opts).unwrap().execute().unwrap();
                     let want = ds.snapshot_at(t).project_attrs(&opts);
                     assert_eq!(columns.clone().into_snapshot(), want, "seed={seed} t={t}");
                     let graph = Arc::new(want);

@@ -18,12 +18,12 @@
 
 use std::sync::Arc;
 
-use crate::attr::{AttrMap, AttrValue};
+use crate::attr::AttrValue;
 use crate::delta::{EdgeRecord, StructDelta};
 use crate::error::{Result, TgError};
 use crate::fxhash::FxHashSet;
 use crate::ids::{EdgeId, NodeId};
-use crate::snapshot::{EdgeData, Snapshot};
+use crate::snapshot::Snapshot;
 
 /// One attribute entry of a column: element, key, value. Equal keys share
 /// one allocation per graph.
@@ -41,7 +41,8 @@ pub struct ColumnGraph {
     edges: Vec<EdgeRecord>,
     node_attrs: Vec<AttrRow<NodeId>>,
     edge_attrs: Vec<AttrRow<EdgeId>>,
-    /// Every attribute key the columns hold, once.
+    /// Every attribute key the columns hold, once: rows share them, which
+    /// keeps a graph's memory down at no cost to building it.
     keys: FxHashSet<Arc<str>>,
 }
 
@@ -173,45 +174,26 @@ impl ColumnGraph {
         }
     }
 
-    /// The same graph as a [`Snapshot`], for the callers that need its
-    /// indexes (overlays, traversal, set algebra). Keys and values move.
+    /// The same graph as a [`Snapshot`]. A retrieval that needs a
+    /// snapshot builds one directly; this is for a graph already built as
+    /// columns.
     pub fn into_snapshot(self) -> Snapshot {
-        let ColumnGraph {
-            nodes,
-            edges,
-            node_attrs,
-            edge_attrs,
-            ..
-        } = self;
-        let mut attrs = node_attrs.into_iter().peekable();
-        let nodes = nodes
-            .into_iter()
-            .map(|n| {
-                let mut map = AttrMap::new();
-                while let Some((_, key, value)) = attrs.next_if(|(id, _, _)| *id == n) {
-                    map.insert(String::from(&*key), value);
-                }
-                (n, map)
-            })
-            .collect();
-        let mut attrs = edge_attrs.into_iter().peekable();
-        let edges = edges
-            .into_iter()
-            .map(|r| {
-                let mut map = AttrMap::new();
-                while let Some((_, key, value)) = attrs.next_if(|(id, _, _)| *id == r.edge) {
-                    map.insert(String::from(&*key), value);
-                }
-                let data = EdgeData {
-                    src: r.src,
-                    dst: r.dst,
-                    directed: r.directed,
-                    attrs: map,
-                };
-                (r.edge, data)
-            })
-            .collect();
-        Snapshot::from_sorted(nodes, edges)
+        let mut snap = Snapshot::new();
+        snap.reserve(self.nodes.len(), self.edges.len());
+        for n in self.nodes {
+            snap.ensure_node(n);
+        }
+        for r in self.edges {
+            snap.add_edge(r.edge, r.src, r.dst, r.directed)
+                .expect("edge ids are distinct");
+        }
+        for (n, key, value) in self.node_attrs {
+            snap.assign_node_attr(n, &key, Some(value));
+        }
+        for (e, key, value) in self.edge_attrs {
+            snap.assign_edge_attr(e, &key, Some(value));
+        }
+        snap
     }
 
     /// Applies one delta: the structure runs of `structure`, then the
@@ -233,6 +215,7 @@ impl ColumnGraph {
         node_attrs: Vec<Assignment<'a, NodeId>>,
         edge_attrs: Vec<Assignment<'a, EdgeId>>,
     ) -> Result<()> {
+        check_runs(structure, &node_attrs, &edge_attrs)?;
         let removed_nodes = if structure.add_nodes.is_empty() && structure.del_nodes.is_empty() {
             Vec::new()
         } else {
@@ -266,8 +249,6 @@ impl ColumnGraph {
     /// Merges the node column with its add and delete runs; returns the
     /// ids that were present and deleted, in order.
     fn merge_nodes(&mut self, add: &[NodeId], del: &[NodeId]) -> Result<Vec<NodeId>> {
-        check_run(add, |n| *n, "added node")?;
-        check_run(del, |n| *n, "deleted node")?;
         let cur = std::mem::take(&mut self.nodes);
         let (nodes, removed) = merge_column(
             &cur,
@@ -291,8 +272,6 @@ impl ColumnGraph {
         del: &[EdgeRecord],
         removed_nodes: &[NodeId],
     ) -> Result<Vec<EdgeId>> {
-        check_run(add, |r| r.edge, "added edge")?;
-        check_run(del, |r| r.edge, "deleted edge")?;
         let touches_removed = |r: &EdgeRecord| {
             removed_nodes.binary_search(&r.src).is_ok()
                 || removed_nodes.binary_search(&r.dst).is_ok()
@@ -414,6 +393,37 @@ fn take_rows<'a, Id: PartialEq + Copy>(rest: &mut &'a [AttrRow<Id>], id: Id) -> 
     head
 }
 
+/// Fails unless every run of a delta is strictly increasing: nodes and
+/// edges by id, attribute assignments by id, then key. [`ColumnGraph::apply`]
+/// checks this first; a caller applying the same runs another way calls it
+/// to refuse what the merge refuses.
+pub fn check_runs(
+    structure: &StructDelta,
+    node_attrs: &[Assignment<'_, NodeId>],
+    edge_attrs: &[Assignment<'_, EdgeId>],
+) -> Result<()> {
+    check_run(&structure.add_nodes, |n| *n, "added node")?;
+    check_run(&structure.del_nodes, |n| *n, "deleted node")?;
+    check_run(&structure.add_edges, |r| r.edge, "added edge")?;
+    check_run(&structure.del_edges, |r| r.edge, "deleted edge")?;
+    check_attr_run(node_attrs)?;
+    check_attr_run(edge_attrs)
+}
+
+/// Fails unless `run` is strictly increasing by `(id, key)`.
+fn check_attr_run<Id: Ord + Copy + std::fmt::Display>(run: &[Assignment<'_, Id>]) -> Result<()> {
+    match run
+        .windows(2)
+        .find(|w| (w[0].0, w[0].1) >= (w[1].0, w[1].1))
+    {
+        None => Ok(()),
+        Some(w) => Err(TgError::Codec(format!(
+            "attribute run out of order or repeated: {} {:?} after {} {:?}",
+            w[1].0, w[1].1, w[0].0, w[0].1
+        ))),
+    }
+}
+
 /// Fails unless `run` is strictly increasing by `key`.
 fn check_run<T, K: Ord + std::fmt::Display>(
     run: &[T],
@@ -451,15 +461,6 @@ fn merge_attrs<Id: Ord + Copy + std::fmt::Display>(
     exists: impl Fn(Id) -> bool,
     keys: &mut FxHashSet<Arc<str>>,
 ) -> Result<Vec<AttrRow<Id>>> {
-    if let Some(w) = run
-        .windows(2)
-        .find(|w| (w[0].0, w[0].1) >= (w[1].0, w[1].1))
-    {
-        return Err(TgError::Codec(format!(
-            "attribute run out of order or repeated: {} {:?} after {} {:?}",
-            w[1].0, w[1].1, w[0].0, w[0].1
-        )));
-    }
     // The element of the last assignment seen, and whether it exists.
     let mut last: Option<(Id, bool)> = None;
     let mut exists = move |id: Id| match last {

@@ -149,6 +149,13 @@ impl Snapshot {
         self.adj.get(&n).map(Vec::as_slice).unwrap_or(&[])
     }
 
+    /// Whether any edge has `n` as an endpoint.
+    pub fn has_incident_edges(&self, n: NodeId) -> bool {
+        [&self.adj, &self.inbound]
+            .iter()
+            .any(|index| index.get(&n).is_some_and(|list| !list.is_empty()))
+    }
+
     /// Out-degree of `n` (counting undirected edges once per endpoint).
     pub fn degree(&self, n: NodeId) -> usize {
         self.neighbors(n).len()
@@ -316,65 +323,6 @@ impl Snapshot {
         self.nodes.reserve(nodes);
         self.edges.reserve(edges);
         self.adj.reserve(nodes);
-    }
-
-    /// A snapshot from tables sorted by id with no repeats, whose edges'
-    /// endpoints are all among `nodes`: every table is sized once, and each
-    /// adjacency list is allocated at its final length.
-    pub(crate) fn from_sorted(
-        nodes: Vec<(NodeId, AttrMap)>,
-        edges: Vec<(EdgeId, EdgeData)>,
-    ) -> Self {
-        let at = |n: NodeId| {
-            nodes
-                .binary_search_by_key(&n, |(id, _)| *id)
-                .expect("an edge's endpoints are among the nodes")
-        };
-        // Each edge's slot in the lists `link` would put it in.
-        let mut out_len = vec![0usize; nodes.len()];
-        let mut in_len = vec![0usize; nodes.len()];
-        let slots: Vec<(usize, Option<(usize, bool)>)> = edges
-            .iter()
-            .map(|(_, d)| {
-                let src = at(d.src);
-                out_len[src] += 1;
-                let dst = (d.src != d.dst).then(|| {
-                    let dst = at(d.dst);
-                    if d.directed {
-                        in_len[dst] += 1;
-                    } else {
-                        out_len[dst] += 1;
-                    }
-                    (dst, d.directed)
-                });
-                (src, dst)
-            })
-            .collect();
-        let mut out: Vec<Vec<(NodeId, EdgeId)>> =
-            out_len.into_iter().map(Vec::with_capacity).collect();
-        let mut inbound: Vec<Vec<(NodeId, EdgeId)>> =
-            in_len.into_iter().map(Vec::with_capacity).collect();
-        for ((e, d), (src, dst)) in edges.iter().zip(slots) {
-            out[src].push((d.dst, *e));
-            match dst {
-                Some((dst, true)) => inbound[dst].push((d.src, *e)),
-                Some((dst, false)) => out[dst].push((d.src, *e)),
-                None => {}
-            }
-        }
-        let mut snap = Snapshot::new();
-        snap.reserve(nodes.len(), edges.len());
-        for (((n, attrs), out), inbound) in nodes.into_iter().zip(out).zip(inbound) {
-            snap.nodes.insert(n, NodeData { attrs });
-            if !out.is_empty() {
-                snap.adj.insert(n, out);
-            }
-            if !inbound.is_empty() {
-                snap.inbound.insert(n, inbound);
-            }
-        }
-        snap.edges.extend(edges);
-        snap
     }
 
     /// Node `n`, created if absent, with every entry of `attrs` assigned

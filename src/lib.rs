@@ -71,5 +71,5 @@ pub use sharded::{
     CacheOverview, HealthInfo, ShardHealth, ShardInfo, ShardedConfig, ShardedGraphManager,
     ShardedSession, StorageInfo,
 };
-pub use shared::{CachedPoint, PoolSession, SharedGraphManager};
+pub use shared::{Built, CachedPoint, PoolSession, SharedGraphManager};
 pub use source::DeltaGraphSource;

@@ -40,14 +40,12 @@ use std::sync::{
 use std::thread;
 use std::time::Instant;
 
-use deltagraph::{DeltaGraph, DgError, DgResult};
+use deltagraph::{DeltaGraph, DgError, DgResult, GraphForm};
 use graphpool::GraphId;
 use kvstore::wal::WalSyncPolicy;
 use kvstore::{KeyValueStore, MemStore};
 use tgraph::codec::{Decode, Encode, Reader};
-use tgraph::{
-    AttrOptions, ColumnGraph, Event, EventKind, EventList, Snapshot, TimeExpression, Timestamp,
-};
+use tgraph::{AttrOptions, Event, EventKind, EventList, Snapshot, TimeExpression, Timestamp};
 
 use crate::cache::{CacheEntryInfo, CacheStats};
 use crate::durable::{DurableState, Recovered, SealedShard, ShardPlan};
@@ -1192,30 +1190,32 @@ impl ShardedGraphManager {
     /// Computes the snapshot as of `t` on the owning shard (no overlay):
     /// planned under the shard's read lock, executed with no lock held.
     pub fn snapshot_at(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<Snapshot> {
-        self.graph_at(t, opts).map(ColumnGraph::into_snapshot)
+        self.graph_at(t, opts)
     }
 
-    /// [`ShardedGraphManager::snapshot_at`] as sorted columns, for callers
-    /// that read a few elements and need no [`Snapshot`].
-    pub fn graph_at(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<ColumnGraph> {
+    /// [`ShardedGraphManager::snapshot_at`], built as the caller asks: as
+    /// sorted columns for a caller that reads a few elements and needs no
+    /// [`Snapshot`].
+    pub fn graph_at<G: GraphForm>(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<G> {
         let retrieval = self.shard_for(t)?.read().index().plan_retrieval(t, opts)?;
         retrieval.execute()
     }
 
-    /// [`ShardedGraphManager::graphs_at`] as snapshots.
+    /// Computes several snapshots, each on its owning shard, in request
+    /// order. Times within one shard go through that shard's Steiner-tree
+    /// multipoint planner together; distinct shards compute in parallel.
+    /// No overlays are created.
     pub fn snapshots_at(&self, times: &[Timestamp], opts: &AttrOptions) -> DgResult<Vec<Snapshot>> {
-        Ok(self
-            .graphs_at(times, opts)?
-            .into_iter()
-            .map(ColumnGraph::into_snapshot)
-            .collect())
+        self.graphs_at(times, opts)
     }
 
-    /// Computes several graphs, each on its owning shard, in request
-    /// order, as sorted columns. Times within one shard go through that
-    /// shard's Steiner-tree multipoint planner together; distinct shards
-    /// compute in parallel. No overlays are created.
-    pub fn graphs_at(&self, times: &[Timestamp], opts: &AttrOptions) -> DgResult<Vec<ColumnGraph>> {
+    /// [`ShardedGraphManager::snapshots_at`], each graph built as the
+    /// caller asks (see [`ShardedGraphManager::graph_at`]).
+    pub fn graphs_at<G: GraphForm + Send>(
+        &self,
+        times: &[Timestamp],
+        opts: &AttrOptions,
+    ) -> DgResult<Vec<G>> {
         // Sessions only carry each group's shard here: nothing is overlaid,
         // so they hold no handles and release nothing when they drop.
         self.fan_out(&mut HashMap::new(), times, |session, ts| {
@@ -2159,7 +2159,7 @@ mod tests {
         for (t, retrieval) in planned {
             let t = Timestamp(t);
             assert_eq!(
-                retrieval.execute().unwrap().into_snapshot(),
+                retrieval.execute::<Snapshot>().unwrap(),
                 oracle.snapshot_at(t),
                 "t={t}"
             );
@@ -2281,7 +2281,7 @@ mod tests {
     fn history_samples_span_shards() {
         let sharded = router(4);
         let times: Vec<Timestamp> = (0..=5).map(|i| Timestamp(i * 12)).collect();
-        let snaps = sharded.graphs_at(&times, &AttrOptions::all()).unwrap();
+        let snaps = sharded.snapshots_at(&times, &AttrOptions::all()).unwrap();
         for (t, snap) in times.iter().zip(&snaps) {
             assert_eq!(snap.node_count(), (t.raw().clamp(0, 60)) as usize);
         }

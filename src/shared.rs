@@ -180,14 +180,10 @@ pub struct CachedPoint {
     /// retrieval that raced an append, or a disabled cache — so nothing was
     /// overlaid or cached and the session holds nothing for the point.
     pub overlay: Option<GraphId>,
-    /// The graph a miss the cache did not admit built, as the sorted
-    /// columns the retrieval produced: a reply renders from them with no
-    /// sort, and no [`Snapshot`] is built. `None` otherwise.
-    pub columns: Option<ColumnGraph>,
-    /// The snapshot an admitted miss built to overlay, owned by the caller
-    /// alone — the cache keeps only the overlay. `None` otherwise; see
-    /// [`CachedPoint::into_snapshot`].
-    pub snapshot: Option<Arc<Snapshot>>,
+    /// The graph this retrieval built, owned by the caller alone — the
+    /// cache keeps only the overlay. `None` on a hit, which builds nothing;
+    /// see [`CachedPoint::into_snapshot`].
+    pub built: Option<Built>,
     /// Whether the overlay came from the shared cache.
     pub cache_hit: bool,
     /// The append epoch the point is consistent with, read under the same
@@ -197,20 +193,27 @@ pub struct CachedPoint {
     pub epoch: u64,
 }
 
+/// The graph a point retrieval built.
+#[derive(Clone, Debug)]
+pub enum Built {
+    /// A miss the cache did not admit: the sorted columns the retrieval
+    /// produced. A reply renders from them with no sort, and no
+    /// [`Snapshot`] is built.
+    Columns(ColumnGraph),
+    /// An admitted miss: the snapshot it overlaid.
+    Snapshot(Arc<Snapshot>),
+}
+
 impl CachedPoint {
     /// The point as a snapshot: the one this retrieval built (from its
-    /// columns, if it kept only those) or, on a hit, one materialized from
+    /// columns, if it built only those) or, on a hit, one materialized from
     /// the overlay on `shared`, the shard that served the point.
     pub fn into_snapshot(self, shared: &SharedGraphManager) -> Arc<Snapshot> {
-        if let Some(columns) = self.columns {
-            return Arc::new(columns.into_snapshot());
+        match self.built {
+            Some(Built::Columns(columns)) => Arc::new(columns.into_snapshot()),
+            Some(Built::Snapshot(snapshot)) => snapshot,
+            None => shared.snapshot_of(self.overlay.expect("a point that built nothing is a hit")),
         }
-        self.snapshot.unwrap_or_else(|| {
-            shared.snapshot_of(
-                self.overlay
-                    .expect("a point that built no snapshot is a hit"),
-            )
-        })
     }
 }
 
@@ -227,7 +230,7 @@ pub struct PoolSession {
 
 impl PoolSession {
     /// Point retrieval through the shared snapshot cache: returns the
-    /// cached overlay the session now holds (if any), the snapshot if this
+    /// cached overlay the session now holds (if any), the graph if this
     /// call built one, whether the overlay was served from the cache, and
     /// the append epoch the point is consistent with (see [`CachedPoint`]).
     ///
@@ -269,13 +272,11 @@ impl PoolSession {
             let gm = self.shared.read();
             (gm.index().plan_retrieval(t, opts)?, gm.append_epoch())
         };
-        let columns = retrieval.execute()?;
         if !admitted {
-            let mut point = self.hold(None, None, false, epoch);
-            point.columns = Some(columns);
-            return Ok(point);
+            let columns = Built::Columns(retrieval.execute()?);
+            return Ok(self.hold(None, Some(columns), false, epoch));
         }
-        let snapshot = Arc::new(columns.into_snapshot());
+        let snapshot = Arc::new(retrieval.execute()?);
         let mut gm = self.shared.write();
         // Double-check: another session may have cached (t, opts) while we
         // computed. Counted as neither hit nor miss — this lookup already
@@ -288,14 +289,14 @@ impl PoolSession {
             None => (gm.cache_insert_overlay(&snapshot, t, opts, epoch), false),
         };
         drop(gm);
-        Ok(self.hold(overlay, Some(snapshot), cache_hit, epoch))
+        Ok(self.hold(overlay, Some(Built::Snapshot(snapshot)), cache_hit, epoch))
     }
 
     /// Records `overlay` against this session and describes the point.
     fn hold(
         &mut self,
         overlay: Option<GraphId>,
-        snapshot: Option<Arc<Snapshot>>,
+        built: Option<Built>,
         cache_hit: bool,
         epoch: u64,
     ) -> CachedPoint {
@@ -304,8 +305,7 @@ impl PoolSession {
         }
         CachedPoint {
             overlay,
-            columns: None,
-            snapshot,
+            built,
             cache_hit,
             epoch,
         }
@@ -625,11 +625,10 @@ mod tests {
         let point = session.retrieve_cached(Timestamp(6), &opts).unwrap();
         assert!(!point.cache_hit && point.overlay.is_none());
         // It keeps the sorted columns its retrieval built, and no snapshot.
-        assert!(point.snapshot.is_none());
-        let first = point
-            .columns
-            .expect("a first reference keeps its columns")
-            .into_snapshot();
+        let Some(Built::Columns(columns)) = point.built else {
+            panic!("a first reference keeps its columns");
+        };
+        let first = columns.into_snapshot();
         assert_eq!(sm.read().cache_len(), 0);
         assert_eq!(sm.read().pool().active_overlay_count(), 0);
         assert!(session.handles().is_empty());
@@ -637,10 +636,9 @@ mod tests {
         // no second reference pins a copy.
         let point = session.retrieve_cached(Timestamp(6), &opts).unwrap();
         assert!(!point.cache_hit);
-        assert!(point.columns.is_none());
-        let snapshot = point
-            .snapshot
-            .expect("an admitted miss builds its snapshot");
+        let Some(Built::Snapshot(snapshot)) = point.built else {
+            panic!("an admitted miss builds its snapshot");
+        };
         assert_eq!(Arc::strong_count(&snapshot), 1);
         assert_eq!(*snapshot, first);
         assert_eq!(sm.read().cache_len(), 1);
