@@ -77,7 +77,7 @@ pub enum Query {
     /// aggregated across shards.
     CacheStats,
     /// `STATS SHARDS` — per-shard serving statistics: time bounds, event
-    /// counts, overlay counts, and both cache tiers' counters.
+    /// counts, overlay counts, and the point cache's counters.
     ShardStats,
     /// `STATS SERVER` — serving-core counters: live connections, accept and
     /// reject totals, worker-pool queue depth, and single-flight coalescing

@@ -13,9 +13,9 @@
 //! touched.
 //!
 //! The executor also owns the session's response encoding (the `PROTOCOL`
-//! verb) and, through [`Executor::execute_framed`], the rendered-response
-//! byte cache: hot `GET GRAPH AT` replies are served as pre-framed bytes
-//! with zero per-request rendering, from the owning shard's cache.
+//! verb) and, through [`Executor::execute_framed`], the point cache's byte
+//! slots: hot `GET GRAPH AT` replies are served as pre-framed bytes with
+//! zero per-request rendering, from the owning shard's cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,7 +38,7 @@ use crate::wire::{
 pub const MAX_HISTORY_SAMPLES: usize = 64;
 
 /// One complete reply, framed for the session's current protocol: either
-/// bytes shared with the response cache or a freshly rendered buffer.
+/// bytes shared with the point cache or a freshly rendered buffer.
 /// Dereferences to the raw bytes either way.
 pub enum Reply {
     /// Pre-framed bytes served from (or just inserted into) the cache.
@@ -63,7 +63,7 @@ impl AsRef<[u8]> for Reply {
 pub enum Rendered {
     /// A response, rendered through [`Response::to_frame`].
     Response(Response),
-    /// The sorted columns of a point the snapshot cache did not admit,
+    /// The sorted columns of a point the point cache did not admit,
     /// rendered through [`frame_columns`].
     Columns(ColumnGraph),
 }
@@ -229,9 +229,9 @@ impl Executor {
     /// error frames, never surfaced as `Err` — this is the server's whole
     /// per-request path.
     ///
-    /// `GET GRAPH AT` replies route through the rendered-response byte
-    /// cache when the manager has one: once the snapshot cache admits a
-    /// `(t, opts)` (its second reference), its render is cached under the
+    /// `GET GRAPH AT` replies route through the point cache's byte slots
+    /// when the manager keeps them: once the cache admits a `(t, opts)`
+    /// (its second reference), its render is cached in the entry under the
     /// append-epoch guard and every later hit is served with zero
     /// rendering. The session's reference to the cached overlay is still
     /// acquired on every such request, so refcount semantics (`STATS
@@ -298,41 +298,30 @@ impl Executor {
     /// never block on a render — the event-driven server's reactor thread
     /// serves hot points through this without a worker-pool round trip.
     ///
-    /// Returns `Some` only when the answer is already resident: the owning
-    /// shard's snapshot cache holds `(t, opts)` (the session takes its
-    /// overlay reference, exactly like the full path) and the response
-    /// byte cache is enabled — a cached-bytes hit is returned as-is, a
-    /// byte miss is framed from a snapshot materialized off the cached
-    /// overlay and inserted under the pre-acquire append epoch. Anything
-    /// else — other verbs, parse errors, snapshot-cache misses, a disabled
-    /// cache tier — returns `None` with **no** counters or refcounts
-    /// touched, so the request can take [`Executor::execute_framed`] with
-    /// identical accounting.
+    /// Returns `Some` only when the reply is already resident: the owning
+    /// shard's point cache holds `(t, opts)` together with its framed
+    /// reply in the session's protocol. The session takes its overlay
+    /// reference, exactly like the full path, and the bytes are returned
+    /// as-is — one lookup under one write guard. Anything else — other
+    /// verbs, parse errors, a missing entry, an entry without this
+    /// protocol's reply, bytes disabled — returns `None` with **no**
+    /// counters or refcounts touched, so the request can take
+    /// [`Executor::execute_framed`] with identical accounting; the worker
+    /// renders the reply there and fills the slot. The reactor never
+    /// renders.
     pub fn try_execute_hot(&mut self, line: &str) -> Option<Reply> {
         let started = self.hub.as_ref().map(|_| Instant::now());
         let Ok(Query::GetGraphAt { t, attrs }) = parse(line) else {
             return None;
         };
         let opts = AttrOptions::parse(&attrs).ok()?;
-        // With either tier disabled the answer is never resident: decline
-        // before rendering anything or taking a shard lock.
+        // With the cache or its byte slots disabled the reply is never
+        // resident: decline before taking a shard lock.
         let caches = &self.router.config().manager;
         if caches.snapshot_cache_capacity == 0 || caches.response_cache_capacity == 0 {
             return None;
         }
-        let (shared, epoch, overlay) = self.session.acquire_cached_point_routed(t, &opts)?;
-        let reply = match shared.response_cache_get(t, &opts, self.protocol) {
-            Some(bytes) => Reply::Shared(bytes),
-            None => {
-                let resp = Response::Graph {
-                    t,
-                    graph: shared.snapshot_of(overlay),
-                };
-                let bytes: Arc<[u8]> = resp.to_frame(self.protocol).into();
-                shared.response_cache_put(t, &opts, self.protocol, Arc::clone(&bytes), epoch);
-                Reply::Shared(bytes)
-            }
-        };
+        let reply = Reply::Shared(self.session.acquire_hot_routed(t, &opts, self.protocol)?);
         // Instrumented only on the hit path (a `None` above touched no
         // counters): a handful of relaxed atomics, no locks, no allocation.
         if let Some(start) = started {
@@ -346,7 +335,7 @@ impl Executor {
 
     /// The `GET GRAPH AT` fast path. With a [`FlightTable`] attached (a
     /// server session) concurrent renders of the same key coalesce; without
-    /// one this is a plain render through both cache tiers.
+    /// one this is a plain render through the point cache.
     fn execute_point_framed(&mut self, t: Timestamp, attrs: &str) -> QlResult<Reply> {
         let opts = AttrOptions::parse(attrs)?;
         match self.flights.clone() {
@@ -355,13 +344,12 @@ impl Executor {
         }
     }
 
-    /// Point render: snapshot-cache retrieval on the owning shard
-    /// (preserving overlay refcounts), then that *same* shard's
-    /// response-cache probe, then render + insert. A point the snapshot
-    /// cache did not admit is rendered and nothing else: straight from the
-    /// sorted columns its retrieval built, with no snapshot and no sort, and
-    /// no response-cache probe or insert, so a one-off point takes no second
-    /// write lock.
+    /// Point render: point-cache retrieval on the owning shard (preserving
+    /// overlay refcounts), then that *same* shard's byte-slot probe, then
+    /// render + insert. A point the cache did not admit is rendered and
+    /// nothing else: straight from the sorted columns its retrieval built,
+    /// with no snapshot and no sort, and no byte probe or insert, so a
+    /// one-off point takes no second lock.
     /// Returns the framed bytes plus the shard and append epoch they were
     /// computed under, so a single-flight leader can publish them for
     /// validation by followers.
@@ -406,7 +394,7 @@ impl Executor {
     /// leader and renders through [`Executor::render_point_shared`];
     /// followers block on the flight and accept the leader's bytes if the
     /// shard owning `t` is still the same manager at the same append epoch
-    /// — the response cache's staleness guard. Anything else falls back to
+    /// — the byte slots' staleness guard. Anything else falls back to
     /// a full render. An accepted join is a repeat reference to the point:
     /// the follower takes its own reference to the cached overlay if the
     /// leader's point was admitted, so refcount semantics (`STATS CACHE`,
@@ -456,7 +444,7 @@ impl Executor {
     pub fn execute(&mut self, query: &Query) -> QlResult<Response> {
         match query {
             Query::GetGraphAt { t, attrs } => {
-                // Point retrievals route through the shared snapshot cache:
+                // Point retrievals route through the shared point cache:
                 // a `t` asked for twice is overlaid once and its pool
                 // overlay is shared (reference-counted) by every session
                 // that asks for it again.
@@ -470,7 +458,7 @@ impl Executor {
             Query::GetGraphsAt { times, attrs } => {
                 // Hybrid multipoint, fanned out across shards in parallel:
                 // within each owning shard every point first probes that
-                // shard's snapshot cache — hot points share one
+                // shard's point cache — hot points share one
                 // reference-counted overlay across sessions and across the
                 // points of one query. The remaining cold points go through
                 // the shard's Steiner planner together (sharing fetched
@@ -1077,6 +1065,197 @@ mod tests {
         );
     }
 
+    /// One scripted session through both cache tiers, recorded as a
+    /// transcript: each request line, then its reply — as text, or as hex
+    /// for a binary frame. `GET`s are served the way the server serves
+    /// them: the reactor's fast path first, the full path when it declines.
+    fn cache_transcript(budget: u64) -> String {
+        let (mut exec, _router) = toy_executor(
+            GraphManagerConfig::default()
+                .with_snapshot_cache(8)
+                .with_response_cache(8)
+                .with_response_cache_bytes(budget),
+        );
+        let mut out = String::new();
+        let script = [
+            // A first reference, then an admitted second reference.
+            "GET GRAPH AT 6",
+            "STATS CACHE",
+            "GET GRAPH AT 6",
+            "STATS CACHE",
+            // A byte hit in text, then a miss and a hit in binary.
+            "GET GRAPH AT 6",
+            "PROTOCOL BINARY",
+            "GET GRAPH AT 6",
+            "GET GRAPH AT 6",
+            "STATS CACHE",
+            // t=25's binary bytes overflow the byte budget: the LRU slot
+            // (t=6 text) goes, and both overlays stay.
+            "GET GRAPH AT 25",
+            "GET GRAPH AT 25",
+            "PROTOCOL TEXT",
+            "STATS CACHE",
+            // t=6's overlay outlived its text bytes: a hit that renders
+            // again, and whose bytes push out the LRU slot (t=6 binary).
+            "GET GRAPH AT 6",
+            "STATS CACHE",
+            "STATS SHARDS",
+            // The append at 20 drops t=25 with its byte slot; t=6 stays.
+            "APPEND NODE 20 777",
+            "STATS CACHE",
+            "PROTOCOL BINARY",
+            "STATS CACHE",
+            "PROTOCOL TEXT",
+            "RELEASE ALL",
+            "STATS CACHE",
+            "STATS SHARDS",
+            "STATS METRICS",
+        ];
+        for line in script {
+            let reply = if line.starts_with("GET ") {
+                exec.try_execute_hot(line)
+                    .unwrap_or_else(|| exec.execute_framed(line))
+            } else {
+                exec.execute_framed(line)
+            };
+            let bytes = reply.as_ref();
+            out.push_str(&format!("> {line}\n"));
+            // A reply goes out in the protocol current after its request.
+            let rendered = match exec.protocol() {
+                WireFormat::Text => String::from_utf8(bytes.to_vec()).expect("a text reply"),
+                WireFormat::Binary => {
+                    bytes.iter().map(|b| format!("{b:02x}")).collect::<String>() + "\n"
+                }
+            };
+            if line.starts_with("GET ") {
+                // A graph reply is pinned by its length only.
+                out.push_str(&format!("{} bytes\n", bytes.len()));
+            } else if line == "STATS METRICS" {
+                for l in rendered
+                    .lines()
+                    .filter(|l| l.starts_with("M cache_") || l.starts_with("M response_cache_"))
+                {
+                    out.push_str(l);
+                    out.push('\n');
+                }
+            } else {
+                out.push_str(&rendered);
+            }
+        }
+        out
+    }
+
+    /// Pins the cache's whole observable surface — the `STATS CACHE` text,
+    /// its binary frame (tag 6), the `S` line of `STATS SHARDS` and the
+    /// cache metrics — over admission, byte hits in both protocols, a
+    /// byte-budget eviction, an `APPEND` invalidation and `RELEASE ALL`.
+    /// The budget (120 bytes) holds t=6's text (69) and binary (26) replies
+    /// but not t=25's binary reply (26) on top.
+    #[test]
+    fn stats_cache_golden_transcript() {
+        let want = r#"
+            > GET GRAPH AT 6
+            69 bytes
+            > STATS CACHE
+            OK CACHE entries=0 capacity=8 hits=0 misses=1 insertions=0 invalidations=0 evictions=0 overlays=0
+            RC entries=0 capacity=8 byte_budget=120 hits=0 misses=0 insertions=0 invalidations=0 evictions=0 bytes=0
+            END
+            > GET GRAPH AT 6
+            69 bytes
+            > STATS CACHE
+            OK CACHE entries=1 capacity=8 hits=0 misses=2 insertions=1 invalidations=0 evictions=0 overlays=1
+            RC entries=1 capacity=8 byte_budget=120 hits=0 misses=1 insertions=1 invalidations=0 evictions=0 bytes=69
+            C t=6 opts="" overlay=1 refs=2
+            END
+            > GET GRAPH AT 6
+            69 bytes
+            > PROTOCOL BINARY
+            0400000001000b01
+            > GET GRAPH AT 6
+            26 bytes
+            > GET GRAPH AT 6
+            26 bytes
+            > STATS CACHE
+            1800000001000608030201000001010c00010508780202020200005f
+            > GET GRAPH AT 25
+            26 bytes
+            > GET GRAPH AT 25
+            26 bytes
+            > PROTOCOL TEXT
+            OK PROTOCOL TEXT
+            END
+            > STATS CACHE
+            OK CACHE entries=2 capacity=8 hits=3 misses=4 insertions=2 invalidations=0 evictions=0 overlays=2
+            RC entries=2 capacity=8 byte_budget=120 hits=2 misses=3 insertions=3 invalidations=0 evictions=1 bytes=52
+            C t=6 opts="" overlay=1 refs=5
+            C t=25 opts="" overlay=2 refs=2
+            END
+            > GET GRAPH AT 6
+            69 bytes
+            > STATS CACHE
+            OK CACHE entries=2 capacity=8 hits=4 misses=4 insertions=2 invalidations=0 evictions=0 overlays=2
+            RC entries=2 capacity=8 byte_budget=120 hits=2 misses=4 insertions=4 invalidations=0 evictions=2 bytes=95
+            C t=6 opts="" overlay=1 refs=6
+            C t=25 opts="" overlay=2 refs=2
+            END
+            > STATS SHARDS
+            OK SHARDS count=1
+            S 0 lower=- upper=- events=10 overlays=2 cache_entries=2 cache_hits=4 cache_misses=4 cache_invalidations=0 rc_entries=2 rc_hits=2 rc_misses=4 queries=8 appends=0
+            END
+            > APPEND NODE 20 777
+            OK APPENDED t=20
+            END
+            > STATS CACHE
+            OK CACHE entries=1 capacity=8 hits=4 misses=4 insertions=2 invalidations=1 evictions=0 overlays=2
+            RC entries=1 capacity=8 byte_budget=120 hits=2 misses=4 insertions=4 invalidations=1 evictions=2 bytes=69
+            C t=6 opts="" overlay=1 refs=6
+            END
+            > PROTOCOL BINARY
+            0400000001000b01
+            > STATS CACHE
+            1800000001000608040402010002010c000106087801020404010245
+            > PROTOCOL TEXT
+            OK PROTOCOL TEXT
+            END
+            > RELEASE ALL
+            OK RELEASED 6
+            END
+            > STATS CACHE
+            OK CACHE entries=1 capacity=8 hits=4 misses=4 insertions=2 invalidations=1 evictions=0 overlays=1
+            RC entries=1 capacity=8 byte_budget=120 hits=2 misses=4 insertions=4 invalidations=1 evictions=2 bytes=69
+            C t=6 opts="" overlay=1 refs=1
+            END
+            > STATS SHARDS
+            OK SHARDS count=1
+            S 0 lower=- upper=- events=11 overlays=1 cache_entries=1 cache_hits=4 cache_misses=4 cache_invalidations=1 rc_entries=1 rc_hits=2 rc_misses=4 queries=8 appends=1
+            END
+            > STATS METRICS
+            M cache_entries gauge value=1
+            M cache_evictions_total counter value=0
+            M cache_hits_total counter value=4
+            M cache_insertions_total counter value=2
+            M cache_invalidations_total counter value=1
+            M cache_misses_total counter value=4
+            M cache_overlays gauge value=1
+            M response_cache_bytes gauge value=69
+            M response_cache_entries gauge value=1
+            M response_cache_evictions_total counter value=2
+            M response_cache_hits_total counter value=2
+            M response_cache_insertions_total counter value=4
+            M response_cache_invalidations_total counter value=1
+            M response_cache_misses_total counter value=4
+        "#;
+        let want: String = want.lines().map(str::trim).filter(|l| !l.is_empty()).fold(
+            String::new(),
+            |mut out, l| {
+                out.push_str(l);
+                out.push('\n');
+                out
+            },
+        );
+        assert_eq!(cache_transcript(120), want);
+    }
+
     fn full_executor(snap_cache: usize, resp_cache: usize) -> (Executor, ShardedGraphManager) {
         toy_executor(
             GraphManagerConfig::default()
@@ -1546,7 +1725,7 @@ mod tests {
     fn hot_path_records_fast_path_metrics_only_on_hits() {
         let (_, router) = full_executor(8, 8);
         let hub = Arc::new(crate::obs::MetricsHub::new());
-        let mut exec = Executor::for_router(router).with_metrics(Arc::clone(&hub));
+        let mut exec = Executor::for_router(router.clone()).with_metrics(Arc::clone(&hub));
         // Cold: the hot path declines and must record nothing.
         assert!(exec.try_execute_hot("GET GRAPH AT 6").is_none());
         assert_eq!(hub.path_fast.get(), 0);
@@ -1560,6 +1739,32 @@ mod tests {
         assert!(exec.try_execute_hot("GET GRAPH AT 6").is_some());
         assert_eq!(hub.path_fast.get(), 1);
         assert_eq!(hub.verb(VerbKind::GetGraphAt).snapshot().count, 3);
+        // The point was admitted in text, so its first binary request finds
+        // no binary reply: the fast path declines without rendering,
+        // counting or taking a reference.
+        exec.execute_line("PROTOCOL BINARY").unwrap();
+        let held = exec.session_handles();
+        let before = (
+            router.cache_overview().stats,
+            router.cache_overview().response,
+        );
+        assert!(exec.try_execute_hot("GET GRAPH AT 6").is_none());
+        assert_eq!(exec.session_handles(), held);
+        let after = (
+            router.cache_overview().stats,
+            router.cache_overview().response,
+        );
+        assert_eq!(after, before);
+        assert_eq!(hub.path_fast.get(), 1);
+        // The worker renders it and fills the slot; then the fast path hits.
+        let rendered = exec.execute_framed("GET GRAPH AT 6");
+        let hit = exec
+            .try_execute_hot("GET GRAPH AT 6")
+            .expect("a binary hit");
+        assert_eq!(hit.as_ref(), rendered.as_ref());
+        assert_eq!(hub.path_fast.get(), 2);
+        let rc = router.cache_overview().response;
+        assert_eq!((rc.hits, rc.misses, rc.insertions), (2, 2, 2));
     }
 
     #[test]

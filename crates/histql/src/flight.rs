@@ -7,7 +7,7 @@
 //! renders once; the rest become **followers** that block on the flight and
 //! receive the leader's framed bytes.
 //!
-//! Staleness is guarded exactly like the rendered-response cache: the leader
+//! Staleness is guarded exactly like the point cache's byte slots: the leader
 //! records which shard produced the snapshot and that shard's append epoch
 //! at computation time. A follower only accepts the shared bytes if the
 //! shard owning `t` is still the *same* manager (the tail may have rolled)
@@ -26,7 +26,9 @@ use std::time::{Duration, Instant};
 use historygraph::{SharedGraphManager, WireFormat};
 use tgraph::{AttrOptions, Timestamp};
 
-/// Flight identity: the response-cache key.
+/// Flight identity: the point cache's key plus the wire format of the
+/// byte slot the leader's render fills. A rendezvous for concurrent renders,
+/// not a cache: a flight lives only while its leader renders.
 pub type FlightKey = (Timestamp, AttrOptions, WireFormat);
 
 /// How long a follower waits for its leader before giving up and rendering

@@ -51,12 +51,12 @@
 //!   router (one shard or many), computing snapshots under the owning
 //!   shard's read lock and overlaying them through a per-session pool
 //!   handle set; point retrievals (`GET GRAPH AT`) route through the owning
-//!   shard's snapshot cache, so concurrent sessions asking for the same
+//!   shard's point cache, so concurrent sessions asking for the same
 //!   `(t, opts)` share one reference-counted overlay,
 //! * [`Response`] — deterministic serialization of results, as text lines
 //!   or binary codec frames ([`Frame`], after `PROTOCOL BINARY`); hot
-//!   point-query replies are served as pre-framed bytes from the
-//!   rendered-response cache via [`Executor::execute_framed`].
+//!   point-query replies are served as pre-framed bytes from the point
+//!   cache's byte slots via [`Executor::execute_framed`].
 //!
 //! ```
 //! use historygraph::{ShardedConfig, ShardedGraphManager};

@@ -6,7 +6,7 @@
 //! *push* side — everything recorded per request — goes through pre-fetched
 //! [`metrics`] instruments, so the hot path pays a few relaxed atomic
 //! operations and never locks or allocates. Everything that already has a
-//! counter elsewhere (cache tiers, single-flight, per-shard skew, server
+//! counter elsewhere (point caches, single-flight, per-shard skew, server
 //! connection totals) is **pulled** at report time by [`metrics_report`],
 //! which assembles the complete catalog served by both `STATS METRICS` and
 //! the HTTP `GET /metrics` scrape endpoint.
@@ -277,7 +277,7 @@ fn push(out: &mut Vec<MetricEntry>, name: impl Into<String>, value: MetricValue)
 
 /// Assembles the complete metric catalog: the hub's push-model instruments
 /// plus everything pulled from the layers that keep their own counters —
-/// both cache tiers (aggregated), the single-flight table, the serving
+/// the point caches (aggregated), the single-flight table, the serving
 /// core's connection counters, lazy shard hydrations, shard lock waits,
 /// and per-shard query/append/event counters (the skew view). This is the
 /// single source behind `STATS METRICS` and the HTTP `/metrics` endpoint,

@@ -100,17 +100,17 @@ pub enum Response {
         /// Events newer than the last indexed leaf.
         recent_events: usize,
     },
-    /// Snapshot- and response-cache statistics (`STATS CACHE`): behavior
-    /// counters for both tiers (the `OK CACHE` and `RC` lines), pool overlay
-    /// count, and one `C` line per cached snapshot with its live overlay
-    /// reference count.
+    /// Point-cache statistics (`STATS CACHE`): behavior counters for the
+    /// overlays and the byte slots (the `OK CACHE` and `RC` lines), pool
+    /// overlay count, and one `C` line per cached point with its live
+    /// overlay reference count.
     CacheStats {
-        /// Both tiers aggregated across shards.
+        /// Every shard's cache, aggregated.
         overview: CacheOverview,
     },
     /// Per-shard serving statistics (`STATS SHARDS`): one `S` line per
-    /// shard with its time bounds, event count, overlay count, and both
-    /// cache tiers' counters.
+    /// shard with its time bounds, event count, overlay count, and its
+    /// point cache's counters.
     Shards {
         /// One entry per shard, in time order (tail last).
         shards: Vec<ShardInfo>,
@@ -708,7 +708,7 @@ impl Response {
 
     /// The complete reply as the bytes a server writes for this response in
     /// the given encoding: text lines plus the `END` sentinel, or one binary
-    /// frame. These are exactly the bytes the response cache stores.
+    /// frame. These are exactly the bytes the point cache's slots store.
     pub fn to_frame(&self, format: WireFormat) -> Vec<u8> {
         match format {
             WireFormat::Text => {

@@ -11,15 +11,16 @@
 //!     [--request-timeout-ms 0] [--max-queue-depth 0]
 //! ```
 //!
-//! `--cache N` sizes each shard's snapshot cache (entries; 0 disables it):
+//! `--cache N` sizes each shard's point cache (entries; 0 disables it):
 //! repeated `GET GRAPH AT t` across sessions is served from one shared,
 //! reference-counted pool overlay instead of recomputing per session.
-//! `--resp-cache N` sizes the rendered-response byte cache on top of it:
-//! hot point replies are served as pre-framed bytes (text or binary, per
-//! the session's `PROTOCOL`) with zero per-request rendering.
-//! `--resp-cache-bytes B` additionally caps that cache's total payload
-//! bytes per shard (0 = entry count only); the least recently used entries
-//! are evicted until the cache fits.
+//! `--resp-cache N` sizes the byte slots of those entries: how many framed
+//! replies (text or binary, per the session's `PROTOCOL`) a shard keeps
+//! beside its overlays, so hot points are served with zero per-request
+//! rendering (0 keeps no bytes). `--resp-cache-bytes B` additionally caps
+//! the slots' total payload bytes per shard (0 = slot count only); the
+//! least recently used replies are dropped until they fit, and their
+//! overlays stay cached.
 //!
 //! The server runs on the event-driven core: one reactor thread
 //! multiplexes all connections, `--workers N` threads execute requests,
@@ -180,8 +181,8 @@ fn main() {
                 (ds.events, format!("churn trace (scale {scale})"))
             };
             eprintln!(
-                "building index over a {label} ({} events, {shards} shard(s), snapshot \
-                 cache {cache}/shard, response cache {resp_cache}/shard)...",
+                "building index over a {label} ({} events, {shards} shard(s), point \
+                 cache {cache}/shard with {resp_cache} replies)...",
                 events.len()
             );
             match &data_dir {

@@ -13,8 +13,8 @@
 //!    what serializes a session: at most one request per connection is in
 //!    flight, later pipelined lines stay buffered until the executor
 //!    returns.
-//! 3. A **worker** pops the item, runs `execute_framed` (snapshot cache →
-//!    single-flight table → response byte cache → render), and pushes the
+//! 3. A **worker** pops the item, runs `execute_framed` (single-flight
+//!    table → point cache → its byte slot → render), and pushes the
 //!    framed reply plus the executor onto the completion list, waking the
 //!    reactor through the poller's [`Waker`]. Only then does it free the
 //!    response the reply was rendered from (a cold point's whole snapshot).

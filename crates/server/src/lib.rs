@@ -14,12 +14,13 @@
 //! every overlay the connection created (on every shard it touched) when
 //! it disconnects, so a dropped client can never leak GraphPool bits.
 //!
-//! Point retrievals are served through the owning shard's snapshot cache
+//! Point retrievals are served through the owning shard's point cache
 //! (when the router's shards were configured with one): sessions
 //! asking for the same `(t, opts)` share one reference-counted pool
 //! overlay, and `RELEASE ALL` / disconnect drop only the session's own
-//! references. Hot `GET GRAPH AT` replies are additionally served through
-//! the rendered-response byte cache (when configured), and concurrent
+//! references. Hot `GET GRAPH AT` replies are additionally served from
+//! the framed bytes the cache keeps beside the overlay (when configured)
+//! — by the reactor itself when they are there — and concurrent
 //! cache misses for the same `(t, opts, protocol)` are **coalesced**: a
 //! single-flight table makes one session render while the rest wait and
 //! share the framed bytes (see `histql::FlightTable`). `STATS SERVER`

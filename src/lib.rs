@@ -25,12 +25,12 @@
 //! planning and I/O), and the query-manager duties of translating external
 //! keys to internal ids and attribute-option strings into typed options.
 //! On top of the facade sit [`SharedGraphManager`] (the concurrent
-//! read/write split of one shard), the [`cache`] module's shared snapshot
-//! cache, which serves hot point retrievals from one reference-counted
-//! pool overlay shared across sessions, and the [`sharded`] module's
-//! [`ShardedGraphManager`]: a router over N time-range shards (each a
-//! complete `SharedGraphManager` with its own caches) so appends stop
-//! serializing against historical reads. The router is the serving
+//! read/write split of one shard), the [`cache`] module's point cache,
+//! which serves hot point retrievals from one reference-counted pool
+//! overlay shared across sessions, together with its framed replies, and
+//! the [`sharded`] module's [`ShardedGraphManager`]: a router over N
+//! time-range shards (each a complete `SharedGraphManager` with its own
+//! cache) so appends stop serializing against historical reads. The router is the serving
 //! stack's only handle — the query executor and the TCP server take one,
 //! with a single shard or many.
 //!
@@ -57,19 +57,22 @@ pub use tgraph;
 pub mod cache;
 pub mod durable;
 pub mod manager;
-pub mod response_cache;
+/// Unit tests of the point cache's byte slots, which the configuration
+/// and the serving API call the response cache.
+#[cfg(test)]
+#[path = "cache_slot_tests.rs"]
+mod response_cache;
 pub mod sharded;
 pub mod shared;
 pub mod source;
 
-pub use cache::{CacheEntryInfo, CacheStats, SnapshotCache};
+pub use cache::{CacheEntryInfo, CacheOverview, CacheStats, ResponseCacheStats, WireFormat};
 pub use durable::is_durable_dir;
 pub use kvstore::wal::WalSyncPolicy;
 pub use manager::{BatchOutcome, ContractPolicy, GraphManager, GraphManagerConfig};
-pub use response_cache::{ResponseCache, ResponseCacheStats, WireFormat};
 pub use sharded::{
-    CacheOverview, HealthInfo, ShardHealth, ShardInfo, ShardedConfig, ShardedGraphManager,
-    ShardedSession, StorageInfo,
+    HealthInfo, ShardHealth, ShardInfo, ShardedConfig, ShardedGraphManager, ShardedSession,
+    StorageInfo,
 };
 pub use shared::{Built, CachedPoint, PoolSession, SharedGraphManager};
 pub use source::DeltaGraphSource;

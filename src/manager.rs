@@ -14,8 +14,7 @@ use graphpool::{GraphId, GraphPool, GraphView};
 use kvstore::{DiskStore, KeyValueStore, MemStore};
 use tgraph::{AttrOptions, EdgeId, Event, EventKind, NodeId, Snapshot, TimeExpression, Timestamp};
 
-use crate::cache::{CacheEntryInfo, CacheStats, SnapshotCache};
-use crate::response_cache::{ResponseCache, ResponseCacheStats, WireFormat};
+use crate::cache::{CacheEntryInfo, CacheStats, PointCache, ResponseCacheStats, WireFormat};
 
 /// How the append boundary enforces the §3.1 bidirectional-replay contract.
 ///
@@ -64,23 +63,22 @@ pub struct GraphManagerConfig {
     /// the current graph whenever the number of differing elements is small
     /// relative to the graph size (the query-time decision of Section 6).
     pub dependent_overlays: bool,
-    /// Capacity of the shared snapshot cache used by point retrievals routed
+    /// Entry capacity of the point cache used by point retrievals routed
     /// through [`crate::PoolSession::retrieve_cached`]: an LRU keyed by
     /// `(t, AttrOptions)` whose entries are pool overlays, shared
-    /// (reference-counted) across sessions. An entry is the overlay, not a
-    /// private copy of the snapshot. `0` (the default) disables caching;
-    /// the paper-API methods on [`GraphManager`] itself never consult the
-    /// cache.
+    /// (reference-counted) across sessions, each with a byte slot per wire
+    /// format. An entry is the overlay, not a private copy of the
+    /// snapshot. `0` (the default) disables caching; the paper-API methods
+    /// on [`GraphManager`] itself never consult the cache. See
+    /// [`crate::cache`].
     pub snapshot_cache_capacity: usize,
-    /// Capacity of the rendered-response byte cache (entries; 0 — the
-    /// default — disables it): fully framed replies for hot point queries,
-    /// keyed by `(t, AttrOptions, WireFormat)` and kept consistent by the
-    /// same `APPEND` invalidation rule as the snapshot cache. See
-    /// [`crate::response_cache`].
+    /// How many framed replies the point cache's byte slots hold, across
+    /// every entry and format (0 — the default — caches no bytes). Slots
+    /// shed in their own LRU order; the overlay stays.
     pub response_cache_capacity: usize,
-    /// Byte budget of the rendered-response cache (0 — the default —
-    /// leaves the byte total uncapped): on top of the entry count, the
-    /// cache evicts LRU replies until the cached bytes fit this budget.
+    /// Byte budget of the byte slots (0 — the default — leaves the byte
+    /// total uncapped): on top of the slot count, the cache drops LRU
+    /// replies until the cached bytes fit this budget.
     pub response_cache_bytes: u64,
     /// How the append boundary enforces the §3.1 replay contract on
     /// deletes that still carry state (see [`ContractPolicy`]). Defaults to
@@ -95,20 +93,19 @@ impl GraphManagerConfig {
         self
     }
 
-    /// Enables the shared snapshot cache with the given capacity (entries).
+    /// Enables the point cache with the given capacity (entries).
     pub fn with_snapshot_cache(mut self, capacity: usize) -> Self {
         self.snapshot_cache_capacity = capacity;
         self
     }
 
-    /// Enables the rendered-response byte cache with the given capacity
-    /// (entries).
+    /// Lets the point cache keep the given number of framed replies.
     pub fn with_response_cache(mut self, capacity: usize) -> Self {
         self.response_cache_capacity = capacity;
         self
     }
 
-    /// Caps the rendered-response cache at the given total reply bytes
+    /// Caps the point cache's framed replies at the given total bytes
     /// (0 = uncapped).
     pub fn with_response_cache_bytes(mut self, bytes: u64) -> Self {
         self.response_cache_bytes = bytes;
@@ -140,11 +137,12 @@ pub struct GraphManager {
     key_to_node: HashMap<String, NodeId>,
     node_to_key: HashMap<NodeId, String>,
     config: GraphManagerConfig,
-    /// Shared snapshot cache (disabled at capacity 0); see [`crate::cache`].
-    cache: SnapshotCache,
-    /// Rendered-response byte cache (disabled at capacity 0); see
-    /// [`crate::response_cache`].
-    response_cache: ResponseCache,
+    /// The point cache (disabled at capacity 0); see [`crate::cache`].
+    /// Crate code looks up, admits and puts bytes through it directly;
+    /// whatever moves the cache's pool references (taking a hit's
+    /// reference, inserting, invalidating, purging) stays in this module,
+    /// next to the pool.
+    pub(crate) cache: PointCache,
     /// Bumped on every successful append; guards cache inserts against
     /// racing with invalidation (see [`GraphManager::append_epoch`]).
     append_epoch: u64,
@@ -233,8 +231,8 @@ impl GraphManager {
     fn from_index(index: DeltaGraph, config: GraphManagerConfig) -> Self {
         let mut pool = GraphPool::new();
         pool.set_current(index.current_graph());
-        let cache = SnapshotCache::new(config.snapshot_cache_capacity);
-        let response_cache = ResponseCache::with_byte_budget(
+        let cache = PointCache::new(
+            config.snapshot_cache_capacity,
             config.response_cache_capacity,
             config.response_cache_bytes,
         );
@@ -245,7 +243,6 @@ impl GraphManager {
             node_to_key: HashMap::new(),
             config,
             cache,
-            response_cache,
             append_epoch: 0,
         }
     }
@@ -335,7 +332,7 @@ impl GraphManager {
     }
 
     // ------------------------------------------------------------------
-    // Shared snapshot cache (see `crate::cache`)
+    // The point cache (see `crate::cache`)
     // ------------------------------------------------------------------
 
     /// Cache lookup for a point retrieval. On a hit the overlay gains one
@@ -354,22 +351,18 @@ impl GraphManager {
         self.pool.retain(overlay).then_some(overlay)
     }
 
-    /// [`GraphManager::cache_acquire`] for a probe whose miss is not a
-    /// lookup of its own: only a hit is counted. A miss sends the request
-    /// on to a full retrieval, whose own probe counts it.
-    pub(crate) fn cache_probe(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<GraphId> {
-        let overlay = self.cache_acquire(t, opts, false)?;
-        self.cache.count_hit();
-        Some(overlay)
-    }
-
-    /// Records a point retrieval that missed the cache and returns whether
-    /// the doorkeeper admits it: `true` only when `(t, opts)` missed
-    /// recently before (see [`crate::cache`]). An admitted point is
-    /// overlaid and cached through [`GraphManager::cache_insert_overlay`];
-    /// any other is answered without touching the pool.
-    pub(crate) fn cache_admit(&mut self, t: Timestamp, opts: &AttrOptions) -> bool {
-        self.cache.admit(t, opts)
+    /// The reactor's hit: the overlay and framed reply for
+    /// `(t, opts, format)`, found in one lookup, with one reference to the
+    /// overlay taken for the calling session. `None` — with no reference
+    /// taken and no counter moved — unless the entry holds the reply.
+    pub(crate) fn cache_acquire_hot(
+        &mut self,
+        t: Timestamp,
+        opts: &AttrOptions,
+        format: WireFormat,
+    ) -> Option<(GraphId, Arc<[u8]>)> {
+        let (overlay, bytes) = self.cache.hot(t, opts, format)?;
+        self.pool.retain(overlay).then_some((overlay, bytes))
     }
 
     /// Overlays a freshly computed, admitted snapshot and caches the
@@ -390,7 +383,7 @@ impl GraphManager {
         opts: &AttrOptions,
         computed_at_epoch: u64,
     ) -> Option<GraphId> {
-        if self.cache.capacity() == 0 || self.append_epoch != computed_at_epoch {
+        if self.config.snapshot_cache_capacity == 0 || self.append_epoch != computed_at_epoch {
             return None;
         }
         // Cached overlays are always self-contained (never dependent on the
@@ -405,106 +398,38 @@ impl GraphManager {
         Some(id)
     }
 
-    /// Read-only cache probe: the snapshot for `(t, opts)`, materialized
-    /// from its cached overlay, without touching overlay references. Used
-    /// by queries that only need the snapshot's data (e.g. `NODE ... AT`),
-    /// not a pool handle. Needs only `&self`, so it runs under a shared
-    /// lock. Hits and misses both count (a failed probe forces the caller
-    /// into a direct computation).
-    pub(crate) fn cache_peek(&self, t: Timestamp, opts: &AttrOptions) -> Option<Arc<Snapshot>> {
-        let overlay = self.cache.lookup(t, opts, true)?;
-        Some(Arc::new(self.pool.view(overlay).to_snapshot()))
-    }
-
     /// Number of successful appends so far. Snapshot computations record
     /// the epoch they ran under so a result that raced an append is never
-    /// inserted into the cache (the insert path compares epochs and falls
-    /// back to a plain session-owned overlay on mismatch). The response
-    /// cache applies the same guard to rendered bytes.
+    /// inserted into the cache (the insert paths compare epochs and decline
+    /// on a mismatch), neither as an overlay nor as framed bytes.
     pub fn append_epoch(&self) -> u64 {
         self.append_epoch
     }
 
-    /// Looks up the pre-framed reply for `(t, opts, format)` in the
-    /// rendered-response cache, counting a hit or miss.
-    pub fn response_cache_get(
-        &mut self,
-        t: Timestamp,
-        opts: &AttrOptions,
-        format: WireFormat,
-    ) -> Option<Arc<[u8]>> {
-        self.response_cache.get(t, opts, format)
-    }
-
-    /// Caches a freshly framed reply. `computed_at_epoch` is the
-    /// [`GraphManager::append_epoch`] the underlying snapshot was acquired
-    /// under: if an append has landed since, the bytes may predate events at
-    /// or before `t`, so they are discarded rather than cached — a racing
-    /// insert must never resurrect an invalidated time range. Returns
-    /// whether the reply was cached.
-    pub fn response_cache_put(
-        &mut self,
-        t: Timestamp,
-        opts: &AttrOptions,
-        format: WireFormat,
-        bytes: Arc<[u8]>,
-        computed_at_epoch: u64,
-    ) -> bool {
-        if self.response_cache.capacity() == 0 || self.append_epoch != computed_at_epoch {
-            return false;
-        }
-        self.response_cache.insert(t, opts.clone(), format, bytes);
-        true
-    }
-
-    /// The response cache's behavior counters.
+    /// The point cache's byte-slot counters.
     pub fn response_cache_stats(&self) -> ResponseCacheStats {
-        self.response_cache.stats()
+        self.cache.response_stats()
     }
 
-    /// Number of replies currently cached.
+    /// Number of framed replies the point cache holds.
     pub fn response_cache_len(&self) -> usize {
-        self.response_cache.len()
+        self.cache.slots()
     }
 
-    /// Capacity of the response cache (0 = disabled).
-    pub fn response_cache_capacity(&self) -> usize {
-        self.response_cache.capacity()
-    }
-
-    /// Byte budget of the response cache (0 = uncapped).
-    pub fn response_cache_byte_budget(&self) -> u64 {
-        self.response_cache.byte_budget()
-    }
-
-    /// The snapshot cache's behavior counters.
+    /// The point cache's overlay counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
-    /// Number of snapshots currently cached.
+    /// Number of entries in the point cache.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
     }
 
-    /// Capacity of the snapshot cache (0 = disabled).
-    pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
     /// The cached entries with live overlay reference counts, sorted by
-    /// `(t, opts)` — the payload of `STATS CACHE`.
+    /// `(t, opts)`.
     pub fn cache_entries(&self) -> Vec<CacheEntryInfo> {
-        self.cache
-            .entry_list()
-            .into_iter()
-            .map(|(t, opts, overlay)| CacheEntryInfo {
-                t,
-                opts: opts.canonical_string(),
-                overlay,
-                refs: self.pool.refcount(overlay).unwrap_or(0),
-            })
-            .collect()
+        self.cache.entries(&self.pool)
     }
 
     /// A read view of a retrieved graph.
@@ -518,7 +443,7 @@ impl GraphManager {
     }
 
     /// Releases every retrieved historical graph (materialized index nodes
-    /// and the current graph stay), purges the snapshot cache, runs the
+    /// and the current graph stay), purges the point cache, runs the
     /// cleaner, and returns the number of graphs released. Outstanding
     /// references are ignored — this is an administrative, pool-wide reset;
     /// per-session cleanup (the server's disconnect path and the `RELEASE
@@ -539,7 +464,6 @@ impl GraphManager {
             .collect();
         let released = ids.len();
         self.cache.purge(); // cached overlays are force-released below
-        self.response_cache.purge();
         for id in ids {
             self.pool.force_release(id);
         }
@@ -620,7 +544,6 @@ impl GraphManager {
         for overlay in self.cache.invalidate_from(t_min) {
             self.pool.release(overlay);
         }
-        self.response_cache.invalidate_from(t_min);
         Ok(BatchOutcome {
             applied: expanded.len(),
             normalized,
@@ -633,7 +556,7 @@ impl GraphManager {
     /// (chronology and §3.1 well-formedness) *as a unit* against a simulated
     /// copy of the current graph before anything is applied, so a rejected
     /// batch leaves no prefix behind. Application then bumps the append
-    /// epoch once and invalidates both cache tiers once, from the batch's
+    /// epoch once and invalidates the point cache once, from the batch's
     /// earliest time — readers at any `t` either see none of the batch or
     /// all of it.
     ///

@@ -15,7 +15,7 @@
 //! * **Appends** — always go to the *tail* shard. When the tail exceeds a
 //!   configurable event budget, the router rolls a new tail shard seeded
 //!   from the old tail's current graph. Historical shards are therefore
-//!   immutable: their snapshot and response caches are never invalidated by
+//!   immutable: their point caches are never invalidated by
 //!   ingest, so hot historical points stay cached forever.
 //! * **Self-contained shards** — shard `i` over `[lower_i, upper_i)` is a
 //!   *seeded* index: leaf 0 is the full graph state entering `lower_i`
@@ -47,17 +47,16 @@ use kvstore::{KeyValueStore, MemStore};
 use tgraph::codec::{Decode, Encode, Reader};
 use tgraph::{AttrOptions, Event, EventKind, EventList, Snapshot, TimeExpression, Timestamp};
 
-use crate::cache::{CacheEntryInfo, CacheStats};
+use crate::cache::{CacheOverview, CacheStats, ResponseCacheStats, WireFormat};
 use crate::durable::{DurableState, Recovered, SealedShard, ShardPlan};
 use crate::manager::{seeded_start, BatchOutcome, GraphManager, GraphManagerConfig};
-use crate::response_cache::ResponseCacheStats;
 use crate::shared::{CachedPoint, PoolSession, SharedGraphManager};
 
 /// Configuration of a [`ShardedGraphManager`].
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
-    /// Per-shard manager configuration (index parameters and the two cache
-    /// tiers). Each shard owns its own caches of these capacities.
+    /// Per-shard manager configuration (index parameters and the point
+    /// cache). Each shard owns its own cache of these capacities.
     pub manager: GraphManagerConfig,
     /// Number of shards to split the built history into when no explicit
     /// boundaries are given (equi-width over the event time range). `<= 1`
@@ -573,74 +572,6 @@ impl Decode for HealthInfo {
             storage_retries: u64::decode(r)?,
         })
     }
-}
-
-/// Cross-shard aggregation of the two cache tiers, the payload of
-/// `STATS CACHE` under sharding. Counters are summed; capacities are
-/// *per shard* (every shard owns caches of the configured capacity).
-#[derive(Clone, Debug)]
-pub struct CacheOverview {
-    /// Per-shard snapshot-cache capacity (0 = disabled).
-    pub capacity: usize,
-    /// Snapshot-cache counters summed across shards.
-    pub stats: CacheStats,
-    /// Active historical overlays summed across shards.
-    pub overlays: usize,
-    /// Cached snapshot entries of every shard, sorted by `(t, opts)`.
-    pub entries: Vec<CacheEntryInfo>,
-    /// Per-shard response-cache capacity (0 = disabled).
-    pub response_capacity: usize,
-    /// Per-shard response-cache byte budget (0 = uncapped).
-    pub response_byte_budget: u64,
-    /// Cached replies summed across shards.
-    pub response_entries: usize,
-    /// Response-cache counters summed across shards.
-    pub response: ResponseCacheStats,
-}
-
-impl Encode for CacheOverview {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.capacity.encode(buf);
-        self.stats.encode(buf);
-        self.overlays.encode(buf);
-        self.entries.encode(buf);
-        self.response_capacity.encode(buf);
-        self.response_byte_budget.encode(buf);
-        self.response_entries.encode(buf);
-        self.response.encode(buf);
-    }
-}
-
-impl Decode for CacheOverview {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(CacheOverview {
-            capacity: usize::decode(r)?,
-            stats: CacheStats::decode(r)?,
-            overlays: usize::decode(r)?,
-            entries: Vec::decode(r)?,
-            response_capacity: usize::decode(r)?,
-            response_byte_budget: u64::decode(r)?,
-            response_entries: usize::decode(r)?,
-            response: ResponseCacheStats::decode(r)?,
-        })
-    }
-}
-
-fn sum_cache_stats(into: &mut CacheStats, s: CacheStats) {
-    into.hits += s.hits;
-    into.misses += s.misses;
-    into.insertions += s.insertions;
-    into.invalidations += s.invalidations;
-    into.evictions += s.evictions;
-}
-
-fn sum_response_stats(into: &mut ResponseCacheStats, s: ResponseCacheStats) {
-    into.hits += s.hits;
-    into.misses += s.misses;
-    into.insertions += s.insertions;
-    into.invalidations += s.invalidations;
-    into.evictions += s.evictions;
-    into.bytes += s.bytes;
 }
 
 /// Factory handing each shard (by index) its backing store. Rolled tail
@@ -1556,36 +1487,22 @@ impl ShardedGraphManager {
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let (overlays, cache_entries, cache, response_entries, response) =
-                    match s.cell.peek() {
-                        Some(shared) => {
-                            let gm = shared.read();
-                            (
-                                gm.pool().active_overlay_count(),
-                                gm.cache_len(),
-                                gm.cache_stats(),
-                                gm.response_cache_len(),
-                                gm.response_cache_stats(),
-                            )
-                        }
-                        None => (
-                            0,
-                            0,
-                            CacheStats::default(),
-                            0,
-                            ResponseCacheStats::default(),
-                        ),
-                    };
+                let mut cache = CacheOverview::default();
+                let cache_entries = s.cell.peek().map_or(0, |shared| {
+                    let gm = shared.read();
+                    gm.cache.add_to(gm.pool(), &mut cache);
+                    gm.cache.len()
+                });
                 ShardInfo {
                     index: i,
                     lower: s.lower,
                     upper: shards.get(i + 1).and_then(|n| n.lower),
                     events: s.events.load(Ordering::Relaxed),
-                    overlays,
+                    overlays: cache.overlays,
                     cache_entries,
-                    cache,
-                    response_entries,
-                    response,
+                    cache: cache.stats,
+                    response_entries: cache.response_entries,
+                    response: cache.response,
                     queries: s.queries.load(Ordering::Relaxed),
                     appends: s.appends.load(Ordering::Relaxed),
                 }
@@ -1661,33 +1578,23 @@ impl ShardedGraphManager {
         info
     }
 
-    /// Cross-shard aggregation of both cache tiers (the `STATS CACHE`
-    /// payload): counters summed, entry lists concatenated and sorted by
-    /// `(t, opts)`; capacities are per shard.
+    /// Every shard's point cache (the `STATS CACHE` payload): counters
+    /// summed, entry lists concatenated and sorted by `(t, opts)`;
+    /// capacities are per shard.
     pub fn cache_overview(&self) -> CacheOverview {
         let shards = self.read_shards();
         let config = &self.inner.config.manager;
         let mut overview = CacheOverview {
             capacity: config.snapshot_cache_capacity,
-            stats: CacheStats::default(),
-            overlays: 0,
-            entries: Vec::new(),
             response_capacity: config.response_cache_capacity,
             response_byte_budget: config.response_cache_bytes,
-            response_entries: 0,
-            response: ResponseCacheStats::default(),
+            ..CacheOverview::default()
         };
-        for shard in shards.iter() {
-            // A cold shard has empty caches and no overlays: contributes
-            // nothing, costs nothing.
-            let Some(shared) = shard.cell.peek() else {
-                continue;
-            };
+        // A cold shard has an empty cache and no overlays: contributes
+        // nothing, costs nothing.
+        for shared in shards.iter().filter_map(|shard| shard.cell.peek()) {
             let gm = shared.read();
-            sum_cache_stats(&mut overview.stats, gm.cache_stats());
-            sum_response_stats(&mut overview.response, gm.response_cache_stats());
-            overview.overlays += gm.pool().active_overlay_count();
-            overview.response_entries += gm.response_cache_len();
+            gm.cache.add_to(gm.pool(), &mut overview);
             overview.entries.extend(gm.cache_entries());
         }
         overview.entries.sort_by(|a, b| {
@@ -1850,35 +1757,26 @@ impl ShardedSession {
         self.session_for(shard).ok()?.join_cached(t, opts)
     }
 
-    /// Probe-only acquisition on the owning shard — the
-    /// [`PoolSession::probe_cached`] bookkeeping, routed — plus the
-    /// context needed to cache bytes rendered from the hit: the owning
-    /// shard handle and its append epoch, read *before* the acquire — so a
-    /// response-cache insert guarded by this epoch is declined if an
-    /// `APPEND` races the render, exactly like a full retrieval's epoch
-    /// guard. The event-driven server's reactor fast path is built on this.
-    pub fn acquire_cached_point_routed(
+    /// The reactor's fast path on the owning shard (see
+    /// [`PoolSession::acquire_hot`]): the framed reply for
+    /// `(t, opts, format)` and a reference to its cached overlay, or `None`
+    /// with nothing counted or held.
+    pub fn acquire_hot_routed(
         &mut self,
         t: Timestamp,
         opts: &AttrOptions,
-    ) -> Option<(SharedGraphManager, u64, GraphId)> {
+        format: WireFormat,
+    ) -> Option<Arc<[u8]>> {
         let shard = self.router.shard_index_for(t);
         // A probe on a cold shard is a guaranteed miss and must compute
         // nothing — including the shard's own deferred index build.
         if !self.sessions.contains_key(&shard) && !self.router.is_hydrated(shard) {
             return None;
         }
-        // A miss acquires nothing and must leave every counter untouched
-        // (the reactor fast path's contract), so the query and the cache
-        // hit are counted only on the hit.
-        let (shared, epoch, overlay) = {
-            let session = self.session_for(shard).ok()?;
-            let epoch = session.shared().read().append_epoch();
-            let overlay = session.probe_cached(t, opts)?;
-            (session.shared().clone(), epoch, overlay)
-        };
+        let bytes = self.session_for(shard).ok()?.acquire_hot(t, opts, format)?;
+        // Counted only on the hit, like the cache's own counters.
         self.router.note_queries(shard, 1);
-        Some((shared, epoch, overlay))
+        Some(bytes)
     }
 
     /// Multipoint retrieval: times are grouped by owning shard; each group
@@ -2168,7 +2066,6 @@ mod tests {
 
     #[test]
     fn response_bytes_put_after_a_roll_stay_on_the_shard_that_rendered_them() {
-        use crate::response_cache::WireFormat;
         // The exact race the pinned-handle API exists for: a reply is
         // rendered from the tail, a concurrent append rolls a new tail
         // (fresh epoch 0, same as the old tail's), and only then does the
@@ -2190,8 +2087,18 @@ mod tests {
         let opts = AttrOptions::all();
         let t = Timestamp(1000);
         let mut session = sharded.session();
-        let (old_shard, point) = session.retrieve_cached_routed(t, &opts).unwrap();
         let bytes: Arc<[u8]> = b"pre-roll reply".to_vec().into();
+        // Bytes are kept only for an admitted point, its second reference.
+        let (first, point) = session.retrieve_cached_routed(t, &opts).unwrap();
+        assert!(!first.response_cache_put(
+            t,
+            &opts,
+            WireFormat::Text,
+            Arc::clone(&bytes),
+            point.epoch
+        ));
+        let (old_shard, point) = session.retrieve_cached_routed(t, &opts).unwrap();
+        assert!(point.overlay.is_some(), "the second reference is admitted");
         // The roll happens between the render and the insert.
         sharded.append_event(Event::add_node(100, 9000)).unwrap();
         assert_eq!(sharded.shard_count(), 3);

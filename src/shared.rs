@@ -29,8 +29,8 @@ use deltagraph::DgResult;
 use graphpool::GraphId;
 use tgraph::{AttrOptions, ColumnGraph, Snapshot, Timestamp};
 
+use crate::cache::WireFormat;
 use crate::manager::GraphManager;
-use crate::response_cache::WireFormat;
 
 /// A cloneable, thread-safe handle to one [`GraphManager`].
 #[derive(Clone)]
@@ -92,19 +92,24 @@ impl SharedGraphManager {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Pre-framed reply lookup (see
-    /// [`GraphManager::response_cache_get`]) under a brief write lock.
+    /// The pre-framed reply for `(t, opts, format)` in the point cache,
+    /// counting a byte hit or miss, under the read lock.
     pub fn response_cache_get(
         &self,
         t: Timestamp,
         opts: &AttrOptions,
         format: WireFormat,
     ) -> Option<Arc<[u8]>> {
-        self.write().response_cache_get(t, opts, format)
+        self.read().cache.bytes(t, opts, format)
     }
 
-    /// Caches a freshly framed reply under the append-epoch guard (see
-    /// [`GraphManager::response_cache_put`]).
+    /// Caches a freshly framed reply in the entry for `(t, opts)`.
+    /// `computed_at_epoch` is the [`GraphManager::append_epoch`] the
+    /// underlying snapshot was acquired under: if an append has landed
+    /// since, the bytes may predate events at or before `t`, so they are
+    /// discarded rather than cached — a racing insert must never resurrect
+    /// an invalidated time range. Bytes for a point with no entry are
+    /// declined too. Returns whether the reply was cached.
     pub fn response_cache_put(
         &self,
         t: Timestamp,
@@ -113,8 +118,8 @@ impl SharedGraphManager {
         bytes: Arc<[u8]>,
         computed_at_epoch: u64,
     ) -> bool {
-        self.write()
-            .response_cache_put(t, opts, format, bytes, computed_at_epoch)
+        let mut gm = self.write();
+        gm.append_epoch() == computed_at_epoch && gm.cache.put_bytes(t, opts, format, bytes)
     }
 
     /// Shared read access: planning a retrieval through
@@ -146,20 +151,15 @@ impl SharedGraphManager {
         )
     }
 
-    /// Read-only probe of the shared snapshot cache: the snapshot for
+    /// Read-only probe of the point cache: the snapshot for
     /// `(t, opts)`, materialized from its cached overlay under the read
     /// lock, without touching overlay references. `None` on a miss — the
     /// caller computes the snapshot itself (and decides whether that result
-    /// is worth caching).
+    /// is worth caching). Hits and misses both count.
     pub fn peek_cached(&self, t: Timestamp, opts: &AttrOptions) -> Option<Arc<Snapshot>> {
-        self.read().cache_peek(t, opts)
-    }
-
-    /// The graph of pool overlay `id`, materialized under the read lock.
-    /// The caller must hold a reference to `id` (see [`PoolSession`]), or
-    /// the overlay could be released and cleaned up underneath it.
-    pub fn snapshot_of(&self, id: GraphId) -> Arc<Snapshot> {
-        Arc::new(self.read().graph(id).to_snapshot())
+        let gm = self.read();
+        let overlay = gm.cache.lookup(t, opts, true)?;
+        Some(Arc::new(gm.graph(overlay).to_snapshot()))
     }
 
     /// Starts a session whose overlays are released when it drops.
@@ -212,7 +212,12 @@ impl CachedPoint {
         match self.built {
             Some(Built::Columns(columns)) => Arc::new(columns.into_snapshot()),
             Some(Built::Snapshot(snapshot)) => snapshot,
-            None => shared.snapshot_of(self.overlay.expect("a point that built nothing is a hit")),
+            // The session holds a reference to the overlay, so it cannot be
+            // released and cleaned up underneath the read.
+            None => {
+                let id = self.overlay.expect("a point that built nothing is a hit");
+                Arc::new(shared.read().graph(id).to_snapshot())
+            }
         }
     }
 }
@@ -229,7 +234,7 @@ pub struct PoolSession {
 }
 
 impl PoolSession {
-    /// Point retrieval through the shared snapshot cache: returns the
+    /// Point retrieval through the point cache: returns the
     /// cached overlay the session now holds (if any), the graph if this
     /// call built one, whether the overlay was served from the cache, and
     /// the append epoch the point is consistent with (see [`CachedPoint`]).
@@ -262,7 +267,7 @@ impl PoolSession {
                 drop(gm);
                 return Ok(self.hold(Some(id), None, true, epoch));
             }
-            gm.cache_admit(t, opts)
+            gm.cache.admit(t, opts)
         };
         // Miss: plan under the read lock, reading the append epoch under
         // the same guard so it names exactly the history the plan saw. The
@@ -327,14 +332,21 @@ impl PoolSession {
         Some(id)
     }
 
-    /// [`PoolSession::acquire_cached`] for a probe that precedes a full
-    /// [`PoolSession::retrieve_cached`] of the same point, as the reactor's
-    /// fast path does: only a hit is counted, so a point that misses here
-    /// counts one miss, in the retrieval.
-    pub fn probe_cached(&mut self, t: Timestamp, opts: &AttrOptions) -> Option<GraphId> {
-        let id = self.shared.write().cache_probe(t, opts)?;
+    /// The reactor's fast path: the framed reply for `(t, opts, format)`
+    /// when the point cache holds it, with a reference to the cached
+    /// overlay taken — the bookkeeping of a [`PoolSession::retrieve_cached`]
+    /// hit — all under one write guard. `None` when the entry or its reply
+    /// is missing; then nothing is counted or held, and the request takes
+    /// the full path, which renders the reply and fills the slot.
+    pub fn acquire_hot(
+        &mut self,
+        t: Timestamp,
+        opts: &AttrOptions,
+        format: WireFormat,
+    ) -> Option<Arc<[u8]>> {
+        let (id, bytes) = self.shared.write().cache_acquire_hot(t, opts, format)?;
         self.note_reference(id);
-        Some(id)
+        Some(bytes)
     }
 
     /// A single-flight follower's reference to a point another session
@@ -345,7 +357,7 @@ impl PoolSession {
         let mut gm = self.shared.write();
         let id = gm.cache_acquire(t, opts, true);
         if id.is_none() {
-            gm.cache_admit(t, opts);
+            gm.cache.admit(t, opts);
         }
         drop(gm);
         if let Some(id) = id {
