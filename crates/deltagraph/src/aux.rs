@@ -638,6 +638,24 @@ mod tests {
     }
 
     #[test]
+    fn storage_formats_are_pinned() {
+        // The auxiliary chain's payloads are persisted as these bytes.
+        let d = AuxDelta {
+            added: vec![("k2".into(), "v2".into()), ("k3".into(), String::new())],
+            removed: vec![("k1".into(), "v1".into())],
+        };
+        for (value, golden) in [
+            (d, "02026b32027632026b330001026b31027631"),
+            (AuxDelta::default(), "0000"),
+        ] {
+            let bytes = value.to_bytes();
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, golden, "{value:?}");
+            assert_eq!(AuxDelta::from_bytes(&bytes).unwrap(), value);
+        }
+    }
+
+    #[test]
     fn aux_delta_roundtrip() {
         let mut a = AuxSnapshot::new();
         a.insert(("k1".into(), "v1".into()));

@@ -706,6 +706,35 @@ mod tests {
     }
 
     #[test]
+    fn storage_formats_are_pinned() {
+        // A sealed segment's index block holds these bytes: the config,
+        // then the skeleton (docs/STORAGE.md).
+        let events = EventList::from_events(vec![
+            Event::add_node(1, 1),
+            Event::add_node(2, 2),
+            Event::add_edge(3, 7, 1, 2),
+            Event::set_node_attr(4, 1, "k", None, Some(tgraph::AttrValue::Int(5))),
+            Event::delete_edge(5, 7, 1, 2),
+        ]);
+        let dg = DeltaGraph::build(
+            &events,
+            DeltaGraphConfig::new(2, 2),
+            Arc::new(MemStore::new()),
+        )
+        .unwrap();
+        let (bytes, _) = dg.sealed_parts().unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "020200000000000000000000000000000000000108020101000002010104020102000002010108040201010a030102000301030000000400000d000101010900000001000201090000000200000200000000020100030600000001030104080b000003010204080b00000304010508000000040302050800000005030006080000000504000700000000060200080000000006050009060700000706000a000000000301000100040209000000040103040802080b0000050304080a0108000000");
+        let image = IndexImage::from_bytes(&bytes).unwrap();
+        assert_eq!(image.to_bytes(), bytes);
+        assert_eq!(format!("{:?}", image.config), format!("{:?}", dg.config));
+        assert_eq!(
+            format!("{:?}", image.skeleton),
+            format!("{:?}", dg.skeleton)
+        );
+    }
+
+    #[test]
     fn a_sealed_index_answers_like_the_index_it_was_sealed_from() {
         let ds = datagen::churn_trace(&datagen::ChurnConfig::tiny(23));
         let dg = DeltaGraph::build(

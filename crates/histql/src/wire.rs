@@ -1684,26 +1684,450 @@ mod tests {
         }
     }
 
+    /// The golden binary vectors, one `name hex` line each: every
+    /// `Response` tag and the error envelope as whole frames, and each
+    /// record type on its own. `tests/sealed_segments.rs` mutates the
+    /// frames.
+    const GOLDEN: &str = include_str!("../testdata/wire_golden.txt");
+
+    fn golden(name: &str) -> &'static str {
+        GOLDEN
+            .lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no golden vector named {name}"))
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Asserts `value` encodes to its golden vector and decodes back to a
+    /// value that prints the same.
+    fn pin<T: Encode + Decode + std::fmt::Debug>(name: &str, value: &T) {
+        let bytes = value.to_bytes();
+        assert_eq!(hex(&bytes), golden(name), "{name}");
+        let back = T::from_bytes(&bytes).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{value:?}"), "{name}");
+    }
+
+    /// Field-by-field equality; a snapshot's `Debug` order is its hash
+    /// table's, so graphs compare by value.
+    fn same_response(a: &Response, b: &Response) -> bool {
+        match (a, b) {
+            (Response::Graph { t, graph }, Response::Graph { t: t2, graph: g2 }) => {
+                t == t2 && graph == g2
+            }
+            (Response::Graphs { items }, Response::Graphs { items: i2 }) => items == i2,
+            (
+                Response::Interval {
+                    start,
+                    end,
+                    graph,
+                    transients,
+                },
+                Response::Interval {
+                    start: s2,
+                    end: e2,
+                    graph: g2,
+                    transients: t2,
+                },
+            ) => start == s2 && end == e2 && graph == g2 && transients == t2,
+            _ => format!("{a:?}") == format!("{b:?}"),
+        }
+    }
+
+    fn sample_shards() -> Vec<ShardInfo> {
+        vec![
+            ShardInfo {
+                index: 0,
+                lower: None,
+                upper: Some(Timestamp(50)),
+                events: 120,
+                overlays: 2,
+                cache_entries: 1,
+                cache: CacheStats {
+                    hits: 3,
+                    misses: 1,
+                    insertions: 1,
+                    invalidations: 0,
+                    evictions: 0,
+                },
+                response_entries: 1,
+                response: ResponseCacheStats {
+                    hits: 2,
+                    misses: 1,
+                    insertions: 1,
+                    invalidations: 0,
+                    evictions: 0,
+                    bytes: 64,
+                },
+                queries: 900,
+                appends: 0,
+            },
+            ShardInfo {
+                index: 1,
+                lower: Some(Timestamp(50)),
+                upper: None,
+                events: 7,
+                overlays: 0,
+                cache_entries: 0,
+                cache: CacheStats::default(),
+                response_entries: 0,
+                response: ResponseCacheStats::default(),
+                queries: 10,
+                appends: 7,
+            },
+        ]
+    }
+
+    fn sample_metrics() -> Vec<MetricEntry> {
+        vec![
+            MetricEntry {
+                name: "path_fast_total".into(),
+                value: MetricValue::Counter(42),
+            },
+            MetricEntry {
+                name: "server_queue_depth".into(),
+                value: MetricValue::Gauge(3),
+            },
+            MetricEntry {
+                name: "verb_us_get_graph_at".into(),
+                value: MetricValue::Histogram(HistogramStats {
+                    count: 100,
+                    sum: 12345,
+                    p50: 127,
+                    p90: 255,
+                    p99: 1023,
+                    max: 900,
+                }),
+            },
+        ]
+    }
+
+    fn sample_slow() -> Vec<SlowQueryInfo> {
+        vec![
+            SlowQueryInfo {
+                verb: "GET GRAPH AT".into(),
+                t: Some(Timestamp(-6)),
+                shard: Some(2),
+                total_us: 1500,
+                queue_us: 100,
+                service_us: 1400,
+                session: 9,
+            },
+            SlowQueryInfo {
+                verb: "OTHER".into(),
+                t: None,
+                shard: None,
+                total_us: 80,
+                queue_us: 0,
+                service_us: 80,
+                session: 1,
+            },
+        ]
+    }
+
+    fn sample_health() -> HealthInfo {
+        HealthInfo {
+            shards: vec![
+                historygraph::ShardHealth {
+                    index: 0,
+                    state: "ready".into(),
+                    failures: 0,
+                },
+                historygraph::ShardHealth {
+                    index: 1,
+                    state: "quarantined".into(),
+                    failures: 2,
+                },
+            ],
+            degraded: true,
+            degraded_reason: "injected EIO at wal.append".into(),
+            quarantined: 1,
+            hydration_failures: 2,
+            storage_retries: 4,
+        }
+    }
+
+    fn sample_sample() -> HistorySample {
+        HistorySample {
+            t: Timestamp(0),
+            present: true,
+            degree: 130,
+            attrs: vec![("x".into(), AttrValue::Bool(true))],
+        }
+    }
+
+    const SERVER: ServerCounters = ServerCounters {
+        live_connections: 12,
+        accepted: 100,
+        rejected: 3,
+        queue_depth: 2,
+        workers: 4,
+        sf_leaders: 40,
+        sf_coalesced: 360,
+        sf_stale_rerenders: 1,
+    };
+
+    /// One response per binary tag, 0 to 19, each with its name in the
+    /// golden file and, for the `STATS` forms, its exact text reply.
+    fn golden_responses() -> Vec<(&'static str, Response, Option<&'static str>)> {
+        let snap = sample_snapshot();
+        vec![
+            (
+                "Response::Graph",
+                Response::Graph {
+                    t: Timestamp(-6),
+                    graph: Arc::new(snap.clone()),
+                },
+                None,
+            ),
+            (
+                "Response::Graphs",
+                Response::Graphs {
+                    items: vec![
+                        (Timestamp(1), Arc::new(snap.clone())),
+                        (Timestamp(2), Arc::new(Snapshot::new())),
+                    ],
+                },
+                None,
+            ),
+            (
+                "Response::Interval",
+                Response::Interval {
+                    start: Timestamp(0),
+                    end: Timestamp(10),
+                    graph: snap,
+                    transients: vec![Event::transient_edge(
+                        7,
+                        1,
+                        2,
+                        Some(AttrValue::Str("m".into())),
+                    )],
+                },
+                None,
+            ),
+            (
+                "Response::Node",
+                Response::Node {
+                    key: "bob smith".into(),
+                    node: NodeId(4),
+                    t: Timestamp(3),
+                    present: true,
+                    attrs: vec![("k".into(), AttrValue::Int(-2))],
+                    neighbors: vec![(NodeId(1), EdgeId(9))],
+                },
+                None,
+            ),
+            (
+                "Response::History",
+                Response::History {
+                    key: "a".into(),
+                    node: NodeId(1),
+                    from: Timestamp(0),
+                    to: Timestamp(8),
+                    step: 2,
+                    samples: vec![sample_sample()],
+                },
+                None,
+            ),
+            (
+                "Response::Stats",
+                Response::Stats {
+                    leaves: 4,
+                    interior: 2,
+                    height: 3,
+                    stored_bytes: 1 << 40,
+                    materialized_nodes: 1,
+                    materialized_bytes: 9000,
+                    recent_events: 7,
+                },
+                Some(
+                    "OK STATS leaves=4 interior=2 height=3 stored_bytes=1099511627776 materialized_nodes=1 materialized_bytes=9000 recent_events=7\n\
+                     END\n",
+                ),
+            ),
+            (
+                "Response::CacheStats",
+                Response::CacheStats {
+                    overview: sample_overview(),
+                },
+                Some(
+                    "OK CACHE entries=1 capacity=8 hits=5 misses=2 insertions=2 invalidations=1 \
+                     evictions=300 overlays=3\n\
+                     RC entries=1 capacity=16 byte_budget=65536 hits=9 misses=1 insertions=1 \
+                     invalidations=0 evictions=0 bytes=512\n\
+                     C t=-6 opts=\"+node:all\" overlay=7 refs=2\nEND\n",
+                ),
+            ),
+            (
+                "Response::Appended",
+                Response::Appended { t: Timestamp(20) },
+                None,
+            ),
+            (
+                "Response::Bound",
+                Response::Bound {
+                    key: "alice".into(),
+                    node: 1,
+                },
+                None,
+            ),
+            ("Response::Released", Response::Released { count: 3 }, None),
+            ("Response::Pong", Response::Pong, None),
+            (
+                "Response::Protocol",
+                Response::Protocol {
+                    mode: WireFormat::Binary,
+                },
+                None,
+            ),
+            ("Response::Bye", Response::Bye, None),
+            (
+                "Response::Shards",
+                Response::Shards {
+                    shards: sample_shards(),
+                },
+                Some(
+                    "OK SHARDS count=2\n\
+                     S 0 lower=- upper=50 events=120 overlays=2 cache_entries=1 cache_hits=3 cache_misses=1 cache_invalidations=0 rc_entries=1 rc_hits=2 rc_misses=1 queries=900 appends=0\n\
+                     S 1 lower=50 upper=- events=7 overlays=0 cache_entries=0 cache_hits=0 cache_misses=0 cache_invalidations=0 rc_entries=0 rc_hits=0 rc_misses=0 queries=10 appends=7\n\
+                     END\n",
+                ),
+            ),
+            (
+                "Response::Server",
+                Response::Server { counters: SERVER },
+                Some(
+                    "OK SERVER connections=12 accepted=100 rejected=3 queue_depth=2 workers=4\n\
+                     SF leaders=40 coalesced=360 stale_rerenders=1\n\
+                     END\n",
+                ),
+            ),
+            (
+                "Response::Metrics",
+                Response::Metrics {
+                    entries: sample_metrics(),
+                },
+                Some(
+                    "OK METRICS entries=3\n\
+                     M path_fast_total counter value=42\n\
+                     M server_queue_depth gauge value=3\n\
+                     M verb_us_get_graph_at hist count=100 p50=127 p90=255 p99=1023 max=900 sum=12345\n\
+                     END\n",
+                ),
+            ),
+            (
+                "Response::Slow",
+                Response::Slow {
+                    entries: sample_slow(),
+                },
+                Some(
+                    "OK SLOW entries=2\n\
+                     Q verb=\"GET GRAPH AT\" t=-6 shard=2 total_us=1500 queue_us=100 service_us=1400 session=9\n\
+                     Q verb=\"OTHER\" t=- shard=- total_us=80 queue_us=0 service_us=80 session=1\n\
+                     END\n",
+                ),
+            ),
+            (
+                "Response::Storage",
+                Response::Storage {
+                    info: sample_storage(),
+                },
+                Some(
+                    "OK STORAGE durable=true policy=always segments=2 segment_bytes=8192 wal_bytes=640 wal_appends=31 wal_fsyncs=31 torn_bytes=5 torn_truncations=1 recovery_ms=12\n\
+                     END\n",
+                ),
+            ),
+            (
+                "Response::Health",
+                Response::Health {
+                    info: sample_health(),
+                },
+                Some(
+                    "OK HEALTH shards=2 degraded=true quarantined=1 hydration_failures=2 storage_retries=4 reason=\"injected EIO at wal.append\"\n\
+                     H 0 state=ready failures=0\n\
+                     H 1 state=quarantined failures=2\n\
+                     END\n",
+                ),
+            ),
+            (
+                "Response::AppendedBatch",
+                Response::AppendedBatch {
+                    count: 5,
+                    normalized: 2,
+                    t_min: Timestamp(20),
+                    t_max: Timestamp(23),
+                },
+                None,
+            ),
+        ]
+    }
+
+    fn sample_storage() -> StorageInfo {
+        StorageInfo {
+            durable: true,
+            policy: "always".into(),
+            segments: 2,
+            segment_bytes: 8192,
+            wal_bytes: 640,
+            wal_appends: 31,
+            wal_fsyncs: 31,
+            torn_bytes: 5,
+            torn_truncations: 1,
+            recovery_ms: 12,
+        }
+    }
+
     #[test]
-    fn cache_stats_frames_are_pinned() {
-        // Tag 6 encodes the overview's fields in declaration order; these
-        // bytes (and the text lines) are the wire contract in PROTOCOL.md.
-        let resp = Response::CacheStats {
-            overview: sample_overview(),
+    fn wire_formats_are_pinned() {
+        // Every binary reply is its fields in declaration order after one
+        // tag; these bytes and the `STATS` text forms are the wire contract
+        // in PROTOCOL.md.
+        let responses = golden_responses();
+        for (tag, (name, resp, text)) in responses.iter().enumerate() {
+            let framed = resp.to_frame(WireFormat::Binary);
+            assert_eq!(framed[6] as usize, tag, "{name}");
+            assert_eq!(hex(&framed), golden(name), "{name}");
+            let Frame::Response(back) = Frame::from_payload(&framed[4..]).unwrap() else {
+                panic!("{name}: expected a response frame");
+            };
+            assert!(same_response(&back, resp), "{name}: {back:?}");
+            if let Some(text) = text {
+                let got = String::from_utf8(resp.to_frame(WireFormat::Text)).unwrap();
+                assert_eq!(&got, text, "{name}");
+            }
+        }
+        let framed = frame_error("unknown verb 'FROB'", WireFormat::Binary);
+        assert_eq!(hex(&framed), golden("Frame::Error"));
+        let Frame::Error(msg) = Frame::from_payload(&framed[4..]).unwrap() else {
+            panic!("expected an error frame");
         };
-        let binary: Vec<u8> = vec![
-            37, 0, 0, 0, 1, 0, 6, 8, 5, 2, 2, 1, 172, 2, 3, 1, 11, 9, 43, 110, 111, 100, 101, 58,
-            97, 108, 108, 7, 2, 16, 128, 128, 4, 1, 9, 1, 1, 0, 0, 128, 4,
-        ];
-        assert_eq!(resp.to_frame(WireFormat::Binary), binary);
-        assert_eq!(
-            String::from_utf8(resp.to_frame(WireFormat::Text)).unwrap(),
-            "OK CACHE entries=1 capacity=8 hits=5 misses=2 insertions=2 invalidations=1 \
-             evictions=300 overlays=3\n\
-             RC entries=1 capacity=16 byte_budget=65536 hits=9 misses=1 insertions=1 \
-             invalidations=0 evictions=0 bytes=512\n\
-             C t=-6 opts=\"+node:all\" overlay=7 refs=2\nEND\n"
-        );
+        assert_eq!(msg, "unknown verb 'FROB'");
+
+        let overview = sample_overview();
+        pin("WireFormat::Text", &WireFormat::Text);
+        pin("WireFormat::Binary", &WireFormat::Binary);
+        pin("CacheStats", &overview.stats);
+        pin("ResponseCacheStats", &overview.response);
+        pin("CacheEntryInfo", &overview.entries[0]);
+        pin("CacheOverview", &overview);
+        pin("ShardInfo", &sample_shards()[0]);
+        pin("StorageInfo", &sample_storage());
+        pin("ShardHealth", &sample_health().shards[1]);
+        pin("HealthInfo", &sample_health());
+        pin("ServerCounters", &SERVER);
+        let metrics = sample_metrics();
+        let MetricValue::Histogram(histogram) = metrics[2].value else {
+            unreachable!()
+        };
+        pin("HistogramStats", &histogram);
+        pin("MetricEntry::Counter", &metrics[0]);
+        pin("MetricEntry::Gauge", &metrics[1]);
+        pin("MetricEntry::Histogram", &metrics[2]);
+        pin("SlowQueryInfo", &sample_slow()[0]);
+        pin("HistorySample", &sample_sample());
+        pin("Frame::Response", &Frame::Response(Response::Pong));
     }
 
     #[test]

@@ -445,6 +445,26 @@ mod tests {
     }
 
     #[test]
+    fn storage_formats_are_pinned() {
+        // A sealed segment's meta block holds these bytes (docs/STORAGE.md).
+        for (value, golden) in [
+            (meta(), "030154"),
+            (
+                SegmentMeta {
+                    shard_index: 200,
+                    lower: None,
+                },
+                "c80100",
+            ),
+        ] {
+            let bytes = value.to_bytes();
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, golden, "{value:?}");
+            assert_eq!(SegmentMeta::from_bytes(&bytes).unwrap(), value);
+        }
+    }
+
+    #[test]
     fn round_trip() {
         let path = tmpdir("roundtrip").join("segment-00003.seg");
         write_sample(&path);

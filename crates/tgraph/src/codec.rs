@@ -918,6 +918,60 @@ mod tests {
         assert!(Snapshot::from_bytes(&twice).is_err());
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Asserts `value` encodes to `golden` (hex) and decodes back to itself.
+    fn pin<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: &T, golden: &str) {
+        let bytes = value.to_bytes();
+        assert_eq!(hex(&bytes), golden, "{value:?}");
+        assert_eq!(&T::from_bytes(&bytes).unwrap(), value);
+    }
+
+    #[test]
+    fn storage_formats_are_pinned() {
+        // Deltas are persisted as these bytes (docs/STORAGE.md): each
+        // record's fields in declaration order.
+        pin(&NodeId(200), "c801");
+        pin(&EdgeId(7), "07");
+        pin(&Timestamp(-300), "d704");
+        let edge = EdgeRecord {
+            edge: EdgeId(300),
+            src: NodeId(1),
+            dst: NodeId(2),
+            directed: true,
+        };
+        pin(&edge, "ac02010201");
+        let structure = StructDelta {
+            add_nodes: vec![NodeId(1), NodeId(200)],
+            del_nodes: vec![NodeId(3)],
+            add_edges: vec![edge],
+            del_edges: vec![EdgeRecord {
+                directed: false,
+                ..edge
+            }],
+        };
+        pin(&structure, "0201c801010301ac0201020101ac02010200");
+        pin(
+            &Delta {
+                structure,
+                node_attrs: vec![AttrAssignment {
+                    id: NodeId(1),
+                    key: "k".into(),
+                    value: Some(AttrValue::Int(-2)),
+                }],
+                edge_attrs: vec![AttrAssignment {
+                    id: EdgeId(300),
+                    key: "w".into(),
+                    value: None,
+                }],
+            },
+            "0201c801010301ac0201020101ac020102000101016b01010301ac02017700",
+        );
+        pin(&Delta::default(), "000000000000");
+    }
+
     #[test]
     fn corrupt_input_is_an_error_not_a_panic() {
         assert!(Event::from_bytes(&[]).is_err());
