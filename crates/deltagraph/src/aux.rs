@@ -23,7 +23,7 @@
 
 use std::collections::BTreeSet;
 
-use tgraph::codec::{write_varint, Decode, Encode, Reader};
+use tgraph::codec::{Decode, Encode};
 use tgraph::{Event, EventKind, EventList, NodeId, Snapshot, Timestamp};
 
 use crate::error::{DgError, DgResult};
@@ -164,36 +164,7 @@ impl AuxDelta {
     }
 }
 
-impl Encode for AuxDelta {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(buf, self.added.len() as u64);
-        for (k, v) in &self.added {
-            k.encode(buf);
-            v.encode(buf);
-        }
-        write_varint(buf, self.removed.len() as u64);
-        for (k, v) in &self.removed {
-            k.encode(buf);
-            v.encode(buf);
-        }
-    }
-}
-
-impl Decode for AuxDelta {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        let read_pairs = |r: &mut Reader<'_>| -> tgraph::Result<Vec<(String, String)>> {
-            let n = r.read_varint()? as usize;
-            let mut out = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                out.push((String::decode(r)?, String::decode(r)?));
-            }
-            Ok(out)
-        };
-        let added = read_pairs(r)?;
-        let removed = read_pairs(r)?;
-        Ok(AuxDelta { added, removed })
-    }
-}
+tgraph::impl_codec!(AuxDelta { added, removed });
 
 impl DeltaGraph {
     /// Builds an auxiliary index over the recorded history and registers it.

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use kvstore::{ComponentKind, KeyValueStore, NodePartitioner, StoreKey};
-use tgraph::codec::{Decode, Encode, Reader};
+use tgraph::codec::Encode;
 use tgraph::fxhash::FxHashMap;
 use tgraph::{AttrOptions, Event, EventList, Snapshot, Timestamp};
 
@@ -49,21 +49,7 @@ pub struct IndexImage {
     pub skeleton: Skeleton,
 }
 
-impl Encode for IndexImage {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.config.encode(buf);
-        self.skeleton.encode(buf);
-    }
-}
-
-impl Decode for IndexImage {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(IndexImage {
-            config: DeltaGraphConfig::decode(r)?,
-            skeleton: Skeleton::decode(r)?,
-        })
-    }
-}
+tgraph::impl_codec!(IndexImage { config, skeleton });
 
 /// The DeltaGraph index over the history of one graph.
 pub struct DeltaGraph {
@@ -607,6 +593,7 @@ mod tests {
     use datagen::{dblp_like, DblpConfig};
     use kvstore::MemStore;
     use std::sync::Arc;
+    use tgraph::codec::Decode;
 
     fn small_index() -> (datagen::Dataset, DeltaGraph) {
         let ds = dblp_like(&DblpConfig::tiny(21));

@@ -28,6 +28,8 @@ use crate::view::GraphView;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GraphId(pub u32);
 
+tgraph::impl_codec!(GraphId { 0 });
+
 /// What kind of graph an entry describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GraphKind {

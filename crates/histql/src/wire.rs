@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use historygraph::{CacheOverview, HealthInfo, ShardInfo, StorageInfo, WireFormat};
-use tgraph::codec::{write_varint, Decode, Encode, Reader};
+use tgraph::codec::{Decode, Encode};
 use tgraph::{
     AttrValue, ColumnGraph, EdgeRecord, Event, EventKind, NodeId, Snapshot, TgError, Timestamp,
 };
@@ -216,33 +216,16 @@ pub struct ServerCounters {
     pub sf_stale_rerenders: u64,
 }
 
-impl Encode for ServerCounters {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.live_connections.encode(buf);
-        self.accepted.encode(buf);
-        self.rejected.encode(buf);
-        self.queue_depth.encode(buf);
-        self.workers.encode(buf);
-        self.sf_leaders.encode(buf);
-        self.sf_coalesced.encode(buf);
-        self.sf_stale_rerenders.encode(buf);
-    }
-}
-
-impl Decode for ServerCounters {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(ServerCounters {
-            live_connections: u64::decode(r)?,
-            accepted: u64::decode(r)?,
-            rejected: u64::decode(r)?,
-            queue_depth: u64::decode(r)?,
-            workers: u64::decode(r)?,
-            sf_leaders: u64::decode(r)?,
-            sf_coalesced: u64::decode(r)?,
-            sf_stale_rerenders: u64::decode(r)?,
-        })
-    }
-}
+tgraph::impl_codec!(ServerCounters {
+    live_connections,
+    accepted,
+    rejected,
+    queue_depth,
+    workers,
+    sf_leaders,
+    sf_coalesced,
+    sf_stale_rerenders
+});
 
 /// One metric in a `STATS METRICS` reply (and the `/metrics` scrape).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -298,62 +281,22 @@ impl HistogramStats {
     }
 }
 
-impl Encode for HistogramStats {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.count.encode(buf);
-        self.sum.encode(buf);
-        self.p50.encode(buf);
-        self.p90.encode(buf);
-        self.p99.encode(buf);
-        self.max.encode(buf);
-    }
-}
+tgraph::impl_codec!(HistogramStats {
+    count,
+    sum,
+    p50,
+    p90,
+    p99,
+    max
+});
 
-impl Decode for HistogramStats {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(HistogramStats {
-            count: u64::decode(r)?,
-            sum: u64::decode(r)?,
-            p50: u64::decode(r)?,
-            p90: u64::decode(r)?,
-            p99: u64::decode(r)?,
-            max: u64::decode(r)?,
-        })
-    }
-}
+tgraph::impl_codec!(MetricEntry { name, value });
 
-impl Encode for MetricEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.name.encode(buf);
-        match &self.value {
-            MetricValue::Counter(v) => {
-                buf.push(0);
-                v.encode(buf);
-            }
-            MetricValue::Gauge(v) => {
-                buf.push(1);
-                v.encode(buf);
-            }
-            MetricValue::Histogram(h) => {
-                buf.push(2);
-                h.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for MetricEntry {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        let name = String::decode(r)?;
-        let value = match u64::decode(r)? {
-            0 => MetricValue::Counter(u64::decode(r)?),
-            1 => MetricValue::Gauge(u64::decode(r)?),
-            2 => MetricValue::Histogram(HistogramStats::decode(r)?),
-            t => return Err(TgError::Codec(format!("invalid MetricValue tag {t}"))),
-        };
-        Ok(MetricEntry { name, value })
-    }
-}
+tgraph::impl_codec_enum!(MetricValue {
+    0 => Counter(v),
+    1 => Gauge(v),
+    2 => Histogram(h),
+});
 
 /// One captured over-threshold request in a `STATS SLOW` reply.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -374,31 +317,15 @@ pub struct SlowQueryInfo {
     pub session: u64,
 }
 
-impl Encode for SlowQueryInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.verb.encode(buf);
-        self.t.encode(buf);
-        self.shard.encode(buf);
-        self.total_us.encode(buf);
-        self.queue_us.encode(buf);
-        self.service_us.encode(buf);
-        self.session.encode(buf);
-    }
-}
-
-impl Decode for SlowQueryInfo {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(SlowQueryInfo {
-            verb: String::decode(r)?,
-            t: Option::decode(r)?,
-            shard: Option::decode(r)?,
-            total_us: u64::decode(r)?,
-            queue_us: u64::decode(r)?,
-            service_us: u64::decode(r)?,
-            session: u64::decode(r)?,
-        })
-    }
-}
+tgraph::impl_codec!(SlowQueryInfo {
+    verb,
+    t,
+    shard,
+    total_us,
+    queue_us,
+    service_us,
+    session
+});
 
 /// One row of a `HISTORY NODE` response.
 #[derive(Clone, Debug, PartialEq)]
@@ -726,9 +653,10 @@ impl Response {
                 out.extend_from_slice(b"END\n");
                 out
             }
-            WireFormat::Binary => {
-                frame_bytes(MAX_FRAME_BYTES, |buf| encode_response_envelope(self, buf))
-            }
+            WireFormat::Binary => frame_bytes(MAX_FRAME_BYTES, |buf| {
+                buf.push(0);
+                self.encode(buf)
+            }),
         }
     }
 }
@@ -825,33 +753,10 @@ fn frame_bytes(max: usize, encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     out
 }
 
-/// The envelope of a successful response: tag 0, then the response.
-fn encode_response_envelope(resp: &Response, buf: &mut Vec<u8>) {
-    buf.push(0);
-    resp.encode(buf);
-}
-
-impl Encode for Frame {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Frame::Response(resp) => encode_response_envelope(resp, buf),
-            Frame::Error(msg) => {
-                buf.push(1);
-                msg.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for Frame {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        match u64::decode(r)? {
-            0 => Ok(Frame::Response(Response::decode(r)?)),
-            1 => Ok(Frame::Error(String::decode(r)?)),
-            t => Err(TgError::Codec(format!("invalid Frame tag {t}"))),
-        }
-    }
-}
+tgraph::impl_codec_enum!(Frame {
+    0 => Response(resp),
+    1 => Error(msg),
+});
 
 /// The complete error reply in the given encoding: `ERR <msg>` plus `END`
 /// in text, or one [`Frame::Error`] binary frame. Embedded newlines are
@@ -900,259 +805,43 @@ pub fn render_prometheus(entries: &[MetricEntry]) -> String {
     out
 }
 
-impl Encode for HistorySample {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.t.encode(buf);
-        self.present.encode(buf);
-        self.degree.encode(buf);
-        self.attrs.encode(buf);
-    }
-}
+tgraph::impl_codec!(HistorySample {
+    t,
+    present,
+    degree,
+    attrs
+});
 
-impl Decode for HistorySample {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(HistorySample {
-            t: Timestamp::decode(r)?,
-            present: bool::decode(r)?,
-            degree: usize::decode(r)?,
-            attrs: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Encode for Response {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Response::Graph { t, graph } => {
-                buf.push(0);
-                t.encode(buf);
-                graph.encode(buf);
-            }
-            Response::Graphs { items } => {
-                buf.push(1);
-                items.encode(buf);
-            }
-            Response::Interval {
-                start,
-                end,
-                graph,
-                transients,
-            } => {
-                buf.push(2);
-                start.encode(buf);
-                end.encode(buf);
-                graph.encode(buf);
-                transients.encode(buf);
-            }
-            Response::Node {
-                key,
-                node,
-                t,
-                present,
-                attrs,
-                neighbors,
-            } => {
-                buf.push(3);
-                key.encode(buf);
-                node.encode(buf);
-                t.encode(buf);
-                present.encode(buf);
-                attrs.encode(buf);
-                neighbors.encode(buf);
-            }
-            Response::History {
-                key,
-                node,
-                from,
-                to,
-                step,
-                samples,
-            } => {
-                buf.push(4);
-                key.encode(buf);
-                node.encode(buf);
-                from.encode(buf);
-                to.encode(buf);
-                step.encode(buf);
-                samples.encode(buf);
-            }
-            Response::Stats {
-                leaves,
-                interior,
-                height,
-                stored_bytes,
-                materialized_nodes,
-                materialized_bytes,
-                recent_events,
-            } => {
-                buf.push(5);
-                leaves.encode(buf);
-                interior.encode(buf);
-                write_varint(buf, u64::from(*height));
-                stored_bytes.encode(buf);
-                materialized_nodes.encode(buf);
-                materialized_bytes.encode(buf);
-                recent_events.encode(buf);
-            }
-            Response::CacheStats { overview } => {
-                buf.push(6);
-                overview.encode(buf);
-            }
-            Response::Appended { t } => {
-                buf.push(7);
-                t.encode(buf);
-            }
-            Response::Shards { shards } => {
-                buf.push(13);
-                shards.encode(buf);
-            }
-            Response::Server { counters } => {
-                buf.push(14);
-                counters.encode(buf);
-            }
-            Response::Metrics { entries } => {
-                buf.push(15);
-                entries.encode(buf);
-            }
-            Response::Slow { entries } => {
-                buf.push(16);
-                entries.encode(buf);
-            }
-            Response::Storage { info } => {
-                buf.push(17);
-                info.encode(buf);
-            }
-            Response::Health { info } => {
-                buf.push(18);
-                info.encode(buf);
-            }
-            Response::AppendedBatch {
-                count,
-                normalized,
-                t_min,
-                t_max,
-            } => {
-                buf.push(19);
-                count.encode(buf);
-                normalized.encode(buf);
-                t_min.encode(buf);
-                t_max.encode(buf);
-            }
-            Response::Bound { key, node } => {
-                buf.push(8);
-                key.encode(buf);
-                node.encode(buf);
-            }
-            Response::Released { count } => {
-                buf.push(9);
-                count.encode(buf);
-            }
-            Response::Pong => buf.push(10),
-            Response::Protocol { mode } => {
-                buf.push(11);
-                mode.encode(buf);
-            }
-            Response::Bye => buf.push(12),
-        }
-    }
-}
-
-impl Decode for Response {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(match u64::decode(r)? {
-            0 => Response::Graph {
-                t: Timestamp::decode(r)?,
-                graph: Arc::new(Snapshot::decode(r)?),
-            },
-            1 => Response::Graphs {
-                items: Vec::decode(r)?,
-            },
-            2 => Response::Interval {
-                start: Timestamp::decode(r)?,
-                end: Timestamp::decode(r)?,
-                graph: Snapshot::decode(r)?,
-                transients: Vec::<Event>::decode(r)?,
-            },
-            3 => {
-                let key = String::decode(r)?;
-                let node = NodeId::decode(r)?;
-                let t = Timestamp::decode(r)?;
-                let present = bool::decode(r)?;
-                let attrs = Vec::decode(r)?;
-                let neighbors = Vec::decode(r)?;
-                Response::Node {
-                    key,
-                    node,
-                    t,
-                    present,
-                    attrs,
-                    neighbors,
-                }
-            }
-            4 => Response::History {
-                key: String::decode(r)?,
-                node: NodeId::decode(r)?,
-                from: Timestamp::decode(r)?,
-                to: Timestamp::decode(r)?,
-                step: i64::decode(r)?,
-                samples: Vec::<HistorySample>::decode(r)?,
-            },
-            5 => Response::Stats {
-                leaves: usize::decode(r)?,
-                interior: usize::decode(r)?,
-                height: u32::try_from(r.read_varint()?)
-                    .map_err(|_| TgError::Codec("height exceeds u32 range".into()))?,
-                stored_bytes: u64::decode(r)?,
-                materialized_nodes: usize::decode(r)?,
-                materialized_bytes: usize::decode(r)?,
-                recent_events: usize::decode(r)?,
-            },
-            6 => Response::CacheStats {
-                overview: CacheOverview::decode(r)?,
-            },
-            7 => Response::Appended {
-                t: Timestamp::decode(r)?,
-            },
-            8 => Response::Bound {
-                key: String::decode(r)?,
-                node: u64::decode(r)?,
-            },
-            9 => Response::Released {
-                count: usize::decode(r)?,
-            },
-            10 => Response::Pong,
-            11 => Response::Protocol {
-                mode: WireFormat::decode(r)?,
-            },
-            12 => Response::Bye,
-            13 => Response::Shards {
-                shards: Vec::<ShardInfo>::decode(r)?,
-            },
-            14 => Response::Server {
-                counters: ServerCounters::decode(r)?,
-            },
-            15 => Response::Metrics {
-                entries: Vec::<MetricEntry>::decode(r)?,
-            },
-            16 => Response::Slow {
-                entries: Vec::<SlowQueryInfo>::decode(r)?,
-            },
-            17 => Response::Storage {
-                info: StorageInfo::decode(r)?,
-            },
-            18 => Response::Health {
-                info: HealthInfo::decode(r)?,
-            },
-            19 => Response::AppendedBatch {
-                count: usize::decode(r)?,
-                normalized: usize::decode(r)?,
-                t_min: Timestamp::decode(r)?,
-                t_max: Timestamp::decode(r)?,
-            },
-            t => return Err(TgError::Codec(format!("invalid Response tag {t}"))),
-        })
-    }
-}
+tgraph::impl_codec_enum!(Response {
+    0 => Graph { t, graph },
+    1 => Graphs { items },
+    2 => Interval { start, end, graph, transients },
+    3 => Node { key, node, t, present, attrs, neighbors },
+    4 => History { key, node, from, to, step, samples },
+    5 => Stats {
+        leaves,
+        interior,
+        height,
+        stored_bytes,
+        materialized_nodes,
+        materialized_bytes,
+        recent_events,
+    },
+    6 => CacheStats { overview },
+    7 => Appended { t },
+    8 => Bound { key, node },
+    9 => Released { count },
+    10 => Pong,
+    11 => Protocol { mode },
+    12 => Bye,
+    13 => Shards { shards },
+    14 => Server { counters },
+    15 => Metrics { entries },
+    16 => Slow { entries },
+    17 => Storage { info },
+    18 => Health { info },
+    19 => AppendedBatch { count, normalized, t_min, t_max },
+});
 
 /// Renders an attribute name: bare when it is a plain identifier, quoted
 /// otherwise — so names containing spaces, `=`, or control characters (which

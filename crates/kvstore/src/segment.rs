@@ -37,7 +37,7 @@ use std::io::ErrorKind;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use tgraph::codec::{Decode, Encode, Reader};
+use tgraph::codec::{Decode, Encode};
 use tgraph::Timestamp;
 
 use crate::disk::crc32;
@@ -69,21 +69,7 @@ pub struct SegmentMeta {
     pub lower: Option<Timestamp>,
 }
 
-impl Encode for SegmentMeta {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.shard_index.encode(buf);
-        self.lower.encode(buf);
-    }
-}
-
-impl Decode for SegmentMeta {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(SegmentMeta {
-            shard_index: u64::decode(r)?,
-            lower: Option::decode(r)?,
-        })
-    }
-}
+tgraph::impl_codec!(SegmentMeta { shard_index, lower });
 
 /// Where one block sits in the file.
 #[derive(Clone, Copy, Debug)]

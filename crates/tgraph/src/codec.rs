@@ -188,6 +188,78 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+// --- codecs by declaration --------------------------------------------------
+
+/// Implements [`Encode`] and [`Decode`] for a record as its fields, in the
+/// listed order and nothing else: `impl_codec!(EdgeRecord { edge, src, dst,
+/// directed })`, or `impl_codec!(NodeId { 0 })` for a tuple struct. The
+/// decoder is a struct literal, so a list that misses or invents a field
+/// does not compile.
+#[macro_export]
+macro_rules! impl_codec {
+    ($ty:ident { $($field:tt),* $(,)? }) => {
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $($crate::codec::Encode::encode(&self.$field, buf);)*
+            }
+        }
+
+        impl $crate::codec::Decode for $ty {
+            #[inline]
+            fn decode(r: &mut $crate::codec::Reader<'_>) -> $crate::Result<Self> {
+                Ok($ty {
+                    $($field: $crate::codec::Decode::decode(r)?,)*
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Encode`] and [`Decode`] for an enum with explicit tags: the
+/// tag as a varint (one byte below 128), then the variant's fields in the
+/// listed order. A variant is named (`0 => Graph { t, graph }`), a tuple
+/// (`1 => Error(msg)`, one binding per field) or a unit (`10 => Pong`). An
+/// unknown tag decodes to `invalid <Type> tag <t>`.
+#[macro_export]
+macro_rules! impl_codec_enum {
+    ($ty:ident {
+        $($tag:literal => $variant:ident
+            $({ $($field:ident),* $(,)? })?
+            $(( $($elem:ident),* $(,)? ))?
+        ),* $(,)?
+    }) => {
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $({ $($field),* })? $(( $($elem),* ))? => {
+                        $crate::codec::write_varint(buf, $tag);
+                        $($($crate::codec::Encode::encode($field, buf);)*)?
+                        $($($crate::codec::Encode::encode($elem, buf);)*)?
+                    })*
+                }
+            }
+        }
+
+        impl $crate::codec::Decode for $ty {
+            fn decode(r: &mut $crate::codec::Reader<'_>) -> $crate::Result<Self> {
+                Ok(match r.read_varint()? {
+                    $($tag => {
+                        $($(let $field = $crate::codec::Decode::decode(r)?;)*)?
+                        $($(let $elem = $crate::codec::Decode::decode(r)?;)*)?
+                        $ty::$variant $({ $($field),* })? $(( $($elem),* ))?
+                    })*
+                    t => {
+                        return Err($crate::TgError::Codec(format!(
+                            concat!("invalid ", stringify!($ty), " tag {}"),
+                            t
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
 // --- primitives -----------------------------------------------------------
 
 impl Encode for u64 {
@@ -213,6 +285,20 @@ impl Decode for usize {
     #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok(r.read_varint()? as usize)
+    }
+}
+
+impl Encode for u32 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        write_varint(buf, u64::from(*self));
+    }
+}
+
+impl Decode for u32 {
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        u32::try_from(r.read_varint()?)
+            .map_err(|_| TgError::Codec("varint exceeds u32 range".into()))
     }
 }
 
@@ -332,10 +418,17 @@ impl<T: Decode> Decode for std::sync::Arc<T> {
     }
 }
 
+/// The most a sequence decoder reserves up front, in bytes. A length is
+/// bounded only by the input left, and an element may be far larger in
+/// memory than its one encoded byte: longer sequences grow as their
+/// elements actually decode.
+pub const MAX_RESERVE_BYTES: usize = 1 << 20;
+
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let len = r.read_len()?;
-        let mut out = Vec::with_capacity(len);
+        let mut out =
+            Vec::with_capacity(len.min(MAX_RESERVE_BYTES / std::mem::size_of::<T>().max(1)));
         for _ in 0..len {
             out.push(T::decode(r)?);
         }
@@ -345,44 +438,9 @@ impl<T: Decode> Decode for Vec<T> {
 
 // --- ids and attribute values ---------------------------------------------
 
-impl Encode for NodeId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(buf, self.0);
-    }
-}
-
-impl Decode for NodeId {
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(NodeId(r.read_varint()?))
-    }
-}
-
-impl Encode for EdgeId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(buf, self.0);
-    }
-}
-
-impl Decode for EdgeId {
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(EdgeId(r.read_varint()?))
-    }
-}
-
-impl Encode for Timestamp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-}
-
-impl Decode for Timestamp {
-    #[inline]
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Timestamp(i64::decode(r)?))
-    }
-}
+impl_codec!(NodeId { 0 });
+impl_codec!(EdgeId { 0 });
+impl_codec!(Timestamp { 0 });
 
 impl Encode for AttrValue {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -584,45 +642,23 @@ impl Decode for EventList {
 
 // --- deltas ----------------------------------------------------------------
 
-impl Encode for EdgeRecord {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.edge.encode(buf);
-        self.src.encode(buf);
-        self.dst.encode(buf);
-        self.directed.encode(buf);
-    }
-}
-
-impl Decode for EdgeRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(EdgeRecord {
-            edge: EdgeId::decode(r)?,
-            src: NodeId::decode(r)?,
-            dst: NodeId::decode(r)?,
-            directed: bool::decode(r)?,
-        })
-    }
-}
-
-impl Encode for StructDelta {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.add_nodes.encode(buf);
-        self.del_nodes.encode(buf);
-        self.add_edges.encode(buf);
-        self.del_edges.encode(buf);
-    }
-}
-
-impl Decode for StructDelta {
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(StructDelta {
-            add_nodes: Vec::decode(r)?,
-            del_nodes: Vec::decode(r)?,
-            add_edges: Vec::decode(r)?,
-            del_edges: Vec::decode(r)?,
-        })
-    }
-}
+impl_codec!(EdgeRecord {
+    edge,
+    src,
+    dst,
+    directed
+});
+impl_codec!(StructDelta {
+    add_nodes,
+    del_nodes,
+    add_edges,
+    del_edges
+});
+impl_codec!(Delta {
+    structure,
+    node_attrs,
+    edge_attrs
+});
 
 impl<Id: Encode + Copy> Encode for AttrAssignment<Id> {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -670,24 +706,6 @@ pub fn visit_assignments<'a, Id: Decode>(
         visit(id, key, value);
     }
     r.finish()
-}
-
-impl Encode for Delta {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.structure.encode(buf);
-        self.node_attrs.encode(buf);
-        self.edge_attrs.encode(buf);
-    }
-}
-
-impl Decode for Delta {
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Delta {
-            structure: StructDelta::decode(r)?,
-            node_attrs: Vec::decode(r)?,
-            edge_attrs: Vec::decode(r)?,
-        })
-    }
 }
 
 // --- snapshots ---------------------------------------------------------------
@@ -756,15 +774,17 @@ impl Decode for Snapshot {
         }
         let edge_count = r.read_len()?;
         snap.reserve(0, edge_count);
+        // A repeated edge id is corrupt input, not an event to refuse.
+        let corrupt = |e: TgError| TgError::Codec(format!("invalid snapshot: {e}"));
         for _ in 0..edge_count {
             let id = EdgeId::decode(r)?;
             let src = NodeId::decode(r)?;
             let dst = NodeId::decode(r)?;
             let directed = bool::decode(r)?;
             let attrs = decode_attr_map(r)?;
-            snap.add_edge(id, src, dst, directed)?;
+            snap.add_edge(id, src, dst, directed).map_err(corrupt)?;
             if !attrs.is_empty() {
-                snap.merge_edge_attrs(id, attrs)?;
+                snap.merge_edge_attrs(id, attrs).map_err(corrupt)?;
             }
         }
         Ok(snap)

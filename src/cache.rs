@@ -34,8 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use graphpool::{GraphId, GraphPool};
-use tgraph::codec::{write_varint, Decode, Encode, Reader};
-use tgraph::{AttrOptions, TgError, Timestamp};
+use tgraph::{AttrOptions, Timestamp};
 
 /// The serving layer's response encodings. Lives in the root crate (rather
 /// than `histql`, which defines the encodings themselves) because the
@@ -49,21 +48,7 @@ pub enum WireFormat {
     Binary,
 }
 
-impl Encode for WireFormat {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(*self as u8);
-    }
-}
-
-impl Decode for WireFormat {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        match u64::decode(r)? {
-            0 => Ok(WireFormat::Text),
-            1 => Ok(WireFormat::Binary),
-            t => Err(TgError::Codec(format!("invalid WireFormat tag {t}"))),
-        }
-    }
-}
+tgraph::impl_codec_enum!(WireFormat { 0 => Text, 1 => Binary });
 
 /// Monotonically increasing counters describing the overlay side of the
 /// cache, reported over the wire on the `OK CACHE` line of `STATS CACHE`.
@@ -84,27 +69,13 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl Encode for CacheStats {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(buf, self.hits);
-        write_varint(buf, self.misses);
-        write_varint(buf, self.insertions);
-        write_varint(buf, self.invalidations);
-        write_varint(buf, self.evictions);
-    }
-}
-
-impl Decode for CacheStats {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(CacheStats {
-            hits: r.read_varint()?,
-            misses: r.read_varint()?,
-            insertions: r.read_varint()?,
-            invalidations: r.read_varint()?,
-            evictions: r.read_varint()?,
-        })
-    }
-}
+tgraph::impl_codec!(CacheStats {
+    hits,
+    misses,
+    insertions,
+    invalidations,
+    evictions
+});
 
 /// Counters describing the byte slots, reported over the wire on the `RC`
 /// line of `STATS CACHE` (plus the `bytes` gauge of currently cached reply
@@ -127,29 +98,14 @@ pub struct ResponseCacheStats {
     pub bytes: u64,
 }
 
-impl Encode for ResponseCacheStats {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        write_varint(buf, self.hits);
-        write_varint(buf, self.misses);
-        write_varint(buf, self.insertions);
-        write_varint(buf, self.invalidations);
-        write_varint(buf, self.evictions);
-        write_varint(buf, self.bytes);
-    }
-}
-
-impl Decode for ResponseCacheStats {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(ResponseCacheStats {
-            hits: r.read_varint()?,
-            misses: r.read_varint()?,
-            insertions: r.read_varint()?,
-            invalidations: r.read_varint()?,
-            evictions: r.read_varint()?,
-            bytes: r.read_varint()?,
-        })
-    }
-}
+tgraph::impl_codec!(ResponseCacheStats {
+    hits,
+    misses,
+    insertions,
+    invalidations,
+    evictions,
+    bytes
+});
 
 /// One cached point as reported by `STATS CACHE`: its key, its shared
 /// overlay, and how many references that overlay currently has (the cache's
@@ -166,30 +122,12 @@ pub struct CacheEntryInfo {
     pub refs: usize,
 }
 
-impl Encode for CacheEntryInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.t.encode(buf);
-        self.opts.encode(buf);
-        // GraphId is a graphpool type, so its codec impl cannot live there
-        // (the trait is tgraph's); encode the raw u32 field instead.
-        write_varint(buf, u64::from(self.overlay.0));
-        self.refs.encode(buf);
-    }
-}
-
-impl Decode for CacheEntryInfo {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(CacheEntryInfo {
-            t: Timestamp::decode(r)?,
-            opts: String::decode(r)?,
-            overlay: GraphId(
-                u32::try_from(r.read_varint()?)
-                    .map_err(|_| TgError::Codec("graph id exceeds u32 range".into()))?,
-            ),
-            refs: usize::decode(r)?,
-        })
-    }
-}
+tgraph::impl_codec!(CacheEntryInfo {
+    t,
+    opts,
+    overlay,
+    refs
+});
 
 /// Every shard's point cache, summed: the payload of `STATS CACHE` (see
 /// [`crate::ShardedGraphManager::cache_overview`]). Capacities are per
@@ -214,33 +152,16 @@ pub struct CacheOverview {
     pub response: ResponseCacheStats,
 }
 
-impl Encode for CacheOverview {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.capacity.encode(buf);
-        self.stats.encode(buf);
-        self.overlays.encode(buf);
-        self.entries.encode(buf);
-        self.response_capacity.encode(buf);
-        self.response_byte_budget.encode(buf);
-        self.response_entries.encode(buf);
-        self.response.encode(buf);
-    }
-}
-
-impl Decode for CacheOverview {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(CacheOverview {
-            capacity: usize::decode(r)?,
-            stats: CacheStats::decode(r)?,
-            overlays: usize::decode(r)?,
-            entries: Vec::decode(r)?,
-            response_capacity: usize::decode(r)?,
-            response_byte_budget: u64::decode(r)?,
-            response_entries: usize::decode(r)?,
-            response: ResponseCacheStats::decode(r)?,
-        })
-    }
-}
+tgraph::impl_codec!(CacheOverview {
+    capacity,
+    stats,
+    overlays,
+    entries,
+    response_capacity,
+    response_byte_budget,
+    response_entries,
+    response
+});
 
 type Key = (Timestamp, AttrOptions);
 
@@ -622,6 +543,7 @@ impl PointCache {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use tgraph::codec::{Decode, Encode};
 
     pub(crate) const TEXT: WireFormat = WireFormat::Text;
     pub(crate) const BINARY: WireFormat = WireFormat::Binary;

@@ -44,7 +44,6 @@ use deltagraph::{DeltaGraph, DgError, DgResult, GraphForm};
 use graphpool::GraphId;
 use kvstore::wal::WalSyncPolicy;
 use kvstore::{KeyValueStore, MemStore};
-use tgraph::codec::{Decode, Encode, Reader};
 use tgraph::{AttrOptions, Event, EventKind, EventList, Snapshot, TimeExpression, Timestamp};
 
 use crate::cache::{CacheOverview, CacheStats, ResponseCacheStats, WireFormat};
@@ -402,39 +401,19 @@ pub struct ShardInfo {
     pub appends: u64,
 }
 
-impl Encode for ShardInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.index.encode(buf);
-        self.lower.encode(buf);
-        self.upper.encode(buf);
-        self.events.encode(buf);
-        self.overlays.encode(buf);
-        self.cache_entries.encode(buf);
-        self.cache.encode(buf);
-        self.response_entries.encode(buf);
-        self.response.encode(buf);
-        self.queries.encode(buf);
-        self.appends.encode(buf);
-    }
-}
-
-impl Decode for ShardInfo {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(ShardInfo {
-            index: usize::decode(r)?,
-            lower: Option::decode(r)?,
-            upper: Option::decode(r)?,
-            events: usize::decode(r)?,
-            overlays: usize::decode(r)?,
-            cache_entries: usize::decode(r)?,
-            cache: CacheStats::decode(r)?,
-            response_entries: usize::decode(r)?,
-            response: ResponseCacheStats::decode(r)?,
-            queries: u64::decode(r)?,
-            appends: u64::decode(r)?,
-        })
-    }
-}
+tgraph::impl_codec!(ShardInfo {
+    index,
+    lower,
+    upper,
+    events,
+    overlays,
+    cache_entries,
+    cache,
+    response_entries,
+    response,
+    queries,
+    appends
+});
 
 /// Durable-storage statistics, the payload of `STATS STORAGE`. All zeros
 /// (with `durable == false`) for an in-memory deployment.
@@ -466,37 +445,18 @@ pub struct StorageInfo {
     pub recovery_ms: u64,
 }
 
-impl Encode for StorageInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.durable.encode(buf);
-        self.policy.encode(buf);
-        self.segments.encode(buf);
-        self.segment_bytes.encode(buf);
-        self.wal_bytes.encode(buf);
-        self.wal_appends.encode(buf);
-        self.wal_fsyncs.encode(buf);
-        self.torn_bytes.encode(buf);
-        self.torn_truncations.encode(buf);
-        self.recovery_ms.encode(buf);
-    }
-}
-
-impl Decode for StorageInfo {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(StorageInfo {
-            durable: bool::decode(r)?,
-            policy: String::decode(r)?,
-            segments: u64::decode(r)?,
-            segment_bytes: u64::decode(r)?,
-            wal_bytes: u64::decode(r)?,
-            wal_appends: u64::decode(r)?,
-            wal_fsyncs: u64::decode(r)?,
-            torn_bytes: u64::decode(r)?,
-            torn_truncations: u64::decode(r)?,
-            recovery_ms: u64::decode(r)?,
-        })
-    }
-}
+tgraph::impl_codec!(StorageInfo {
+    durable,
+    policy,
+    segments,
+    segment_bytes,
+    wal_bytes,
+    wal_appends,
+    wal_fsyncs,
+    torn_bytes,
+    torn_truncations,
+    recovery_ms
+});
 
 /// One shard's health, part of the `STATS HEALTH` payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -512,23 +472,11 @@ pub struct ShardHealth {
     pub failures: u64,
 }
 
-impl Encode for ShardHealth {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.index.encode(buf);
-        self.state.encode(buf);
-        self.failures.encode(buf);
-    }
-}
-
-impl Decode for ShardHealth {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(ShardHealth {
-            index: usize::decode(r)?,
-            state: String::decode(r)?,
-            failures: u64::decode(r)?,
-        })
-    }
-}
+tgraph::impl_codec!(ShardHealth {
+    index,
+    state,
+    failures
+});
 
 /// Router-wide health, the payload of `STATS HEALTH`. Computed without
 /// hydrating any shard, so a health probe is always cheap — even, and
@@ -550,29 +498,14 @@ pub struct HealthInfo {
     pub storage_retries: u64,
 }
 
-impl Encode for HealthInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.shards.encode(buf);
-        self.degraded.encode(buf);
-        self.degraded_reason.encode(buf);
-        self.quarantined.encode(buf);
-        self.hydration_failures.encode(buf);
-        self.storage_retries.encode(buf);
-    }
-}
-
-impl Decode for HealthInfo {
-    fn decode(r: &mut Reader<'_>) -> tgraph::Result<Self> {
-        Ok(HealthInfo {
-            shards: Vec::decode(r)?,
-            degraded: bool::decode(r)?,
-            degraded_reason: String::decode(r)?,
-            quarantined: u64::decode(r)?,
-            hydration_failures: u64::decode(r)?,
-            storage_retries: u64::decode(r)?,
-        })
-    }
-}
+tgraph::impl_codec!(HealthInfo {
+    shards,
+    degraded,
+    degraded_reason,
+    quarantined,
+    hydration_failures,
+    storage_retries
+});
 
 /// Factory handing each shard (by index) its backing store. Rolled tail
 /// shards are numbered after the built ones, so a persistent deployment
@@ -1854,6 +1787,7 @@ impl ShardedSession {
 mod tests {
     use super::*;
     use datagen::{churn_trace, ChurnConfig};
+    use tgraph::codec::{Decode, Encode, Reader};
 
     /// 60 nodes appearing at t = 1..=60, so shard contents are predictable.
     fn linear_trace() -> EventList {

@@ -10,6 +10,10 @@
 //! * One flipped payload byte: the directory still opens, queries that read
 //!   the block fail cleanly, every other answer is right.
 //! * A format-v1 segment is refused by name; a sealed shard refuses appends.
+//!
+//! Binary reply frames are untrusted input too: every golden frame, mutated
+//! byte by byte, decodes or is refused as corrupt, and a hostile sequence
+//! length reserves no more than the codec's cap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,10 +25,12 @@ use datagen::{churn_trace, ChurnConfig, Dataset};
 use deltagraph::{DeltaGraphConfig, DgError, IndexImage};
 use historygraph::kvstore::disk::crc32;
 use historygraph::kvstore::{KeyValueStore, Segment, StoreError, StoreKey};
-use historygraph::tgraph::codec::Decode;
+use historygraph::tgraph::codec::{write_varint, Decode, MAX_RESERVE_BYTES};
+use historygraph::tgraph::TgError;
 use historygraph::{
     GraphManager, GraphManagerConfig, ShardedConfig, ShardedGraphManager, WalSyncPolicy,
 };
+use histql::wire::{Frame, BINARY_FRAME_VERSION};
 use proptest::prelude::*;
 use tgraph::{AttrOptions, Event, Timestamp};
 
@@ -425,4 +431,74 @@ fn a_sealed_shard_refuses_appends_before_any_state_changes() {
     );
     drop(gm);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The whole frames among the golden wire vectors, as frame payloads (the
+/// bytes after the length prefix).
+fn golden_payloads() -> Vec<Vec<u8>> {
+    include_str!("../crates/histql/testdata/wire_golden.txt")
+        .lines()
+        .filter(|line| line.starts_with("Response::") || line.starts_with("Frame::"))
+        .filter_map(|line| line.split_once(' '))
+        .map(|(_, hex)| {
+            (8..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn mutated_golden_frames_decode_or_refuse() {
+    let payloads = golden_payloads();
+    assert!(payloads.len() >= 21, "{} golden frames", payloads.len());
+    let check = |bytes: &[u8], what: &str| {
+        let (got, largest) = largest_allocation(|| Frame::from_payload(bytes));
+        assert!(
+            matches!(got, Ok(_) | Err(TgError::Codec(_))),
+            "{what}: {got:?}"
+        );
+        assert!(
+            largest <= MAX_RESERVE_BYTES + bytes.len(),
+            "{what}: allocated {largest} for {} bytes",
+            bytes.len()
+        );
+    };
+    for payload in &payloads {
+        let mut bytes = payload.clone();
+        for at in 0..bytes.len() {
+            for flip in 1..=u8::MAX {
+                bytes[at] ^= flip;
+                check(
+                    &bytes,
+                    &format!("byte {at} ^ {flip:#04x} of {payload:02x?}"),
+                );
+                bytes[at] ^= flip;
+            }
+        }
+        for len in 0..payload.len() {
+            check(&payload[..len], &format!("{payload:02x?} cut at {len}"));
+        }
+        bytes.push(0);
+        check(&bytes, &format!("{payload:02x?} plus a byte"));
+        assert!(Frame::from_payload(&bytes).is_err());
+    }
+}
+
+#[test]
+fn a_hostile_sequence_length_reserves_no_more_than_the_cap() {
+    // A 1 MiB payload: version, envelope tag 0, `Shards` (tag 13), then a
+    // count of one `ShardInfo` per byte left. Every byte after it is 2: the
+    // first entry's index, then an `Option` tag no `lower` can have.
+    let mut payload = vec![BINARY_FRAME_VERSION, 0, 13];
+    write_varint(&mut payload, (1 << 20) - 6);
+    assert_eq!(payload.len(), 6);
+    payload.resize(1 << 20, 2);
+    let (got, largest) = largest_allocation(|| Frame::from_payload(&payload));
+    assert!(matches!(got, Err(TgError::Codec(_))), "{got:?}");
+    assert!(
+        largest <= MAX_RESERVE_BYTES,
+        "decoding reserved {largest} bytes at once"
+    );
 }
