@@ -654,6 +654,7 @@ impl Response {
                 out
             }
             WireFormat::Binary => frame_bytes(MAX_FRAME_BYTES, |buf| {
+                // The envelope's success tag, as `Frame::Response` writes it.
                 buf.push(0);
                 self.encode(buf)
             }),

@@ -3,9 +3,13 @@
 //! Deltas and eventlists are persisted in a key–value store as opaque byte
 //! strings (Section 4.2). Rather than pulling in a serialization framework,
 //! this module provides a small hand-rolled codec: varint-encoded integers,
-//! length-prefixed strings and sequences, and one tag byte per enum variant.
+//! length-prefixed strings and sequences, and one tag per enum variant.
 //! The format is deterministic, versioned implicitly by the crate, and
-//! covered by round-trip property tests.
+//! covered by round-trip property tests and golden vectors. A type whose
+//! format is its fields in order declares it once, with
+//! [`impl_codec!`](crate::impl_codec) (a record) or
+//! [`impl_codec_enum!`](crate::impl_codec_enum) (an enum with explicit
+//! tags).
 
 use bytes::BufMut;
 
