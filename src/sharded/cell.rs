@@ -145,7 +145,7 @@ impl ShardCell {
     /// `keys` critical section, so a key registered concurrently with hydration
     /// lands either via the registry replay or via the direct registration
     /// — never neither.
-    pub(super) fn get(&self, inner: &Inner, events: &AtomicUsize) -> DgResult<SharedGraphManager> {
+    fn get(&self, inner: &Inner, events: &AtomicUsize) -> DgResult<SharedGraphManager> {
         if let Some(shared) = self.built.get() {
             return Ok(shared.clone());
         }

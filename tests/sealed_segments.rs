@@ -18,7 +18,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use datagen::{churn_trace, ChurnConfig, Dataset};
@@ -41,18 +40,23 @@ struct Measuring;
 
 thread_local! {
     static MEASURING: Cell<bool> = const { Cell::new(false) };
+    // Per thread, so tests measuring at once do not see each other's
+    // allocations.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+fn note(size: usize) {
+    if MEASURING.with(Cell::get) {
+        LARGEST.with(|largest| largest.set(largest.get().max(size)));
+    }
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the bookkeeping beside it touches only
-// a const-initialized thread-local flag and an atomic, neither of which
-// allocates.
+// two const-initialized thread-local cells, neither of which allocates.
 unsafe impl GlobalAlloc for Measuring {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
-        }
+        note(layout.size());
         // SAFETY: the caller's `layout` guarantees are passed on as given.
         unsafe { System.alloc(layout) }
     }
@@ -64,9 +68,7 @@ unsafe impl GlobalAlloc for Measuring {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if MEASURING.with(Cell::get) {
-            LARGEST.fetch_max(new_size, Ordering::Relaxed);
-        }
+        note(new_size);
         // SAFETY: as for `dealloc`; `new_size` is the caller's, unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -82,11 +84,11 @@ const SLACK: usize = 1024;
 /// Runs `f`, returning its result and the largest allocation it made on
 /// this thread.
 fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    LARGEST.store(0, Ordering::Relaxed);
+    LARGEST.with(|largest| largest.set(0));
     MEASURING.with(|m| m.set(true));
     let out = f();
     MEASURING.with(|m| m.set(false));
-    (out, LARGEST.load(Ordering::Relaxed))
+    (out, LARGEST.with(Cell::get))
 }
 
 /// Footer: three (offset u64, len u64, crc u32) descriptors — key table,
