@@ -448,6 +448,22 @@ mod tests {
             assert_eq!(hex, golden, "{value:?}");
             assert_eq!(SegmentMeta::from_bytes(&bytes).unwrap(), value);
         }
+        // One WAL record: magic, payload length, payload CRC, then the
+        // codec bytes of the event.
+        let path = tmpdir("pinned").join("wal.log");
+        let mut wal = crate::wal::Wal::create(&path, crate::wal::WalSyncPolicy::Off).unwrap();
+        wal.append(&tgraph::Event::add_node(1, 10)).unwrap();
+        drop(wal);
+        let hex: String = std::fs::read(&path)
+            .unwrap()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            concat!("a1", "03000000", "62e4101c", "02000a"),
+            "WAL record"
+        );
     }
 
     #[test]
