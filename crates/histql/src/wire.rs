@@ -159,8 +159,8 @@ pub enum Response {
     AppendedBatch {
         /// Events applied, counting §3.1 normalization expansions.
         count: usize,
-        /// Clearing events injected by `ContractPolicy::Normalize` (0 when
-        /// the batch was already well-formed).
+        /// Clearing events the §3.1 contract injected (0 when the batch
+        /// was already well-formed).
         normalized: usize,
         /// Earliest event time in the batch.
         t_min: Timestamp,

@@ -11,20 +11,25 @@
 //! * [`KeyValueStore`] — the object-safe `get`/`put` trait the index relies on,
 //! * [`MemStore`] — an in-memory store (used in tests and for the in-memory
 //!   baselines),
-//! * [`DiskStore`] — an append-only, CRC-checked, log-structured disk store
-//!   with an in-memory index (the Kyoto Cabinet stand-in),
+//! * [`DiskStore`] — a write-once disk store: values laid end to end in one
+//!   file, a key → block table in memory, every `get` checked against its
+//!   block's CRC (the Kyoto Cabinet stand-in),
 //! * [`PartitionedStore`] — a hash-partitioned wrapper over several stores,
 //!   simulating the distributed deployment and enabling parallel fetches,
 //! * [`StoreStats`] — byte/operation counters used by the benchmarks to
 //!   report index sizes and I/O volumes,
-//! * [`Wal`] — an append-only, CRC-checked write-ahead log of graph events
-//!   (the durable tail of a sharded deployment),
+//! * [`RecordLog`] — the one append-only log of checksummed records, under
+//!   the WAL and a data directory's `keys.log`,
+//! * [`Wal`] — the write-ahead log of graph events (the durable tail of a
+//!   sharded deployment),
 //! * [`Segment`] — write-once, checksummed segment files, each a read-only
 //!   store of one sealed historical shard's DeltaGraph payloads.
 
+pub mod crc;
 pub mod disk;
 pub mod faults;
 pub mod key;
+pub mod log;
 pub mod mem;
 pub mod partitioned;
 pub mod segment;
@@ -32,12 +37,14 @@ pub mod stats;
 pub mod store;
 pub mod wal;
 
+pub use crc::crc32;
 pub use disk::DiskStore;
 pub use faults::FaultKind;
 pub use key::{ComponentKind, StoreKey};
+pub use log::RecordLog;
 pub use mem::MemStore;
 pub use partitioned::{NodePartitioner, PartitionedStore};
 pub use segment::{Segment, SegmentMeta};
 pub use stats::StoreStats;
 pub use store::{KeyValueStore, StoreError, StoreResult};
-pub use wal::{read_wal_events, wal_record_len, Wal, WalReplay, WalSyncPolicy};
+pub use wal::{wal_record_len, Wal, WalReplay, WalSyncPolicy};

@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use tgraph::codec::{Decode, Encode};
 use tgraph::Timestamp;
 
-use crate::disk::crc32;
+use crate::crc::crc32;
 use crate::faults;
 use crate::key::StoreKey;
 use crate::stats::{StatsSnapshot, StoreStats};
@@ -71,12 +71,12 @@ pub struct SegmentMeta {
 
 tgraph::impl_codec!(SegmentMeta { shard_index, lower });
 
-/// Where one block sits in the file.
+/// Where one block sits in its file, and the CRC of its bytes.
 #[derive(Clone, Copy, Debug)]
-struct BlockRef {
-    offset: u64,
-    len: u64,
-    crc: u32,
+pub(crate) struct BlockRef {
+    pub(crate) offset: u64,
+    pub(crate) len: u64,
+    pub(crate) crc: u32,
 }
 
 impl BlockRef {
@@ -98,6 +98,29 @@ impl BlockRef {
     /// End offset, or `None` when the descriptor overflows.
     fn end(&self) -> Option<u64> {
         self.offset.checked_add(self.len)
+    }
+
+    /// Checks `bytes`, the block `key` of the file at `path`, against the
+    /// block's CRC.
+    fn check(&self, bytes: &[u8], path: &Path, key: &StoreKey) -> StoreResult<()> {
+        if crc32(bytes) == self.crc {
+            return Ok(());
+        }
+        Err(StoreError::Corruption(format!(
+            "{} block {}/{}/{:?} failed its checksum",
+            path.display(),
+            key.partition,
+            key.delta_id,
+            key.component
+        )))
+    }
+
+    /// One positioned read of the block from `file`, then the CRC check.
+    pub(crate) fn read(&self, file: &File, path: &Path, key: &StoreKey) -> StoreResult<Vec<u8>> {
+        let mut bytes = vec![0u8; self.len as usize];
+        file.read_exact_at(&mut bytes, self.offset)?;
+        self.check(&bytes, path, key)?;
+        Ok(bytes)
     }
 }
 
@@ -279,7 +302,11 @@ impl Segment {
             .read_exact_at(&mut payloads, SEGMENT_MAGIC.len() as u64)?;
         for (key, block) in &segment.table {
             let start = block.offset as usize - SEGMENT_MAGIC.len();
-            segment.check_block(key, block, &payloads[start..start + block.len as usize])?;
+            block.check(
+                &payloads[start..start + block.len as usize],
+                &segment.path,
+                key,
+            )?;
         }
         Ok(segment)
     }
@@ -297,19 +324,6 @@ impl Segment {
     /// Size of the segment file in bytes.
     pub fn file_len(&self) -> u64 {
         self.file_len
-    }
-
-    fn check_block(&self, key: &StoreKey, block: &BlockRef, bytes: &[u8]) -> StoreResult<()> {
-        if crc32(bytes) == block.crc {
-            return Ok(());
-        }
-        Err(StoreError::Corruption(format!(
-            "segment {} block {}/{}/{:?} failed its checksum",
-            self.path.display(),
-            key.partition,
-            key.delta_id,
-            key.component
-        )))
     }
 
     fn read_only(&self) -> StoreError {
@@ -368,10 +382,7 @@ impl KeyValueStore for Segment {
             self.stats.record_get(None);
             return Ok(None);
         };
-        let block = &self.table[pos].1;
-        let mut bytes = vec![0u8; block.len as usize];
-        self.file.read_exact_at(&mut bytes, block.offset)?;
-        self.check_block(&key, block, &bytes)?;
+        let bytes = self.table[pos].1.read(&self.file, &self.path, &key)?;
         self.stats.record_get(Some(bytes.len()));
         Ok(Some(bytes))
     }
@@ -448,22 +459,29 @@ mod tests {
             assert_eq!(hex, golden, "{value:?}");
             assert_eq!(SegmentMeta::from_bytes(&bytes).unwrap(), value);
         }
-        // One WAL record: magic, payload length, payload CRC, then the
-        // codec bytes of the event.
+        // One WAL record and one keys.log record: the record log's magic,
+        // payload length and payload CRC, then the payload — the codec bytes
+        // of an event, or of a `BIND`'s key and node id.
         let path = tmpdir("pinned").join("wal.log");
         let mut wal = crate::wal::Wal::create(&path, crate::wal::WalSyncPolicy::Off).unwrap();
         wal.append(&tgraph::Event::add_node(1, 10)).unwrap();
         drop(wal);
-        let hex: String = std::fs::read(&path)
-            .unwrap()
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
-        assert_eq!(
-            hex,
-            concat!("a1", "03000000", "62e4101c", "02000a"),
-            "WAL record"
-        );
+        let keys = tmpdir("pinned").join("keys.log");
+        let mut log = crate::log::RecordLog::create(&keys).unwrap();
+        log.append(&("alice".to_string(), 7u64).to_bytes(), "keys.append")
+            .unwrap();
+        drop(log);
+        for (path, golden) in [
+            (path, concat!("a1", "03000000", "62e4101c", "02000a")),
+            (
+                keys,
+                concat!("a1", "07000000", "db716fda", "05616c69636507"),
+            ),
+        ] {
+            let bytes = std::fs::read(&path).unwrap();
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, golden, "{}", path.display());
+        }
     }
 
     #[test]

@@ -2,33 +2,26 @@
 //!
 //! The tail shard of a sharded deployment is the only mutable piece of the
 //! history; this log makes its ingest durable. Every append writes one
-//! length-prefixed, CRC-32-protected record holding a `tgraph::codec`-encoded
-//! [`Event`] *before* the event is applied in memory, so an acknowledged
-//! append survives a crash (under [`WalSyncPolicy::Always`]; the other
-//! policies trade the tail of the log for throughput).
+//! [`RecordLog`] record holding a `tgraph::codec`-encoded [`Event`]
+//! *before* the event is applied in memory, so an acknowledged append
+//! survives a crash (under [`WalSyncPolicy::Always`]; the other policies
+//! trade the tail of the log for throughput).
 //!
-//! Replay ([`Wal::open`]) tolerates exactly one failure shape: a *torn tail*,
-//! i.e. an incomplete or checksum-failing final record from a crash
-//! mid-write, which is truncated away. A bad record that is *not* the last
-//! one is corruption and fails the open — recovery never builds a silently
-//! wrong graph.
+//! Replay ([`Wal::open`]) is the record log's scan: a *torn tail* (an
+//! incomplete or checksum-failing final record from a crash mid-write) is
+//! truncated away, and a bad record that is *not* the last one is
+//! corruption and fails the open — recovery never builds a silently wrong
+//! graph.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use tgraph::codec::{Decode, Encode};
 use tgraph::Event;
 
-use crate::disk::crc32;
 use crate::faults;
-use crate::store::{StoreError, StoreResult};
-
-/// Magic byte starting every WAL record (distinct from the disk store's).
-const WAL_RECORD_MAGIC: u8 = 0xA1;
-/// Fixed-size record prefix: magic + payload length + payload CRC.
-const WAL_HEADER_LEN: usize = 1 + 4 + 4;
+use crate::log::{record_len, RecordLog};
+use crate::store::StoreResult;
 
 /// When the log forces its bytes to durable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,9 +79,7 @@ pub struct WalReplay {
 
 /// An append-only, CRC-checked log of [`Event`]s.
 pub struct Wal {
-    file: File,
-    path: PathBuf,
-    len: u64,
+    log: RecordLog,
     policy: WalSyncPolicy,
     last_sync: Instant,
     dirty: bool,
@@ -96,162 +87,43 @@ pub struct Wal {
     fsyncs: u64,
 }
 
-/// Encodes one WAL record for `event`.
-fn build_record(event: &Event) -> Vec<u8> {
-    let payload = event.to_bytes();
-    let mut record = Vec::with_capacity(WAL_HEADER_LEN + payload.len());
-    record.push(WAL_RECORD_MAGIC);
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&crc32(&payload).to_le_bytes());
-    record.extend_from_slice(&payload);
-    record
-}
-
 /// On-disk size in bytes of the record [`Wal::append`] writes for `event`.
 /// Exposed so tests can compute which acked events survive a log truncated
 /// at an arbitrary byte offset.
 pub fn wal_record_len(event: &Event) -> u64 {
-    (WAL_HEADER_LEN + event.to_bytes().len()) as u64
-}
-
-/// Strictly replays a log that is known to be complete (e.g. one a clean
-/// shutdown closed): any torn or corrupt byte is an error, never a silent
-/// truncation.
-pub fn read_wal_events(path: impl AsRef<Path>) -> StoreResult<Vec<Event>> {
-    let path = path.as_ref();
-    let mut data = Vec::new();
-    File::open(path)?.read_to_end(&mut data)?;
-    let mut events = Vec::new();
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let torn = || {
-            StoreError::Corruption(format!(
-                "torn record at offset {pos} in a log expected to be complete"
-            ))
-        };
-        if pos + WAL_HEADER_LEN > data.len() {
-            return Err(torn());
-        }
-        if data[pos] != WAL_RECORD_MAGIC {
-            return Err(StoreError::Corruption(format!(
-                "bad wal record magic {:#x} at offset {pos}",
-                data[pos]
-            )));
-        }
-        let len = u32::from_le_bytes(data[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        let crc_stored = u32::from_le_bytes(data[pos + 5..pos + 9].try_into().unwrap());
-        let payload_start = pos + WAL_HEADER_LEN;
-        let payload_end = match payload_start.checked_add(len) {
-            Some(end) if end <= data.len() => end,
-            _ => return Err(torn()),
-        };
-        let payload = &data[payload_start..payload_end];
-        if crc32(payload) != crc_stored {
-            return Err(StoreError::Corruption(format!(
-                "wal crc mismatch at offset {pos}"
-            )));
-        }
-        events.push(Event::from_bytes(payload).map_err(|e| {
-            StoreError::Corruption(format!("undecodable wal event at offset {pos}: {e}"))
-        })?);
-        pos = payload_end;
-    }
-    Ok(events)
+    record_len(event.to_bytes().len())
 }
 
 impl Wal {
-    /// Creates a new, empty log at `path`, truncating any existing file.
-    pub fn create(path: impl AsRef<Path>, policy: WalSyncPolicy) -> StoreResult<Self> {
-        let path = path.as_ref().to_path_buf();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        faults::check("wal.create", &path)?;
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        Ok(Wal {
-            file,
-            path,
-            len: 0,
+    fn new(log: RecordLog, policy: WalSyncPolicy) -> Self {
+        Wal {
+            log,
             policy,
             last_sync: Instant::now(),
             dirty: false,
             appends: 0,
             fsyncs: 0,
-        })
+        }
+    }
+
+    /// Creates a new, empty log at `path`, truncating any existing file.
+    pub fn create(path: impl AsRef<Path>, policy: WalSyncPolicy) -> StoreResult<Self> {
+        faults::check("wal.create", path.as_ref())?;
+        Ok(Wal::new(RecordLog::create(path)?, policy))
     }
 
     /// Opens an existing log, replaying every intact record. A torn final
     /// record (incomplete, or complete-length with a failing checksum) is
     /// truncated away and reported in [`WalReplay::torn_bytes`]; a bad
-    /// record followed by more log is a [`StoreError::Corruption`].
+    /// record followed by more log is a [`crate::StoreError::Corruption`].
     pub fn open(path: impl AsRef<Path>, policy: WalSyncPolicy) -> StoreResult<WalReplay> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let file_len = file.metadata()?.len();
-        let mut data = Vec::with_capacity(file_len as usize);
-        file.read_to_end(&mut data)?;
-
         let mut events = Vec::new();
-        let mut pos = 0usize;
-        let mut valid_end = 0u64;
-        while pos < data.len() {
-            if pos + WAL_HEADER_LEN > data.len() {
-                break; // torn header
-            }
-            if data[pos] != WAL_RECORD_MAGIC {
-                return Err(StoreError::Corruption(format!(
-                    "bad wal record magic {:#x} at offset {pos}",
-                    data[pos]
-                )));
-            }
-            let len = u32::from_le_bytes(data[pos + 1..pos + 5].try_into().unwrap()) as usize;
-            let crc_stored = u32::from_le_bytes(data[pos + 5..pos + 9].try_into().unwrap());
-            let payload_start = pos + WAL_HEADER_LEN;
-            let payload_end = match payload_start.checked_add(len) {
-                Some(end) if end <= data.len() => end,
-                _ => break, // torn payload
-            };
-            let payload = &data[payload_start..payload_end];
-            if crc32(payload) != crc_stored {
-                if payload_end == data.len() {
-                    break; // torn final record: length landed, bytes did not
-                }
-                return Err(StoreError::Corruption(format!(
-                    "wal crc mismatch at offset {pos} with {} bytes of log after it",
-                    data.len() - payload_end
-                )));
-            }
-            let event = Event::from_bytes(payload).map_err(|e| {
-                StoreError::Corruption(format!("undecodable wal event at offset {pos}: {e}"))
-            })?;
-            events.push(event);
-            pos = payload_end;
-            valid_end = payload_end as u64;
-        }
-        let torn_bytes = file_len - valid_end;
-        if torn_bytes > 0 {
-            file.set_len(valid_end)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::Start(valid_end))?;
+        let (log, torn_bytes) = RecordLog::open(path, |payload| {
+            events.push(Event::from_bytes(payload).map_err(|e| e.to_string())?);
+            Ok(())
+        })?;
         Ok(WalReplay {
-            wal: Wal {
-                file,
-                path,
-                len: valid_end,
-                policy,
-                last_sync: Instant::now(),
-                dirty: false,
-                appends: 0,
-                fsyncs: 0,
-            },
+            wal: Wal::new(log, policy),
             events,
             torn_bytes,
         })
@@ -261,10 +133,7 @@ impl Wal {
     /// length *before* the record, which [`Wal::truncate_to`] accepts to
     /// roll the write back if the in-memory apply then fails.
     pub fn append(&mut self, event: &Event) -> StoreResult<u64> {
-        let record = build_record(event);
-        let before = self.len;
-        faults::write_all(&mut self.file, &record, "wal.append", &self.path)?;
-        self.len += record.len() as u64;
+        let before = self.log.append(&event.to_bytes(), "wal.append")?;
         self.appends += 1;
         self.dirty = true;
         self.maybe_sync()?;
@@ -274,10 +143,8 @@ impl Wal {
     /// Cuts the log back to `offset` (an offset previously returned by
     /// [`Wal::append`]): the rollback half of write-ahead logging.
     pub fn truncate_to(&mut self, offset: u64) -> StoreResult<()> {
-        faults::check("wal.truncate", &self.path)?;
-        self.file.set_len(offset)?;
-        self.file.seek(SeekFrom::Start(offset))?;
-        self.len = offset;
+        faults::check("wal.truncate", self.log.path())?;
+        self.log.truncate_to(offset)?;
         self.dirty = true;
         Ok(())
     }
@@ -285,8 +152,8 @@ impl Wal {
     /// Forces buffered bytes to durable storage now.
     pub fn sync(&mut self) -> StoreResult<()> {
         if self.dirty {
-            faults::check("wal.sync", &self.path)?;
-            self.file.sync_data()?;
+            faults::check("wal.sync", self.log.path())?;
+            self.log.sync()?;
             self.fsyncs += 1;
             self.dirty = false;
         }
@@ -308,19 +175,14 @@ impl Wal {
         }
     }
 
-    /// The path of the log file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Current log length in bytes.
     pub fn len(&self) -> u64 {
-        self.len
+        self.log.len()
     }
 
     /// `true` if the log holds no records.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.log.is_empty()
     }
 
     /// Records appended through this handle (not counting replayed ones).
@@ -342,6 +204,8 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::StoreError;
+    use std::path::PathBuf;
     use tgraph::AttrValue;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -474,7 +338,7 @@ mod tests {
         assert!(replay.torn_bytes > 0);
         // Flip a byte inside the FIRST record: corruption mid-log, fatal.
         let mut mid = full.clone();
-        mid[WAL_HEADER_LEN + 1] ^= 0xFF;
+        mid[record_len(0) as usize + 1] ^= 0xFF;
         std::fs::write(&path, &mid).unwrap();
         match Wal::open(&path, WalSyncPolicy::Off) {
             Err(StoreError::Corruption(_)) => {}

@@ -57,15 +57,19 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use deltagraph::{DeltaGraph, DgError, DgResult, IndexImage};
-use kvstore::disk::crc32;
 use kvstore::faults;
 use kvstore::wal::{Wal, WalSyncPolicy};
-use kvstore::{ComponentKind, KeyValueStore, Segment, SegmentMeta, StoreError, StoreKey};
-use tgraph::codec::{Decode, Encode, Reader};
+use kvstore::{
+    ComponentKind, KeyValueStore, RecordLog, Segment, SegmentMeta, StoreError, StoreKey,
+};
+use tgraph::codec::{Decode, Encode};
 use tgraph::{Event, Timestamp};
 
 /// The manifest's first line; bump on incompatible layout changes.
-const MANIFEST_HEADER: &str = "historygraph-manifest v1";
+const MANIFEST_HEADER: &str = "historygraph-manifest v2";
+/// Version 1 framed `keys.log` records without the record log's magic
+/// byte; it is recognized only to refuse it.
+const MANIFEST_V1_HEADER: &str = "historygraph-manifest v1";
 
 fn corrupt(msg: impl Into<String>) -> DgError {
     DgError::Store(StoreError::Corruption(msg.into()))
@@ -263,50 +267,15 @@ fn acquire_dir_lock(dir: &Path) -> DgResult<DirLock> {
     )))
 }
 
-/// Appends one `BIND` record (`u32 len | u32 crc | key, node`) and fsyncs
-/// it — binds are rare, so per-record durability is cheap.
-fn append_key_record(file: &mut File, path: &Path, key: &str, node: u64) -> DgResult<()> {
-    let mut payload = Vec::new();
-    key.to_string().encode(&mut payload);
-    node.encode(&mut payload);
-    let mut rec = Vec::with_capacity(8 + payload.len());
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&crc32(&payload).to_le_bytes());
-    rec.extend_from_slice(&payload);
-    faults::write_all(file, &rec, "keys.append", path).map_err(io_err)?;
-    file.sync_data().map_err(io_err)?;
-    Ok(())
-}
-
-/// Reads every intact key-binding record; a torn or checksum-failing tail
-/// (crash mid-bind) silently ends the log, like the WAL's torn tail.
-fn read_keys(dir: &Path) -> Vec<(String, u64)> {
-    let Ok(data) = std::fs::read(keys_path(dir)) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos + 8 <= data.len() {
-        let len =
-            u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]) as usize;
-        let crc_stored =
-            u32::from_le_bytes([data[pos + 4], data[pos + 5], data[pos + 6], data[pos + 7]]);
-        let start = pos + 8;
-        let Some(end) = start.checked_add(len).filter(|&e| e <= data.len()) else {
-            break;
-        };
-        let payload = &data[start..end];
-        if crc32(payload) != crc_stored {
-            break;
-        }
-        let mut r = Reader::new(payload);
-        match (String::decode(&mut r), u64::decode(&mut r)) {
-            (Ok(key), Ok(node)) => out.push((key, node)),
-            _ => break,
-        }
-        pos = end;
-    }
-    out
+/// Opens `keys.log`, a record log of `BIND`s whose payloads are the key,
+/// then the node id. A torn final record is truncated away.
+fn open_keys(dir: &Path) -> DgResult<(RecordLog, Vec<(String, u64)>)> {
+    let mut keys = Vec::new();
+    let (log, _torn) = RecordLog::open(keys_path(dir), |payload| {
+        keys.push(<(String, u64)>::from_bytes(payload).map_err(|e| e.to_string())?);
+        Ok(())
+    })?;
+    Ok((log, keys))
 }
 
 /// Whether `dir` holds a recoverable deployment (i.e. a committed manifest).
@@ -336,7 +305,15 @@ fn write_manifest(dir: &Path, tail_gen: u64) -> DgResult<()> {
 fn read_manifest(dir: &Path) -> DgResult<u64> {
     let text = std::fs::read_to_string(manifest_path(dir)).map_err(io_err)?;
     let mut lines = text.lines();
-    if lines.next() != Some(MANIFEST_HEADER) {
+    let header = lines.next();
+    if header == Some(MANIFEST_V1_HEADER) {
+        return Err(corrupt(format!(
+            "manifest in {} is format v1 (keys.log records without a magic byte), \
+             which this version does not read; rebuild the data directory",
+            dir.display()
+        )));
+    }
+    if header != Some(MANIFEST_HEADER) {
         return Err(corrupt(format!(
             "unrecognized manifest header in {}",
             dir.display()
@@ -432,8 +409,8 @@ pub(crate) struct DurableState {
     /// `Some(reason)` after a fatal tail-write failure: appends are refused
     /// with [`StoreError::Degraded`], reads keep serving.
     degraded: Option<String>,
-    /// Open append handle for the key-binding log.
-    keys_file: File,
+    /// The key-binding log, `keys.log`.
+    keys: RecordLog,
     /// Exclusive data-dir lock, removed when this state drops.
     _lock: DirLock,
 }
@@ -465,9 +442,8 @@ impl DurableState {
         std::fs::create_dir_all(dir).map_err(io_err)?;
         let lock = acquire_dir_lock(dir)?;
         // Drop any stale manifest first so a crash mid-initialize can never
-        // pair an old manifest with new files. Stale key bindings go too.
+        // pair an old manifest with new files.
         std::fs::remove_file(manifest_path(dir)).ok();
-        std::fs::remove_file(keys_path(dir)).ok();
         let mut retries = 0u64;
         let tail_gen = sealed.len() as u64;
         let mut segment_bytes = 0u64;
@@ -498,12 +474,9 @@ impl DurableState {
             wal.append(ev)?;
         }
         wal.sync()?;
+        // Stale key bindings go before the commit point.
+        let keys = RecordLog::create(keys_path(dir))?;
         retried(&mut retries, || write_manifest(dir, tail_gen))?;
-        let keys_file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(keys_path(dir))
-            .map_err(io_err)?;
         Ok(DurableState {
             dir: dir.to_path_buf(),
             wal,
@@ -516,7 +489,7 @@ impl DurableState {
             recovery_ms: 0,
             retries,
             degraded: None,
-            keys_file,
+            keys,
             _lock: lock,
         })
     }
@@ -571,12 +544,7 @@ impl DurableState {
             seed,
             events: replay.events,
         };
-        let keys = read_keys(dir);
-        let keys_file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(keys_path(dir))
-            .map_err(io_err)?;
+        let (keys_log, keys) = open_keys(dir)?;
         let state = DurableState {
             dir: dir.to_path_buf(),
             wal: replay.wal,
@@ -589,7 +557,7 @@ impl DurableState {
             recovery_ms: 0,
             retries: 0,
             degraded: None,
-            keys_file,
+            keys: keys_log,
             _lock: lock,
         };
         state.remove_orphans();
@@ -786,10 +754,11 @@ impl DurableState {
             ))));
         }
         let mut retries = 0u64;
-        let path = keys_path(&self.dir);
-        let keys_file = &mut self.keys_file;
+        let payload = (key.to_string(), node).to_bytes();
+        let keys = &mut self.keys;
         let result = retried(&mut retries, || {
-            append_key_record(keys_file, &path, key, node)
+            keys.append(&payload, "keys.append")?;
+            Ok(keys.sync()?)
         });
         self.retries += retries;
         result
@@ -1130,6 +1099,72 @@ mod tests {
         let (st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
         assert_eq!(recovered.keys, vec![("alice".to_string(), 7)]);
         drop(st);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn bindings(names: &[(&str, u64)]) -> Vec<(String, u64)> {
+        names.iter().map(|&(k, n)| (k.to_string(), n)).collect()
+    }
+
+    #[test]
+    fn a_bind_after_a_torn_keys_tail_survives_the_next_restart() {
+        let dir = tmpdir("keys-torn-then-bind");
+        let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
+        let mut st = initialize(&dir, &plans);
+        st.record_key("alice", 7).unwrap();
+        st.record_key("bob", 11).unwrap();
+        drop(st);
+        let full = std::fs::read(keys_path(&dir)).unwrap();
+        std::fs::write(keys_path(&dir), &full[..full.len() - 3]).unwrap();
+        let (mut st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
+        assert_eq!(recovered.keys, bindings(&[("alice", 7)]));
+        st.record_key("carol", 13).unwrap();
+        drop(st);
+        let (st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
+        assert_eq!(recovered.keys, bindings(&[("alice", 7), ("carol", 13)]));
+        drop(st);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_key_persist_leaves_no_partial_record() {
+        let dir = tmpdir("keys-short-write");
+        let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
+        let mut st = initialize(&dir, &plans);
+        st.record_key("alice", 7).unwrap();
+        let scope = dir.to_string_lossy().to_string();
+        faults::arm_scoped(
+            "keys.append",
+            kvstore::FaultKind::ShortWrite,
+            0,
+            Some(1),
+            Some(&scope),
+        );
+        let err = st.record_key("bob", 11).unwrap_err();
+        assert!(err.to_string().contains("i/o error"), "{err}");
+        st.record_key("carol", 13).unwrap();
+        drop(st);
+        let (st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
+        assert_eq!(recovered.keys, bindings(&[("alice", 7), ("carol", 13)]));
+        drop(st);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_v1_manifest_is_refused_by_name() {
+        let dir = tmpdir("manifest-v1");
+        let plans = vec![plan(None, vec![], vec![Event::add_node(1, 1)])];
+        drop(initialize(&dir, &plans));
+        std::fs::write(
+            manifest_path(&dir),
+            format!("{MANIFEST_V1_HEADER}\nsegments 0\ntail 0\n"),
+        )
+        .unwrap();
+        let err = match DurableState::open(&dir, WalSyncPolicy::Always) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a v1 manifest must be refused"),
+        };
+        assert!(err.contains("v1") && err.contains("keys.log"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -69,7 +69,7 @@ pub mod source;
 pub use cache::{CacheEntryInfo, CacheOverview, CacheStats, ResponseCacheStats, WireFormat};
 pub use durable::is_durable_dir;
 pub use kvstore::wal::WalSyncPolicy;
-pub use manager::{BatchOutcome, ContractPolicy, GraphManager, GraphManagerConfig};
+pub use manager::{BatchOutcome, GraphManager, GraphManagerConfig};
 pub use sharded::{
     HealthInfo, ShardHealth, ShardInfo, ShardedConfig, ShardedGraphManager, ShardedSession,
     StorageInfo,

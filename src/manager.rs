@@ -16,29 +16,6 @@ use tgraph::{AttrOptions, EdgeId, Event, EventKind, NodeId, Snapshot, TimeExpres
 
 use crate::cache::{CacheEntryInfo, CacheStats, PointCache, ResponseCacheStats, WireFormat};
 
-/// How the append boundary enforces the §3.1 bidirectional-replay contract.
-///
-/// Deletion events carry only enough state to restore the bare element
-/// (a `DeleteEdge` its endpoints, a `DeleteNode` nothing but the id), so a
-/// delete whose target still carries attributes — or, for nodes, incident
-/// edges — cannot be replayed backwards faithfully: forward and backward
-/// replay diverge and snapshot answers become dependent on leaf layout.
-/// Every write path ([`GraphManager::append_event`],
-/// [`GraphManager::append_batch`]) runs under this policy, so the invariant
-/// the generators maintain is enforced for arbitrary writers too.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ContractPolicy {
-    /// Auto-normalize: the boundary injects the missing clearing events
-    /// (attribute removals, incident-edge deletes) immediately before the
-    /// offending delete, at the same timestamp, inside the same atomic
-    /// application. The stream recorded in the index is always well formed.
-    #[default]
-    Normalize,
-    /// Reject the append (the whole batch, for batches) with a precise
-    /// [`DgError::InvalidParameter`] naming the offending element.
-    Reject,
-}
-
 /// What [`GraphManager::append_batch`] applied, reported to clients so an
 /// `APPEND BATCH` acknowledgement can say how many events landed and how
 /// many clearing events the §3.1 contract injected.
@@ -46,7 +23,7 @@ pub enum ContractPolicy {
 pub struct BatchOutcome {
     /// Events applied to the index, including injected clearing events.
     pub applied: usize,
-    /// Clearing events injected by [`ContractPolicy::Normalize`].
+    /// Clearing events the §3.1 contract injected.
     pub normalized: usize,
     /// Earliest event time in the batch (the invalidation horizon).
     pub t_min: Timestamp,
@@ -80,10 +57,6 @@ pub struct GraphManagerConfig {
     /// total uncapped): on top of the slot count, the cache drops LRU
     /// replies until the cached bytes fit this budget.
     pub response_cache_bytes: u64,
-    /// How the append boundary enforces the §3.1 replay contract on
-    /// deletes that still carry state (see [`ContractPolicy`]). Defaults to
-    /// [`ContractPolicy::Normalize`].
-    pub contract_policy: ContractPolicy,
 }
 
 impl GraphManagerConfig {
@@ -109,12 +82,6 @@ impl GraphManagerConfig {
     /// (0 = uncapped).
     pub fn with_response_cache_bytes(mut self, bytes: u64) -> Self {
         self.response_cache_bytes = bytes;
-        self
-    }
-
-    /// Sets how the append boundary enforces the §3.1 replay contract.
-    pub fn with_contract_policy(mut self, policy: ContractPolicy) -> Self {
-        self.contract_policy = policy;
         self
     }
 }
@@ -483,11 +450,10 @@ impl GraphManager {
     /// Appends a new event: the current graph, the GraphPool overlay of the
     /// current graph, and the index are all updated.
     ///
-    /// The §3.1 replay contract is enforced here (see [`ContractPolicy`]):
+    /// The §3.1 replay contract is enforced here (see `expand_contract`):
     /// a delete whose target still carries attributes (or, for nodes,
-    /// incident edges) is either expanded into clearing events plus the
-    /// delete — all applied as one logical append with a single epoch bump
-    /// — or rejected, per the configured policy.
+    /// incident edges) is expanded into clearing events plus the delete,
+    /// all applied as one logical append with a single epoch bump.
     ///
     /// The index goes first — it validates the event (chronology, duplicate
     /// elements) — so a rejected event never reaches the pool and the two
@@ -510,12 +476,7 @@ impl GraphManager {
     pub fn expand_event(&self, event: Event) -> DgResult<(Vec<Event>, usize)> {
         self.index.ensure_appendable()?;
         let mut expanded = Vec::with_capacity(1);
-        expand_contract(
-            self.index.current_graph(),
-            event,
-            self.config.contract_policy,
-            &mut expanded,
-        )?;
+        expand_contract(self.index.current_graph(), event, &mut expanded);
         let normalized = expanded.len() - 1;
         Ok((expanded, normalized))
     }
@@ -605,7 +566,7 @@ impl GraphManager {
         let mut normalized = 0usize;
         for ev in events {
             let before = out.len();
-            expand_contract(&sim, ev, self.config.contract_policy, &mut out)?;
+            expand_contract(&sim, ev, &mut out);
             normalized += out.len() - before - 1;
             // Simulate the new events so later batch members (and the §3.1
             // checks guarding them) see the in-batch state; a failure here
@@ -701,22 +662,6 @@ impl GraphManager {
     }
 }
 
-/// Expands one event into the sequence the §3.1 replay contract requires,
-/// evaluated against `state` (the live current graph for single appends, the
-/// evolving simulated graph for batches), and appends it to `out`.
-///
-/// - `SetNodeAttr`/`SetEdgeAttr`: the `old` value is canonicalized to what
-///   the graph actually holds — recording a stale `old` breaks backward
-///   replay exactly like an attribute-carrying delete.
-/// - `DeleteEdge` whose edge still carries attributes: clearing
-///   `SetEdgeAttr` events are injected before it (same timestamp), or the
-///   append is rejected under [`ContractPolicy::Reject`].
-/// - `DeleteNode` whose node still carries attributes or incident edges:
-///   attribute clears, then per-edge attribute clears + `DeleteEdge`s (in
-///   edge-id order, for determinism), are injected before it — or rejected.
-///
-/// A delete whose target does not exist expands to itself; the index
-/// rejects it with its own precise error.
 /// Builds the minimal simulation state for validating a batch: only the
 /// nodes and edges the batch references — plus, for `DeleteNode` targets,
 /// their incident edges — are copied out of the live graph. Validation and
@@ -796,12 +741,33 @@ fn seed_batch_sim(base: &Snapshot, events: &[Event]) -> Snapshot {
     sim
 }
 
-fn expand_contract(
-    state: &Snapshot,
-    mut event: Event,
-    policy: ContractPolicy,
-    out: &mut Vec<Event>,
-) -> DgResult<()> {
+/// Expands one event into the sequence the §3.1 bidirectional-replay
+/// contract requires, evaluated against `state` (the live current graph for
+/// single appends, the evolving simulated graph for batches), and appends
+/// it to `out`.
+///
+/// Deletion events carry only enough state to restore the bare element
+/// (a `DeleteEdge` its endpoints, a `DeleteNode` nothing but the id), so a
+/// delete whose target still carries attributes — or, for nodes, incident
+/// edges — cannot be replayed backwards faithfully: forward and backward
+/// replay diverge and snapshot answers become dependent on leaf layout.
+/// Every write path ([`GraphManager::append_event`],
+/// [`GraphManager::append_batch`]) expands its events here, at the same
+/// timestamp and inside the same atomic application, so the stream recorded
+/// in the index is always well formed:
+///
+/// - `SetNodeAttr`/`SetEdgeAttr`: the `old` value is canonicalized to what
+///   the graph actually holds — recording a stale `old` breaks backward
+///   replay exactly like an attribute-carrying delete.
+/// - `DeleteEdge` whose edge still carries attributes: clearing
+///   `SetEdgeAttr` events are injected before it.
+/// - `DeleteNode` whose node still carries attributes or incident edges:
+///   attribute clears, then per-edge attribute clears + `DeleteEdge`s (in
+///   edge-id order, for determinism), are injected before it.
+///
+/// A delete whose target does not exist expands to itself; the index
+/// rejects it with its own precise error.
+fn expand_contract(state: &Snapshot, mut event: Event, out: &mut Vec<Event>) {
     match &mut event.kind {
         EventKind::SetNodeAttr { node, key, old, .. } => {
             *old = state.node_attr(*node, key).cloned();
@@ -811,25 +777,15 @@ fn expand_contract(
         }
         EventKind::DeleteEdge { edge, .. } => {
             if let Some(data) = state.edge(*edge) {
-                if !data.attrs.is_empty() {
-                    if policy == ContractPolicy::Reject {
-                        return Err(contract_violation(format!(
-                            "DeleteEdge {} still carries {} attribute(s): {}",
-                            edge,
-                            data.attrs.len(),
-                            keys_of(&data.attrs)
-                        )));
-                    }
-                    let e = *edge;
-                    for (key, value) in &data.attrs {
-                        out.push(Event::set_edge_attr(
-                            event.time,
-                            e,
-                            key.clone(),
-                            Some(value.clone()),
-                            None,
-                        ));
-                    }
+                let e = *edge;
+                for (key, value) in &data.attrs {
+                    out.push(Event::set_edge_attr(
+                        event.time,
+                        e,
+                        key.clone(),
+                        Some(value.clone()),
+                        None,
+                    ));
                 }
             }
         }
@@ -841,62 +797,40 @@ fn expand_contract(
                     .filter(|(_, d)| d.src == n || d.dst == n)
                     .collect();
                 incident.sort_by_key(|(e, _)| *e);
-                if !data.attrs.is_empty() || !incident.is_empty() {
-                    if policy == ContractPolicy::Reject {
-                        return Err(contract_violation(format!(
-                            "DeleteNode {} still carries {} attribute(s) and {} incident edge(s)",
-                            n,
-                            data.attrs.len(),
-                            incident.len()
-                        )));
-                    }
-                    for (key, value) in &data.attrs {
-                        out.push(Event::set_node_attr(
+                for (key, value) in &data.attrs {
+                    out.push(Event::set_node_attr(
+                        event.time,
+                        n,
+                        key.clone(),
+                        Some(value.clone()),
+                        None,
+                    ));
+                }
+                for (e, d) in incident {
+                    for (key, value) in &d.attrs {
+                        out.push(Event::set_edge_attr(
                             event.time,
-                            n,
+                            e,
                             key.clone(),
                             Some(value.clone()),
                             None,
                         ));
                     }
-                    for (e, d) in incident {
-                        for (key, value) in &d.attrs {
-                            out.push(Event::set_edge_attr(
-                                event.time,
-                                e,
-                                key.clone(),
-                                Some(value.clone()),
-                                None,
-                            ));
-                        }
-                        out.push(Event::new(
-                            event.time,
-                            EventKind::DeleteEdge {
-                                edge: e,
-                                src: d.src,
-                                dst: d.dst,
-                                directed: d.directed,
-                            },
-                        ));
-                    }
+                    out.push(Event::new(
+                        event.time,
+                        EventKind::DeleteEdge {
+                            edge: e,
+                            src: d.src,
+                            dst: d.dst,
+                            directed: d.directed,
+                        },
+                    ));
                 }
             }
         }
         _ => {}
     }
     out.push(event);
-    Ok(())
-}
-
-fn contract_violation(detail: String) -> DgError {
-    DgError::InvalidParameter(format!(
-        "replay contract (§3.1) violation: {detail}; clear attributes and \
-         incident edges first, or keep ContractPolicy::Normalize"
-    ))
-}
-
-fn keys_of(attrs: &tgraph::AttrMap) -> String {
-    attrs.keys().cloned().collect::<Vec<_>>().join(", ")
 }
 
 #[cfg(test)]
@@ -1217,7 +1151,7 @@ mod tests {
         let mut want_normalized = 0usize;
         for ev in batch.clone() {
             let before = want.len();
-            expand_contract(&sim, ev, ContractPolicy::Normalize, &mut want).unwrap();
+            expand_contract(&sim, ev, &mut want);
             want_normalized += want.len() - before - 1;
             for new in &want[before..] {
                 sim.apply_forward(new).unwrap();
@@ -1235,32 +1169,6 @@ mod tests {
         assert!(!current.has_node(NodeId(800)));
         assert!(current.has_edge(EdgeId(900)));
         assert_eq!(current.edge(EdgeId(900)).unwrap().dst, NodeId(810));
-    }
-
-    #[test]
-    fn reject_policy_refuses_ill_formed_deletes() {
-        use tgraph::AttrValue;
-        let cfg = GraphManagerConfig::default().with_contract_policy(ContractPolicy::Reject);
-        let mut gm = GraphManager::build_in_memory(&toy_trace().events, cfg).unwrap();
-        gm.append_event(Event::add_node(20, 800)).unwrap();
-        gm.append_event(Event::add_edge(20, 900, 800, 1)).unwrap();
-        gm.append_event(Event::set_edge_attr(
-            21,
-            900,
-            "w",
-            None,
-            Some(AttrValue::Int(5)),
-        ))
-        .unwrap();
-        let err = gm
-            .append_event(Event::delete_edge(22, 900, 800, 1))
-            .unwrap_err();
-        assert!(err.to_string().contains("replay contract"), "{err}");
-        assert!(err.to_string().contains('w'), "{err}");
-        // Nothing was applied.
-        assert!(gm.index().current_graph().has_edge(EdgeId(900)));
-        let err = gm.append_event(Event::delete_node(22, 800)).unwrap_err();
-        assert!(err.to_string().contains("incident edge"), "{err}");
     }
 
     #[test]

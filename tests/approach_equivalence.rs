@@ -242,7 +242,7 @@ proptest! {
         leaf_pick in 0usize..2,
         window_pct in 0i64..100,
     ) {
-        use historygraph::kvstore::{read_wal_events, wal_record_len};
+        use historygraph::kvstore::{wal_record_len, Wal};
         use historygraph::WalSyncPolicy;
 
         let dir = std::env::temp_dir().join(format!(
@@ -288,7 +288,9 @@ proptest! {
                     && p.file_name().is_some_and(|f| f != "keys.log")
             })
             .expect("tail wal");
-        let tail_events = read_wal_events(&wal).unwrap();
+        let replay = Wal::open(&wal, WalSyncPolicy::Off).unwrap();
+        assert_eq!(replay.torn_bytes, 0, "a log the router closed is whole");
+        let tail_events = replay.events;
         let full_len = std::fs::metadata(&wal).unwrap().len();
         let cut = full_len * cut_frac / 100;
         let mut offset = 0u64;

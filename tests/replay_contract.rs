@@ -7,16 +7,15 @@
 //! **layout-dependent snapshots**: whether a query happens to replay
 //! forward from one materialized state or backward from another changes
 //! the answer. The first test reproduces that hazard against the raw
-//! DeltaGraph index; the rest prove the append boundary (`GraphManager`
-//! with [`ContractPolicy`]) eliminates it — by injecting clearing events
-//! (`Normalize`) or refusing the stream (`Reject`).
+//! DeltaGraph index; the rest prove the append boundary (`GraphManager`)
+//! eliminates it by injecting clearing events.
 
 use std::sync::Arc;
 
 use historygraph::deltagraph::{DeltaGraph, DeltaGraphConfig};
 use historygraph::kvstore::MemStore;
 use historygraph::tgraph::{AttrOptions, AttrValue, Event, EventList, Snapshot, Timestamp};
-use historygraph::{ContractPolicy, GraphManager, GraphManagerConfig};
+use historygraph::{GraphManager, GraphManagerConfig};
 use proptest::prelude::*;
 
 /// A hand-built ill-formed stream: an edge and a node are deleted while
@@ -129,49 +128,17 @@ fn boundary_normalization_restores_layout_independence() {
     }
 }
 
-/// Under [`ContractPolicy::Reject`] the same stream is refused with a
-/// precise error and no partial state becomes visible.
-#[test]
-fn reject_policy_refuses_ill_formed_streams_atomically() {
-    let seed = EventList::from_events(vec![Event::add_node(0, 999u64)]);
-    let mut gm = GraphManager::build_in_memory(
-        &seed,
-        manager_with_leaf(2).with_contract_policy(ContractPolicy::Reject),
-    )
-    .unwrap();
-    let err = gm
-        .append_batch(ill_formed_stream())
-        .unwrap_err()
-        .to_string();
-    assert!(
-        err.contains("§3.1") || err.contains("attribute") || err.contains("clear"),
-        "rejection should cite the contract: {err}"
-    );
-    assert_eq!(gm.append_epoch(), 0, "rejected batch bumped the epoch");
-    let snap = manager_snapshot(&mut gm, 9);
-    assert_eq!(
-        (snap.node_count(), snap.edge_count()),
-        (1, 0),
-        "rejected batch leaked events"
-    );
-}
-
 /// The churn generator claims to emit §3.1-well-formed streams (attribute
 /// clears and incident-edge deletes before every delete). Audit that claim
-/// against the boundary itself: under [`ContractPolicy::Reject`] — which
-/// refuses any delete still carrying state — the whole trace must be
-/// accepted with zero injected clearing events.
+/// against the boundary itself: the whole trace must pass it with zero
+/// injected clearing events.
 #[test]
 fn churn_trace_passes_the_reject_boundary_unmodified() {
     use historygraph::datagen::{churn_trace, ChurnConfig};
     let trace = churn_trace(&ChurnConfig::tiny(41));
     let events = trace.events.events();
     let seed = EventList::from_events(events[..1].to_vec());
-    let mut gm = GraphManager::build_in_memory(
-        &seed,
-        manager_with_leaf(64).with_contract_policy(ContractPolicy::Reject),
-    )
-    .unwrap();
+    let mut gm = GraphManager::build_in_memory(&seed, manager_with_leaf(64)).unwrap();
     let outcome = gm.append_batch(events[1..].to_vec()).unwrap();
     assert_eq!(outcome.applied, events.len() - 1);
     assert_eq!(

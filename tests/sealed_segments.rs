@@ -14,6 +14,11 @@
 //! Binary reply frames are untrusted input too: every golden frame, mutated
 //! byte by byte, decodes or is refused as corrupt, and a hostile sequence
 //! length reserves no more than the codec's cap.
+//!
+//! So are a data directory's two record logs, the tail's WAL and
+//! `keys.log`: every byte flipped and every cut replays a strict prefix of
+//! the records or is refused as corrupt, allocating no more than the file
+//! holds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,8 +27,8 @@ use std::sync::OnceLock;
 
 use datagen::{churn_trace, ChurnConfig, Dataset};
 use deltagraph::{DeltaGraphConfig, DgError, IndexImage};
-use historygraph::kvstore::disk::crc32;
-use historygraph::kvstore::{KeyValueStore, Segment, StoreError, StoreKey};
+use historygraph::kvstore::crc32;
+use historygraph::kvstore::{KeyValueStore, RecordLog, Segment, StoreError, StoreKey, Wal};
 use historygraph::tgraph::codec::{write_varint, Decode, MAX_RESERVE_BYTES};
 use historygraph::tgraph::TgError;
 use historygraph::{
@@ -31,7 +36,7 @@ use historygraph::{
 };
 use histql::wire::{Frame, BINARY_FRAME_VERSION};
 use proptest::prelude::*;
-use tgraph::{AttrOptions, Event, Timestamp};
+use tgraph::{AttrOptions, AttrValue, Event, EventList, NodeId, Timestamp};
 
 /// Records the largest single allocation made on a thread while it is
 /// measuring, so the fuzz can bound what hostile lengths make a decoder
@@ -503,4 +508,83 @@ fn a_hostile_sequence_length_reserves_no_more_than_the_cap() {
         largest <= MAX_RESERVE_BYTES,
         "decoding reserved {largest} bytes at once"
     );
+}
+
+/// Replays `path` as a WAL (`keys = false`) or as `keys.log`, returning
+/// each record decoded and rendered for comparison.
+fn replay_log(path: &Path, keys: bool) -> Result<Vec<String>, StoreError> {
+    if !keys {
+        let replay = Wal::open(path, WalSyncPolicy::Off)?;
+        return Ok(replay.events.iter().map(|e| format!("{e:?}")).collect());
+    }
+    let mut bindings = Vec::new();
+    RecordLog::open(path, |payload| {
+        let binding = <(String, u64)>::from_bytes(payload).map_err(|e| e.to_string())?;
+        bindings.push(format!("{binding:?}"));
+        Ok(())
+    })?;
+    Ok(bindings)
+}
+
+#[test]
+fn mutated_record_logs_replay_a_strict_prefix_or_refuse() {
+    let dir = test_dir("logs");
+    let events = EventList::from_events(vec![Event::add_node(1, 1), Event::add_node(2, 2)]);
+    let router = ShardedGraphManager::build_durable(
+        &events,
+        ShardedConfig::default(),
+        &dir,
+        WalSyncPolicy::Off,
+    )
+    .unwrap();
+    router.append_event(Event::add_edge(3, 7, 1, 2)).unwrap();
+    router
+        .append_event(Event::set_node_attr(
+            4,
+            1,
+            "name",
+            None,
+            Some(AttrValue::from("ada")),
+        ))
+        .unwrap();
+    for (key, node) in [("alice", 1), ("bob", 2), ("carol", 1)] {
+        router.register_key(key, NodeId(node));
+    }
+    router.sync_storage().unwrap();
+    drop(router);
+
+    let mutated = dir.join("mutated.log");
+    for (name, keys) in [("wal-00000.log", false), ("keys.log", true)] {
+        let original = std::fs::read(dir.join(name)).unwrap();
+        let whole = replay_log(&dir.join(name), keys).unwrap();
+        assert!(whole.len() >= 3, "{name}: {whole:?}");
+        let check = |bytes: &[u8], what: &str| {
+            std::fs::write(&mutated, bytes).unwrap();
+            let (got, largest) = largest_allocation(|| replay_log(&mutated, keys));
+            assert!(
+                largest <= bytes.len() + SLACK,
+                "{name} {what}: replay allocated {largest} for {} bytes",
+                bytes.len()
+            );
+            match got {
+                Ok(records) => assert!(
+                    records.len() < whole.len() && records == whole[..records.len()],
+                    "{name} {what}: replayed {records:?}, not a strict prefix of {whole:?}"
+                ),
+                Err(StoreError::Corruption(_)) => {}
+                Err(other) => panic!("{name} {what}: expected corruption, got {other}"),
+            }
+        };
+        for at in 0..original.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut bytes = original.clone();
+                bytes[at] ^= flip;
+                check(&bytes, &format!("byte {at} ^ {flip:#04x}"));
+            }
+        }
+        for cut in 0..original.len() {
+            check(&original[..cut], &format!("cut at {cut}"));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
