@@ -37,7 +37,6 @@ pub mod stats;
 pub mod store;
 pub mod wal;
 
-pub use crc::crc32;
 pub use disk::DiskStore;
 pub use faults::FaultKind;
 pub use key::{ComponentKind, StoreKey};

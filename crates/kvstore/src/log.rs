@@ -170,47 +170,3 @@ impl RecordLog {
         self.len == 0
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("log-test-{name}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn replay(path: &Path) -> StoreResult<(Vec<Vec<u8>>, u64)> {
-        let mut records = Vec::new();
-        let (_, torn) = RecordLog::open(path, |p| {
-            records.push(p.to_vec());
-            Ok(())
-        })?;
-        Ok((records, torn))
-    }
-
-    #[test]
-    fn a_failed_append_leaves_no_partial_record() {
-        let dir = tmpdir("short-write");
-        let path = dir.join("keys.log");
-        let mut log = RecordLog::create(&path).unwrap();
-        log.append(b"first", "log-test.append").unwrap();
-        let scope = dir.to_string_lossy().to_string();
-        faults::arm_scoped(
-            "log-test.append",
-            faults::FaultKind::ShortWrite,
-            0,
-            Some(1),
-            Some(&scope),
-        );
-        assert!(log.append(b"second, torn", "log-test.append").is_err());
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), log.len());
-        log.append(b"third", "log-test.append").unwrap();
-        drop(log);
-        let (records, torn) = replay(&path).unwrap();
-        assert_eq!(records, vec![b"first".to_vec(), b"third".to_vec()]);
-        assert_eq!(torn, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}

@@ -27,7 +27,7 @@ use std::sync::OnceLock;
 
 use datagen::{churn_trace, ChurnConfig, Dataset};
 use deltagraph::{DeltaGraphConfig, DgError, IndexImage};
-use historygraph::kvstore::crc32;
+use historygraph::kvstore::crc::crc32;
 use historygraph::kvstore::{KeyValueStore, RecordLog, Segment, StoreError, StoreKey, Wal};
 use historygraph::tgraph::codec::{write_varint, Decode, MAX_RESERVE_BYTES};
 use historygraph::tgraph::TgError;
