@@ -13,13 +13,16 @@
 //! * **Interval and TimeExpression queries** (Section 3.2.1) are built on top
 //!   of the same machinery.
 //!
-//! A singlepoint query is split in two: [`DeltaGraph::plan_retrieval`] reads
-//! the skeleton and returns an owned [`Retrieval`], and
-//! [`Retrieval::execute`] does the fetch → decode → apply without touching
-//! the index again. A caller that guards the index with a lock holds it
-//! only for the plan.
+//! Every query is split in two: a plan reads the skeleton and returns
+//! owned data, and its `execute` does the fetch → decode → apply without
+//! touching the index again. [`DeltaGraph::plan_retrieval`] plans one
+//! point as a [`Retrieval`], [`DeltaGraph::plan_retrievals`] several as a
+//! [`MultiRetrieval`], and [`DeltaGraph::plan_interval`] an interval as an
+//! [`IntervalRetrieval`]. A caller that guards the index with a lock holds
+//! it only for the plan.
 
 use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 use tgraph::fxhash::{FxHashMap, FxHashSet};
 use tgraph::{AttrOptions, Event, EventKind, Snapshot, TimeExpression, Timestamp};
@@ -167,36 +170,49 @@ impl DeltaGraph {
         times: &[Timestamp],
         opts: &AttrOptions,
     ) -> DgResult<Vec<Snapshot>> {
-        self.get_graphs(times, opts)
+        let graphs = self.plan_retrievals(times, opts)?.execute()?;
+        Ok(graphs.into_iter().map(Arc::unwrap_or_clone).collect())
     }
 
-    /// [`DeltaGraph::get_snapshots`], each graph built as the caller asks:
-    /// as sorted columns for a caller that reads a few elements of each and
-    /// needs no [`Snapshot`].
-    pub fn get_graphs<G: GraphForm>(
+    /// Plans the multipoint retrieval of the snapshots as of `times` (see
+    /// [`DeltaGraph::get_snapshots`]) without fetching anything: one greedy
+    /// Steiner tree over the skeleton (§4.4), each distinct time planned
+    /// once. Like [`DeltaGraph::plan_retrieval`], the result is independent
+    /// of `self`.
+    pub fn plan_retrievals(
         &self,
         times: &[Timestamp],
         opts: &AttrOptions,
-    ) -> DgResult<Vec<G>> {
-        let mut results: Vec<Option<G>> = vec![None; times.len()];
-        // (query index, interval, time), for the terminals the Steiner tree covers
-        let mut terminals: Vec<(usize, usize, Timestamp)> = Vec::new();
-        for (qi, &t) in times.iter().enumerate() {
-            match self.skeleton.locate(t)? {
-                Location::BeforeHistory => results[qi] = Some(G::default()),
+    ) -> DgResult<MultiRetrieval> {
+        let mut distinct = times.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let slots = times
+            .iter()
+            .map(|t| distinct.binary_search(t).expect("every time is planned"))
+            .collect();
+        let mut tree = SteinerTree::default();
+        for (answer, &t) in distinct.iter().enumerate() {
+            let (leaf, finish) = match self.skeleton.locate(t)? {
+                // The super-root's graph is the empty graph.
+                Location::BeforeHistory => (self.skeleton.super_root(), Finish::Done),
                 Location::AfterLastLeaf => {
-                    results[qi] = Some(self.plan_retrieval(t, opts)?.execute()?)
+                    let leaf = self.skeleton.last_leaf()?;
+                    tree.join(self, leaf, opts)?;
+                    (leaf, Finish::Recent(self.recent.prefix_at(t).to_vec()))
                 }
-                Location::Interval(interval) => terminals.push((qi, interval, t)),
-            }
+                Location::Interval(interval) => {
+                    let (leaf, anchor) = tree.join_interval(self, interval, t, opts)?;
+                    (leaf, self.finish_of(anchor, t))
+                }
+            };
+            tree.nodes.insert(leaf);
+            tree.anchored
+                .entry(leaf)
+                .or_default()
+                .push((answer, finish));
         }
-        if !terminals.is_empty() {
-            self.execute_multipoint(&mut results, terminals, opts)?;
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every query point answered"))
-            .collect())
+        tree.into_retrieval(self, opts, distinct.len(), slots)
     }
 
     /// Retrieves the graph formed by the elements *added* during `[start,
@@ -208,61 +224,39 @@ impl DeltaGraph {
         end: Timestamp,
         opts: &AttrOptions,
     ) -> DgResult<(Snapshot, Vec<Event>)> {
+        self.plan_interval(start, end, opts)?.execute()
+    }
+
+    /// Plans [`DeltaGraph::get_snapshot_interval`] without fetching
+    /// anything: the leaf-eventlists whose intervals meet `[start, end)`,
+    /// and a copy of the recent events in it. Like
+    /// [`DeltaGraph::plan_retrieval`], the result is independent of `self`.
+    pub fn plan_interval(
+        &self,
+        start: Timestamp,
+        end: Timestamp,
+        opts: &AttrOptions,
+    ) -> DgResult<IntervalRetrieval> {
         if end <= start {
             return Err(DgError::InvalidParameter(format!(
                 "interval end {end} must be after start {start}"
             )));
         }
-        let mut graph = Snapshot::new();
-        let mut transients = Vec::new();
-        let mut consume = |events: &[Event]| -> DgResult<()> {
-            for ev in events {
-                if ev.time < start || ev.time >= end {
-                    continue;
-                }
-                match &ev.kind {
-                    EventKind::AddNode { node } => graph.ensure_node(*node),
-                    EventKind::AddEdge {
-                        edge,
-                        src,
-                        dst,
-                        directed,
-                    } => {
-                        if !graph.has_edge(*edge) {
-                            graph.add_edge(*edge, *src, *dst, *directed)?;
-                        }
-                    }
-                    EventKind::SetNodeAttr { node, key, new, .. } => {
-                        if opts.wants_node_attr(key) && graph.has_node(*node) {
-                            graph.set_node_attr(*node, key, new.clone())?;
-                        }
-                    }
-                    EventKind::SetEdgeAttr { edge, key, new, .. } => {
-                        if opts.wants_edge_attr(key) && graph.has_edge(*edge) {
-                            graph.set_edge_attr(*edge, key, new.clone())?;
-                        }
-                    }
-                    EventKind::TransientEdge { .. } | EventKind::TransientNode { .. } => {
-                        transients.push(ev.clone());
-                    }
-                    EventKind::DeleteNode { .. } | EventKind::DeleteEdge { .. } => {}
-                }
-            }
-            Ok(())
-        };
-
-        for interval in self.skeleton.intervals() {
+        Ok(IntervalRetrieval {
+            payloads: self.payloads.clone(),
+            opts: opts.clone(),
+            start,
+            end,
             // events in an interval have times in (interval.start, interval.end]
-            if interval.end < start || interval.start >= end {
-                continue;
-            }
-            let events =
-                self.payloads
-                    .read_eventlist(interval.eventlist_id, &AttrOptions::all(), true)?;
-            consume(events.events())?;
-        }
-        consume(self.recent.events())?;
-        Ok((graph, transients))
+            eventlists: self
+                .skeleton
+                .intervals()
+                .iter()
+                .filter(|interval| interval.end >= start && interval.start < end)
+                .map(|interval| interval.eventlist_id)
+                .collect(),
+            recent: self.recent.slice_range(start, end).to_vec(),
+        })
     }
 
     /// Retrieves the hypothetical graph whose elements satisfy a Boolean
@@ -272,8 +266,8 @@ impl DeltaGraph {
         expr: &TimeExpression,
         opts: &AttrOptions,
     ) -> DgResult<Snapshot> {
-        let snapshots = self.get_snapshots(&expr.times, opts)?;
-        expr.evaluate(&snapshots).map_err(Into::into)
+        self.plan_retrievals(&expr.times, opts)?
+            .execute_expression(expr)
     }
 
     /// Retrieves the graph associated with a skeleton node (used by
@@ -428,169 +422,328 @@ impl DeltaGraph {
             finish,
         })
     }
+}
 
-    // ------------------------------------------------------------------
-    // Multipoint (Steiner-tree) planning and execution
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Multipoint (Steiner-tree) planning and execution
+// ----------------------------------------------------------------------
 
-    fn execute_multipoint<G: GraphForm>(
-        &self,
-        results: &mut [Option<G>],
-        mut terminals: Vec<(usize, usize, Timestamp)>,
-        opts: &AttrOptions,
-    ) -> DgResult<()> {
-        terminals.sort_by_key(|&(_, _, t)| t);
+/// A planned multipoint retrieval: the greedy Steiner tree of
+/// [`DeltaGraph::plan_retrievals`], owned like a [`Retrieval`] — each
+/// tree edge's payload, the roots' source graphs, each planned time's
+/// finish (with a copy of any recent prefix), and a handle on the payload
+/// store — so it executes without touching the index.
+pub struct MultiRetrieval {
+    payloads: PayloadStore,
+    opts: AttrOptions,
+    /// The tree, each node's children after it.
+    nodes: Vec<TreeNode>,
+    /// Each root's source graph and its index in `nodes`.
+    roots: Vec<(Snapshot, usize)>,
+    /// How many distinct times were planned.
+    answers: usize,
+    /// For each requested time, in request order, its distinct time's
+    /// index.
+    slots: Vec<usize>,
+}
 
-        // Greedy Steiner tree: insert each terminal via its cheapest path to
-        // the tree built so far (the super-root and materialized nodes count
-        // as already in the tree).
-        let mut tree_children: FxHashMap<NodeIdx, Vec<usize>> = FxHashMap::default();
-        let mut tree_nodes: FxHashSet<NodeIdx> = FxHashSet::default();
-        let mut has_incoming: FxHashSet<NodeIdx> = FxHashSet::default();
-        // leaf -> [(query index, how to finish at its time)]
-        let mut anchored: FxHashMap<NodeIdx, Vec<(usize, Finish)>> = FxHashMap::default();
+/// One node of a [`MultiRetrieval`]'s tree.
+struct TreeNode {
+    /// Distinct times finished from this node's graph, and how.
+    finishes: Vec<(usize, Finish)>,
+    /// The tree edges out of this node: payload, then the child's index.
+    children: Vec<(EdgePayload, usize)>,
+}
 
-        for (qi, interval_idx, t) in terminals {
-            let mut sources = self.skeleton.plan_sources();
-            for &n in &tree_nodes {
-                sources.push((n, 0));
-            }
-            let best = self.skeleton.dijkstra(&sources, opts);
-            let interval = &self.skeleton.intervals()[interval_idx];
-
-            let span = (interval.end.raw() - interval.start.raw()).max(1) as f64;
-            let frac = ((t.raw() - interval.start.raw()) as f64 / span).clamp(0.0, 1.0);
-            let list_weight = interval.weights.for_options(opts) as f64;
-            let left = best[interval.left_leaf].map(|(c, _)| c);
-            let right = best[interval.right_leaf].map(|(c, _)| c);
-            let (leaf, anchor) = match (left, right) {
-                (Some(l), Some(r)) => {
-                    if (l as f64 + list_weight * frac) <= (r as f64 + list_weight * (1.0 - frac)) {
-                        (
-                            interval.left_leaf,
-                            Anchor::Forward {
-                                interval: interval_idx,
-                            },
-                        )
-                    } else {
-                        (
-                            interval.right_leaf,
-                            Anchor::Backward {
-                                interval: interval_idx,
-                            },
-                        )
-                    }
-                }
-                (Some(_), None) => (
-                    interval.left_leaf,
-                    Anchor::Forward {
-                        interval: interval_idx,
-                    },
-                ),
-                (None, Some(_)) => (
-                    interval.right_leaf,
-                    Anchor::Backward {
-                        interval: interval_idx,
-                    },
-                ),
-                (None, None) => {
-                    return Err(DgError::NoPlan(format!(
-                        "neither leaf of interval {interval_idx} is reachable"
-                    )))
-                }
-            };
-            let path = self.skeleton.path_to(&best, leaf)?;
-            for &edge_idx in &path {
-                let edge = self.skeleton.edge(edge_idx);
-                // Each node gains at most one incoming tree edge: paths stop
-                // as soon as they reach a node already in the tree.
-                if has_incoming.contains(&edge.to) {
-                    continue;
-                }
-                tree_children.entry(edge.from).or_default().push(edge_idx);
-                has_incoming.insert(edge.to);
-                tree_nodes.insert(edge.from);
-                tree_nodes.insert(edge.to);
-            }
-            tree_nodes.insert(leaf);
-            anchored
-                .entry(leaf)
-                .or_default()
-                .push((qi, self.finish_of(anchor, t)));
+impl MultiRetrieval {
+    /// Walks the tree once, top-down, so a payload the planned times share
+    /// is fetched and applied once; returns the graphs in request order, a
+    /// repeated time sharing its graph. Each graph is built in the form
+    /// the caller asks for (see [`GraphForm`]).
+    pub fn execute<G: GraphForm>(self) -> DgResult<Vec<Arc<G>>> {
+        let mut walk = TreeWalk {
+            payloads: &self.payloads,
+            opts: &self.opts,
+            nodes: &self.nodes,
+            lists: EventLists::default(),
+            built: vec![None; self.answers],
+        };
+        for (source, root) in self.roots {
+            walk.visit(root, G::from_source(source))?;
         }
+        let built = walk.built;
+        Ok(self
+            .slots
+            .iter()
+            .map(|&answer| Arc::clone(built[answer].as_ref().expect("every time answered")))
+            .collect())
+    }
 
-        // Roots of the tree: nodes involved in the tree with no incoming tree
-        // edge. These are necessarily plan sources.
-        let mut roots: Vec<NodeIdx> = tree_nodes
+    /// Executes the plan and evaluates `expr` over its graphs: the plan
+    /// must be of `expr`'s times (see [`DeltaGraph::get_time_expression`]).
+    pub fn execute_expression(self, expr: &TimeExpression) -> DgResult<Snapshot> {
+        let snapshots: Vec<Snapshot> = self
+            .execute()?
+            .into_iter()
+            .map(Arc::unwrap_or_clone)
+            .collect();
+        expr.evaluate(&snapshots).map_err(Into::into)
+    }
+}
+
+/// The state of one [`MultiRetrieval::execute`].
+struct TreeWalk<'a, G> {
+    payloads: &'a PayloadStore,
+    opts: &'a AttrOptions,
+    nodes: &'a [TreeNode],
+    lists: EventLists,
+    built: Vec<Option<Arc<G>>>,
+}
+
+impl<G: GraphForm> TreeWalk<'_, G> {
+    /// Finishes every time anchored at `node` from its graph `graph`, then
+    /// carries the graph down each child edge. The last consumer takes
+    /// `graph`; earlier ones work on clones.
+    fn visit(&mut self, node: usize, graph: G) -> DgResult<()> {
+        let TreeNode { finishes, children } = &self.nodes[node];
+        let mut graph = Some(graph);
+        let mut consumers = finishes.len() + children.len();
+        let mut next = |graph: &mut Option<G>| {
+            consumers -= 1;
+            match consumers {
+                0 => graph.take(),
+                _ => graph.clone(),
+            }
+            .expect("parent graph consumed early")
+        };
+        for (answer, finish) in finishes {
+            let mut out = next(&mut graph);
+            apply_finish(self.payloads, &mut out, finish, self.opts, &mut self.lists)?;
+            self.built[*answer] = Some(Arc::new(out));
+        }
+        for &(payload, child) in children {
+            let mut out = next(&mut graph);
+            apply_payload(self.payloads, &mut out, payload, self.opts, &mut self.lists)?;
+            self.visit(child, out)?;
+        }
+        Ok(())
+    }
+}
+
+/// A greedy Steiner tree under construction, over skeleton indices.
+#[derive(Default)]
+struct SteinerTree {
+    /// Tree edges (skeleton edge indices) out of each node.
+    children: FxHashMap<NodeIdx, Vec<usize>>,
+    nodes: FxHashSet<NodeIdx>,
+    has_incoming: FxHashSet<NodeIdx>,
+    /// Leaf -> [(distinct time, how to finish at it)].
+    anchored: FxHashMap<NodeIdx, Vec<(usize, Finish)>>,
+}
+
+impl SteinerTree {
+    /// The cheapest path to every skeleton node from the tree built so far
+    /// (the super-root and materialized nodes count as already in it).
+    fn best(&self, dg: &DeltaGraph, opts: &AttrOptions) -> Vec<Option<(usize, Option<usize>)>> {
+        let mut sources = dg.skeleton.plan_sources();
+        sources.extend(self.nodes.iter().map(|&n| (n, 0)));
+        dg.skeleton.dijkstra(&sources, opts)
+    }
+
+    /// Joins `leaf` to the tree along its cheapest path.
+    fn join(&mut self, dg: &DeltaGraph, leaf: NodeIdx, opts: &AttrOptions) -> DgResult<()> {
+        let best = self.best(dg, opts);
+        self.add_path(dg, &dg.skeleton.path_to(&best, leaf)?);
+        Ok(())
+    }
+
+    /// Joins the cheaper leaf of interval `interval_idx` for time `t`, its
+    /// eventlist counted as far as `t` reads it; returns the leaf and how
+    /// to finish at `t` from it.
+    fn join_interval(
+        &mut self,
+        dg: &DeltaGraph,
+        interval_idx: usize,
+        t: Timestamp,
+        opts: &AttrOptions,
+    ) -> DgResult<(NodeIdx, Anchor)> {
+        let best = self.best(dg, opts);
+        let interval = &dg.skeleton.intervals()[interval_idx];
+        let span = (interval.end.raw() - interval.start.raw()).max(1) as f64;
+        let frac = ((t.raw() - interval.start.raw()) as f64 / span).clamp(0.0, 1.0);
+        let list_weight = interval.weights.for_options(opts) as f64;
+        let forward = (
+            interval.left_leaf,
+            Anchor::Forward {
+                interval: interval_idx,
+            },
+        );
+        let backward = (
+            interval.right_leaf,
+            Anchor::Backward {
+                interval: interval_idx,
+            },
+        );
+        let left = best[interval.left_leaf].map(|(c, _)| c);
+        let right = best[interval.right_leaf].map(|(c, _)| c);
+        let (leaf, anchor) = match (left, right) {
+            (Some(l), Some(r)) => {
+                if (l as f64 + list_weight * frac) <= (r as f64 + list_weight * (1.0 - frac)) {
+                    forward
+                } else {
+                    backward
+                }
+            }
+            (Some(_), None) => forward,
+            (None, Some(_)) => backward,
+            (None, None) => {
+                return Err(DgError::NoPlan(format!(
+                    "neither leaf of interval {interval_idx} is reachable"
+                )))
+            }
+        };
+        self.add_path(dg, &dg.skeleton.path_to(&best, leaf)?);
+        Ok((leaf, anchor))
+    }
+
+    fn add_path(&mut self, dg: &DeltaGraph, path: &[usize]) {
+        for &edge_idx in path {
+            let edge = dg.skeleton.edge(edge_idx);
+            // Each node gains at most one incoming tree edge: paths stop as
+            // soon as they reach a node already in the tree.
+            if self.has_incoming.contains(&edge.to) {
+                continue;
+            }
+            self.children.entry(edge.from).or_default().push(edge_idx);
+            self.has_incoming.insert(edge.to);
+            self.nodes.insert(edge.from);
+            self.nodes.insert(edge.to);
+        }
+    }
+
+    /// The tree as an owned plan. Its roots — nodes with no incoming tree
+    /// edge — are necessarily plan sources.
+    fn into_retrieval(
+        mut self,
+        dg: &DeltaGraph,
+        opts: &AttrOptions,
+        answers: usize,
+        slots: Vec<usize>,
+    ) -> DgResult<MultiRetrieval> {
+        let mut roots: Vec<NodeIdx> = self
+            .nodes
             .iter()
             .copied()
-            .filter(|n| !has_incoming.contains(n))
+            .filter(|n| !self.has_incoming.contains(n))
             .collect();
         roots.sort_unstable();
-
-        let mut lists = EventLists::default();
+        let mut nodes = Vec::new();
+        let mut owned_roots = Vec::with_capacity(roots.len());
         for root in roots {
-            let graph = self.source_graph(root, opts).ok_or_else(|| {
+            let source = dg.source_graph(root, opts).ok_or_else(|| {
                 DgError::NoPlan(format!(
                     "multipoint tree root {root} is neither the super-root nor materialized"
                 ))
             })?;
-            self.walk_tree(
-                root,
-                G::from_source(graph),
-                &tree_children,
-                &anchored,
-                opts,
-                &mut lists,
-                results,
-            )?;
+            owned_roots.push((source, self.own(dg, root, &mut nodes)));
         }
-        Ok(())
+        Ok(MultiRetrieval {
+            payloads: dg.payloads.clone(),
+            opts: opts.clone(),
+            nodes,
+            roots: owned_roots,
+            answers,
+            slots,
+        })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn walk_tree<G: GraphForm>(
-        &self,
-        node: NodeIdx,
-        graph: G,
-        tree_children: &FxHashMap<NodeIdx, Vec<usize>>,
-        anchored: &FxHashMap<NodeIdx, Vec<(usize, Finish)>>,
-        opts: &AttrOptions,
-        lists: &mut EventLists,
-        results: &mut [Option<G>],
-    ) -> DgResult<()> {
-        if let Some(queries) = anchored.get(&node) {
-            for (qi, finish) in queries {
-                let mut out = graph.clone();
-                apply_finish(&self.payloads, &mut out, finish, opts, lists)?;
-                results[*qi] = Some(out);
+    /// Moves the subtree under `node` into `nodes`; returns its index.
+    fn own(&mut self, dg: &DeltaGraph, node: NodeIdx, nodes: &mut Vec<TreeNode>) -> usize {
+        let idx = nodes.len();
+        nodes.push(TreeNode {
+            finishes: self.anchored.remove(&node).unwrap_or_default(),
+            children: Vec::new(),
+        });
+        for edge_idx in self.children.remove(&node).unwrap_or_default() {
+            let edge = dg.skeleton.edge(edge_idx);
+            let child = self.own(dg, edge.to, nodes);
+            nodes[idx].children.push((edge.payload, child));
+        }
+        idx
+    }
+}
+
+// ----------------------------------------------------------------------
+// Interval execution
+// ----------------------------------------------------------------------
+
+/// A planned interval retrieval (see [`DeltaGraph::plan_interval`]): the
+/// leaf-eventlists in range and a copy of the recent events in range.
+pub struct IntervalRetrieval {
+    payloads: PayloadStore,
+    opts: AttrOptions,
+    start: Timestamp,
+    end: Timestamp,
+    eventlists: Vec<u64>,
+    recent: Vec<Event>,
+}
+
+impl IntervalRetrieval {
+    /// Fetches the planned eventlists and folds every event in `[start,
+    /// end)` into the graph of the elements it adds, collecting the
+    /// transients.
+    pub fn execute(self) -> DgResult<(Snapshot, Vec<Event>)> {
+        let IntervalRetrieval {
+            payloads,
+            opts,
+            start,
+            end,
+            eventlists,
+            recent,
+        } = self;
+        let mut graph = Snapshot::new();
+        let mut transients = Vec::new();
+        let mut consume = |events: &[Event]| -> DgResult<()> {
+            for ev in events {
+                if ev.time < start || ev.time >= end {
+                    continue;
+                }
+                match &ev.kind {
+                    EventKind::AddNode { node } => graph.ensure_node(*node),
+                    EventKind::AddEdge {
+                        edge,
+                        src,
+                        dst,
+                        directed,
+                    } => {
+                        if !graph.has_edge(*edge) {
+                            graph.add_edge(*edge, *src, *dst, *directed)?;
+                        }
+                    }
+                    EventKind::SetNodeAttr { node, key, new, .. } => {
+                        if opts.wants_node_attr(key) && graph.has_node(*node) {
+                            graph.set_node_attr(*node, key, new.clone())?;
+                        }
+                    }
+                    EventKind::SetEdgeAttr { edge, key, new, .. } => {
+                        if opts.wants_edge_attr(key) && graph.has_edge(*edge) {
+                            graph.set_edge_attr(*edge, key, new.clone())?;
+                        }
+                    }
+                    EventKind::TransientEdge { .. } | EventKind::TransientNode { .. } => {
+                        transients.push(ev.clone());
+                    }
+                    EventKind::DeleteNode { .. } | EventKind::DeleteEdge { .. } => {}
+                }
             }
-        }
-        let Some(children) = tree_children.get(&node) else {
-            return Ok(());
+            Ok(())
         };
-        let mut graph = Some(graph);
-        for (i, &edge_idx) in children.iter().enumerate() {
-            let edge = self.skeleton.edge(edge_idx);
-            // The last child consumes the parent graph; earlier children
-            // work on clones.
-            let mut child_graph = if i + 1 == children.len() {
-                graph.take().expect("parent graph consumed early")
-            } else {
-                graph.as_ref().expect("parent graph consumed early").clone()
-            };
-            apply_payload(&self.payloads, &mut child_graph, edge.payload, opts, lists)?;
-            self.walk_tree(
-                edge.to,
-                child_graph,
-                tree_children,
-                anchored,
-                opts,
-                lists,
-                results,
-            )?;
+        for eventlist_id in eventlists {
+            let events = payloads.read_eventlist(eventlist_id, &AttrOptions::all(), true)?;
+            consume(events.events())?;
         }
-        Ok(())
+        consume(&recent)?;
+        Ok((graph, transients))
     }
 }
 
@@ -663,7 +816,7 @@ mod tests {
     use datagen::{churn_trace, dblp_like, toy_trace, ChurnConfig, DblpConfig};
     use kvstore::MemStore;
     use std::sync::Arc;
-    use tgraph::EventList;
+    use tgraph::{ColumnGraph, EventList};
 
     fn build(
         events: &EventList,
@@ -978,6 +1131,47 @@ mod tests {
             after.execute::<Snapshot>().unwrap(),
             ds.snapshot_at(Timestamp(20))
         );
+    }
+
+    #[test]
+    fn a_planned_multipoint_retrieval_survives_appends_that_fold_a_leaf() {
+        let mut ds = toy_trace();
+        let mut dg = build(&ds.events, 4, 2, DifferentialFunction::Intersection);
+        for ev in [Event::add_node(20, 500), Event::add_edge(21, 900, 500, 1)] {
+            ds.events.push(ev.clone()).unwrap();
+            dg.append_event(ev).unwrap();
+        }
+        let opts = AttrOptions::all();
+        // Before history, inside indexed intervals (one repeated), and after
+        // the last leaf, where the plan carries the recent prefix.
+        let times: Vec<Timestamp> = [-1, 6, 9, 6, 20, 21].map(Timestamp).to_vec();
+        let planned = dg.plan_retrievals(&times, &opts).unwrap();
+        let interval = dg
+            .plan_interval(Timestamp(5), Timestamp(22), &opts)
+            .unwrap();
+        let interval_then = dg
+            .get_snapshot_interval(Timestamp(5), Timestamp(22), &opts)
+            .unwrap();
+        let leaves = dg.skeleton().leaves().len();
+        for i in 0..4 {
+            dg.append_event(Event::add_node(30 + i, 600 + i as u64))
+                .unwrap();
+        }
+        assert!(dg.skeleton().leaves().len() > leaves, "no leaf was folded");
+        let graphs = planned.execute::<ColumnGraph>().unwrap();
+        assert_eq!(graphs.len(), times.len());
+        for (graph, &t) in graphs.iter().zip(&times) {
+            assert_eq!(
+                graph.as_ref(),
+                &ColumnGraph::from_snapshot(&ds.snapshot_at(t)),
+                "t={t}"
+            );
+        }
+        assert!(
+            Arc::ptr_eq(&graphs[1], &graphs[3]),
+            "a repeated time is built once"
+        );
+        assert_eq!(interval.execute().unwrap(), interval_then);
     }
 
     #[test]

@@ -4,13 +4,12 @@
 //! one shard or many: point, entity, and history queries are routed to the
 //! shard owning their time; multipoint queries fan out across shards in
 //! parallel and reassemble in request order; `APPEND` goes to the tail
-//! shard. A point retrieval is planned under the owning shard's read lock
-//! and executed with none; other snapshot computation runs under the read
-//! lock, while overlays, appends, binds, and releases take that shard's
-//! write lock briefly. Every retrieved graph is overlaid through the
-//! executor's [`ShardedSession`], so dropping the executor (a client
-//! disconnecting) releases everything it retrieved, on every shard it
-//! touched.
+//! shard. Every read verb is planned under the owning shard's read lock
+//! and executed with none, while overlays, appends, binds, and releases
+//! take that shard's write lock briefly. Every cached overlay a query takes
+//! a reference to is held through the executor's [`ShardedSession`], so
+//! dropping the executor (a client disconnecting) releases everything it
+//! retrieved, on every shard it touched.
 //!
 //! The executor also owns the session's response encoding (the `PROTOCOL`
 //! verb) and, through [`Executor::execute_framed`], the point cache's byte
@@ -30,7 +29,8 @@ use crate::flight::{FlightResult, FlightStats, FlightTable, Joined};
 use crate::obs::{metrics_report, MetricsHub, VerbKind};
 use crate::parser::parse;
 use crate::wire::{
-    frame_columns, frame_error, HistorySample, Response, ServerCounters, SlowQueryInfo,
+    frame_columns, frame_error, frame_graphs, HistorySample, Response, ServerCounters,
+    SlowQueryInfo,
 };
 
 /// Upper bound on `HISTORY NODE` samples per query, so a tiny `STEP` over a
@@ -66,6 +66,9 @@ pub enum Rendered {
     /// The sorted columns of a point the point cache did not admit,
     /// rendered through [`frame_columns`].
     Columns(ColumnGraph),
+    /// The sorted columns of a multipoint query's graphs, in request
+    /// order, rendered through [`frame_graphs`].
+    Graphs(Vec<(Timestamp, Arc<ColumnGraph>)>),
 }
 
 /// Node `n`'s attributes in `graph`, sorted by name.
@@ -252,14 +255,18 @@ impl Executor {
         };
         let verb = VerbKind::of(&query);
         let t = primary_time(&query);
-        let result = if let Query::GetGraphAt { t, attrs } = &query {
-            self.execute_point_framed(*t, attrs)
-        } else {
-            self.execute(&query).map(|resp| {
+        let result = match &query {
+            Query::GetGraphAt { t, attrs } => self.execute_point_framed(*t, attrs),
+            Query::GetGraphsAt { times, attrs } => self.graphs_at(times, attrs).map(|items| {
+                let bytes = frame_graphs(&items, self.protocol);
+                self.rendered = Some(Rendered::Graphs(items));
+                Reply::Owned(bytes)
+            }),
+            _ => self.execute(&query).map(|resp| {
                 let bytes = resp.to_frame(self.protocol);
                 self.rendered = Some(Rendered::Response(resp));
                 Reply::Owned(bytes)
-            })
+            }),
         };
         // Render the error in the protocol that was current when the query
         // ran (a failed PROTOCOL verb never switches modes).
@@ -455,23 +462,13 @@ impl Executor {
                     graph: point.into_snapshot(&shared),
                 })
             }
-            Query::GetGraphsAt { times, attrs } => {
-                // Hybrid multipoint, fanned out across shards in parallel:
-                // within each owning shard every point first probes that
-                // shard's point cache — hot points share one
-                // reference-counted overlay across sessions and across the
-                // points of one query. The remaining cold points go through
-                // the shard's Steiner planner together (sharing fetched
-                // deltas) and are answered without an overlay or a cache
-                // insert: one wide cold scan must not evict the hot set
-                // that point queries built up. Replies are reassembled in
-                // request order regardless of shard completion order.
-                let opts = AttrOptions::parse(attrs)?;
-                let snaps = self.session.get_graphs_at(times, &opts)?;
-                Ok(Response::Graphs {
-                    items: times.iter().copied().zip(snaps).collect(),
-                })
-            }
+            Query::GetGraphsAt { times, attrs } => Ok(Response::Graphs {
+                items: self
+                    .graphs_at(times, attrs)?
+                    .into_iter()
+                    .map(|(t, graph)| (t, Arc::new(Arc::unwrap_or_clone(graph).into_snapshot())))
+                    .collect(),
+            }),
             Query::GetGraphBetween { start, end, attrs } => {
                 let opts = AttrOptions::parse(attrs)?;
                 let (graph, transients) = self.session.interval(*start, *end, &opts)?;
@@ -711,6 +708,26 @@ impl Executor {
         }
     }
 
+    /// `GET GRAPHS AT`, the hybrid multipoint, fanned out across shards in
+    /// parallel: within each owning shard every point first probes that
+    /// shard's point cache — hot points share one reference-counted
+    /// overlay across sessions and across the points of one query. The
+    /// remaining cold points go through the shard's Steiner planner
+    /// together (sharing fetched deltas, each distinct time built once) and
+    /// are answered without an overlay or a cache insert: one wide cold
+    /// scan must not evict the hot set that point queries built up. The
+    /// graphs come back as sorted columns in request order regardless of
+    /// shard completion order.
+    fn graphs_at(
+        &mut self,
+        times: &[Timestamp],
+        attrs: &str,
+    ) -> QlResult<Vec<(Timestamp, Arc<ColumnGraph>)>> {
+        let opts = AttrOptions::parse(attrs)?;
+        let graphs = self.session.get_graphs_at(times, &opts)?;
+        Ok(times.iter().copied().zip(graphs).collect())
+    }
+
     fn execute_expr(&mut self, tex: &TimeExpression, opts: &AttrOptions) -> QlResult<Response> {
         let anchor = *tex
             .times
@@ -753,8 +770,11 @@ pub use graphpool::GraphId;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use historygraph::kvstore::{StoreKey, StoreResult};
     use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager};
-    use tgraph::Timestamp;
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use tgraph::{Event, Timestamp};
 
     /// An executor over a one-shard router on the toy trace, plus the router.
     fn toy_executor(config: GraphManagerConfig) -> (Executor, ShardedGraphManager) {
@@ -1878,6 +1898,136 @@ mod tests {
             "follower render must reflect the append"
         );
         assert_ne!(fresh.as_ref(), stale.as_ref());
+    }
+
+    #[test]
+    fn a_repeated_time_is_fetched_once_and_its_reply_repeated() {
+        let (mut exec, router) = executor();
+        let store = Arc::clone(
+            router
+                .shard_at(0)
+                .unwrap()
+                .read()
+                .index()
+                .payload_store()
+                .backing_store(),
+        );
+        let mut gets = |line: &str| {
+            let before = store.stats().gets;
+            let reply = exec.execute_framed(line).as_ref().to_vec();
+            (store.stats().gets - before, reply)
+        };
+        let (once, _) = gets("GET GRAPHS AT 6");
+        let (thrice, text) = gets("GET GRAPHS AT 6, 6, 6");
+        gets("PROTOCOL BINARY");
+        let (_, binary) = gets("GET GRAPHS AT 6, 6, 6");
+        assert!(once > 0);
+        assert_eq!(thrice, once);
+        // No `WITH`: the structure alone.
+        let opts = AttrOptions::parse("").unwrap();
+        let graph = Arc::new(router.snapshot_at(Timestamp(6), &opts).unwrap());
+        let reference = Response::Graphs {
+            items: vec![(Timestamp(6), graph); 3],
+        };
+        assert_eq!(text, reference.to_frame(WireFormat::Text));
+        assert_eq!(binary, reference.to_frame(WireFormat::Binary));
+    }
+
+    /// A store whose next `get`, once armed, parks mid-fetch: it reports
+    /// its arrival and waits to be let go.
+    struct ParkingStore {
+        inner: historygraph::kvstore::MemStore,
+        park: std::sync::Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    }
+
+    impl ParkingStore {
+        /// Arms the next `get`; returns the receiver of its arrival and the
+        /// sender that lets it go.
+        fn arm(&self) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+            let (arrived, on_arrival) = mpsc::channel();
+            let (release, on_release) = mpsc::channel();
+            *self.park.lock().unwrap() = Some((arrived, on_release));
+            (on_arrival, release)
+        }
+    }
+
+    impl historygraph::kvstore::KeyValueStore for ParkingStore {
+        fn put(&self, key: StoreKey, value: &[u8]) -> StoreResult<()> {
+            self.inner.put(key, value)
+        }
+        fn get(&self, key: StoreKey) -> StoreResult<Option<Vec<u8>>> {
+            let parked = self.park.lock().unwrap().take();
+            if let Some((arrived, release)) = parked {
+                arrived.send(()).unwrap();
+                release.recv().unwrap();
+            }
+            self.inner.get(key)
+        }
+        fn delete(&self, key: StoreKey) -> StoreResult<()> {
+            self.inner.delete(key)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn stored_bytes(&self) -> u64 {
+            self.inner.stored_bytes()
+        }
+        fn stats(&self) -> historygraph::kvstore::stats::StatsSnapshot {
+            self.inner.stats()
+        }
+        fn backend_name(&self) -> &'static str {
+            "parking"
+        }
+    }
+
+    #[test]
+    fn an_append_completes_while_a_read_verb_is_parked_mid_fetch() {
+        let store = Arc::new(ParkingStore {
+            inner: historygraph::kvstore::MemStore::new(),
+            park: Default::default(),
+        });
+        let shard_store = Arc::clone(&store);
+        let router = ShardedGraphManager::build(
+            &datagen::toy_trace().events,
+            ShardedConfig::default().with_manager(
+                GraphManagerConfig::default().with_index(deltagraph::DeltaGraphConfig::new(3, 2)),
+            ),
+            move |_| Arc::clone(&shard_store) as _,
+        )
+        .unwrap();
+        let mut exec = Executor::for_router(router.clone());
+        run(&mut exec, "BIND alice 1");
+        let verbs = [
+            "GET GRAPHS AT 3, 6, 9",
+            "HISTORY NODE alice FROM 0 TO 10 STEP 2",
+            "GET GRAPH BETWEEN 2 AND 9",
+            "DIFF 6 9",
+        ];
+        for (i, line) in verbs.into_iter().enumerate() {
+            let (arrived, release) = store.arm();
+            let exec = &mut exec;
+            std::thread::scope(|scope| {
+                let reader = scope.spawn(move || exec.execute_line(line));
+                arrived
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("{line}: no fetch parked"));
+                // The append runs on its own thread so a blocked one cannot
+                // hang the test: it fails it.
+                let (done, appended) = mpsc::channel();
+                let appender = router.clone();
+                let t = 100 + i as i64;
+                std::thread::spawn(move || {
+                    let _ = done.send(appender.append_event(Event::add_node(t, 9000 + t as u64)));
+                });
+                let outcome = appended.recv_timeout(Duration::from_secs(10));
+                release.send(()).unwrap();
+                let response = reader.join().unwrap();
+                outcome
+                    .unwrap_or_else(|_| panic!("{line}: the append waited for the parked read"))
+                    .unwrap();
+                response.unwrap_or_else(|e| panic!("{line}: {e}"));
+            });
+        }
     }
 
     #[test]

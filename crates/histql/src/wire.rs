@@ -15,6 +15,7 @@
 //!
 //! [`GraphManager`]: historygraph::GraphManager
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use historygraph::{CacheOverview, HealthInfo, ShardInfo, StorageInfo, WireFormat};
@@ -23,7 +24,7 @@ use tgraph::{
     AttrValue, ColumnGraph, EdgeRecord, Event, EventKind, NodeId, Snapshot, TgError, Timestamp,
 };
 
-use crate::ast::{fmt_value, format_keyword, push_quoted, push_u64, push_value, quote};
+use crate::ast::{format_keyword, push_quoted, push_u64, push_value};
 
 /// The result of executing one [`crate::Query`].
 #[derive(Clone, Debug)]
@@ -343,27 +344,60 @@ pub struct HistorySample {
 impl Response {
     /// Renders the response as protocol lines (without the `END` sentinel).
     pub fn to_lines(&self) -> Vec<String> {
-        let mut out = Vec::new();
+        let mut text = String::new();
+        self.write_text(&mut text);
+        // Every line ends in '\n', and no line holds one (values are escaped).
+        text.split_terminator('\n').map(str::to_owned).collect()
+    }
+
+    /// The response as one newline-joined string.
+    pub fn to_text(&self) -> String {
+        let mut text = String::new();
+        self.write_text(&mut text);
+        text.pop();
+        text
+    }
+
+    /// The complete reply as the bytes a server writes for this response in
+    /// the given encoding: text lines plus the `END` sentinel, or one binary
+    /// frame. These are exactly the bytes the point cache's slots store.
+    pub fn to_frame(&self, format: WireFormat) -> Vec<u8> {
+        match format {
+            WireFormat::Text => {
+                let mut out = String::new();
+                self.write_text(&mut out);
+                out.push_str("END\n");
+                out.into_bytes()
+            }
+            WireFormat::Binary => frame_bytes(MAX_FRAME_BYTES, |buf| {
+                // The envelope's success tag, as `Frame::Response` writes it.
+                buf.push(0);
+                self.encode(buf)
+            }),
+        }
+    }
+
+    /// Writes the response's protocol lines into `out`, each ended by a
+    /// newline (no `END` sentinel): the one text renderer behind
+    /// [`Response::to_frame`], [`Response::to_lines`] and
+    /// [`Response::to_text`].
+    fn write_text(&self, out: &mut String) {
+        // Writing into a `String` cannot fail.
+        macro_rules! emit {
+            ($($arg:tt)*) => {{
+                let _ = writeln!(out, $($arg)*);
+            }};
+        }
         match self {
             Response::Graph { t, graph } => {
-                out.push(format!(
-                    "OK GRAPH t={} nodes={} edges={}",
-                    t.raw(),
-                    graph.node_count(),
-                    graph.edge_count()
-                ));
-                push_graph_body(&mut out, graph);
+                write_graph_header(out, "OK GRAPH", *t, graph.node_count(), graph.edge_count());
+                write_snapshot_body(out, graph);
             }
             Response::Graphs { items } => {
-                out.push(format!("OK GRAPHS count={}", items.len()));
+                emit!("OK GRAPHS count={}", items.len());
                 for (t, graph) in items {
-                    out.push(format!(
-                        "GRAPH t={} nodes={} edges={}",
-                        t.raw(),
-                        graph.node_count(),
-                        graph.edge_count()
-                    ));
-                    push_graph_body(&mut out, graph);
+                    write_graph_header(out, "GRAPH", *t, graph.node_count(), graph.edge_count());
+                    write_snapshot_body(out, graph);
                 }
             }
             Response::Interval {
@@ -372,17 +406,19 @@ impl Response {
                 graph,
                 transients,
             } => {
-                out.push(format!(
+                emit!(
                     "OK INTERVAL start={} end={} nodes={} edges={} transients={}",
                     start.raw(),
                     end.raw(),
                     graph.node_count(),
                     graph.edge_count(),
                     transients.len()
-                ));
-                push_graph_body(&mut out, graph);
+                );
+                write_snapshot_body(out, graph);
                 for ev in transients {
-                    out.push(format!("T {}", fmt_event(ev)));
+                    out.push_str("T ");
+                    write_event(out, ev);
+                    out.push('\n');
                 }
             }
             Response::Node {
@@ -393,19 +429,22 @@ impl Response {
                 attrs,
                 neighbors,
             } => {
-                out.push(format!(
-                    "OK NODE {} id={} t={} present={} degree={}",
-                    quote(key),
+                out.push_str("OK NODE ");
+                push_quoted(out, key);
+                emit!(
+                    " id={} t={} present={} degree={}",
                     node.raw(),
                     t.raw(),
                     present,
                     neighbors.len()
-                ));
+                );
                 for (name, value) in attrs {
-                    out.push(format!("A {}={}", fmt_attr_name(name), fmt_value(value)));
+                    out.push_str("A ");
+                    write_assignment(out, name, value);
+                    out.push('\n');
                 }
                 for (nbr, edge) in neighbors {
-                    out.push(format!("ADJ {} {}", nbr.raw(), edge.raw()));
+                    emit!("ADJ {} {}", nbr.raw(), edge.raw());
                 }
             }
             Response::History {
@@ -416,26 +455,25 @@ impl Response {
                 step,
                 samples,
             } => {
-                out.push(format!(
-                    "OK HISTORY {} id={} from={} to={} step={} samples={}",
-                    quote(key),
+                out.push_str("OK HISTORY ");
+                push_quoted(out, key);
+                emit!(
+                    " id={} from={} to={} step={} samples={}",
                     node.raw(),
                     from.raw(),
                     to.raw(),
                     step,
                     samples.len()
-                ));
+                );
                 for s in samples {
-                    let mut line = format!(
+                    let _ = write!(
+                        out,
                         "H t={} present={} degree={}",
                         s.t.raw(),
                         s.present,
                         s.degree
                     );
-                    for (name, value) in &s.attrs {
-                        line.push_str(&format!(" {}={}", fmt_attr_name(name), fmt_value(value)));
-                    }
-                    out.push(line);
+                    write_attrs(out, s.attrs.iter().map(|(k, v)| (k.as_str(), v)));
                 }
             }
             Response::Stats {
@@ -446,13 +484,11 @@ impl Response {
                 materialized_nodes,
                 materialized_bytes,
                 recent_events,
-            } => {
-                out.push(format!(
-                    "OK STATS leaves={leaves} interior={interior} height={height} \
-                     stored_bytes={stored_bytes} materialized_nodes={materialized_nodes} \
-                     materialized_bytes={materialized_bytes} recent_events={recent_events}"
-                ));
-            }
+            } => emit!(
+                "OK STATS leaves={leaves} interior={interior} height={height} \
+                 stored_bytes={stored_bytes} materialized_nodes={materialized_nodes} \
+                 materialized_bytes={materialized_bytes} recent_events={recent_events}"
+            ),
             Response::CacheStats { overview } => {
                 let CacheOverview {
                     capacity,
@@ -464,7 +500,7 @@ impl Response {
                     response_entries,
                     response,
                 } = overview;
-                out.push(format!(
+                emit!(
                     "OK CACHE entries={} capacity={capacity} hits={} misses={} \
                      insertions={} invalidations={} evictions={} overlays={overlays}",
                     entries.len(),
@@ -473,8 +509,8 @@ impl Response {
                     stats.insertions,
                     stats.invalidations,
                     stats.evictions
-                ));
-                out.push(format!(
+                );
+                emit!(
                     "RC entries={response_entries} capacity={response_capacity} \
                      byte_budget={response_byte_budget} hits={} \
                      misses={} insertions={} invalidations={} evictions={} bytes={}",
@@ -484,23 +520,19 @@ impl Response {
                     response.invalidations,
                     response.evictions,
                     response.bytes
-                ));
+                );
                 for e in entries {
-                    out.push(format!(
-                        "C t={} opts={} overlay={} refs={}",
-                        e.t.raw(),
-                        quote(&e.opts),
-                        e.overlay.0,
-                        e.refs
-                    ));
+                    let _ = write!(out, "C t={} opts=", e.t.raw());
+                    push_quoted(out, &e.opts);
+                    emit!(" overlay={} refs={}", e.overlay.0, e.refs);
                 }
             }
             Response::Shards { shards } => {
-                out.push(format!("OK SHARDS count={}", shards.len()));
+                emit!("OK SHARDS count={}", shards.len());
                 let fmt_bound =
                     |b: Option<Timestamp>| b.map_or("-".to_string(), |t| t.raw().to_string());
                 for s in shards {
-                    out.push(format!(
+                    emit!(
                         "S {} lower={} upper={} events={} overlays={} \
                          cache_entries={} cache_hits={} cache_misses={} \
                          cache_invalidations={} rc_entries={} rc_hits={} rc_misses={} \
@@ -519,11 +551,11 @@ impl Response {
                         s.response.misses,
                         s.queries,
                         s.appends
-                    ));
+                    );
                 }
             }
             Response::Server { counters } => {
-                out.push(format!(
+                emit!(
                     "OK SERVER connections={} accepted={} rejected={} \
                      queue_depth={} workers={}",
                     counters.live_connections,
@@ -531,45 +563,51 @@ impl Response {
                     counters.rejected,
                     counters.queue_depth,
                     counters.workers
-                ));
-                out.push(format!(
+                );
+                emit!(
                     "SF leaders={} coalesced={} stale_rerenders={}",
-                    counters.sf_leaders, counters.sf_coalesced, counters.sf_stale_rerenders
-                ));
+                    counters.sf_leaders,
+                    counters.sf_coalesced,
+                    counters.sf_stale_rerenders
+                );
             }
             Response::Metrics { entries } => {
-                out.push(format!("OK METRICS entries={}", entries.len()));
+                emit!("OK METRICS entries={}", entries.len());
                 for e in entries {
                     match &e.value {
-                        MetricValue::Counter(v) => {
-                            out.push(format!("M {} counter value={v}", e.name))
-                        }
-                        MetricValue::Gauge(v) => out.push(format!("M {} gauge value={v}", e.name)),
-                        MetricValue::Histogram(h) => out.push(format!(
+                        MetricValue::Counter(v) => emit!("M {} counter value={v}", e.name),
+                        MetricValue::Gauge(v) => emit!("M {} gauge value={v}", e.name),
+                        MetricValue::Histogram(h) => emit!(
                             "M {} hist count={} p50={} p90={} p99={} max={} sum={}",
-                            e.name, h.count, h.p50, h.p90, h.p99, h.max, h.sum
-                        )),
+                            e.name,
+                            h.count,
+                            h.p50,
+                            h.p90,
+                            h.p99,
+                            h.max,
+                            h.sum
+                        ),
                     }
                 }
             }
             Response::Slow { entries } => {
-                out.push(format!("OK SLOW entries={}", entries.len()));
+                emit!("OK SLOW entries={}", entries.len());
                 let fmt_opt = |v: Option<i64>| v.map_or("-".to_string(), |v| v.to_string());
                 for q in entries {
-                    out.push(format!(
-                        "Q verb={} t={} shard={} total_us={} queue_us={} \
-                         service_us={} session={}",
-                        quote(&q.verb),
+                    out.push_str("Q verb=");
+                    push_quoted(out, &q.verb);
+                    emit!(
+                        " t={} shard={} total_us={} queue_us={} service_us={} session={}",
                         fmt_opt(q.t.map(|t| t.raw())),
                         fmt_opt(q.shard.map(|s| s as i64)),
                         q.total_us,
                         q.queue_us,
                         q.service_us,
                         q.session
-                    ));
+                    );
                 }
             }
-            Response::Storage { info } => out.push(format!(
+            Response::Storage { info } => emit!(
                 "OK STORAGE durable={} policy={} segments={} segment_bytes={} \
                  wal_bytes={} wal_appends={} wal_fsyncs={} torn_bytes={} \
                  torn_truncations={} recovery_ms={}",
@@ -583,81 +621,47 @@ impl Response {
                 info.torn_bytes,
                 info.torn_truncations,
                 info.recovery_ms
-            )),
+            ),
             Response::Health { info } => {
-                out.push(format!(
+                let _ = write!(
+                    out,
                     "OK HEALTH shards={} degraded={} quarantined={} \
-                     hydration_failures={} storage_retries={}{}",
+                     hydration_failures={} storage_retries={}",
                     info.shards.len(),
                     info.degraded,
                     info.quarantined,
                     info.hydration_failures,
-                    info.storage_retries,
-                    if info.degraded_reason.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" reason={}", quote(&info.degraded_reason))
-                    }
-                ));
+                    info.storage_retries
+                );
+                if !info.degraded_reason.is_empty() {
+                    out.push_str(" reason=");
+                    push_quoted(out, &info.degraded_reason);
+                }
+                out.push('\n');
                 for s in &info.shards {
-                    out.push(format!(
-                        "H {} state={} failures={}",
-                        s.index, s.state, s.failures
-                    ));
+                    emit!("H {} state={} failures={}", s.index, s.state, s.failures);
                 }
             }
-            Response::Appended { t } => out.push(format!("OK APPENDED t={}", t.raw())),
+            Response::Appended { t } => emit!("OK APPENDED t={}", t.raw()),
             Response::AppendedBatch {
                 count,
                 normalized,
                 t_min,
                 t_max,
-            } => out.push(format!(
+            } => emit!(
                 "OK APPENDED BATCH count={count} normalized={normalized} t_min={} t_max={}",
                 t_min.raw(),
                 t_max.raw()
-            )),
-            Response::Bound { key, node } => out.push(format!("OK BOUND {} {node}", quote(key))),
-            Response::Released { count } => out.push(format!("OK RELEASED {count}")),
-            Response::Protocol { mode } => {
-                out.push(format!("OK PROTOCOL {}", format_keyword(*mode)))
+            ),
+            Response::Bound { key, node } => {
+                out.push_str("OK BOUND ");
+                push_quoted(out, key);
+                emit!(" {node}");
             }
-            Response::Bye => out.push("OK BYE".into()),
-            Response::Pong => out.push("OK PONG".into()),
-        }
-        out
-    }
-
-    /// The response as one newline-joined string.
-    pub fn to_text(&self) -> String {
-        self.to_lines().join("\n")
-    }
-
-    /// The complete reply as the bytes a server writes for this response in
-    /// the given encoding: text lines plus the `END` sentinel, or one binary
-    /// frame. These are exactly the bytes the point cache's slots store.
-    pub fn to_frame(&self, format: WireFormat) -> Vec<u8> {
-        match format {
-            WireFormat::Text => {
-                if let Response::Graph { t, graph } = self {
-                    let mut out = graph_header(*t, graph.node_count(), graph.edge_count());
-                    write_snapshot_body(&mut out, graph);
-                    out.push_str("END\n");
-                    return out.into_bytes();
-                }
-                let mut out = Vec::new();
-                for line in self.to_lines() {
-                    out.extend_from_slice(line.as_bytes());
-                    out.push(b'\n');
-                }
-                out.extend_from_slice(b"END\n");
-                out
-            }
-            WireFormat::Binary => frame_bytes(MAX_FRAME_BYTES, |buf| {
-                // The envelope's success tag, as `Frame::Response` writes it.
-                buf.push(0);
-                self.encode(buf)
-            }),
+            Response::Released { count } => emit!("OK RELEASED {count}"),
+            Response::Protocol { mode } => emit!("OK PROTOCOL {}", format_keyword(*mode)),
+            Response::Bye => emit!("OK BYE"),
+            Response::Pong => emit!("OK PONG"),
         }
     }
 }
@@ -844,16 +848,9 @@ tgraph::impl_codec_enum!(Response {
     19 => AppendedBatch { count, normalized, t_min, t_max },
 });
 
-/// Renders an attribute name: bare when it is a plain identifier, quoted
+/// Appends an attribute name: bare when it is a plain identifier, quoted
 /// otherwise — so names containing spaces, `=`, or control characters (which
 /// would break the line framing) always round-trip safely.
-fn fmt_attr_name(name: &str) -> String {
-    let mut out = String::new();
-    push_attr_name(&mut out, name);
-    out
-}
-
-/// Appends an attribute name, as [`fmt_attr_name`] renders it.
 fn push_attr_name(out: &mut String, name: &str) {
     let plain = !name.is_empty()
         && name
@@ -866,13 +863,11 @@ fn push_attr_name(out: &mut String, name: &str) {
     }
 }
 
-/// Appends the `N`/`E` lines of a graph: nodes then edges, sorted by id,
-/// attributes sorted by name (attribute maps are ordered already).
-fn push_graph_body(out: &mut Vec<String>, graph: &Snapshot) {
-    let mut body = String::new();
-    write_snapshot_body(&mut body, graph);
-    // Every line ends in '\n', and no line holds one (values are escaped).
-    out.extend(body.split_terminator('\n').map(str::to_owned));
+/// Appends `name=value`.
+fn write_assignment(out: &mut String, name: &str, value: &AttrValue) {
+    push_attr_name(out, name);
+    out.push('=');
+    push_value(out, value);
 }
 
 /// Writes the `N`/`E` lines of `graph`, each ended by a newline, sorting
@@ -901,9 +896,23 @@ fn write_snapshot_body(out: &mut String, graph: &Snapshot) {
     );
 }
 
+/// Writes the `N`/`E` lines of `graph`, each ended by a newline, straight
+/// from its sorted columns.
+fn write_column_body(out: &mut String, graph: &ColumnGraph) {
+    write_graph_body(
+        out,
+        graph
+            .node_rows()
+            .map(|(id, rows)| (id, rows.iter().map(|(_, k, v)| (&**k, v)))),
+        graph
+            .edge_rows()
+            .map(|(r, rows)| (*r, rows.iter().map(|(_, k, v)| (&**k, v)))),
+    );
+}
+
 /// Writes the `N`/`E` lines of a graph given in id order, each ended by a
-/// newline: the one text renderer behind [`Response::to_frame`] and
-/// [`frame_columns`].
+/// newline: the one text renderer behind [`Response::to_frame`],
+/// [`frame_columns`] and [`frame_graphs`].
 fn write_graph_body<'a, NA, EA>(
     out: &mut String,
     nodes: impl Iterator<Item = (NodeId, NA)>,
@@ -933,9 +942,7 @@ fn write_graph_body<'a, NA, EA>(
 fn write_attrs<'a>(out: &mut String, attrs: impl Iterator<Item = (&'a str, &'a AttrValue)>) {
     for (name, value) in attrs {
         out.push(' ');
-        push_attr_name(out, name);
-        out.push('=');
-        push_value(out, value);
+        write_assignment(out, name, value);
     }
     out.push('\n');
 }
@@ -947,16 +954,15 @@ fn write_attrs<'a>(out: &mut String, attrs: impl Iterator<Item = (&'a str, &'a A
 pub fn frame_columns(t: Timestamp, graph: &ColumnGraph, format: WireFormat) -> Vec<u8> {
     match format {
         WireFormat::Text => {
-            let mut out = graph_header(t, graph.node_count(), graph.edge_count());
-            write_graph_body(
+            let mut out = String::new();
+            write_graph_header(
                 &mut out,
-                graph
-                    .node_rows()
-                    .map(|(id, rows)| (id, rows.iter().map(|(_, k, v)| (&**k, v)))),
-                graph
-                    .edge_rows()
-                    .map(|(r, rows)| (*r, rows.iter().map(|(_, k, v)| (&**k, v)))),
+                "OK GRAPH",
+                t,
+                graph.node_count(),
+                graph.edge_count(),
             );
+            write_column_body(&mut out, graph);
             out.push_str("END\n");
             out.into_bytes()
         }
@@ -969,23 +975,59 @@ pub fn frame_columns(t: Timestamp, graph: &ColumnGraph, format: WireFormat) -> V
     }
 }
 
-/// The first line of a `GET GRAPH AT` reply, newline included.
-fn graph_header(t: Timestamp, nodes: usize, edges: usize) -> String {
-    format!("OK GRAPH t={} nodes={nodes} edges={edges}\n", t.raw())
+/// The full reply to `GET GRAPHS AT` for graphs held as sorted columns, in
+/// request order, rendered straight from them: the same bytes as
+/// `Response::Graphs { items }.to_frame(format)` for the same graphs, with
+/// no sort and no [`Snapshot`].
+pub fn frame_graphs(items: &[(Timestamp, Arc<ColumnGraph>)], format: WireFormat) -> Vec<u8> {
+    match format {
+        WireFormat::Text => {
+            let mut out = String::new();
+            let _ = writeln!(out, "OK GRAPHS count={}", items.len());
+            for (t, graph) in items {
+                write_graph_header(
+                    &mut out,
+                    "GRAPH",
+                    *t,
+                    graph.node_count(),
+                    graph.edge_count(),
+                );
+                write_column_body(&mut out, graph);
+            }
+            out.push_str("END\n");
+            out.into_bytes()
+        }
+        WireFormat::Binary => frame_bytes(MAX_FRAME_BYTES, |buf| {
+            // The envelope's success tag, then `Response::Graphs`'s.
+            buf.extend_from_slice(&[0, 1]);
+            items.len().encode(buf);
+            for (t, graph) in items {
+                t.encode(buf);
+                graph.encode(buf);
+            }
+        }),
+    }
 }
 
-/// Renders one event (used for interval transients).
-fn fmt_event(ev: &Event) -> String {
+/// Writes the first line of one graph in a reply, newline included:
+/// `<label> t=.. nodes=.. edges=..`.
+fn write_graph_header(out: &mut String, label: &str, t: Timestamp, nodes: usize, edges: usize) {
+    let _ = writeln!(out, "{label} t={} nodes={nodes} edges={edges}", t.raw());
+}
+
+/// Writes one event (used for interval transients), with no newline.
+fn write_event(out: &mut String, ev: &Event) {
     let t = ev.time.raw();
-    match &ev.kind {
-        EventKind::AddNode { node } => format!("{t} ADDNODE {}", node.raw()),
-        EventKind::DeleteNode { node } => format!("{t} DELNODE {}", node.raw()),
+    let _ = match &ev.kind {
+        EventKind::AddNode { node } => write!(out, "{t} ADDNODE {}", node.raw()),
+        EventKind::DeleteNode { node } => write!(out, "{t} DELNODE {}", node.raw()),
         EventKind::AddEdge {
             edge,
             src,
             dst,
             directed,
-        } => format!(
+        } => write!(
+            out,
             "{t} ADDEDGE {} {} {} {}",
             edge.raw(),
             src.raw(),
@@ -997,39 +1039,53 @@ fn fmt_event(ev: &Event) -> String {
             src,
             dst,
             directed,
-        } => format!(
+        } => write!(
+            out,
             "{t} DELEDGE {} {} {} {}",
             edge.raw(),
             src.raw(),
             dst.raw(),
             if *directed { "d" } else { "u" }
         ),
-        EventKind::SetNodeAttr { node, key, new, .. } => format!(
-            "{t} NODEATTR {} {}={}",
-            node.raw(),
-            fmt_attr_name(key),
-            new.as_ref().map_or("null".into(), fmt_value)
-        ),
-        EventKind::SetEdgeAttr { edge, key, new, .. } => format!(
-            "{t} EDGEATTR {} {}={}",
-            edge.raw(),
-            fmt_attr_name(key),
-            new.as_ref().map_or("null".into(), fmt_value)
-        ),
+        EventKind::SetNodeAttr { node, key, new, .. } => {
+            let _ = write!(out, "{t} NODEATTR {} ", node.raw());
+            write_optional_assignment(out, key, new.as_ref());
+            Ok(())
+        }
+        EventKind::SetEdgeAttr { edge, key, new, .. } => {
+            let _ = write!(out, "{t} EDGEATTR {} ", edge.raw());
+            write_optional_assignment(out, key, new.as_ref());
+            Ok(())
+        }
         EventKind::TransientEdge { src, dst, payload } => {
-            let mut s = format!("{t} TEDGE {} {}", src.raw(), dst.raw());
-            if let Some(p) = payload {
-                s.push_str(&format!(" payload={}", fmt_value(p)));
-            }
-            s
+            let _ = write!(out, "{t} TEDGE {} {}", src.raw(), dst.raw());
+            write_payload(out, payload.as_ref());
+            Ok(())
         }
         EventKind::TransientNode { node, payload } => {
-            let mut s = format!("{t} TNODE {}", node.raw());
-            if let Some(p) = payload {
-                s.push_str(&format!(" payload={}", fmt_value(p)));
-            }
-            s
+            let _ = write!(out, "{t} TNODE {}", node.raw());
+            write_payload(out, payload.as_ref());
+            Ok(())
         }
+    };
+}
+
+/// Appends `name=value`, or `name=null` for an attribute removed.
+fn write_optional_assignment(out: &mut String, name: &str, value: Option<&AttrValue>) {
+    match value {
+        Some(value) => write_assignment(out, name, value),
+        None => {
+            push_attr_name(out, name);
+            out.push_str("=null");
+        }
+    }
+}
+
+/// Appends ` payload=value` when a transient carries one.
+fn write_payload(out: &mut String, payload: Option<&AttrValue>) {
+    if let Some(p) = payload {
+        out.push_str(" payload=");
+        push_value(out, p);
     }
 }
 
@@ -1118,7 +1174,9 @@ mod tests {
     #[test]
     fn transient_events_render() {
         let ev = Event::transient_edge(7, 1, 2, Some(AttrValue::Str("m".into())));
-        assert_eq!(fmt_event(&ev), "7 TEDGE 1 2 payload=\"m\"");
+        let mut line = String::new();
+        write_event(&mut line, &ev);
+        assert_eq!(line, "7 TEDGE 1 2 payload=\"m\"");
     }
 
     // --- binary framing ------------------------------------------------
@@ -1949,6 +2007,83 @@ mod tests {
         assert_eq!(lines.as_bytes(), &reference.to_frame(WireFormat::Text)[..]);
     }
 
+    /// `GET GRAPHS AT`, rendered through the executor from columns, gives
+    /// the bytes of `Response::Graphs` over the reference snapshots (a
+    /// replay of the trace) in both encodings. The times mix a repeated
+    /// one, one before history, ones after the last leaf (answered from the
+    /// recent events), and one the snapshot cache holds beside misses.
+    fn assert_graphs_replies_equal_snapshot_replies(
+        ds: &datagen::Dataset,
+        partitions: u32,
+        t: Timestamp,
+        pick: u64,
+    ) {
+        use historygraph::{GraphManagerConfig, ShardedConfig, ShardedGraphManager};
+        let events = ds.events.events();
+        let (built, appended) = events.split_at(events.len() - 5);
+        let router = ShardedGraphManager::build_in_memory(
+            &tgraph::EventList::from_events(built.to_vec()),
+            ShardedConfig::default().with_manager(
+                GraphManagerConfig::default()
+                    .with_snapshot_cache(8)
+                    .with_index(
+                        deltagraph::DeltaGraphConfig::new(60, 2).with_partitions(partitions),
+                    ),
+            ),
+        )
+        .unwrap();
+        for ev in appended {
+            router.append_event(ev.clone()).unwrap();
+        }
+        let (start, end) = (ds.start_time(), ds.end_time());
+        let last = appended[0].time;
+        let opts = ["", "+node:all", "+node:attr0", "+node:all+edge:all"][(pick % 4) as usize];
+        let with = if opts.is_empty() {
+            String::new()
+        } else {
+            format!(" WITH \"{opts}\"")
+        };
+        let tail = router.shard_for(end).unwrap();
+        let parsed = tgraph::AttrOptions::parse(opts).unwrap();
+        assert!(tail
+            .read()
+            .index()
+            .plan_snapshot(end, &parsed)
+            .unwrap()
+            .is_none());
+        let cached = Timestamp((start.raw() + end.raw()) / 2);
+        let times = [t, Timestamp(start.raw() - 5), cached, end, t, last];
+        let mut exec = crate::Executor::for_router(router.clone());
+        for _ in 0..2 {
+            exec.execute_framed(&format!("GET GRAPH AT {}{with}", cached.raw()));
+        }
+        let line = format!(
+            "GET GRAPHS AT {}{with}",
+            times.map(|t| t.raw().to_string()).join(",")
+        );
+        let items: Vec<(Timestamp, Arc<Snapshot>)> = times
+            .iter()
+            .map(|&t| (t, Arc::new(ds.snapshot_at(t).project_attrs(&parsed))))
+            .collect();
+        let reference = Response::Graphs { items };
+        assert_eq!(
+            exec.execute_framed(&line).as_ref(),
+            &reference.to_frame(WireFormat::Text)[..],
+            "{line}"
+        );
+        exec.execute_framed("PROTOCOL BINARY");
+        assert_eq!(
+            exec.execute_framed(&line).as_ref(),
+            &reference.to_frame(WireFormat::Binary)[..],
+            "{line}"
+        );
+        let overview = router.cache_overview();
+        assert!(
+            overview.stats.hits >= 2,
+            "the cached time was not hit: {overview:?}"
+        );
+    }
+
     proptest! {
         #[test]
         fn prop_graph_responses_roundtrip_in_binary(
@@ -2006,6 +2141,7 @@ mod tests {
                         );
                     }
                 }
+                assert_graphs_replies_equal_snapshot_replies(&ds, partitions, t, pick);
             }
         }
 

@@ -267,15 +267,19 @@ fn acquire_dir_lock(dir: &Path) -> DgResult<DirLock> {
     )))
 }
 
+/// `BIND`s as `(key, node id)`, in the order they were recorded.
+type Bindings = Vec<(String, u64)>;
+
 /// Opens `keys.log`, a record log of `BIND`s whose payloads are the key,
-/// then the node id. A torn final record is truncated away.
-fn open_keys(dir: &Path) -> DgResult<(RecordLog, Vec<(String, u64)>)> {
+/// then the node id. A torn final record is truncated away; its length in
+/// bytes is returned beside the bindings.
+fn open_keys(dir: &Path) -> DgResult<(RecordLog, Bindings, u64)> {
     let mut keys = Vec::new();
-    let (log, _torn) = RecordLog::open(keys_path(dir), |payload| {
+    let (log, torn) = RecordLog::open(keys_path(dir), |payload| {
         keys.push(<(String, u64)>::from_bytes(payload).map_err(|e| e.to_string())?);
         Ok(())
     })?;
-    Ok((log, keys))
+    Ok((log, keys, torn))
 }
 
 /// Whether `dir` holds a recoverable deployment (i.e. a committed manifest).
@@ -396,10 +400,12 @@ pub(crate) struct DurableState {
     appends_before_gen: u64,
     /// Fsyncs across generations (this process).
     fsyncs_before_gen: u64,
-    /// Bytes truncated from the WAL tail at the last recovery.
+    /// Bytes truncated from the tails of the WAL and `keys.log` at the last
+    /// recovery.
     pub torn_bytes: u64,
-    /// Torn-tail truncations performed at the last recovery (0 or 1, plus
-    /// 1 more if a trailing never-applied record had to be dropped).
+    /// Torn-tail truncations performed at the last recovery: one per log
+    /// (the WAL and `keys.log`) whose tail was cut, plus 1 more if a
+    /// trailing never-applied WAL record had to be dropped.
     pub torn_truncations: u64,
     /// Wall-clock milliseconds the last recovery took (0 for a fresh
     /// build). Set by the router once the shards are rebuilt.
@@ -544,7 +550,7 @@ impl DurableState {
             seed,
             events: replay.events,
         };
-        let (keys_log, keys) = open_keys(dir)?;
+        let (keys_log, keys, keys_torn) = open_keys(dir)?;
         let state = DurableState {
             dir: dir.to_path_buf(),
             wal: replay.wal,
@@ -552,8 +558,8 @@ impl DurableState {
             segment_bytes,
             appends_before_gen: 0,
             fsyncs_before_gen: 0,
-            torn_bytes: replay.torn_bytes,
-            torn_truncations: u64::from(replay.torn_bytes > 0),
+            torn_bytes: replay.torn_bytes + keys_torn,
+            torn_truncations: u64::from(replay.torn_bytes > 0) + u64::from(keys_torn > 0),
             recovery_ms: 0,
             retries: 0,
             degraded: None,
@@ -1118,6 +1124,12 @@ mod tests {
         std::fs::write(keys_path(&dir), &full[..full.len() - 3]).unwrap();
         let (mut st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();
         assert_eq!(recovered.keys, bindings(&[("alice", 7)]));
+        // The lost BIND shows in the recovery counters: `bob`'s whole
+        // record less the 3 bytes cut, in one truncation.
+        let bob_record = full.len() as u64 - std::fs::metadata(keys_path(&dir)).unwrap().len();
+        assert!(bob_record > 3, "{bob_record}");
+        assert_eq!(st.torn_bytes, bob_record - 3);
+        assert_eq!(st.torn_truncations, 1);
         st.record_key("carol", 13).unwrap();
         drop(st);
         let (st, recovered) = DurableState::open(&dir, WalSyncPolicy::Always).unwrap();

@@ -661,7 +661,8 @@ impl ShardedGraphManager {
 
     /// Computes several snapshots, each on its owning shard, in request
     /// order. Times within one shard go through that shard's Steiner-tree
-    /// multipoint planner together; distinct shards compute in parallel.
+    /// multipoint planner together, planned under its read lock and
+    /// executed with no lock held; distinct shards compute in parallel.
     /// No overlays are created.
     pub fn snapshots_at(&self, times: &[Timestamp], opts: &AttrOptions) -> DgResult<Vec<Snapshot>> {
         self.graphs_at(times, opts)
@@ -675,9 +676,16 @@ impl ShardedGraphManager {
         opts: &AttrOptions,
     ) -> DgResult<Vec<G>> {
         // Sessions only carry each group's shard here: nothing is overlaid,
-        // so they hold no handles and release nothing when they drop.
+        // so they hold no handles and release nothing when they drop. Each
+        // group is planned under its shard's read lock and executed with
+        // none.
         self.fan_out(&mut HashMap::new(), times, |session, ts| {
-            session.shared().read().index().get_graphs(ts, opts)
+            let plan = session.shared().read().index().plan_retrievals(ts, opts)?;
+            Ok(plan
+                .execute()?
+                .into_iter()
+                .map(Arc::unwrap_or_clone)
+                .collect())
         })
     }
 

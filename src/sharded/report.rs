@@ -68,9 +68,11 @@ pub struct StorageInfo {
     pub wal_appends: u64,
     /// `fsync` calls issued by this process (all tail generations).
     pub wal_fsyncs: u64,
-    /// Bytes of torn WAL tail truncated at the last recovery.
+    /// Bytes of torn tail truncated from the WAL and `keys.log` at the
+    /// last recovery.
     pub torn_bytes: u64,
-    /// Torn-tail truncations performed at the last recovery.
+    /// Torn-tail truncations performed at the last recovery, across the
+    /// WAL and `keys.log`.
     pub torn_truncations: u64,
     /// Wall-clock milliseconds the last recovery's open phase took:
     /// manifest read; each sealed segment's footer, key table, meta and

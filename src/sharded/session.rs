@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use deltagraph::DgResult;
 use graphpool::GraphId;
-use tgraph::{AttrOptions, Event, Snapshot, TimeExpression, Timestamp};
+use tgraph::{AttrOptions, ColumnGraph, Event, Snapshot, TimeExpression, Timestamp};
 
 use super::ShardedGraphManager;
 use crate::cache::WireFormat;
@@ -22,44 +22,55 @@ pub struct ShardedSession {
 /// cache per point (hot points share the cached overlay), then compute the
 /// remaining cold points together through the shard's Steiner planner —
 /// with no overlay and no insert, so a wide cold scan costs the pool
-/// nothing and cannot evict the hot set.
+/// nothing and cannot evict the hot set. Under one read guard the hits are
+/// read out of their overlays into columns and the misses are planned;
+/// the plan executes with no lock held.
 fn shard_multipoint(
     session: &mut PoolSession,
     times: &[Timestamp],
     opts: &AttrOptions,
-) -> DgResult<Vec<Arc<Snapshot>>> {
+) -> DgResult<Vec<Arc<ColumnGraph>>> {
     let hits: Vec<Option<GraphId>> = times
         .iter()
         .map(|&t| session.acquire_cached(t, opts))
         .collect();
     // The session holds a reference to every hit, so each overlay stays
     // put while it is materialized.
-    let mut out: Vec<Option<Arc<Snapshot>>> = {
+    let (mut out, plan) = {
         let gm = session.shared().read();
-        hits.iter()
-            .map(|hit| hit.map(|id| Arc::new(gm.graph(id).to_snapshot())))
-            .collect()
+        let mut read: Vec<(GraphId, Arc<ColumnGraph>)> = Vec::new();
+        let out: Vec<Option<Arc<ColumnGraph>>> = hits
+            .iter()
+            .map(|hit| {
+                let id = (*hit)?;
+                if let Some((_, graph)) = read.iter().find(|(held, _)| *held == id) {
+                    return Some(Arc::clone(graph));
+                }
+                let graph = Arc::new(ColumnGraph::from_snapshot(&gm.graph(id).to_snapshot()));
+                read.push((id, Arc::clone(&graph)));
+                Some(graph)
+            })
+            .collect();
+        let missing: Vec<Timestamp> = out
+            .iter()
+            .zip(times)
+            .filter(|(graph, _)| graph.is_none())
+            .map(|(_, &t)| t)
+            .collect();
+        let plan = (!missing.is_empty())
+            .then(|| gm.index().plan_retrievals(&missing, opts))
+            .transpose()?;
+        (out, plan)
     };
-    let missing: Vec<Timestamp> = out
-        .iter()
-        .zip(times)
-        .filter(|(snap, _)| snap.is_none())
-        .map(|(_, &t)| t)
-        .collect();
-    if !missing.is_empty() {
-        let snaps = session
-            .shared()
-            .read()
-            .index()
-            .get_snapshots(&missing, opts)?;
-        let mut computed = snaps.into_iter();
-        for slot in out.iter_mut().filter(|snap| snap.is_none()) {
-            *slot = Some(Arc::new(computed.next().expect("one snapshot per miss")));
+    if let Some(plan) = plan {
+        let mut computed = plan.execute()?.into_iter();
+        for slot in out.iter_mut().filter(|graph| graph.is_none()) {
+            *slot = Some(computed.next().expect("one graph per miss"));
         }
     }
     Ok(out
         .into_iter()
-        .map(|snap| snap.expect("every slot filled"))
+        .map(|graph| graph.expect("every slot filled"))
         .collect())
 }
 
@@ -144,21 +155,23 @@ impl ShardedSession {
 
     /// Multipoint retrieval: times are grouped by owning shard; each group
     /// runs the hybrid cached/Steiner path on its shard, distinct shards in
-    /// parallel, and the snapshots are reassembled in **request order**
-    /// regardless of shard completion order.
+    /// parallel, and the graphs are reassembled in **request order**
+    /// regardless of shard completion order. A repeated time shares its
+    /// graph.
     pub fn get_graphs_at(
         &mut self,
         times: &[Timestamp],
         opts: &AttrOptions,
-    ) -> DgResult<Vec<Arc<Snapshot>>> {
+    ) -> DgResult<Vec<Arc<ColumnGraph>>> {
         self.router
             .fan_out(&mut self.sessions, times, |session, ts| {
                 shard_multipoint(session, ts, opts)
             })
     }
 
-    /// Interval retrieval on the single shard covering `[start, end)`. The
-    /// graph is answered, not overlaid.
+    /// Interval retrieval on the single shard covering `[start, end)`,
+    /// planned under its read lock and executed with none. The graph is
+    /// answered, not overlaid.
     pub fn interval(
         &self,
         start: Timestamp,
@@ -168,15 +181,13 @@ impl ShardedSession {
         let max = if end > start { end.prev() } else { start };
         let (shard, shared) = self.router.covering_shard(start.min(max), start.max(max))?;
         self.router.note_queries(shard, 1);
-        let interval = shared
-            .read()
-            .index()
-            .get_snapshot_interval(start, end, opts);
-        interval
+        let plan = shared.read().index().plan_interval(start, end, opts)?;
+        plan.execute()
     }
 
     /// Boolean time-expression retrieval on the single shard covering every
-    /// referenced point. The hypothetical graph is answered, not overlaid.
+    /// referenced point, planned under its read lock and executed with
+    /// none. The hypothetical graph is answered, not overlaid.
     pub fn expr(
         &self,
         tex: &TimeExpression,
@@ -187,8 +198,8 @@ impl ShardedSession {
         let max = tex.times.iter().copied().max().unwrap_or(anchor);
         let (shard, shared) = self.router.covering_shard(min, max)?;
         self.router.note_queries(shard, 1);
-        let graph = shared.read().index().get_time_expression(tex, opts);
-        graph
+        let plan = shared.read().index().plan_retrievals(&tex.times, opts)?;
+        plan.execute_expression(tex)
     }
 
     /// Cached overlays this session holds references to, across every shard

@@ -196,6 +196,20 @@ fn a_retrieval_planned_on_the_tail_executes_after_a_roll() {
         .unwrap()
         .is_none());
     let planned = [(45, plan(45).unwrap()), (62, plan(62).unwrap())];
+    // The same times, repeated, as one multipoint plan; and an interval
+    // reaching into the recent events.
+    let times = [45, 62, 45].map(Timestamp);
+    let multi = tail.read().index().plan_retrievals(&times, &opts).unwrap();
+    let interval = tail
+        .read()
+        .index()
+        .plan_interval(Timestamp(44), Timestamp(63), &opts)
+        .unwrap();
+    let interval_then = tail
+        .read()
+        .index()
+        .get_snapshot_interval(Timestamp(44), Timestamp(63), &opts)
+        .unwrap();
     let shards = sharded.shard_count();
     for i in 0..12 {
         append(70 + i, 9070 + i as u64);
@@ -213,6 +227,11 @@ fn a_retrieval_planned_on_the_tail_executes_after_a_roll() {
             "t={t}"
         );
     }
+    let graphs = multi.execute::<Snapshot>().unwrap();
+    for (graph, t) in graphs.iter().zip(times) {
+        assert_eq!(**graph, oracle.snapshot_at(t), "t={t}");
+    }
+    assert_eq!(interval.execute().unwrap(), interval_then);
 }
 
 #[test]
