@@ -1175,6 +1175,59 @@ mod tests {
     }
 
     #[test]
+    fn a_point_reads_what_a_one_time_multipoint_reads() {
+        // A point planned alone and the same time planned as a multipoint
+        // of one give the replay and fetch the same payloads: the same
+        // number of store reads, the same bytes.
+        let traces = [
+            (toy_trace(), [3, 5]),
+            (dblp_like(&DblpConfig::tiny(51)), [40, 90]),
+            (churn_trace(&ChurnConfig::tiny(53)), [60, 150]),
+        ];
+        for (ds, leaf_sizes) in &traces {
+            for leaf_size in leaf_sizes {
+                for materialized in [false, true] {
+                    let mut dg = build(
+                        &ds.events,
+                        *leaf_size,
+                        2,
+                        DifferentialFunction::Intersection,
+                    );
+                    if materialized {
+                        dg.materialize_root().unwrap();
+                        dg.materialize_descendants(1).unwrap();
+                    }
+                    let skeleton = dg.skeleton();
+                    let mut times = vec![skeleton.history_start().unwrap().raw() - 1];
+                    for interval in skeleton.intervals() {
+                        times.extend(interval.start.raw()..=interval.end.raw());
+                    }
+                    times.push(skeleton.history_end().unwrap().raw() + 1);
+                    let store = dg.payload_store().backing_store();
+                    for opts in crate::storage::tests::selections() {
+                        for &t in &times {
+                            let t = Timestamp(t);
+                            let case = format!(
+                                "leaf size {leaf_size}, materialized {materialized}, {opts:?}, t={t}"
+                            );
+                            let before = store.stats();
+                            let point = dg.get_snapshot(t, &opts).unwrap();
+                            let point_read = store.stats().delta_since(&before);
+                            let before = store.stats();
+                            let multi = dg.get_snapshots(&[t], &opts).unwrap();
+                            let multi_read = store.stats().delta_since(&before);
+                            assert_eq!(point, ds.snapshot_at(t).project_attrs(&opts), "{case}");
+                            assert_eq!(multi, [point], "{case}");
+                            assert_eq!(point_read.gets, multi_read.gets, "{case}");
+                            assert_eq!(point_read.bytes_read, multi_read.bytes_read, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn updates_are_visible_to_queries_before_and_after_integration() {
         let ds = toy_trace();
         let mut dg = build(&ds.events, 4, 2, DifferentialFunction::Intersection);
