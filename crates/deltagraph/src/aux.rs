@@ -17,8 +17,8 @@
 //! Storage layout in this implementation: per-leaf auxiliary snapshots are
 //! chain-encoded (each leaf stores the delta against the previous leaf) under
 //! the `Auxiliary` column of the payload store, and the root auxiliary
-//! snapshot (the combination over all leaves) is kept in memory. Retrieval
-//! granularity is the leaf: `get_aux_snapshot(t)` returns the auxiliary
+//! snapshot (the combination over all leaves) is kept in memory. The leaf is
+//! the unit of retrieval: `get_aux_snapshot(t)` returns the auxiliary
 //! snapshot of the last leaf at or before `t`.
 
 use std::collections::BTreeSet;

@@ -57,6 +57,6 @@ pub use diff_fn::DifferentialFunction;
 pub use error::{DgError, DgResult};
 pub use form::GraphForm;
 pub use graph::{DeltaGraph, IndexImage, IndexStats};
-pub use query::{Anchor, IntervalRetrieval, MultiRetrieval, PointPlan, Retrieval};
+pub use query::{Anchor, IntervalRetrieval, MultiRetrieval, PointPlan};
 pub use skeleton::{ComponentWeights, EdgePayload, LeafInterval, NodeIdx, Skeleton};
 pub use storage::PayloadStore;

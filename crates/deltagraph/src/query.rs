@@ -1,25 +1,25 @@
 //! Snapshot retrieval: query planning and execution.
 //!
-//! * **Singlepoint queries** (Section 4.3): locate the leaf-eventlist
-//!   containing the query time, add a virtual node for it, and run Dijkstra
-//!   over the skeleton from the super-root and every materialized node; the
-//!   cheapest path is then executed by fetching and applying the deltas on it
-//!   and finally the needed portion of the leaf-eventlist.
 //! * **Multipoint queries** (Section 4.4): a Steiner-tree problem. We use the
 //!   standard greedy/2-approximation strategy — terminals are inserted one at
 //!   a time, each via its cheapest path to the *partially built tree* — and
 //!   then execute the resulting tree once, top-down, so that shared deltas
 //!   are fetched and applied exactly once.
+//! * **Singlepoint queries** (Section 4.3) are the tree of one terminal:
+//!   locate the leaf-eventlist containing the query time, take the cheaper
+//!   of its two leaves — the cheapest path to the leaf from the super-root or
+//!   a materialized node, plus the share of the eventlist read from it — and
+//!   execute that path, then the needed portion of the leaf-eventlist. One
+//!   function makes that choice for every planned time, alone or in a tree.
 //! * **Interval and TimeExpression queries** (Section 3.2.1) are built on top
 //!   of the same machinery.
 //!
 //! Every query is split in two: a plan reads the skeleton and returns
 //! owned data, and its `execute` does the fetch → decode → apply without
-//! touching the index again. [`DeltaGraph::plan_retrieval`] plans one
-//! point as a [`Retrieval`], [`DeltaGraph::plan_retrievals`] several as a
-//! [`MultiRetrieval`], and [`DeltaGraph::plan_interval`] an interval as an
-//! [`IntervalRetrieval`]. A caller that guards the index with a lock holds
-//! it only for the plan.
+//! touching the index again. [`DeltaGraph::plan_retrievals`] plans one
+//! point or several as a [`MultiRetrieval`], and
+//! [`DeltaGraph::plan_interval`] an interval as an [`IntervalRetrieval`]. A
+//! caller that guards the index with a lock holds it only for the plan.
 
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
@@ -69,23 +69,8 @@ pub struct PointPlan {
     pub estimated_cost: usize,
 }
 
-/// A planned singlepoint retrieval that owns everything its execution
-/// needs: the start graph, the payload ids along the path, how to finish
-/// at the query time, and a handle on the payload store.
-///
-/// It borrows nothing from the [`DeltaGraph`] that planned it, so it can
-/// run after the caller has let go of the index. That is sound because
-/// payload ids are write-once (see [`PayloadStore`]): later appends fold new
-/// leaves under new ids and never touch the payloads a plan names.
-pub struct Retrieval {
-    payloads: PayloadStore,
-    opts: AttrOptions,
-    source: Snapshot,
-    path: Vec<EdgePayload>,
-    finish: Finish,
-}
-
 /// How a retrieval turns the graph its path builds into the answer.
+#[derive(Debug, PartialEq)]
 enum Finish {
     /// The path's graph is the answer.
     Done,
@@ -97,69 +82,20 @@ enum Finish {
     Recent(Vec<Event>),
 }
 
-impl Retrieval {
-    /// Fetches, decodes and applies the planned payloads: the graph the
-    /// plan describes, built in the form the caller asks for (see
-    /// [`GraphForm`]) — a [`Snapshot`], or a [`tgraph::ColumnGraph`], where
-    /// each delta is one linear merge of its sorted runs into the columns
-    /// and the leaf-eventlist finish is one more.
-    pub fn execute<G: GraphForm>(self) -> DgResult<G> {
-        let Retrieval {
-            payloads,
-            opts,
-            source,
-            path,
-            finish,
-        } = self;
-        let mut graph = G::from_source(source);
-        let mut lists = EventLists::default();
-        for payload in path {
-            apply_payload(&payloads, &mut graph, payload, &opts, &mut lists)?;
-        }
-        apply_finish(&payloads, &mut graph, &finish, &opts, &mut lists)?;
-        Ok(graph)
-    }
-}
-
 impl DeltaGraph {
     // ------------------------------------------------------------------
     // Public retrieval API
     // ------------------------------------------------------------------
 
-    /// Retrieves the graph snapshot as of time `t`.
+    /// Retrieves the graph snapshot as of time `t`: a multipoint retrieval
+    /// of one time.
     ///
     /// Time points before the recorded history yield the empty graph; time
     /// points after the last indexed leaf are served from the last leaf plus
     /// the recent (not yet indexed) eventlist.
     pub fn get_snapshot(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<Snapshot> {
-        self.plan_retrieval(t, opts)?.execute()
-    }
-
-    /// Plans the retrieval of the snapshot as of `t` (see
-    /// [`DeltaGraph::get_snapshot`]) without fetching anything. The result
-    /// is independent of `self`: executing it after further appends still
-    /// yields the snapshot as of `t` that the index described at plan time.
-    pub fn plan_retrieval(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<Retrieval> {
-        match self.skeleton.locate(t)? {
-            // The super-root's graph is the empty graph.
-            Location::BeforeHistory => {
-                self.retrieval_along(self.skeleton.super_root(), &[], opts, Finish::Done)
-            }
-            Location::AfterLastLeaf => self.plan_node(
-                self.skeleton.last_leaf()?,
-                opts,
-                Finish::Recent(self.recent.prefix_at(t).to_vec()),
-            ),
-            Location::Interval(interval) => {
-                let plan = self.plan_point(interval, t, opts)?;
-                self.retrieval_along(
-                    plan.target_leaf,
-                    &plan.path,
-                    opts,
-                    self.finish_of(plan.anchor, t),
-                )
-            }
-        }
+        let mut graphs = self.get_snapshots(&[t], opts)?;
+        Ok(graphs.pop().expect("one time, one graph"))
     }
 
     /// Retrieves several snapshots at once (multipoint query), sharing the
@@ -174,11 +110,12 @@ impl DeltaGraph {
         Ok(graphs.into_iter().map(Arc::unwrap_or_clone).collect())
     }
 
-    /// Plans the multipoint retrieval of the snapshots as of `times` (see
+    /// Plans the retrieval of the snapshots as of `times` (see
     /// [`DeltaGraph::get_snapshots`]) without fetching anything: one greedy
     /// Steiner tree over the skeleton (§4.4), each distinct time planned
-    /// once. Like [`DeltaGraph::plan_retrieval`], the result is independent
-    /// of `self`.
+    /// once; a single time is the cheapest path of §4.3. The result is
+    /// independent of `self`: executing it after further appends still
+    /// yields the snapshots that the index described at plan time.
     pub fn plan_retrievals(
         &self,
         times: &[Timestamp],
@@ -202,15 +139,12 @@ impl DeltaGraph {
                     (leaf, Finish::Recent(self.recent.prefix_at(t).to_vec()))
                 }
                 Location::Interval(interval) => {
-                    let (leaf, anchor) = tree.join_interval(self, interval, t, opts)?;
-                    (leaf, self.finish_of(anchor, t))
+                    let plan = self.plan_point(&tree.best(self, opts), interval, t, opts)?;
+                    tree.add_path(self, &plan.path);
+                    (plan.target_leaf, self.finish_of(plan.anchor, t))
                 }
             };
-            tree.nodes.insert(leaf);
-            tree.anchored
-                .entry(leaf)
-                .or_default()
-                .push((answer, finish));
+            tree.anchor(leaf, answer, finish);
         }
         tree.into_retrieval(self, opts, distinct.len(), slots)
     }
@@ -230,7 +164,7 @@ impl DeltaGraph {
     /// Plans [`DeltaGraph::get_snapshot_interval`] without fetching
     /// anything: the leaf-eventlists whose intervals meet `[start, end)`,
     /// and a copy of the recent events in it. Like
-    /// [`DeltaGraph::plan_retrieval`], the result is independent of `self`.
+    /// [`DeltaGraph::plan_retrievals`], the result is independent of `self`.
     pub fn plan_interval(
         &self,
         start: Timestamp,
@@ -271,89 +205,81 @@ impl DeltaGraph {
     }
 
     /// Retrieves the graph associated with a skeleton node (used by
-    /// materialization and by auxiliary indexes). Interior-node graphs are
-    /// generally not valid snapshots of any time point.
+    /// materialization and by auxiliary indexes): a tree of one terminal,
+    /// the node itself. Interior-node graphs are generally not valid
+    /// snapshots of any time point.
     pub fn node_graph(&self, node: NodeIdx, opts: &AttrOptions) -> DgResult<Snapshot> {
-        self.plan_node(node, opts, Finish::Done)?.execute()
+        let mut tree = SteinerTree::default();
+        tree.join(self, node, opts)?;
+        tree.anchor(node, 0, Finish::Done);
+        let graph = tree
+            .into_retrieval(self, opts, 1, vec![0])?
+            .execute()?
+            .pop();
+        Ok(Arc::unwrap_or_clone(graph.expect("one node, one graph")))
     }
 
     /// Plans (but does not execute) a singlepoint retrieval; exposed for plan
-    /// inspection in tests and benchmarks.
+    /// inspection in tests and benchmarks. The plan is the one
+    /// [`DeltaGraph::get_snapshot`] runs.
     pub fn plan_snapshot(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<Option<PointPlan>> {
         match self.skeleton.locate(t)? {
-            Location::Interval(interval) => Ok(Some(self.plan_point(interval, t, opts)?)),
+            Location::Interval(interval) => {
+                let best = self.skeleton.dijkstra(&self.skeleton.plan_sources(), opts);
+                Ok(Some(self.plan_point(&best, interval, t, opts)?))
+            }
             _ => Ok(None),
         }
     }
 
-    // ------------------------------------------------------------------
-    // Singlepoint planning and execution
-    // ------------------------------------------------------------------
-
+    /// Plans time `t`, inside interval `interval_idx`, over the Dijkstra
+    /// table `best`: the interval's left leaf with its eventlist applied
+    /// up to `t`, or its right leaf with the eventlist undone back to `t`,
+    /// whichever costs less, the left one on a tie. A side's cost is its
+    /// leaf's path cost plus its fraction of the eventlist's weight,
+    /// truncated to whole bytes. Every time planned inside an interval, a
+    /// point or a terminal of a multipoint tree, takes its leaf from here.
     fn plan_point(
         &self,
+        best: &[Option<(usize, Option<usize>)>],
         interval_idx: usize,
         t: Timestamp,
         opts: &AttrOptions,
     ) -> DgResult<PointPlan> {
-        let best = self.skeleton.dijkstra(&self.skeleton.plan_sources(), opts);
         let interval = &self.skeleton.intervals()[interval_idx];
-
         let span = (interval.end.raw() - interval.start.raw()).max(1) as f64;
         let frac = ((t.raw() - interval.start.raw()) as f64 / span).clamp(0.0, 1.0);
         let list_weight = interval.weights.for_options(opts) as f64;
-        let forward_extra = (list_weight * frac) as usize;
-        let backward_extra = (list_weight * (1.0 - frac)) as usize;
-
-        let left = best[interval.left_leaf].map(|(c, _)| c);
-        let right = best[interval.right_leaf].map(|(c, _)| c);
-        let (target_leaf, anchor, total) = match (left, right) {
-            (Some(l), Some(r)) => {
-                if l + forward_extra <= r + backward_extra {
-                    (
-                        interval.left_leaf,
-                        Anchor::Forward {
-                            interval: interval_idx,
-                        },
-                        l + forward_extra,
-                    )
-                } else {
-                    (
-                        interval.right_leaf,
-                        Anchor::Backward {
-                            interval: interval_idx,
-                        },
-                        r + backward_extra,
-                    )
-                }
-            }
-            (Some(l), None) => (
+        let forward = best[interval.left_leaf].map(|(c, _)| c + (list_weight * frac) as usize);
+        let backward =
+            best[interval.right_leaf].map(|(c, _)| c + (list_weight * (1.0 - frac)) as usize);
+        let (target_leaf, anchor, estimated_cost) = match (forward, backward) {
+            (Some(f), b) if b.is_none_or(|b| f <= b) => (
                 interval.left_leaf,
                 Anchor::Forward {
                     interval: interval_idx,
                 },
-                l + forward_extra,
+                f,
             ),
-            (None, Some(r)) => (
+            (_, Some(b)) => (
                 interval.right_leaf,
                 Anchor::Backward {
                     interval: interval_idx,
                 },
-                r + backward_extra,
+                b,
             ),
-            (None, None) => {
+            (_, None) => {
                 return Err(DgError::NoPlan(format!(
                     "neither leaf of interval {interval_idx} is reachable"
                 )))
             }
         };
-        let path = self.skeleton.path_to(&best, target_leaf)?;
         Ok(PointPlan {
             time: t,
             target_leaf,
-            path,
+            path: self.skeleton.path_to(best, target_leaf)?,
             anchor,
-            estimated_cost: total,
+            estimated_cost,
         })
     }
 
@@ -374,14 +300,6 @@ impl DeltaGraph {
         }
     }
 
-    /// Plans the graph of skeleton node `node` along its cheapest path from
-    /// a plan source (empty when `node` is one), finished by `finish`.
-    fn plan_node(&self, node: NodeIdx, opts: &AttrOptions, finish: Finish) -> DgResult<Retrieval> {
-        let best = self.skeleton.dijkstra(&self.skeleton.plan_sources(), opts);
-        let path = self.skeleton.path_to(&best, node)?;
-        self.retrieval_along(node, &path, opts, finish)
-    }
-
     /// The graph of a plan source (the super-root or a materialized node),
     /// projected to the requested attributes. `None` if `node` is not a
     /// source.
@@ -391,48 +309,21 @@ impl DeltaGraph {
         }
         self.materialized.get(&node).map(|m| m.project_attrs(opts))
     }
-
-    /// The retrieval that builds `target` by applying the payloads of
-    /// `path` (skeleton edge indices) to the graph of the plan source the
-    /// path starts from, then finishes per `finish`.
-    fn retrieval_along(
-        &self,
-        target: NodeIdx,
-        path: &[usize],
-        opts: &AttrOptions,
-        finish: Finish,
-    ) -> DgResult<Retrieval> {
-        let start_node = match path.first() {
-            Some(&edge_idx) => self.skeleton.edge(edge_idx).from,
-            None => target,
-        };
-        let source = self.source_graph(start_node, opts).ok_or_else(|| {
-            DgError::NoPlan(format!(
-                "plan starts at node {start_node}, which is neither the super-root nor materialized"
-            ))
-        })?;
-        Ok(Retrieval {
-            payloads: self.payloads.clone(),
-            opts: opts.clone(),
-            source,
-            path: path
-                .iter()
-                .map(|&e| self.skeleton.edge(e).payload)
-                .collect(),
-            finish,
-        })
-    }
 }
 
 // ----------------------------------------------------------------------
 // Multipoint (Steiner-tree) planning and execution
 // ----------------------------------------------------------------------
 
-/// A planned multipoint retrieval: the greedy Steiner tree of
-/// [`DeltaGraph::plan_retrievals`], owned like a [`Retrieval`] — each
-/// tree edge's payload, the roots' source graphs, each planned time's
-/// finish (with a copy of any recent prefix), and a handle on the payload
-/// store — so it executes without touching the index.
+/// A planned retrieval of one or more times: the greedy Steiner tree of
+/// [`DeltaGraph::plan_retrievals`], owned — each tree edge's payload, the
+/// roots' source graphs, each planned time's finish (with a copy of any
+/// recent prefix), and a handle on the payload store.
+///
+/// It borrows nothing from the [`DeltaGraph`] that planned it, so it can
+/// run after the caller has let go of the index. That is sound because
+/// payload ids are write-once (see [`PayloadStore`]): later appends fold new
+/// leaves under new ids and never touch the payloads a plan names.
 pub struct MultiRetrieval {
     payloads: PayloadStore,
     opts: AttrOptions,
@@ -557,53 +448,14 @@ impl SteinerTree {
         Ok(())
     }
 
-    /// Joins the cheaper leaf of interval `interval_idx` for time `t`, its
-    /// eventlist counted as far as `t` reads it; returns the leaf and how
-    /// to finish at `t` from it.
-    fn join_interval(
-        &mut self,
-        dg: &DeltaGraph,
-        interval_idx: usize,
-        t: Timestamp,
-        opts: &AttrOptions,
-    ) -> DgResult<(NodeIdx, Anchor)> {
-        let best = self.best(dg, opts);
-        let interval = &dg.skeleton.intervals()[interval_idx];
-        let span = (interval.end.raw() - interval.start.raw()).max(1) as f64;
-        let frac = ((t.raw() - interval.start.raw()) as f64 / span).clamp(0.0, 1.0);
-        let list_weight = interval.weights.for_options(opts) as f64;
-        let forward = (
-            interval.left_leaf,
-            Anchor::Forward {
-                interval: interval_idx,
-            },
-        );
-        let backward = (
-            interval.right_leaf,
-            Anchor::Backward {
-                interval: interval_idx,
-            },
-        );
-        let left = best[interval.left_leaf].map(|(c, _)| c);
-        let right = best[interval.right_leaf].map(|(c, _)| c);
-        let (leaf, anchor) = match (left, right) {
-            (Some(l), Some(r)) => {
-                if (l as f64 + list_weight * frac) <= (r as f64 + list_weight * (1.0 - frac)) {
-                    forward
-                } else {
-                    backward
-                }
-            }
-            (Some(_), None) => forward,
-            (None, Some(_)) => backward,
-            (None, None) => {
-                return Err(DgError::NoPlan(format!(
-                    "neither leaf of interval {interval_idx} is reachable"
-                )))
-            }
-        };
-        self.add_path(dg, &dg.skeleton.path_to(&best, leaf)?);
-        Ok((leaf, anchor))
+    /// Anchors distinct time `answer` at tree node `node`, finished per
+    /// `finish`.
+    fn anchor(&mut self, node: NodeIdx, answer: usize, finish: Finish) {
+        self.nodes.insert(node);
+        self.anchored
+            .entry(node)
+            .or_default()
+            .push((answer, finish));
     }
 
     fn add_path(&mut self, dg: &DeltaGraph, path: &[usize]) {
@@ -642,7 +494,7 @@ impl SteinerTree {
         for root in roots {
             let source = dg.source_graph(root, opts).ok_or_else(|| {
                 DgError::NoPlan(format!(
-                    "multipoint tree root {root} is neither the super-root nor materialized"
+                    "plan root {root} is neither the super-root nor materialized"
                 ))
             })?;
             owned_roots.push((source, self.own(dg, root, &mut nodes)));
@@ -1103,37 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn a_planned_retrieval_survives_appends_that_fold_a_leaf() {
-        let mut ds = toy_trace();
-        let mut dg = build(&ds.events, 4, 2, DifferentialFunction::Intersection);
-        for ev in [Event::add_node(20, 500), Event::add_edge(21, 900, 500, 1)] {
-            ds.events.push(ev.clone()).unwrap();
-            dg.append_event(ev).unwrap();
-        }
-        let opts = AttrOptions::all();
-        // t=6 lies in an indexed interval; t=20 after the last leaf, where
-        // the plan carries a copy of the recent eventlist's prefix.
-        assert!(dg.plan_snapshot(Timestamp(6), &opts).unwrap().is_some());
-        assert!(dg.plan_snapshot(Timestamp(20), &opts).unwrap().is_none());
-        let inside = dg.plan_retrieval(Timestamp(6), &opts).unwrap();
-        let after = dg.plan_retrieval(Timestamp(20), &opts).unwrap();
-        let leaves = dg.skeleton().leaves().len();
-        for i in 0..4 {
-            dg.append_event(Event::add_node(30 + i, 600 + i as u64))
-                .unwrap();
-        }
-        assert!(dg.skeleton().leaves().len() > leaves, "no leaf was folded");
-        assert_eq!(
-            inside.execute::<Snapshot>().unwrap(),
-            ds.snapshot_at(Timestamp(6))
-        );
-        assert_eq!(
-            after.execute::<Snapshot>().unwrap(),
-            ds.snapshot_at(Timestamp(20))
-        );
-    }
-
-    #[test]
     fn a_planned_multipoint_retrieval_survives_appends_that_fold_a_leaf() {
         let mut ds = toy_trace();
         let mut dg = build(&ds.events, 4, 2, DifferentialFunction::Intersection);
@@ -1144,8 +965,11 @@ mod tests {
         let opts = AttrOptions::all();
         // Before history, inside indexed intervals (one repeated), and after
         // the last leaf, where the plan carries the recent prefix.
+        assert!(dg.plan_snapshot(Timestamp(6), &opts).unwrap().is_some());
+        assert!(dg.plan_snapshot(Timestamp(20), &opts).unwrap().is_none());
         let times: Vec<Timestamp> = [-1, 6, 9, 6, 20, 21].map(Timestamp).to_vec();
         let planned = dg.plan_retrievals(&times, &opts).unwrap();
+        let points = [6, 20].map(|t| (t, dg.plan_retrievals(&[Timestamp(t)], &opts).unwrap()));
         let interval = dg
             .plan_interval(Timestamp(5), Timestamp(22), &opts)
             .unwrap();
@@ -1171,6 +995,10 @@ mod tests {
             Arc::ptr_eq(&graphs[1], &graphs[3]),
             "a repeated time is built once"
         );
+        for (t, point) in points {
+            let graphs = point.execute::<Snapshot>().unwrap();
+            assert_eq!(*graphs[0], ds.snapshot_at(Timestamp(t)), "t={t}");
+        }
         assert_eq!(interval.execute().unwrap(), interval_then);
     }
 
@@ -1225,6 +1053,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Each distinct time's path from its plan root, as payloads, and its
+    /// finish, in the order the times were planned.
+    fn planned_paths(plan: &MultiRetrieval) -> Vec<(Vec<EdgePayload>, &Finish)> {
+        fn walk<'a>(
+            nodes: &'a [TreeNode],
+            node: usize,
+            path: &mut Vec<EdgePayload>,
+            out: &mut [Option<(Vec<EdgePayload>, &'a Finish)>],
+        ) {
+            for (answer, finish) in &nodes[node].finishes {
+                out[*answer] = Some((path.clone(), finish));
+            }
+            for &(payload, child) in &nodes[node].children {
+                path.push(payload);
+                walk(nodes, child, path, out);
+                path.pop();
+            }
+        }
+        let mut out = vec![None; plan.answers];
+        for &(_, root) in &plan.roots {
+            walk(&plan.nodes, root, &mut Vec::new(), &mut out);
+        }
+        out.into_iter()
+            .map(|p| p.expect("every time planned"))
+            .collect()
+    }
+
+    #[test]
+    fn a_time_lands_on_one_leaf_alone_and_first_in_a_multipoint() {
+        // At t = 1994 of this trace (interval 8, +node:all) the two sides
+        // tie once each eventlist share is truncated to whole bytes, and
+        // the untruncated shares favour the right leaf: the point and the
+        // multipoint planner once took different leaves here.
+        let ds = dblp_like(&DblpConfig::tiny(0));
+        let dg = build(&ds.events, 40, 2, DifferentialFunction::Intersection);
+        let store = dg.payload_store().backing_store();
+        for opts in crate::storage::tests::selections() {
+            for interval in dg.skeleton().intervals() {
+                for t in interval.start.raw()..interval.end.raw() {
+                    let t = Timestamp(t);
+                    let plan = dg.plan_snapshot(t, &opts).unwrap().unwrap();
+                    let path: Vec<EdgePayload> = plan
+                        .path
+                        .iter()
+                        .map(|&e| dg.skeleton.edge(e).payload)
+                        .collect();
+                    let reported = (path, &dg.finish_of(plan.anchor, t));
+                    let alone = dg.plan_retrievals(&[t], &opts).unwrap();
+                    assert_eq!(planned_paths(&alone)[0], reported, "{opts:?} t={t}");
+                    // HISTORY and GET GRAPHS AT plan the earliest time first,
+                    // into an empty tree.
+                    let later = [t, Timestamp(t.raw() + 3), Timestamp(t.raw() + 9)];
+                    let multi = dg.plan_retrievals(&later, &opts).unwrap();
+                    assert_eq!(planned_paths(&multi)[0], reported, "{opts:?} t={t}");
+                }
+            }
+        }
+        let (t, opts) = (Timestamp(1994), AttrOptions::parse("+node:all").unwrap());
+        let plan = dg.plan_snapshot(t, &opts).unwrap().unwrap();
+        assert_eq!(plan.anchor, Anchor::Forward { interval: 8 });
+        let before = store.stats();
+        let graphs = dg
+            .plan_retrievals(&[t], &opts)
+            .unwrap()
+            .execute::<Snapshot>()
+            .unwrap();
+        let read = store.stats().delta_since(&before);
+        assert_eq!(Arc::strong_count(&graphs[0]), 1, "a point is never copied");
+        let before = store.stats();
+        assert_eq!(dg.get_snapshot(t, &opts).unwrap(), *graphs[0]);
+        assert_eq!(store.stats().delta_since(&before), read);
     }
 
     #[test]

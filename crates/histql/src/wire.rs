@@ -2128,14 +2128,15 @@ mod tests {
                 .unwrap();
                 for opts in ["", "+node:all", "+node:attr0", "+node:all+edge:all"] {
                     let opts = tgraph::AttrOptions::parse(opts).unwrap();
-                    let columns: ColumnGraph = dg.plan_retrieval(t, &opts).unwrap().execute().unwrap();
+                    let graphs = dg.plan_retrievals(&[t], &opts).unwrap().execute().unwrap();
+                    let columns: &ColumnGraph = &graphs[0];
                     let want = ds.snapshot_at(t).project_attrs(&opts);
                     assert_eq!(columns.clone().into_snapshot(), want, "seed={seed} t={t}");
                     let graph = Arc::new(want);
                     for format in [WireFormat::Text, WireFormat::Binary] {
                         let reference = Response::Graph { t, graph: Arc::clone(&graph) };
                         assert_eq!(
-                            frame_columns(t, &columns, format),
+                            frame_columns(t, columns, format),
                             reference.to_frame(format),
                             "seed={seed} t={t} {format:?}"
                         );

@@ -655,8 +655,13 @@ impl ShardedGraphManager {
     /// sorted columns for a caller that reads a few elements and needs no
     /// [`Snapshot`].
     pub fn graph_at<G: GraphForm>(&self, t: Timestamp, opts: &AttrOptions) -> DgResult<G> {
-        let retrieval = self.shard_for(t)?.read().index().plan_retrieval(t, opts)?;
-        retrieval.execute()
+        let retrieval = self
+            .shard_for(t)?
+            .read()
+            .index()
+            .plan_retrievals(&[t], opts)?;
+        let graph = retrieval.execute()?.pop().expect("one time, one graph");
+        Ok(Arc::unwrap_or_clone(graph))
     }
 
     /// Computes several snapshots, each on its owning shard, in request

@@ -182,7 +182,7 @@ fn a_retrieval_planned_on_the_tail_executes_after_a_roll() {
     // last leaf.
     let tail = sharded.shard_for(Timestamp(62)).unwrap();
     let opts = AttrOptions::all();
-    let plan = |t: i64| tail.read().index().plan_retrieval(Timestamp(t), &opts);
+    let plan = |t: i64| tail.read().index().plan_retrievals(&[Timestamp(t)], &opts);
     assert!(tail
         .read()
         .index()
@@ -221,11 +221,8 @@ fn a_retrieval_planned_on_the_tail_executes_after_a_roll() {
     };
     for (t, retrieval) in planned {
         let t = Timestamp(t);
-        assert_eq!(
-            retrieval.execute::<Snapshot>().unwrap(),
-            oracle.snapshot_at(t),
-            "t={t}"
-        );
+        let graphs = retrieval.execute::<Snapshot>().unwrap();
+        assert_eq!(*graphs[0], oracle.snapshot_at(t), "t={t}");
     }
     let graphs = multi.execute::<Snapshot>().unwrap();
     for (graph, t) in graphs.iter().zip(times) {

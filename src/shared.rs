@@ -3,7 +3,8 @@
 //! A [`GraphManager`] is single-threaded by design — retrieval overlays
 //! snapshots onto the GraphPool, which mutates shared bitmaps. The snapshot
 //! *computation* itself, however, only reads the DeltaGraph index, and only
-//! to plan: a [`deltagraph::Retrieval`] owns everything its execution needs.
+//! to plan: a [`deltagraph::MultiRetrieval`], of one time or several, owns
+//! everything its execution needs.
 //! The [`SharedGraphManager`] exploits that split: a point query plans under
 //! the shared read lock, fetches, decodes and applies with no lock held, and
 //! takes the exclusive write lock again only to overlay a point the cache
@@ -275,13 +276,14 @@ impl PoolSession {
         // write-once, so fetch, decode and apply run with no lock held.
         let (retrieval, epoch) = {
             let gm = self.shared.read();
-            (gm.index().plan_retrieval(t, opts)?, gm.append_epoch())
+            (gm.index().plan_retrievals(&[t], opts)?, gm.append_epoch())
         };
         if !admitted {
-            let columns = Built::Columns(retrieval.execute()?);
+            let columns = retrieval.execute()?.pop().map(Arc::unwrap_or_clone);
+            let columns = Built::Columns(columns.expect("one time, one graph"));
             return Ok(self.hold(None, Some(columns), false, epoch));
         }
-        let snapshot = Arc::new(retrieval.execute()?);
+        let snapshot = retrieval.execute()?.pop().expect("one time, one graph");
         let mut gm = self.shared.write();
         // Double-check: another session may have cached (t, opts) while we
         // computed. Counted as neither hit nor miss — this lookup already

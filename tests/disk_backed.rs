@@ -1,5 +1,5 @@
 //! The same end-to-end flow, but with the index persisted on disk through the
-//! log-structured key–value store (the Kyoto Cabinet stand-in), including a
+//! write-once disk store (the Kyoto Cabinet stand-in), including a
 //! partitioned deployment that fetches partitions in parallel.
 
 use std::sync::Arc;
