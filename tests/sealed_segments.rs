@@ -588,3 +588,81 @@ fn mutated_record_logs_replay_a_strict_prefix_or_refuse() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// One request line per verb: the `HELP` examples of the query shell,
+/// histbench's script shapes, string keys with escapes, and a `GET GRAPHS
+/// AT` line as long as the server reads.
+fn query_lines() -> Vec<String> {
+    let mut lines: Vec<String> = [
+        "GET GRAPH AT 1976 WITH +node:all+edge:all",
+        "GET GRAPHS AT 1941, 1976, 2012",
+        "GET GRAPH BETWEEN 1941 AND 2012",
+        "GET GRAPH MATCHING 1976 AND NOT (2012 OR 1941)",
+        "DIFF 2012 1976",
+        "BIND alice 1",
+        "NODE alice AT 1976",
+        "HISTORY NODE alice FROM 1941 TO 2012",
+        "APPEND NODE 2013 777",
+        "STATS",
+        "RELEASE ALL",
+        "QUIT",
+        "GET GRAPH AT 500000 WITH +node:all",
+        "HISTORY NODE k3 FROM 120000 TO 180000 STEP 20000",
+        "APPEND BATCH NODE 1000001 7 ; NODE 1000001 8 ; EDGE 1000001 9 7 8",
+        r#"BIND "al\"i\\ce\n" 1"#,
+        r#"NODE "al\"i\\ce\t" AT -5"#,
+    ]
+    .map(String::from)
+    .to_vec();
+    let mut long = String::from("GET GRAPHS AT 1000000");
+    let mut t = 1_000_000;
+    while long.len() + 10 <= server::MAX_LINE_BYTES {
+        t += 7;
+        long.push_str(&format!(", {t}"));
+    }
+    lines.push(long);
+    lines
+}
+
+#[test]
+fn mutated_query_lines_parse_or_refuse() {
+    // The lexer keeps at most one token per byte, in a vector that grows by
+    // doubling; nothing else a line asks for is as large.
+    let per_byte = 2 * std::mem::size_of::<histql::lexer::Spanned>();
+    let check = |bytes: &[u8], what: &dyn Fn() -> String| {
+        // The server reads a line as lossy UTF-8.
+        let line = String::from_utf8_lossy(bytes);
+        let (parsed, largest) =
+            largest_allocation(|| std::panic::catch_unwind(|| histql::parse(&line).is_ok()));
+        assert!(parsed.is_ok(), "{}: parse panicked", what());
+        assert!(
+            largest <= per_byte * line.len() + SLACK,
+            "{}: allocated {largest} for {} bytes",
+            what(),
+            line.len()
+        );
+    };
+    for line in query_lines() {
+        let original = line.into_bytes();
+        let len = original.len();
+        let head = String::from_utf8_lossy(&original[..len.min(48)]).into_owned();
+        // Every offset of a line, except in the middle of the long one: a
+        // run of 9-byte list items, sampled at a stride of 61 so each
+        // offset within an item is hit over a hundred times. (Every offset
+        // of it takes minutes in a debug build.)
+        let offsets = (0..len).filter(|&at| at < 512 || at + 512 >= len || at % 61 == 0);
+        let mut bytes = original.clone();
+        for at in offsets.clone() {
+            for flip in [0x01, 0x80, 0xff] {
+                bytes[at] ^= flip;
+                check(&bytes, &|| format!("{head:?}…: byte {at} ^ {flip:#04x}"));
+                bytes[at] ^= flip;
+            }
+        }
+        for cut in offsets {
+            check(&original[..cut], &|| format!("{head:?}… cut at {cut}"));
+        }
+        bytes.push(b'7');
+        check(&bytes, &|| format!("{head:?}… plus a byte"));
+    }
+}
