@@ -27,8 +27,8 @@ use crate::skeleton::ComponentWeights;
 /// Payload ids are write-once: an index takes each id from a counter that
 /// only grows, writes its payload once, and never rewrites or deletes it.
 /// A plan that names ids therefore stays valid while the index keeps
-/// changing, which is what lets a [`crate::query::MultiRetrieval`] execute with
-/// no lock on the index. Cloning shares the backing store.
+/// changing, which is what lets a [`crate::query::MultiRetrieval`]
+/// execute with no lock on the index. Cloning shares the backing store.
 #[derive(Clone)]
 pub struct PayloadStore {
     store: Arc<dyn KeyValueStore>,
